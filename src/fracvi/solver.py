@@ -1,11 +1,12 @@
-"""Newton solver for discrete Euler-Lagrange boundary-value systems, a
-marching solver for the direct classical scheme, and the dense linear
-algebra it relies on.
+"""Newton solver for discrete Euler-Lagrange boundary-value systems and a
+marching solver for the direct classical scheme, both driven by one damped
+Newton kernel.
 
 Boundary values are never unknowns: the interior nodes Q_1 .. Q_{n-1} are
 solved for with the endpoints pinned, mirroring variations that vanish at
 both ends.  Jacobians are dense finite differences; the classical
-tridiagonal structure is deliberately not special-cased.
+tridiagonal structure is deliberately not special-cased.  Linear systems
+are solved by LAPACK through ``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -26,17 +27,14 @@ from .schemes import SchemeKind, assemble_residual
 
 
 class SingularMatrixError(RuntimeError):
-    """LU elimination hit an exactly zero pivot."""
-
-    def __init__(self, pivot_index: int):
-        super().__init__(f"singular matrix: zero pivot at column {pivot_index}")
-        self.pivot_index = pivot_index
+    """The LU factorization hit an exactly zero pivot."""
 
 
 class NewtonConvergenceError(RuntimeError):
     """Newton failed to reach the residual target.
 
-    Carries the last iterate and the iteration history for diagnosis.
+    Carries the last iterate and the iteration history for diagnosis; for a
+    marching failure these belong to the failing step.
     """
 
     def __init__(self, message: str, last: "Trajectory | np.ndarray", diagnostics):
@@ -110,28 +108,18 @@ class NewtonDiagnostics:
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a dense square system by LU with partial pivoting."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    """Solve a dense square system by LAPACK's partial-pivoting LU."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     m = a.shape[0]
     if a.shape != (m, m):
         raise DomainError(f"matrix must be square, got {a.shape}")
     if b.shape[0] != m:
         raise DomainError(f"right-hand side length {b.shape[0]} != {m}")
-    for col in range(m):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0.0:
-            raise SingularMatrixError(col)
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col + 1 :] -= np.outer(factors, a[col, col + 1 :])
-        b[col + 1 :] -= factors * b[col]
-    x = np.empty(m)
-    for row in range(m - 1, -1, -1):
-        x[row] = (b[row] - np.dot(a[row, row + 1 :], x[row + 1 :])) / a[row, row]
-    return x
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular matrix") from None
 
 
 def linear_initial_guess(grid: Grid, qa, qb) -> Trajectory:
@@ -148,6 +136,60 @@ def linear_initial_guess(grid: Grid, qa, qb) -> Trajectory:
 _MAX_BACKTRACKS = 40
 
 
+def _newton(
+    fun, x0: np.ndarray, cfg: NewtonConfig, label: str = ""
+) -> tuple[np.ndarray, NewtonDiagnostics]:
+    """Damped Newton for fun(x) = 0 from x0.
+
+    The Jacobian is dense forward finite differences of ``fun``; steps
+    backtrack until the residual inf-norm decreases.  Raises
+    :class:`NewtonConvergenceError` with the last iterate and the history,
+    its message prefixed by ``label``, if the target is not met.
+    """
+    x = np.array(x0, dtype=float)
+    diag = NewtonDiagnostics()
+    r = fun(x)
+    rnorm = float(np.max(np.abs(r)))
+    diag.records.append((0, rnorm, 0.0))
+    it = 0
+    while not rnorm <= cfg.tol:  # a NaN residual is not converged
+        it += 1
+        if it > cfg.max_iter:
+            raise NewtonConvergenceError(
+                f"{label}no convergence after {cfg.max_iter} iterations "
+                f"(residual {rnorm:.3e}, target {cfg.tol:.3e})",
+                x,
+                diag,
+            )
+        jac = np.empty((x.size, x.size))
+        for j in range(x.size):
+            step = cfg.fd_step * (1.0 + abs(x[j]))
+            xp = x.copy()
+            xp[j] += step
+            jac[:, j] = (fun(xp) - r) / step
+        delta = lu_solve(jac, -r)
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            trial = x + t * delta
+            r_trial = fun(trial)
+            rn_trial = float(np.max(np.abs(r_trial)))
+            if rn_trial < rnorm:
+                break
+            t *= cfg.damping
+        else:
+            diag.records.append((it, rnorm, 0.0))
+            raise NewtonConvergenceError(
+                f"{label}line search stalled at iteration {it} "
+                f"(residual {rnorm:.3e}, target {cfg.tol:.3e})",
+                x,
+                diag,
+            )
+        x, r, rnorm = trial, r_trial, rn_trial
+        diag.records.append((it, rnorm, float(np.max(np.abs(t * delta)))))
+    diag.converged = True
+    return x, diag
+
+
 def solve_bvp_newton(
     problem: BVPProblem,
     init: Trajectory | None = None,
@@ -155,10 +197,8 @@ def solve_bvp_newton(
 ) -> tuple[Trajectory, NewtonDiagnostics]:
     """Solve R(Q) = 0 for the interior nodes by damped Newton.
 
-    The Jacobian is dense forward finite differences of the residual,
-    factored by partial-pivoting LU; steps backtrack until the residual
-    inf-norm decreases.  Raises :class:`NewtonConvergenceError` with the
-    last iterate and history if the target is not met.
+    Raises :class:`NewtonConvergenceError` with the last iterate (a
+    :class:`Trajectory`) and the history if the target is not met.
     """
     cfg = config or NewtonConfig()
     grid = problem.grid
@@ -183,90 +223,12 @@ def solve_bvp_newton(
     def residual(x: np.ndarray) -> np.ndarray:
         return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
 
-    x = init.values[1:-1].ravel().copy()
-    diag = NewtonDiagnostics()
-    r = residual(x)
-    rnorm = float(np.max(np.abs(r)))
-    diag.records.append((0, rnorm, 0.0))
-    for it in range(1, cfg.max_iter + 1):
-        if rnorm <= cfg.tol:
-            diag.converged = True
-            return build(x), diag
-        jac = np.empty((x.size, x.size))
-        for j in range(x.size):
-            step = cfg.fd_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += step
-            jac[:, j] = (residual(xp) - r) / step
-        delta = lu_solve(jac, -r)
-        t = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            trial = x + t * delta
-            r_trial = residual(trial)
-            rn_trial = float(np.max(np.abs(r_trial)))
-            if rn_trial < rnorm:
-                accepted = True
-                break
-            t *= cfg.damping
-        if not accepted:
-            diag.records.append((it, rnorm, 0.0))
-            raise NewtonConvergenceError(
-                f"line search stalled at iteration {it} "
-                f"(residual {rnorm:.3e}, target {cfg.tol:.3e})",
-                build(x),
-                diag,
-            )
-        x = trial
-        r = r_trial
-        rnorm = rn_trial
-        diag.records.append((it, rnorm, float(np.max(np.abs(t * delta)))))
-    if rnorm <= cfg.tol:
-        diag.converged = True
-        return build(x), diag
-    raise NewtonConvergenceError(
-        f"no convergence after {cfg.max_iter} iterations "
-        f"(residual {rnorm:.3e}, target {cfg.tol:.3e})",
-        build(x),
-        diag,
-    )
-
-
-def _newton_point(fun, x0: np.ndarray, cfg: NewtonConfig, label: str) -> np.ndarray:
-    """Small dense Newton for one implicit step equation."""
-    x = np.array(x0, dtype=float)
-    r = fun(x)
-    rnorm = float(np.max(np.abs(r)))
-    for _ in range(cfg.max_iter):
-        if rnorm <= cfg.tol:
-            return x
-        jac = np.empty((x.size, x.size))
-        for j in range(x.size):
-            step = cfg.fd_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += step
-            jac[:, j] = (fun(xp) - r) / step
-        delta = lu_solve(jac, -r)
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            trial = x + t * delta
-            r_trial = fun(trial)
-            rn_trial = float(np.max(np.abs(r_trial)))
-            if rn_trial < rnorm:
-                break
-            t *= cfg.damping
-        else:
-            raise NewtonConvergenceError(
-                f"{label}: line search stalled (residual {rnorm:.3e})", x, None
-            )
-        x, r, rnorm = trial, r_trial, rn_trial
-    if rnorm <= cfg.tol:
-        return x
-    raise NewtonConvergenceError(
-        f"{label}: no convergence (residual {rnorm:.3e}, target {cfg.tol:.3e})",
-        x,
-        None,
-    )
+    try:
+        x, diag = _newton(residual, init.values[1:-1].ravel(), cfg)
+    except NewtonConvergenceError as exc:
+        exc.last = build(exc.last)
+        raise
+    return build(x), diag
 
 
 def march_direct_classical(
@@ -284,6 +246,9 @@ def march_direct_classical(
     Lagrangian this is the implicit step
 
         (Q_k - 2 Q_{k-1} + Q_{k-2})/h^2 + grad U(Q_k) = 0.
+
+    A failing step raises :class:`NewtonConvergenceError` carrying that
+    step's iterate and diagnostics.
     """
     check_sigma(sigma)
     if sigma != MINUS:
@@ -311,5 +276,5 @@ def march_direct_classical(
             )
 
         guess = 2.0 * vals[k - 1] - vals[k - 2]
-        vals[k] = _newton_point(step_residual, guess, cfg, f"march step k={k}")
+        vals[k], _ = _newton(step_residual, guess, cfg, f"march step k={k}: ")
     return Trajectory(grid, vals)
