@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .diffops import discrete_velocity, gauss_quadrature
-from .fracops import discrete_velocity_alpha, gl_coefficients
+from .fracops import _minus_matrix, _plus_matrix, discrete_velocity_alpha
+from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
     MINUS,
     DomainError,
@@ -173,32 +174,15 @@ def discrete_functional_fractional(
     return _functional(lag, q, discrete_velocity_alpha(q, sigma, alpha))
 
 
-def _adjoint_matrix(n: int, sigma: int, w: np.ndarray) -> np.ndarray:
-    """Coefficient of Lv_k in the gradient entry G_j, for interior j.
-
-    With v_k = -sigma * (delta^alpha_sigma Q)_k, the chain rule gives
-    d v_k / d Q_j = -sigma * scale * w_{sigma (k - j)} whenever the weight
-    index is in range, so G_j collects w_{sigma(k-j)} * Lv_k over I_sigma.
-    """
-    j = np.arange(1, n)[:, None]
-    if sigma == MINUS:
-        k = np.arange(1, n + 1)[None, :]
-        r = k - j
-    else:
-        k = np.arange(0, n)[None, :]
-        r = j - k
-    return np.where(r >= 0, w[np.clip(r, 0, len(w) - 1)], 0.0)
-
-
 def functional_gradient(
     lag: Lagrangian, q: Trajectory, sigma: int, alpha: float | None = None
 ) -> ResidualField:
     """Gradient of the discrete functional: G_k = (1/h) dL_h/dQ_k, k interior.
 
     Assembled analytically: the Lx term lands at its own node and the Lv
-    sequence is scattered through the derivative weights of the velocity
-    map (the adjoint application of the opposite-side operator).  This is
-    exactly the variational-integrator residual.
+    sequence is scattered through the transpose of the velocity map's
+    kernel (the adjoint, which acts as the opposite-side operator).  This
+    is exactly the variational-integrator residual.
     """
     check_sigma(sigma)
     _check_dims(lag, q)
@@ -211,8 +195,10 @@ def functional_gradient(
     lx, lv = _lagrangian_values(lag, q, vseq)
     # rows of I_sigma corresponding to interior nodes 1..n-1
     interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)
-    w = gl_coefficients(a_eff, n).w
     scale = 1.0 / (q.grid.h ** a_eff)
-    adj = _adjoint_matrix(n, sigma, w)
+    # d v_k / d Q_j = -sigma * scale * K[k, j], so the adjoint is K's interior
+    # columns, transposed; the contiguous copy keeps the product's bits.
+    kernel = _minus_matrix(a_eff, n) if sigma == MINUS else _plus_matrix(a_eff, n)
+    adj = np.ascontiguousarray(kernel[:, 1:n].T)
     grad = lx[interior] + (-sigma) * scale * (adj @ lv)
     return ResidualField(q.grid, 1, grad)
