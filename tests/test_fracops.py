@@ -31,6 +31,17 @@ def test_weights_reject_bad_input():
         fv.gl_coefficients(0.5, -1)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_order_rejected(alpha):
+    q = _traj_0123()
+    with pytest.raises(fv.DomainError):
+        fv.gl_coefficients(alpha, 4)
+    with pytest.raises(fv.DomainError):
+        fv.delta_alpha_minus(q, alpha)
+    with pytest.raises(fv.DomainError):
+        fv.delta_alpha_plus(q, alpha)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_weight_structure_large_n(alpha):
     coeffs = fv.gl_coefficients(alpha, 1000)
