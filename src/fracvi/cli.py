@@ -295,6 +295,11 @@ def _linear_reference(a, b, qa, qb):
     return exact
 
 
+def _check_n_list(n_list: list[int]) -> None:
+    if len(n_list) < 2 or any(lo >= hi for lo, hi in zip(n_list, n_list[1:])):
+        raise DomainError("n-list must be at least two strictly increasing values")
+
+
 def _observed_orders(ns: list[int], errors: list[float]) -> list[float | None]:
     orders: list[float | None] = []
     for i in range(len(ns)):
@@ -330,8 +335,7 @@ def run_convergence(
     marched from two exact initial nodes; all other schemes solve the
     boundary-value problem.
     """
-    if sorted(n_list) != n_list or len(set(n_list)) != len(n_list) or len(n_list) < 2:
-        raise DomainError("n-list must be at least two strictly increasing values")
+    _check_n_list(n_list)
     lag = builtin_problem(problem, omega=omega, dim=1)
     harmonic_exact_case = problem == "harmonic" and alpha is None
     if qa is None:
@@ -545,8 +549,7 @@ def run_glcheck(
 ) -> tuple[int, list[str]]:
     """Discrete left fractional derivative of (t-a)^beta at t=b versus the
     closed-form value, with observed convergence orders."""
-    if sorted(n_list) != n_list or len(n_list) < 2:
-        raise DomainError("n-list must be at least two strictly increasing values")
+    _check_n_list(n_list)
     exact = rl_monomial_derivative(beta, alpha, b - a)
     errors = []
     approxes = []

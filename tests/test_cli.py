@@ -33,6 +33,12 @@ def test_ibp_alpha_one_reduces(capsys):
     assert main(["ibp", "--alpha", "1.0", "--n", "16", "--seed", "5"]) == EXIT_OK
 
 
+def test_ibp_rejects_non_finite_alpha(capsys):
+    assert main(["ibp", "--alpha", "nan"]) == EXIT_USAGE
+    assert main(["ibp", "--alpha", "inf"]) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+
+
 def test_ibp_deterministic(capsys):
     main(["ibp", "--n", "32", "--seed", "11"])
     first = capsys.readouterr().out
@@ -106,6 +112,11 @@ def test_convergence_fractional_self_reference(capsys):
 
 def test_convergence_rejects_bad_n_list(capsys):
     assert main(["convergence", "--n-list", "32,16"]) == EXIT_USAGE
+
+
+def test_glcheck_rejects_repeated_n(capsys):
+    assert main(["glcheck", "--n-list", "64,64,128"]) == EXIT_USAGE
+    assert "strictly increasing" in capsys.readouterr().err
 
 
 def test_run_convergence_api_rows():
