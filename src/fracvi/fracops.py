@@ -93,6 +93,14 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_unit_alpha(alpha: float) -> float:
+    """Orders of the fractional functionals and the closed form: (0, 1]."""
+    alpha = float(alpha)
+    if not 0 < alpha <= 1:
+        raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 def _scale(h: float, alpha: float) -> float:
     # 1/(h**alpha) so that alpha = 1 reproduces the classical 1/h bitwise.
     return 1.0 / (h ** alpha)
@@ -190,12 +198,10 @@ def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:
     the derivative is 0.
     """
     beta = float(beta)
-    alpha = float(alpha)
+    alpha = _check_unit_alpha(alpha)
     s = float(s)
     if beta <= -1:
         raise DomainError(f"monomial exponent must exceed -1, got {beta}")
-    if not 0 < alpha <= 1:
-        raise DomainError(f"order must lie in (0, 1], got {alpha}")
     if s <= 0:
         raise DomainError(f"offset s = t - a must be positive, got {s}")
     tail = beta + 1.0 - alpha

@@ -70,6 +70,8 @@ class Grid:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "n", int(self.n))
+        if not np.isfinite([self.a, self.b]).all():
+            raise DomainError(f"grid ends must be finite, got a={self.a}, b={self.b}")
         if not self.b > self.a:
             raise DomainError(f"grid requires b > a, got a={self.a}, b={self.b}")
         if self.n < 2:
@@ -241,7 +243,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`write_trajectory_csv`."""
+    """Read a trajectory written by :func:`write_trajectory_csv`; a time
+    column that is not uniform is refused, not resampled."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -255,4 +258,12 @@ def read_trajectory_csv(path) -> Trajectory:
     if len(rows) < 3:
         raise DomainError("trajectory file needs at least 3 nodes")
     grid = Grid(times[0], times[-1], len(rows) - 1)
+    # node rounding is a few ulps of max |t|, far below the spacing h
+    gap = np.abs(np.asarray(times) - grid.nodes)
+    k = int(np.argmax(gap))
+    if gap[k] > 8 * np.finfo(float).eps * max(abs(grid.a), abs(grid.b)):
+        raise DomainError(
+            f"non-uniform time column: t={times[k]!r} at k={k}, "
+            f"the uniform grid has {grid.node(k)!r}"
+        )
     return Trajectory(grid, np.asarray(rows))

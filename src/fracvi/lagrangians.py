@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .diffops import discrete_velocity, gauss_quadrature
-from .fracops import _minus_matrix, _plus_matrix, discrete_velocity_alpha
+from .fracops import _check_unit_alpha, _minus_matrix, _plus_matrix
+from .fracops import discrete_velocity_alpha
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
     MINUS,
@@ -127,13 +128,6 @@ def _check_dims(lag: Lagrangian, q: Trajectory) -> None:
         )
 
 
-def _check_functional_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0 < alpha <= 1:
-        raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
-    return alpha
-
-
 def _lagrangian_values(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
     """Evaluate Lx and Lv along the trajectory over the window of vseq."""
     nodes = q.grid.nodes
@@ -170,7 +164,7 @@ def discrete_functional_fractional(
     """h * sum over I_sigma of L(Q_k, (-sigma delta^alpha_sigma Q)_k, t_k)."""
     check_sigma(sigma)
     _check_dims(lag, q)
-    alpha = _check_functional_alpha(alpha)
+    alpha = _check_unit_alpha(alpha)
     return _functional(lag, q, discrete_velocity_alpha(q, sigma, alpha))
 
 
@@ -186,7 +180,7 @@ def functional_gradient(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    a_eff = 1.0 if alpha is None else _check_functional_alpha(alpha)
+    a_eff = 1.0 if alpha is None else _check_unit_alpha(alpha)
     n = q.grid.n
     if alpha is None:
         vseq = discrete_velocity(q, sigma)

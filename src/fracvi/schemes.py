@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import discrete_velocity, seq_delta
-from .fracops import discrete_velocity_alpha, frac_seq_minus, frac_seq_plus
+from .fracops import _check_unit_alpha, discrete_velocity_alpha
+from .fracops import frac_seq_minus, frac_seq_plus
 from .grids import (
     MINUS,
     DomainError,
@@ -171,9 +172,7 @@ def residual_direct_fractional(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    alpha = float(alpha)
-    if not 0 < alpha <= 1:
-        raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
+    alpha = _check_unit_alpha(alpha)
     vseq = discrete_velocity_alpha(q, sigma, alpha)
     lx, lv = _lagrangian_values(lag, q, vseq)
     lvseq = ShiftedSequence(q.grid, sigma, lv)

@@ -77,6 +77,8 @@ class BVPProblem:
                 f"boundary values must have dim {self.lagrangian.dim}, "
                 f"got {qa.shape} and {qb.shape}"
             )
+        if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
+            raise DomainError(f"boundary values must be finite, got qa={qa}, qb={qb}")
         object.__setattr__(self, "qa", qa)
         object.__setattr__(self, "qb", qb)
 

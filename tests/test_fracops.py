@@ -230,3 +230,16 @@ def test_gl_converges_to_rl_on_monomials(alpha, beta):
     for i in range(len(ns) - 1):
         order = math.log2(errors[i] / errors[i + 1])
         assert 0.7 <= order <= 1.3
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
+@pytest.mark.parametrize("caller", [
+    lambda lag, q, alpha: fv.discrete_functional_fractional(lag, q, fv.MINUS, alpha),
+    lambda lag, q, alpha: fv.functional_gradient(lag, q, fv.MINUS, alpha),
+    lambda lag, q, alpha: fv.residual_direct_fractional(lag, q, fv.MINUS, alpha),
+    lambda lag, q, alpha: fv.rl_monomial_derivative(1.0, alpha, 1.0),
+], ids=["functional", "gradient", "direct", "closed_form"])
+def test_order_outside_unit_interval_refused(caller, alpha):
+    q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
+    with pytest.raises(fv.DomainError, match=r"must lie in \(0, 1\]"):
+        caller(fv.harmonic_oscillator(), q, alpha)

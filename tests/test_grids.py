@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,33 @@ def test_trajectory_csv_roundtrip(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "k,t,q0,q1"
     assert "\r" not in text
+
+
+@pytest.mark.parametrize("a,b", [(float("nan"), 1.0), (0.0, float("inf")), (-math.inf, 0.0)])
+def test_grid_rejects_non_finite_ends(a, b):
+    with pytest.raises(fv.DomainError, match="grid ends must be finite"):
+        fv.make_grid(a, b, 8)
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_trajectory_csv_roundtrip_off_unit_interval(tmp_path, n):
+    grid = fv.make_grid(-0.3, 2.7, n)
+    traj = fv.sample(lambda t: np.sin(t), grid)
+    path = tmp_path / "traj.csv"
+    fv.write_trajectory_csv(traj, path)
+    back = fv.read_trajectory_csv(path)
+    assert back.grid == grid
+    np.testing.assert_array_equal(back.grid.nodes, grid.nodes)
+    np.testing.assert_array_equal(back.values, traj.values)
+
+
+def test_read_trajectory_csv_refuses_non_uniform_times(tmp_path):
+    grid = fv.make_grid(-0.3, 2.7, 16)
+    path = tmp_path / "traj.csv"
+    fv.write_trajectory_csv(fv.sample(lambda t: t, grid), path)
+    lines = path.read_text().splitlines()
+    k, t, q = lines[6].split(",")
+    lines[6] = f"{k},{float(t) + 1e-3 * grid.h!r},{q}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fv.DomainError, match="non-uniform time column"):
+        fv.read_trajectory_csv(path)

@@ -266,3 +266,10 @@ def test_fractional_jacobian_budget():
     elapsed = time.monotonic() - start
     assert diag.converged
     assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("qa,qb", [([math.nan], [1.0]), ([0.0], [math.inf])])
+def test_bvp_rejects_non_finite_boundary_values(qa, qb):
+    grid = fv.make_grid(0.0, 1.0, 8)
+    with pytest.raises(fv.DomainError, match="boundary values must be finite"):
+        BVPProblem(grid, fv.free_particle(), vi_classical(), qa, qb)
