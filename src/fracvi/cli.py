@@ -6,15 +6,22 @@ Subcommands: ``ibp`` (randomized integration-by-parts identity checks),
 boundary-value solve with CSV export), and ``glcheck`` (discrete fractional
 derivative of monomials against the closed form).
 
+Every flag's name, type and default is stated once, in :func:`build_parser`;
+``fracvi <cmd> --help`` lists them with their defaults.  Each subcommand's
+handler is its ``run_*`` function, called with the parsed values it takes.
+A plain ``key=value`` file can be supplied with ``--config``: keys are flag
+names (with ``-`` or ``_``), values are parsed exactly like flags, keys the
+subcommand does not take are ignored, and explicit flags win.
+
 Exit codes: 0 all checks pass, 1 check violation, 2 usage error, 3 solver
-failure.  Every command is deterministic given ``--seed``.  A plain
-``key=value`` file can be supplied with ``--config``; explicit flags win.
+failure.  Every command is deterministic given ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import math
 import sys
 
@@ -32,7 +39,7 @@ from .grids import (
     sigma_label,
     write_trajectory_csv,
 )
-from .lagrangians import builtin_problem
+from .lagrangians import BUILTIN_PROBLEMS, builtin_problem
 from .schemes import (
     SchemeFamily,
     SchemeKind,
@@ -94,6 +101,15 @@ def _sigma(text: str) -> int:
     raise argparse.ArgumentTypeError(f"sigma must be '+' or '-', got {text!r}")
 
 
+def _count(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def load_config(path) -> dict[str, str]:
     """Read a plain key=value file; '#' starts a comment."""
     cfg: dict[str, str] = {}
@@ -107,16 +123,6 @@ def load_config(path) -> dict[str, str]:
             key, value = line.split("=", 1)
             cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
-
-
-def _get(args, cfg: dict[str, str], name: str, conv, default):
-    """Flag value if given, else config value, else the default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    if name in cfg:
-        return conv(cfg[name])
-    return default
 
 
 def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
@@ -171,18 +177,6 @@ def run_ibp(
     return (EXIT_OK if failures == 0 else EXIT_CHECK_FAILED), lines
 
 
-def _cmd_ibp(args, cfg) -> tuple[int, list[str]]:
-    return run_ibp(
-        n=_get(args, cfg, "n", int, 64),
-        trials=_get(args, cfg, "trials", int, 100),
-        seed=_get(args, cfg, "seed", int, 0),
-        alpha=_get(args, cfg, "alpha", float, None),
-        a=_get(args, cfg, "a", float, 0.0),
-        b=_get(args, cfg, "b", float, 1.0),
-        dim=_get(args, cfg, "dim", int, 1),
-    )
-
-
 # --------------------------------------------------------------------------
 # coherence
 
@@ -233,21 +227,6 @@ def run_coherence(
         _write_csv(out, COHERENCE_HEADER, [rep.csv_row() for rep in reports])
         lines.append(f"wrote {out}")
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), lines
-
-
-def _cmd_coherence(args, cfg) -> tuple[int, list[str]]:
-    return run_coherence(
-        problem=_get(args, cfg, "problem", str, "harmonic"),
-        omega=_get(args, cfg, "omega", float, 1.0),
-        sigma=_get(args, cfg, "sigma", _sigma, MINUS),
-        alpha=_get(args, cfg, "alpha", float, None),
-        n=_get(args, cfg, "n", int, 32),
-        seed=_get(args, cfg, "seed", int, 0),
-        dim=_get(args, cfg, "dim", int, 1),
-        a=_get(args, cfg, "a", float, 0.0),
-        b=_get(args, cfg, "b", float, 1.0),
-        out=_get(args, cfg, "out", str, None),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -339,16 +318,11 @@ def run_convergence(
     lag = builtin_problem(problem, omega=omega, dim=1)
     harmonic_exact_case = problem == "harmonic" and alpha is None
     if qa is None:
-        qa = np.array([1.0]) if harmonic_exact_case else np.array([0.0])
-    else:
-        qa = np.atleast_1d(np.asarray(qa, dtype=float))
-    if qb is None:
-        if harmonic_exact_case:
-            qb = qa * math.cos(omega * (b - a)) + 0.5 * math.sin(omega * (b - a))
-        else:
-            qb = np.ones_like(qa)
-    else:
-        qb = np.atleast_1d(np.asarray(qb, dtype=float))
+        qa = [1.0 if harmonic_exact_case else 0.0]
+    qa = np.atleast_1d(np.asarray(qa, dtype=float))
+    if qb is None and harmonic_exact_case:
+        qb = qa * math.cos(omega * (b - a)) + 0.5 * math.sin(omega * (b - a))
+    qb = np.ones_like(qa) if qb is None else np.atleast_1d(np.asarray(qb, dtype=float))
     # discretization errors measured here are >= 1e-6; a 1e-9 residual target
     # stays far below them while clearing the double-precision floor that an
     # absolute 1e-12 hits once n reaches ~128 (residual sensitivity ~ 4/h^2)
@@ -369,11 +343,8 @@ def run_convergence(
     ref_traj = None
     n_ref = 4 * max(n_list)
     if exact is None:
-        for n in n_list:
-            if n_ref % n != 0:
-                raise DomainError(
-                    f"self-reference requires every n to divide n_ref={n_ref}"
-                )
+        if any(n_ref % n for n in n_list):
+            raise DomainError(f"self-reference requires every n to divide n_ref={n_ref}")
         kind = _scheme_kind(scheme, sigma, alpha)
         ref_grid = make_grid(a, b, n_ref)
         ref_problem = BVPProblem(ref_grid, lag, kind, qa, qb)
@@ -413,12 +384,8 @@ def run_convergence(
         elif alpha is not None:
             ok = defined[-1] >= FRACTIONAL_MIN_ORDER
             check = f"last order {defined[-1]:.2f} >= {FRACTIONAL_MIN_ORDER}"
-        elif marching:
-            lo, hi = DIRECT_ORDER_WINDOW
-            ok = all(lo <= o <= hi for o in defined)
-            check = f"orders in [{lo}, {hi}]"
-        elif exact is not None:
-            lo, hi = VI_ORDER_WINDOW
+        elif exact is not None:  # marching always has one
+            lo, hi = DIRECT_ORDER_WINDOW if marching else VI_ORDER_WINDOW
             ok = all(lo <= o <= hi for o in defined)
             check = f"orders in [{lo}, {hi}]"
         else:
@@ -447,24 +414,6 @@ def run_convergence(
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), lines
 
 
-def _cmd_convergence(args, cfg) -> tuple[int, list[str]]:
-    return run_convergence(
-        problem=_get(args, cfg, "problem", str, "harmonic"),
-        scheme=_get(args, cfg, "scheme", str, "vi"),
-        sigma=_get(args, cfg, "sigma", _sigma, MINUS),
-        n_list=_get(args, cfg, "n_list", _int_list, [16, 32, 64, 128]),
-        alpha=_get(args, cfg, "alpha", float, None),
-        omega=_get(args, cfg, "omega", float, 1.0),
-        a=_get(args, cfg, "a", float, 0.0),
-        b=_get(args, cfg, "b", float, 1.0),
-        qa=_get(args, cfg, "qa", _vector, None),
-        qb=_get(args, cfg, "qb", _vector, None),
-        tol=_get(args, cfg, "tol", float, None),
-        max_iter=_get(args, cfg, "max_iter", int, 50),
-        out=_get(args, cfg, "out", str, None),
-    )
-
-
 # --------------------------------------------------------------------------
 # solve
 
@@ -486,14 +435,13 @@ def run_solve(
     max_iter: int,
 ) -> tuple[int, list[str]]:
     """One boundary-value solve; writes the trajectory and diagnostics CSVs."""
-    dim = len(qa)
-    lag = builtin_problem(problem, omega=omega, dim=dim)
+    if len(qa) != len(qb):
+        raise DomainError(f"qa and qb must share a dimension, got {qa} and {qb}")
+    lag = builtin_problem(problem, omega=omega, dim=len(qa))
     kind = _scheme_kind(scheme, sigma, alpha)
     grid = make_grid(a, b, n)
-    cfg = NewtonConfig(
-        tol=tol if tol is not None else (1e-12 if alpha is None else 1e-10),
-        max_iter=max_iter,
-    )
+    own_tol = 1e-12 if alpha is None else 1e-10
+    cfg = NewtonConfig(tol=tol if tol is not None else own_tol, max_iter=max_iter)
     bvp = BVPProblem(grid, lag, kind, qa, qb)
     traj, diagnostics = solve_bvp_newton(bvp, config=cfg)
     write_trajectory_csv(traj, out)
@@ -508,29 +456,6 @@ def run_solve(
         f"wrote {diag}",
     ]
     return EXIT_OK, lines
-
-
-def _cmd_solve(args, cfg) -> tuple[int, list[str]]:
-    qa = _get(args, cfg, "qa", _vector, np.array([0.0]))
-    qb = _get(args, cfg, "qb", _vector, np.array([1.0]))
-    if len(qa) != len(qb):
-        raise DomainError(f"qa and qb must share a dimension, got {qa} and {qb}")
-    return run_solve(
-        problem=_get(args, cfg, "problem", str, "harmonic"),
-        scheme=_get(args, cfg, "scheme", str, "vi"),
-        sigma=_get(args, cfg, "sigma", _sigma, MINUS),
-        alpha=_get(args, cfg, "alpha", float, None),
-        n=_get(args, cfg, "n", int, 64),
-        a=_get(args, cfg, "a", float, 0.0),
-        b=_get(args, cfg, "b", float, 1.0),
-        qa=qa,
-        qb=qb,
-        omega=_get(args, cfg, "omega", float, 1.0),
-        out=_get(args, cfg, "out", str, "solution.csv"),
-        diag=_get(args, cfg, "diag", str, None),
-        tol=_get(args, cfg, "tol", float, None),
-        max_iter=_get(args, cfg, "max_iter", int, 50),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -588,104 +513,105 @@ def run_glcheck(
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), lines
 
 
-def _cmd_glcheck(args, cfg) -> tuple[int, list[str]]:
-    return run_glcheck(
-        alpha=_get(args, cfg, "alpha", float, 0.5),
-        beta=_get(args, cfg, "beta", float, 1.0),
-        n_list=_get(args, cfg, "n_list", _int_list, [64, 128, 256, 512]),
-        a=_get(args, cfg, "a", float, 0.0),
-        b=_get(args, cfg, "b", float, 1.0),
-        out=_get(args, cfg, "out", str, None),
-    )
-
-
 # --------------------------------------------------------------------------
 # parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fracvi`` parser: the one place that states each flag's default."""
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser and a map from subcommand to its subparser."""
     parser = argparse.ArgumentParser(
         prog="fracvi",
         description="Discrete variational integrator experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--a", type=float, default=None, help="interval start")
-        p.add_argument("--b", type=float, default=None, help="interval end")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--config", type=str, default=None, help="key=value file")
+    def command(name, handler, help) -> argparse.ArgumentParser:
+        fmt = argparse.ArgumentDefaultsHelpFormatter
+        p = commands[name] = sub.add_parser(name, help=help, formatter_class=fmt)
+        p.set_defaults(handler=handler)
+        p.add_argument("--a", type=float, default=0.0, help="interval start")
+        p.add_argument("--b", type=float, default=1.0, help="interval end")
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--config", help="key=value file of flag values")
+        return p
 
-    p_ibp = sub.add_parser("ibp", help="integration-by-parts identity checks")
-    common(p_ibp)
-    p_ibp.add_argument("--n", type=int, default=None)
-    p_ibp.add_argument("--trials", type=int, default=None)
-    p_ibp.add_argument("--alpha", type=float, default=None)
-    p_ibp.add_argument("--dim", type=int, default=None)
-    p_ibp.set_defaults(handler=_cmd_ibp)
+    def mechanics(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--problem", choices=BUILTIN_PROBLEMS, default="harmonic",
+                       help="built-in Lagrangian")
+        p.add_argument("--omega", type=float, default=1.0, help="problem frequency")
+        p.add_argument("--sigma", type=_sigma, default="-", help="side, + or -")
+        p.add_argument("--alpha", type=float, help="fractional order; unset: classical")
 
-    p_coh = sub.add_parser("coherence", help="dual-path residual comparison")
-    common(p_coh)
-    p_coh.add_argument("--problem", choices=("free", "harmonic", "pendulum"))
-    p_coh.add_argument("--omega", type=float, default=None)
-    p_coh.add_argument("--sigma", type=_sigma, default=None)
-    p_coh.add_argument("--alpha", type=float, default=None)
-    p_coh.add_argument("--n", type=int, default=None)
-    p_coh.add_argument("--dim", type=int, default=None)
-    p_coh.add_argument("--out", type=str, default=None, help="CSV output path")
-    p_coh.set_defaults(handler=_cmd_coherence)
+    def newton(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scheme", choices=_SCHEME_CHOICES, default="vi",
+                       help="discretization")
+        p.add_argument("--max-iter", type=int, default=NewtonConfig.max_iter,
+                       help="Newton iteration limit")
 
-    p_conv = sub.add_parser("convergence", help="order study")
-    common(p_conv)
-    p_conv.add_argument("--problem", choices=("free", "harmonic", "pendulum"))
-    p_conv.add_argument("--scheme", choices=_SCHEME_CHOICES)
-    p_conv.add_argument("--sigma", type=_sigma, default=None)
-    p_conv.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
-    p_conv.add_argument("--alpha", type=float, default=None)
-    p_conv.add_argument("--omega", type=float, default=None)
-    p_conv.add_argument("--qa", type=_vector, default=None)
-    p_conv.add_argument("--qb", type=_vector, default=None)
-    p_conv.add_argument("--tol", type=float, default=None)
-    p_conv.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p_conv.add_argument("--out", type=str, default=None)
-    p_conv.set_defaults(handler=_cmd_convergence)
+    p = command("ibp", run_ibp, "integration-by-parts identity checks")
+    p.add_argument("--n", type=int, default=64, help="subintervals")
+    p.add_argument("--trials", type=_count, default=100, help="random trials")
+    p.add_argument("--alpha", type=float, help="fractional order; unset: classical")
+    p.add_argument("--dim", type=_count, default=1, help="curve dimension")
 
-    p_solve = sub.add_parser("solve", help="boundary-value solve")
-    common(p_solve)
-    p_solve.add_argument("--problem", choices=("free", "harmonic", "pendulum"))
-    p_solve.add_argument("--scheme", choices=_SCHEME_CHOICES)
-    p_solve.add_argument("--sigma", type=_sigma, default=None)
-    p_solve.add_argument("--alpha", type=float, default=None)
-    p_solve.add_argument("--n", type=int, default=None)
-    p_solve.add_argument("--qa", type=_vector, default=None)
-    p_solve.add_argument("--qb", type=_vector, default=None)
-    p_solve.add_argument("--omega", type=float, default=None)
-    p_solve.add_argument("--out", type=str, default=None)
-    p_solve.add_argument("--diag", type=str, default=None)
-    p_solve.add_argument("--tol", type=float, default=None)
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p_solve.set_defaults(handler=_cmd_solve)
+    p = command("coherence", run_coherence, "dual-path residual comparison")
+    mechanics(p)
+    p.add_argument("--n", type=int, default=32, help="subintervals")
+    p.add_argument("--dim", type=_count, default=1, help="curve dimension")
+    p.add_argument("--out", help="CSV output path")
 
-    p_gl = sub.add_parser("glcheck", help="fractional derivative vs closed form")
-    common(p_gl)
-    p_gl.add_argument("--alpha", type=float, default=None)
-    p_gl.add_argument("--beta", type=float, default=None)
-    p_gl.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
-    p_gl.add_argument("--out", type=str, default=None)
-    p_gl.set_defaults(handler=_cmd_glcheck)
+    p = command("convergence", run_convergence, "order study")
+    mechanics(p)
+    newton(p)
+    p.add_argument("--n-list", type=_int_list, default="16,32,64,128",
+                   help="increasing subinterval counts")
+    p.add_argument("--qa", type=_vector, help="start value; unset: by problem")
+    p.add_argument("--qb", type=_vector, help="end value; unset: by problem")
+    p.add_argument("--tol", type=float, help="Newton residual target; unset: 1e-9")
+    p.add_argument("--out", help="CSV output path")
 
-    return parser
+    p = command("solve", run_solve, "boundary-value solve")
+    mechanics(p)
+    newton(p)
+    p.add_argument("--n", type=int, default=64, help="subintervals")
+    p.add_argument("--qa", type=_vector, default="0", help="start value")
+    p.add_argument("--qb", type=_vector, default="1", help="end value")
+    p.add_argument("--out", default="solution.csv", help="trajectory CSV path")
+    p.add_argument("--diag", help="diagnostics CSV path; unset: next to --out")
+    p.add_argument("--tol", type=float, help="residual target; unset: 1e-12 or 1e-10")
+
+    p = command("glcheck", run_glcheck, "fractional derivative vs closed form")
+    p.add_argument("--alpha", type=float, default=0.5, help="fractional order")
+    p.add_argument("--beta", type=float, default=1.0, help="monomial exponent")
+    p.add_argument("--n-list", type=_int_list, default="64,128,256,512",
+                   help="increasing subinterval counts")
+    p.add_argument("--out", help="CSV output path")
+
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = _build_parsers()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the subcommand's defaults: argparse then
+            # converts and checks them like flags, and explicit flags win
+            flags = vars(args).keys() - {"handler", "command", "config"}
+            cfg = {k: v for k, v in load_config(args.config).items() if k in flags}
+            commands[args.command].set_defaults(**cfg)
+            args = parser.parse_args(argv)
+        takes = inspect.signature(args.handler).parameters
+        kwargs = {k: v for k, v in vars(args).items() if k in takes}
+        code, lines = args.handler(**kwargs)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        cfg = load_config(args.config) if args.config else {}
-        code, lines = args.handler(args, cfg)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,14 +1,21 @@
 import csv
+import inspect
 
 import numpy as np
+import pytest
 
 import fracvi as fv
 from fracvi.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_USAGE,
+    build_parser,
     main,
+    run_coherence,
     run_convergence,
+    run_glcheck,
+    run_ibp,
+    run_solve,
 )
 
 
@@ -232,3 +239,91 @@ def test_config_rejects_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")
     assert main(["ibp", "--config", str(cfg)]) == EXIT_USAGE
+
+
+#: Each subcommand's handler and the defaults it is called with.
+DEFAULTS = {
+    "ibp": (run_ibp, dict(n=64, trials=100, seed=0, alpha=None, a=0.0, b=1.0, dim=1)),
+    "coherence": (run_coherence, dict(
+        problem="harmonic", omega=1.0, sigma=fv.MINUS, alpha=None, n=32, seed=0,
+        dim=1, a=0.0, b=1.0, out=None,
+    )),
+    "convergence": (run_convergence, dict(
+        problem="harmonic", scheme="vi", sigma=fv.MINUS, n_list=[16, 32, 64, 128],
+        alpha=None, omega=1.0, a=0.0, b=1.0, qa=None, qb=None, tol=None,
+        max_iter=50, out=None,
+    )),
+    "solve": (run_solve, dict(
+        problem="harmonic", scheme="vi", sigma=fv.MINUS, alpha=None, n=64, a=0.0,
+        b=1.0, qa=[0.0], qb=[1.0], omega=1.0, out="solution.csv", diag=None,
+        tol=None, max_iter=50,
+    )),
+    "glcheck": (run_glcheck, dict(
+        alpha=0.5, beta=1.0, n_list=[64, 128, 256, 512], a=0.0, b=1.0, out=None,
+    )),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_parser_defaults(command):
+    handler, expected = DEFAULTS[command]
+    args = build_parser().parse_args([command])
+    assert args.handler is handler
+    takes = inspect.signature(handler).parameters
+    got = {k: v for k, v in vars(args).items() if k in takes}
+    got = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in got.items()}
+    assert got == expected
+    assert args.seed == 0  # accepted by every subcommand
+
+
+def test_help_shows_defaults(capsys):
+    assert main(["glcheck", "--help"]) == EXIT_OK
+    assert "(default: 64,128,256,512)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,line,flag,value", [
+    ("coherence", "n = abc", "--n", "'abc'"),
+    ("coherence", "sigma = x", "--sigma", "'x'"),
+    ("ibp", "trials = 0", "--trials", "'0'"),
+])
+def test_config_values_parsed_like_flags(tmp_path, capsys, command, line, flag, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and value in err
+    assert "Traceback" not in err
+
+
+def test_config_flag_wins_over_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = abc\n")
+    assert main(["coherence", "--config", str(cfg), "--n", "8"]) == EXIT_OK
+
+
+def test_config_ignores_other_and_internal_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-list = 8,16\nbeta = x\nhandler = x\ncommand = x\nconfig = x\n")
+    assert main(["convergence", "--problem", "free", "--config", str(cfg)]) == EXIT_OK
+    assert "N=    8" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--dim", "0"],
+    ["ibp", "--dim", "0"],
+    ["ibp", "--trials", "-1"],
+])
+def test_counts_must_be_positive(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    assert f"positive integer, got {argv[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["glcheck", "--b", "inf"], "grid ends must be finite, got a=0.0, b=inf"),
+    (["solve", "--a", "nan"], "grid ends must be finite, got a=nan"),
+    (["solve", "--qa", "nan"], "boundary values must be finite, got qa=[nan]"),
+    (["solve", "--qb", "inf"], "boundary values must be finite"),
+])
+def test_non_finite_ends_refused(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
