@@ -3,9 +3,13 @@ Lagrangian functionals with their analytic gradients.
 
 A Lagrangian is supplied as three callables L, Lx, Lv of (x, v, t); no
 automatic differentiation is involved, which keeps the C2 contract directly
-testable against finite differences.  The discrete functional gradient is
-assembled analytically from the chain rule; finite-difference gradients are
-a test oracle only and live with the tests.
+testable against finite differences.  The callables work on arrays: x and v
+have shape (..., d) and t has shape (...); L returns shape (...) and Lx, Lv
+return shape (..., d).  One call thus serves a single node (a (d,) vector
+and a scalar t) or a whole window of m nodes ((m, d) and (m,)), and each
+assembly below makes one Lx and one Lv call.  The discrete functional
+gradient is assembled analytically from the chain rule; finite-difference
+gradients are a test oracle only and live with the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .diffops import discrete_velocity, gauss_quadrature
-from .fracops import _check_unit_alpha, _minus_matrix, _plus_matrix
+from .diffops import discrete_velocity, gauss_quadrature, seq_delta
+from .fracops import _check_unit_alpha, _minus_matrix, _plus_matrix, _scale
 from .fracops import discrete_velocity_alpha
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
@@ -29,13 +33,16 @@ from .grids import (
 )
 
 Vec = np.ndarray
-ScalarFn = Callable[[Vec, Vec, float], float]
-VectorFn = Callable[[Vec, Vec, float], Vec]
+#: L(x, v, t) with x, v of shape (..., d) and t of shape (...); returns (...).
+ScalarFn = Callable[[Vec, Vec, Vec], Vec]
+#: Lx or Lv(x, v, t), arguments as for ScalarFn; returns shape (..., d).
+VectorFn = Callable[[Vec, Vec, Vec], Vec]
 
 
 @dataclass(frozen=True, kw_only=True)
 class Lagrangian:
-    """L(x, v, t) with its partial derivatives Lx = dL/dx and Lv = dL/dv."""
+    """L(x, v, t) with its partial derivatives Lx = dL/dx and Lv = dL/dv,
+    each evaluated row by row on x, v of shape (..., d) and t of shape (...)."""
 
     L: ScalarFn
     Lx: VectorFn
@@ -46,27 +53,28 @@ class Lagrangian:
 
 @dataclass(frozen=True, kw_only=True)
 class MechanicalLagrangian(Lagrangian):
-    """L(x, v, t) = |v|^2 / 2 - U(x), with Lv = v and Lx = -grad U exactly."""
+    """L(x, v, t) = |v|^2 / 2 - U(x), with Lv = v and Lx = -grad U exactly;
+    U maps x of shape (..., d) to shape (...), grad U to shape (..., d)."""
 
-    potential: Callable[[Vec], float]
+    potential: Callable[[Vec], Vec]
     grad_potential: Callable[[Vec], Vec]
 
 
 def mechanical(
-    potential: Callable[[Vec], float],
+    potential: Callable[[Vec], Vec],
     grad_potential: Callable[[Vec], Vec],
     dim: int = 1,
     name: str = "mechanical",
 ) -> MechanicalLagrangian:
     """Build the mechanical Lagrangian for a given potential."""
 
-    def L(x: Vec, v: Vec, t: float) -> float:
-        return 0.5 * float(np.dot(v, v)) - float(potential(x))
+    def L(x: Vec, v: Vec, t: Vec) -> Vec:
+        return 0.5 * np.sum(v * v, axis=-1) - potential(x)
 
-    def Lx(x: Vec, v: Vec, t: float) -> Vec:
+    def Lx(x: Vec, v: Vec, t: Vec) -> Vec:
         return -np.asarray(grad_potential(x), dtype=float)
 
-    def Lv(x: Vec, v: Vec, t: float) -> Vec:
+    def Lv(x: Vec, v: Vec, t: Vec) -> Vec:
         return np.array(v, dtype=float)
 
     return MechanicalLagrangian(
@@ -89,7 +97,7 @@ def harmonic_oscillator(omega: float = 1.0, dim: int = 1) -> MechanicalLagrangia
     """U(x) = omega^2 |x|^2 / 2."""
     w2 = float(omega) ** 2
     return mechanical(
-        lambda x: 0.5 * w2 * float(np.dot(x, x)),
+        lambda x: 0.5 * w2 * np.sum(x * x, axis=-1),
         lambda x: w2 * np.asarray(x, dtype=float),
         dim=dim,
         name="harmonic",
@@ -100,7 +108,7 @@ def pendulum(omega: float = 1.0, dim: int = 1) -> MechanicalLagrangian:
     """Smooth pendulum-type nonlinearity: U(x) = omega^2 sum_i (1 - cos x_i)."""
     w2 = float(omega) ** 2
     return mechanical(
-        lambda x: w2 * float(np.sum(1.0 - np.cos(x))),
+        lambda x: w2 * np.sum(1.0 - np.cos(x), axis=-1),
         lambda x: w2 * np.sin(np.asarray(x, dtype=float)),
         dim=dim,
         name="pendulum",
@@ -112,6 +120,8 @@ BUILTIN_PROBLEMS = ("free", "harmonic", "pendulum")
 
 def builtin_problem(name: str, omega: float = 1.0, dim: int = 1) -> MechanicalLagrangian:
     """Built-in problems addressable by name (for the command line)."""
+    if not np.isfinite(omega):
+        raise DomainError(f"omega must be finite, got {omega}")
     if name == "free":
         return free_particle(dim=dim)
     if name == "harmonic":
@@ -128,26 +138,32 @@ def _check_dims(lag: Lagrangian, q: Trajectory) -> None:
         )
 
 
+def _window(q: Trajectory, vseq: ShiftedSequence):
+    """(x, v, t) over the window of vseq: shapes (n, d), (n, d) and (n,)."""
+    rows = slice(vseq.k_start, vseq.k_start + q.grid.n)
+    return q.values[rows], vseq.values, q.grid.nodes[rows]
+
+
+def _call(fn, name: str, shape: tuple, x: Vec, v: Vec, t: Vec) -> Vec:
+    """One batched callback call; a result of the wrong shape is refused."""
+    out = np.asarray(fn(x, v, t), dtype=float)
+    if out.shape != shape:
+        raise DomainError(
+            f"Lagrangian callback {name} returned shape {out.shape}, expected "
+            f"{shape}: callbacks take x, v of shape (..., d) and t of shape (...)"
+        )
+    return out
+
+
 def _lagrangian_values(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
     """Evaluate Lx and Lv along the trajectory over the window of vseq."""
-    nodes = q.grid.nodes
-    lx = np.empty((q.grid.n, q.dim))
-    lv = np.empty((q.grid.n, q.dim))
-    for row, k in enumerate(vseq.indices):
-        x = q.values[k]
-        v = vseq.values[row]
-        t = nodes[k]
-        lx[row] = lag.Lx(x, v, t)
-        lv[row] = lag.Lv(x, v, t)
-    return lx, lv
+    x, v, t = _window(q, vseq)
+    shape = (q.grid.n, q.dim)
+    return _call(lag.Lx, "Lx", shape, x, v, t), _call(lag.Lv, "Lv", shape, x, v, t)
 
 
 def _functional(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence) -> float:
-    nodes = q.grid.nodes
-    lvals = [
-        lag.L(q.values[k], vseq.values[row], nodes[k])
-        for row, k in enumerate(vseq.indices)
-    ]
+    lvals = _call(lag.L, "L", (q.grid.n,), *_window(q, vseq))
     return gauss_quadrature(ShiftedSequence(q.grid, vseq.side, lvals))
 
 
@@ -180,19 +196,20 @@ def functional_gradient(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    a_eff = 1.0 if alpha is None else _check_unit_alpha(alpha)
     n = q.grid.n
     if alpha is None:
-        vseq = discrete_velocity(q, sigma)
+        lx, lv = _lagrangian_values(lag, q, discrete_velocity(q, sigma))
+        # the alpha = 1 kernel is the two-point difference on the other side
+        adj_lv = seq_delta(ShiftedSequence(q.grid, sigma, lv), -sigma).values
     else:
-        vseq = discrete_velocity_alpha(q, sigma, alpha)
-    lx, lv = _lagrangian_values(lag, q, vseq)
+        alpha = _check_unit_alpha(alpha)
+        lx, lv = _lagrangian_values(lag, q, discrete_velocity_alpha(q, sigma, alpha))
+        # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
+        # interior columns, transposed; the contiguous copy keeps the
+        # product's bits.
+        kernel = _minus_matrix(alpha, n) if sigma == MINUS else _plus_matrix(alpha, n)
+        adj = np.ascontiguousarray(kernel[:, 1:n].T)
+        adj_lv = _scale(q.grid.h, alpha) * (adj @ lv)
     # rows of I_sigma corresponding to interior nodes 1..n-1
     interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)
-    scale = 1.0 / (q.grid.h ** a_eff)
-    # d v_k / d Q_j = -sigma * scale * K[k, j], so the adjoint is K's interior
-    # columns, transposed; the contiguous copy keeps the product's bits.
-    kernel = _minus_matrix(a_eff, n) if sigma == MINUS else _plus_matrix(a_eff, n)
-    adj = np.ascontiguousarray(kernel[:, 1:n].T)
-    grad = lx[interior] + (-sigma) * scale * (adj @ lv)
-    return ResidualField(q.grid, 1, grad)
+    return ResidualField(q.grid, 1, lx[interior] - sigma * adj_lv)

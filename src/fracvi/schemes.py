@@ -113,15 +113,9 @@ def residual_vi_classical(
         R_k = Lx(Q_k, v_k, t_k) - sigma * (delta_{-sigma} [Lv])_k,
         k in {1, .., n-1}.
 
-    Coincides with the discrete-functional gradient.
+    Coincides with the discrete-functional gradient, which assembles it.
     """
-    check_sigma(sigma)
-    _check_dims(lag, q)
-    vseq = discrete_velocity(q, sigma)
-    lx, lv = _lagrangian_values(lag, q, vseq)
-    outer = seq_delta(ShiftedSequence(q.grid, sigma, lv), -sigma)
-    interior = slice(0, q.grid.n - 1) if sigma == MINUS else slice(1, q.grid.n)
-    return ResidualField(q.grid, 1, lx[interior] - sigma * outer.values)
+    return functional_gradient(lag, q, sigma)
 
 
 def residual_asymmetric_direct(
@@ -136,26 +130,14 @@ def residual_asymmetric_direct(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    n = q.grid.n
     hinv = 1.0 / q.grid.h
-    vseq = discrete_velocity(q, sigma)
-    lx, lv = _lagrangian_values(lag, q, vseq)
-    row = vseq.k_start
-
-    def lv_at(k: int) -> np.ndarray:
-        return lv[k - row]
-
-    def lx_at(k: int) -> np.ndarray:
-        return lx[k - row]
-
-    out = np.empty((n - 1, q.dim))
-    for k in range(1, n):
-        if sigma == MINUS:
-            d = (lv_at(k) - lv_at(k + 1)) * hinv  # delta_plus on the Lv sequence
-        else:
-            d = (lv_at(k) - lv_at(k - 1)) * hinv  # delta_minus on the Lv sequence
-        out[k - 1] = lx_at(k) - sigma * d
-    return ResidualField(q.grid, 1, out)
+    lx, lv = _lagrangian_values(lag, q, discrete_velocity(q, sigma))
+    # interior nodes 1..n-1 are rows 0..n-2 of {1, .., n} and 1..n-1 of {0, .., n-1}
+    if sigma == MINUS:
+        d = (lv[:-1] - lv[1:]) * hinv  # delta_plus on the Lv sequence
+        return ResidualField(q.grid, 1, lx[:-1] - sigma * d)
+    d = (lv[1:] - lv[:-1]) * hinv  # delta_minus on the Lv sequence
+    return ResidualField(q.grid, 1, lx[1:] - sigma * d)
 
 
 def residual_direct_fractional(

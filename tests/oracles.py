@@ -19,6 +19,27 @@ def random_trajectory(rng, grid, dim=1, scale=1.0):
     return fv.Trajectory(grid, scale * rng.standard_normal((grid.n + 1, dim)))
 
 
+def coupled_lagrangian(dim=1):
+    """Non-mechanical test Lagrangian with x-v coupling and explicit time.
+
+    Written on arrays: x, v of shape (..., d) and t of shape (...).
+    """
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1)
+
+    def L(x, v, t):
+        return 0.5 * dot(v, v) + np.sin(t) * dot(x, v) - 0.25 * dot(x, x) ** 2
+
+    def Lx(x, v, t):
+        return np.sin(t)[..., None] * v - dot(x, x)[..., None] * x
+
+    def Lv(x, v, t):
+        return v + np.sin(t)[..., None] * x
+
+    return fv.Lagrangian(L=L, Lx=Lx, Lv=Lv, dim=dim, name="coupled")
+
+
 def functional_value(lag, traj, sigma, alpha=None):
     if alpha is None:
         return fv.discrete_functional_classical(lag, traj, sigma)

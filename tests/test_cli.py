@@ -327,3 +327,13 @@ def test_counts_must_be_positive(capsys, argv):
 def test_non_finite_ends_refused(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--omega", "nan"],
+    ["solve", "--omega", "inf"],
+    ["convergence", "--omega", "nan"],
+])
+def test_non_finite_omega_refused(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    assert "omega must be finite" in capsys.readouterr().err

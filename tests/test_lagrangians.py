@@ -1,29 +1,18 @@
-import math
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import fracvi as fv
-from oracles import fd_functional_gradient, fd_lagrangian_partials, random_trajectory
-
-
-def coupled_lagrangian(dim=1):
-    """Non-mechanical test Lagrangian with x-v coupling and explicit time."""
-
-    def L(x, v, t):
-        return (
-            0.5 * float(np.dot(v, v))
-            + math.sin(t) * float(np.dot(x, v))
-            - 0.25 * float(np.dot(x, x)) ** 2
-        )
-
-    def Lx(x, v, t):
-        return math.sin(t) * np.asarray(v, float) - float(np.dot(x, x)) * np.asarray(x, float)
-
-    def Lv(x, v, t):
-        return np.asarray(v, float) + math.sin(t) * np.asarray(x, float)
-
-    return fv.Lagrangian(L=L, Lx=Lx, Lv=Lv, dim=dim, name="coupled")
+from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual
+from oracles import (
+    coupled_lagrangian,
+    fd_functional_gradient,
+    fd_lagrangian_partials,
+    random_trajectory,
+)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -198,3 +187,85 @@ def test_gradient_mechanical_stencil():
     )
     scale = float(np.max(np.abs(expected)))
     assert np.max(np.abs(grad.values.ravel() - expected)) <= 1e-12 * scale
+
+
+# --- the array callback contract ------------------------------------------
+
+
+def counting_lagrangian(lag):
+    """The same Lagrangian with a count of calls per callback name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(x, v, t):
+            calls[name] += 1
+            return fn(x, v, t)
+
+        return call
+
+    return dataclasses.replace(
+        lag, L=counted("L", lag.L), Lx=counted("Lx", lag.Lx), Lv=counted("Lv", lag.Lv)
+    ), calls
+
+
+@pytest.mark.parametrize("sigma", [fv.PLUS, fv.MINUS])
+@pytest.mark.parametrize("family", list(SchemeFamily), ids=lambda f: f.value)
+def test_one_assembly_calls_lx_and_lv_once(family, sigma):
+    lag, calls = counting_lagrangian(fv.pendulum(0.9, dim=2))
+    q = random_trajectory(np.random.default_rng(40), fv.make_grid(0.0, 1.0, 16), dim=2)
+    alpha = 0.6 if family.value.endswith("fractional") else None
+    assemble_residual(SchemeKind(family, sigma, alpha), lag, q)
+    assert calls == {"Lx": 1, "Lv": 1}
+
+
+@pytest.mark.parametrize("alpha", [None, 0.6])
+def test_one_functional_calls_l_once(alpha):
+    lag, calls = counting_lagrangian(coupled_lagrangian(2))
+    q = random_trajectory(np.random.default_rng(41), fv.make_grid(0.0, 1.0, 16), dim=2)
+    for sigma in (fv.PLUS, fv.MINUS):
+        calls.clear()
+        if alpha is None:
+            fv.discrete_functional_classical(lag, q, sigma)
+        else:
+            fv.discrete_functional_fractional(lag, q, sigma, alpha)
+        assert calls == {"L": 1}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("make", [
+    fv.free_particle,
+    lambda dim: fv.harmonic_oscillator(1.7, dim=dim),
+    lambda dim: fv.pendulum(0.8, dim=dim),
+    coupled_lagrangian,
+], ids=["free", "harmonic", "pendulum", "coupled"])
+def test_batch_equals_per_node(make, dim):
+    lag = make(dim)
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((9, dim))
+    v = rng.standard_normal((9, dim))
+    t = rng.uniform(0.0, 2.0, 9)
+    for fn in (lag.L, lag.Lx, lag.Lv):
+        rows = np.array([fn(x[i], v[i], t[i]) for i in range(9)])
+        np.testing.assert_array_equal(fn(x, v, t), rows)
+
+
+def per_node_only(name):
+    """A Lagrangian whose ``name`` callback ignores the batch axis."""
+    lag = fv.harmonic_oscillator(1.0, dim=2)
+    broken = {
+        "L": lambda x, v, t: float(np.sum(v * v)),
+        "Lx": lambda x, v, t: -x[0],
+        "Lv": lambda x, v, t: v[0],
+    }
+    return dataclasses.replace(lag, **{name: broken[name]})
+
+
+@pytest.mark.parametrize("name", ["L", "Lx", "Lv"])
+def test_wrong_callback_shape_refused(name):
+    lag = per_node_only(name)
+    q = random_trajectory(np.random.default_rng(43), fv.make_grid(0.0, 1.0, 8), dim=2)
+    with pytest.raises(fv.DomainError, match=rf"callback {name} returned shape"):
+        if name == "L":
+            fv.discrete_functional_fractional(lag, q, fv.MINUS, 0.5)
+        else:
+            fv.residual_direct_classical(lag, q, fv.PLUS)

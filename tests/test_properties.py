@@ -1,0 +1,93 @@
+"""Property tests of the identities the schemes rest on, over random
+(n, d, alpha, sigma): discrete integration by parts, direct-vs-variational
+coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
+fractional functional and gradient to the classical ones.
+
+Examples are derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fracvi as fv
+from oracles import coupled_lagrangian
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+sigmas = st.sampled_from([fv.PLUS, fv.MINUS])
+alphas = st.floats(0.05, 1.0)
+lagrangians = st.sampled_from(["harmonic", "pendulum", "coupled"])
+
+
+@st.composite
+def trajectories(draw, count=1, min_n=2):
+    """``count`` trajectories on one random grid, values in [-2, 2]."""
+    n = draw(st.integers(min_n, 40))
+    d = draw(st.integers(1, 3))
+    a = draw(st.floats(-1.0, 1.0))
+    grid = fv.make_grid(a, a + draw(st.floats(0.5, 3.0)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d))) for _ in range(count)]
+
+
+def lagrangian(name, dim):
+    if name == "coupled":
+        return coupled_lagrangian(dim)
+    return fv.builtin_problem(name, omega=1.3, dim=dim)
+
+
+def ibp_tolerance(f, g, alpha):
+    # each side sums n*d products of an n-term difference with a value
+    n, d = f.grid.n, f.dim
+    size = np.max(np.abs(f.values)) * np.max(np.abs(g.values)) * f.grid.h ** -alpha
+    return 8.0 * np.finfo(float).eps * n * n * d * size
+
+
+@PROPERTY
+@given(trajectories(count=2))
+def test_classical_integration_by_parts(pair):
+    f, g = pair
+    lhs, rhs = fv.check_discrete_ibp(f, g)
+    assert abs(lhs - rhs) <= ibp_tolerance(f, g, 1.0)
+
+
+@PROPERTY
+@given(trajectories(count=2), alphas)
+def test_fractional_integration_by_parts(pair, alpha):
+    f, g = pair
+    vals = np.array(f.values)
+    vals[[0, -1]] = 0.0
+    f = fv.Trajectory(f.grid, vals)
+    lhs, rhs = fv.check_discrete_frac_ibp(f, g, alpha)
+    assert abs(lhs - rhs) <= ibp_tolerance(f, g, alpha)
+
+
+@PROPERTY
+@given(trajectories(min_n=3), sigmas, lagrangians)
+def test_asymmetric_embedding_is_coherent(qs, sigma, name):
+    [q] = qs
+    report = fv.coherence_report(lagrangian(name, q.dim), q, sigma, kind="asymmetric")
+    assert report.coherent, report.text()
+
+
+@PROPERTY
+@given(trajectories(min_n=3), sigmas, alphas, lagrangians)
+def test_gl_embedding_is_coherent(qs, sigma, alpha, name):
+    [q] = qs
+    report = fv.coherence_report(lagrangian(name, q.dim), q, sigma, alpha=alpha)
+    assert report.coherent, report.text()
+
+
+@PROPERTY
+@given(trajectories(), sigmas, lagrangians)
+def test_alpha_one_reduces_to_classical(qs, sigma, name):
+    [q] = qs
+    lag = lagrangian(name, q.dim)
+    assert fv.discrete_functional_fractional(
+        lag, q, sigma, 1.0
+    ) == fv.discrete_functional_classical(lag, q, sigma)
+    np.testing.assert_array_equal(
+        fv.functional_gradient(lag, q, sigma, 1.0).values,
+        fv.functional_gradient(lag, q, sigma).values,
+    )
