@@ -11,6 +11,7 @@ construction and safe for concurrent reads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -243,18 +244,32 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`write_trajectory_csv`; a time
-    column that is not uniform is refused, not resampled."""
+    """Read a trajectory written by :func:`write_trajectory_csv`.
+
+    A row that is ragged, not numeric or not finite is refused, naming the
+    row; a time column that is not uniform is refused, not resampled.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["k", "t"]:
             raise DomainError(f"unexpected trajectory header: {header}")
         times = []
         rows = []
-        for rec in reader:
-            times.append(float(rec[1]))
-            rows.append([float(v) for v in rec[2:]])
+        for k, rec in enumerate(reader):
+            if len(rec) != len(header):
+                raise DomainError(
+                    f"trajectory row k={k} has {len(rec)} fields, "
+                    f"the header has {len(header)}: {rec}"
+                )
+            try:
+                vals = [float(v) for v in rec]
+            except ValueError:
+                raise DomainError(f"trajectory row k={k} is not numeric: {rec}") from None
+            if not all(map(math.isfinite, vals)):
+                raise DomainError(f"trajectory row k={k} is not finite: {rec}")
+            times.append(vals[1])
+            rows.append(vals[2:])
     if len(rows) < 3:
         raise DomainError("trajectory file needs at least 3 nodes")
     grid = Grid(times[0], times[-1], len(rows) - 1)

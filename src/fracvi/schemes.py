@@ -69,6 +69,16 @@ class SchemeKind:
     def is_fractional(self) -> bool:
         return self.family in _FRACTIONAL_FAMILIES
 
+    @property
+    def halo(self) -> int | None:
+        """How many residual row blocks on each side one unknown node moves.
+
+        The classical schemes are three-point stencils: the i-th interior
+        unknown moves only row blocks i-1, i and i+1, so their Jacobian is
+        block tridiagonal.  A GL kernel reaches every row (None).
+        """
+        return None if self.is_fractional else 1
+
 
 def residual_direct_classical(
     lag: Lagrangian, q: Trajectory, sigma: int

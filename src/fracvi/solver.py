@@ -4,13 +4,18 @@ Newton kernel.
 
 Boundary values are never unknowns: the interior nodes Q_1 .. Q_{n-1} are
 solved for with the endpoints pinned, mirroring variations that vanish at
-both ends.  Jacobians are dense finite differences; the classical
-tridiagonal structure is deliberately not special-cased.  Linear systems
-are solved by LAPACK through ``np.linalg.solve``.
+both ends.  Jacobians are forward finite differences built from the
+scheme's row reach (``SchemeKind.halo``): the three-point classical
+schemes are block tridiagonal, so columns three nodes apart are perturbed
+in one residual call, 3*d calls per Jacobian; a fractional scheme's GL
+kernel couples every node, so it takes one call per unknown, (n-1)*d.
+Both are the same loop, with the same entries as a column-by-column build.
+Linear systems are solved densely by LAPACK through ``np.linalg.solve``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +56,10 @@ class NewtonConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise DomainError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
         if not 0 < self.damping < 1:
@@ -138,12 +145,49 @@ def linear_initial_guess(grid: Grid, qa, qb) -> Trajectory:
 _MAX_BACKTRACKS = 40
 
 
+def _fd_jacobian(
+    fun, x: np.ndarray, r: np.ndarray, cfg: NewtonConfig, dim: int, halo: int | None
+) -> np.ndarray:
+    """Forward-difference Jacobian of ``fun`` at ``x``, where ``r = fun(x)``.
+
+    ``x`` holds nodes of ``dim`` components, and the residual rows come in
+    the same blocks; the unknowns of node i move only row blocks
+    i-halo .. i+halo (every row if ``halo`` is None).  Nodes 2*halo+1
+    apart share no row, so they are perturbed in one call, one component at
+    a time (Curtis, Powell & Reid 1974): min(2*halo+1, nodes)*dim calls.
+    Each entry is the same quotient as in a one-column-per-call build.
+    """
+    nodes = x.size // dim
+    reach = nodes if halo is None else halo
+    stride = min(2 * reach + 1, nodes) * dim
+    steps = cfg.fd_step * (1.0 + np.abs(x))
+    shifted = x + steps
+    jac = np.zeros((r.size, x.size))
+    for first in range(stride):
+        xp = x.copy()
+        xp[first::stride] = shifted[first::stride]
+        dr = fun(xp) - r
+        for j in range(first, x.size, stride):
+            node = j // dim
+            lo = max(node - reach, 0) * dim
+            hi = min(node + reach + 1, nodes) * dim
+            jac[lo:hi, j] = dr[lo:hi] / steps[j]
+    return jac
+
+
 def _newton(
-    fun, x0: np.ndarray, cfg: NewtonConfig, label: str = ""
+    fun,
+    x0: np.ndarray,
+    cfg: NewtonConfig,
+    label: str = "",
+    dim: int = 1,
+    halo: int | None = None,
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
     """Damped Newton for fun(x) = 0 from x0.
 
-    The Jacobian is dense forward finite differences of ``fun``; steps
+    The Jacobian is forward finite differences of ``fun`` by
+    :func:`_fd_jacobian`, for nodes of ``dim`` unknowns whose residual rows
+    reach ``halo`` nodes on each side (dense when ``halo`` is None); steps
     backtrack until the residual inf-norm decreases.  Raises
     :class:`NewtonConvergenceError` with the last iterate and the history,
     its message prefixed by ``label``, if the target is not met.
@@ -163,13 +207,7 @@ def _newton(
                 x,
                 diag,
             )
-        jac = np.empty((x.size, x.size))
-        for j in range(x.size):
-            step = cfg.fd_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += step
-            jac[:, j] = (fun(xp) - r) / step
-        delta = lu_solve(jac, -r)
+        delta = lu_solve(_fd_jacobian(fun, x, r, cfg, dim, halo), -r)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = x + t * delta
@@ -226,7 +264,9 @@ def solve_bvp_newton(
         return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
 
     try:
-        x, diag = _newton(residual, init.values[1:-1].ravel(), cfg)
+        x, diag = _newton(
+            residual, init.values[1:-1].ravel(), cfg, dim=d, halo=problem.scheme.halo
+        )
     except NewtonConvergenceError as exc:
         exc.last = build(exc.last)
         raise

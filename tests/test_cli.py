@@ -1,5 +1,9 @@
 import csv
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,3 +341,26 @@ def test_non_finite_ends_refused(tmp_path, capsys, argv, message):
 def test_non_finite_omega_refused(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
     assert "omega must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["solve", "convergence"])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_refused(tmp_path, capsys, cmd, tol):
+    argv = [cmd, "--n-list", "16,32"] if cmd == "convergence" else [cmd, "--n", "16"]
+    assert main(argv + ["--tol", tol, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    assert f"tol must be positive and finite, got {tol}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_python_m_fracvi(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    argv = [sys.executable, "-m", "fracvi", "ibp", "--n", "16", "--trials", "5"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "PASS" in done.stdout
+    usage = subprocess.run(argv[:3] + ["ibp", "--n", "1"], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+    assert usage.returncode == EXIT_USAGE

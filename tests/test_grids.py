@@ -168,3 +168,27 @@ def test_read_trajectory_csv_refuses_non_uniform_times(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(fv.DomainError, match="non-uniform time column"):
         fv.read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("5,0.3125,nan", "trajectory row k=5 is not finite"),
+    ("5,0.3125,inf", "trajectory row k=5 is not finite"),
+    ("5,0.3125,0.5,0.5", "trajectory row k=5 has 4 fields, the header has 3"),
+    ("5", "trajectory row k=5 has 1 fields, the header has 3"),
+    ("5,0.3125,abc", "trajectory row k=5 is not numeric"),
+])
+def test_read_trajectory_csv_refuses_bad_rows(tmp_path, row, message):
+    path = tmp_path / "traj.csv"
+    fv.write_trajectory_csv(fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 16)), path)
+    lines = path.read_text().splitlines()
+    lines[6] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fv.DomainError, match=message):
+        fv.read_trajectory_csv(path)
+
+
+def test_read_trajectory_csv_refuses_empty_file(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("")
+    with pytest.raises(fv.DomainError, match="unexpected trajectory header"):
+        fv.read_trajectory_csv(path)

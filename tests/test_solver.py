@@ -6,6 +6,7 @@ import pytest
 
 import fracvi as fv
 from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual
+from fracvi import solver
 from fracvi.solver import (
     BVPProblem,
     NewtonConfig,
@@ -16,7 +17,7 @@ from fracvi.solver import (
     march_direct_classical,
     solve_bvp_newton,
 )
-from oracles import harmonic_exact, probe_linear_system
+from oracles import coupled_lagrangian, harmonic_exact, probe_linear_system
 
 
 def vi_classical(sigma=fv.MINUS):
@@ -68,6 +69,15 @@ def test_newton_config_validation():
         NewtonConfig(max_iter=0)
     with pytest.raises(fv.DomainError):
         NewtonConfig(damping=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tol", math.inf), ("tol", math.nan),
+    ("fd_step", 0.0), ("fd_step", -1e-6), ("fd_step", math.inf), ("fd_step", math.nan),
+])
+def test_newton_config_refuses_non_finite_or_non_positive(field, value):
+    with pytest.raises(fv.DomainError, match=f"{field} must be positive and finite, got {value}"):
+        NewtonConfig(**{field: value})
 
 
 def test_linear_initial_guess_endpoints_exact():
@@ -273,3 +283,112 @@ def test_bvp_rejects_non_finite_boundary_values(qa, qb):
     grid = fv.make_grid(0.0, 1.0, 8)
     with pytest.raises(fv.DomainError, match="boundary values must be finite"):
         BVPProblem(grid, fv.free_particle(), vi_classical(), qa, qb)
+
+
+CLASSICAL_FAMILIES = (
+    SchemeFamily.DIRECT_CLASSICAL,
+    SchemeFamily.VARIATIONAL_CLASSICAL,
+    SchemeFamily.ASYMMETRIC_DIRECT,
+)
+PROBLEMS = {
+    "harmonic": lambda d: fv.harmonic_oscillator(1.3, dim=d),
+    "pendulum": lambda d: fv.pendulum(1.3, dim=d),
+    "coupled": coupled_lagrangian,
+}
+
+
+def column_by_column_jacobian(fun, x, r, cfg):
+    # one residual call per unknown: the reference the grouped build must match
+    jac = np.empty((x.size, x.size))
+    for j in range(x.size):
+        step = cfg.fd_step * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += step
+        jac[:, j] = (fun(xp) - r) / step
+    return jac
+
+
+def interior_residual(kind, lag, grid, qa, qb):
+    def fun(x):
+        vals = np.vstack([qa, x.reshape(grid.n - 1, lag.dim), qb])
+        return assemble_residual(kind, lag, fv.Trajectory(grid, vals)).values.ravel()
+
+    return fun
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES, ids=lambda f: f.value)
+def test_grouped_jacobian_is_bitwise_the_dense_one(family, sigma, problem):
+    kind = SchemeKind(family, sigma)
+    assert kind.halo == 1
+    cfg = NewtonConfig()
+    rng = np.random.default_rng(61)
+    for d in (1, 2, 3):
+        lag = PROBLEMS[problem](d)
+        for n in (2, 3, 4, 5, 7, 16, 33):
+            if family is SchemeFamily.DIRECT_CLASSICAL and n < 3:
+                continue
+            grid = fv.make_grid(-0.2, 1.1, n)
+            qa, qb = rng.standard_normal((2, 1, d))
+            fun = interior_residual(kind, lag, grid, qa, qb)
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return fun(x)
+
+            x = rng.standard_normal((n - 1) * d)
+            r = fun(x)
+            grouped = solver._fd_jacobian(counted, x, r, cfg, d, kind.halo)
+            assert np.array_equal(grouped, column_by_column_jacobian(fun, x, r, cfg))
+            assert len(calls) == min(3, n - 1) * d
+
+
+def test_dense_jacobian_for_fractional_schemes():
+    kind = SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, fv.PLUS, 0.6)
+    assert kind.halo is None
+    lag = coupled_lagrangian(2)
+    grid = fv.make_grid(0.0, 1.0, 9)
+    rng = np.random.default_rng(62)
+    fun = interior_residual(kind, lag, grid, *rng.standard_normal((2, 1, 2)))
+    x = rng.standard_normal(16)
+    r = fun(x)
+    cfg = NewtonConfig()
+    dense = solver._fd_jacobian(fun, x, r, cfg, 2, kind.halo)
+    assert np.array_equal(dense, column_by_column_jacobian(fun, x, r, cfg))
+
+
+def count_residual_calls(monkeypatch):
+    calls = []
+    assemble = solver.assemble_residual
+
+    def counted(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(solver, "assemble_residual", counted)
+    return calls
+
+
+def test_classical_newton_step_takes_three_d_residual_calls(monkeypatch):
+    d = 2
+    calls = count_residual_calls(monkeypatch)
+    grid = fv.make_grid(0.0, 1.0, 256)
+    problem = BVPProblem(
+        grid, fv.harmonic_oscillator(1.0, dim=d), vi_classical(), [0.0, 1.0], [1.0, 0.0]
+    )
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+    assert diag.converged and diag.iterations >= 1
+    # one initial residual; per iteration 3*d Jacobian calls and one trial
+    assert len(calls) == 1 + diag.iterations * (3 * d + 1)
+
+
+def test_fractional_newton_step_stays_dense(monkeypatch):
+    calls = count_residual_calls(monkeypatch)
+    grid = fv.make_grid(0.0, 1.0, 256)
+    kind = SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, fv.MINUS, 0.5)
+    problem = BVPProblem(grid, fv.harmonic_oscillator(1.0), kind, [0.0], [1.0])
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+    assert diag.iterations == 2
+    assert len(calls) == 513
