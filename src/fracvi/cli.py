@@ -34,6 +34,7 @@ from .grids import (
     PLUS,
     DomainError,
     Trajectory,
+    _fmt,
     make_grid,
     sample,
     sigma_label,
@@ -73,10 +74,6 @@ GLCHECK_ORDER_WINDOW = (0.7, 1.3)
 #: Errors below this (relative) level count as exact reproduction and are
 #: exempt from order checks.
 EXACT_FLOOR = 1e-12
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _vector(text: str) -> np.ndarray:

@@ -228,6 +228,7 @@ def inf_norm(x: Sequence) -> float:
 
 
 def _fmt(x: float) -> str:
+    """A float at full double precision, as every CSV and table writes it."""
     return f"{x:.17g}"
 
 

@@ -162,6 +162,32 @@ def _lagrangian_values(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
     return _call(lag.Lx, "Lx", shape, x, v, t), _call(lag.Lv, "Lv", shape, x, v, t)
 
 
+def _hessian_blocks(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence, fd_step: float):
+    """Forward-difference blocks Hxx, Hxv, Hvx, Hvv over the window of vseq.
+
+    Each has shape (n, d, d), with ``Hxv[k, a, b] = d(Lx)_a / dv_b`` at
+    window node k, and so on.  The callbacks are pointwise, so moving
+    component c of x (or of v) at every node at once gives column c of
+    every node's block in one call: 4*d + 2 callback calls in all.  The
+    step is ``fd_step * (1 + |.|)`` per entry, as in the solver.
+    """
+    x, v, t = _window(q, vseq)
+    shape = (q.grid.n, q.dim)
+    lx = _call(lag.Lx, "Lx", shape, x, v, t)
+    lv = _call(lag.Lv, "Lv", shape, x, v, t)
+    blocks = np.empty((2, 2) + shape + (q.dim,))  # [Lx or Lv, by x or by v]
+    for by, base in enumerate((x, v)):
+        steps = fd_step * (1.0 + np.abs(base))
+        for c in range(q.dim):
+            moved = base.copy()
+            moved[:, c] += steps[:, c]
+            args = (moved, v, t) if by == 0 else (x, moved, t)
+            step = steps[:, c, None]
+            blocks[0, by, :, :, c] = (_call(lag.Lx, "Lx", shape, *args) - lx) / step
+            blocks[1, by, :, :, c] = (_call(lag.Lv, "Lv", shape, *args) - lv) / step
+    return blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1]
+
+
 def _functional(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence) -> float:
     lvals = _call(lag.L, "L", (q.grid.n,), *_window(q, vseq))
     return gauss_quadrature(ShiftedSequence(q.grid, vseq.side, lvals))

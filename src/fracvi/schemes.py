@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import discrete_velocity, seq_delta
-from .fracops import _check_unit_alpha, discrete_velocity_alpha
-from .fracops import frac_seq_minus, frac_seq_plus
+from .fracops import _check_unit_alpha, _minus_matrix, _plus_matrix, _scale
+from .fracops import discrete_velocity_alpha, frac_seq_minus, frac_seq_plus
 from .grids import (
     MINUS,
     DomainError,
@@ -29,7 +29,8 @@ from .grids import (
     check_sigma,
     sigma_label,
 )
-from .lagrangians import Lagrangian, functional_gradient, _check_dims, _lagrangian_values
+from .lagrangians import Lagrangian, functional_gradient, _check_dims, _hessian_blocks
+from .lagrangians import _lagrangian_values
 
 #: Relative tolerance for declaring two residual paths coherent.
 COHERENCE_RTOL = 1e-10
@@ -198,6 +199,53 @@ def assemble_residual(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> Resid
     if fam is SchemeFamily.VARIATIONAL_FRACTIONAL:
         return residual_vi_fractional(lag, q, kind.sigma, kind.alpha)
     raise DomainError(f"unknown scheme family {fam!r}")
+
+
+def fractional_jacobian(
+    kind: SchemeKind, lag: Lagrangian, q: Trajectory, fd_step: float
+) -> np.ndarray:
+    """Jacobian of a fractional residual in the interior nodes of q.
+
+    Both fractional residuals read R = P^T lx - sigma s A lv, with
+    v = V Q, V = -sigma s K[:, 1:n] for the velocity kernel K and
+    s = h^-alpha, and P picking the interior rows of the window.  The
+    chain rule through the pointwise Hessian blocks then gives
+
+        J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V),
+
+    one dense product, with the blocks from 4*d + 2 callback calls.  Each
+    family linearizes its own outer operator A, the cached kernel its
+    residual applies: the adjoint K[:, 1:n]^T for the variational
+    gradient, the opposite-side GL kernel of ``frac_seq_*`` for the direct
+    embedding.  Rows and columns are (node, component), node-major.
+    """
+    if not kind.is_fractional:
+        raise DomainError(f"{kind.family.value} has no structured Jacobian")
+    _check_dims(lag, q)
+    sigma = kind.sigma
+    alpha = _check_unit_alpha(kind.alpha)
+    n, d = q.grid.n, q.dim
+    kernel = _minus_matrix(alpha, n) if sigma == MINUS else _plus_matrix(alpha, n)
+    if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
+        outer = kernel[:, 1:n].T
+    elif sigma == MINUS:
+        outer = _plus_matrix(alpha, n - 1)
+    else:
+        outer = _minus_matrix(alpha, n - 1)
+    hxx, hxv, hvx, hvv = _hessian_blocks(
+        lag, q, discrete_velocity_alpha(q, sigma, alpha), fd_step
+    )
+    s = _scale(q.grid.h, alpha)
+    vel = (-sigma * s) * kernel[:, 1:n]
+    cols = np.arange(n - 1)
+    rows = cols if sigma == MINUS else cols + 1
+    # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
+    w = hvv[:, :, None, :] * vel[:, None, :, None]
+    w[rows, :, cols, :] += hvx[rows]
+    jac = ((-sigma * s) * (outer @ w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
+    jac += hxv[rows][:, :, None, :] * vel[rows][:, None, :, None]
+    jac[cols, :, cols, :] += hxx[rows]
+    return jac.reshape((n - 1) * d, (n - 1) * d)
 
 
 COHERENCE_KINDS = ("classical", "asymmetric", "fractional")

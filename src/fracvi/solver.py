@@ -4,13 +4,15 @@ Newton kernel.
 
 Boundary values are never unknowns: the interior nodes Q_1 .. Q_{n-1} are
 solved for with the endpoints pinned, mirroring variations that vanish at
-both ends.  Jacobians are forward finite differences built from the
-scheme's row reach (``SchemeKind.halo``): the three-point classical
-schemes are block tridiagonal, so columns three nodes apart are perturbed
-in one residual call, 3*d calls per Jacobian; a fractional scheme's GL
-kernel couples every node, so it takes one call per unknown, (n-1)*d.
-Both are the same loop, with the same entries as a column-by-column build.
-Linear systems are solved densely by LAPACK through ``np.linalg.solve``.
+both ends.  A fractional scheme's GL kernel couples every node, so its
+Jacobian is built by the chain rule from pointwise Hessian blocks and the
+family's own kernels (``schemes.fractional_jacobian``): 4*d + 2 callback
+calls and one dense product, no residual call.  The three-point classical
+schemes are block tridiagonal; their Jacobians are forward finite
+differences that perturb columns three nodes apart in one residual call
+(``SchemeKind.halo``), 3*d calls per Jacobian, which beats an O(n^3)
+product.  Marching differences its d unknowns one at a time.  Linear
+systems are solved densely by LAPACK through ``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .grids import (
     check_sigma,
 )
 from .lagrangians import Lagrangian
-from .schemes import SchemeKind, assemble_residual
+from .schemes import SchemeKind, assemble_residual, fractional_jacobian
 
 
 class SingularMatrixError(RuntimeError):
@@ -92,10 +94,23 @@ class BVPProblem:
 
 @dataclass
 class NewtonDiagnostics:
-    """Per-iteration history: (iter, residual inf-norm, step inf-norm)."""
+    """Per-iteration history: (iter, residual inf-norm, step inf-norm).
+
+    The counters tally residual calls (finite-difference Jacobian columns
+    included), Jacobian builds, and line-search trials that were rejected.
+    A marching failure sums them over every step up to the failing one.
+    """
 
     records: list[tuple[int, float, float]] = field(default_factory=list)
     converged: bool = False
+    residual_evals: int = 0
+    jacobian_builds: int = 0
+    backtracks: int = 0
+
+    def add_counts(self, other: "NewtonDiagnostics") -> None:
+        self.residual_evals += other.residual_evals
+        self.jacobian_builds += other.jacobian_builds
+        self.backtracks += other.backtracks
 
     @property
     def iterations(self) -> int:
@@ -182,23 +197,35 @@ def _newton(
     label: str = "",
     dim: int = 1,
     halo: int | None = None,
+    jacobian=None,
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
     """Damped Newton for fun(x) = 0 from x0.
 
-    The Jacobian is forward finite differences of ``fun`` by
+    The Jacobian is ``jacobian(x)`` when given (the structured fractional
+    build), else forward finite differences of ``fun`` by
     :func:`_fd_jacobian`, for nodes of ``dim`` unknowns whose residual rows
-    reach ``halo`` nodes on each side (dense when ``halo`` is None); steps
-    backtrack until the residual inf-norm decreases.  Raises
-    :class:`NewtonConvergenceError` with the last iterate and the history,
-    its message prefixed by ``label``, if the target is not met.
+    reach ``halo`` nodes on each side (dense when ``halo`` is None).  It
+    lives only until its linear solve.  Steps backtrack until the residual
+    inf-norm decreases.  Raises :class:`NewtonConvergenceError` with the
+    last iterate and the history, its message prefixed by ``label``, if the
+    target is not met, and at once if the residual is not finite.
     """
     x = np.array(x0, dtype=float)
     diag = NewtonDiagnostics()
-    r = fun(x)
+
+    def counted(y: np.ndarray) -> np.ndarray:
+        diag.residual_evals += 1
+        return fun(y)
+
+    r = counted(x)
     rnorm = float(np.max(np.abs(r)))
     diag.records.append((0, rnorm, 0.0))
+    if not math.isfinite(rnorm):
+        raise NewtonConvergenceError(
+            f"{label}non-finite residual ({rnorm}) at the initial iterate", x, diag
+        )
     it = 0
-    while not rnorm <= cfg.tol:  # a NaN residual is not converged
+    while not rnorm <= cfg.tol:
         it += 1
         if it > cfg.max_iter:
             raise NewtonConvergenceError(
@@ -207,14 +234,20 @@ def _newton(
                 x,
                 diag,
             )
-        delta = lu_solve(_fd_jacobian(fun, x, r, cfg, dim, halo), -r)
+        diag.jacobian_builds += 1
+        # the Jacobian is a temporary: it is freed before the line search
+        if jacobian is None:
+            delta = lu_solve(_fd_jacobian(counted, x, r, cfg, dim, halo), -r)
+        else:
+            delta = lu_solve(jacobian(x), -r)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = x + t * delta
-            r_trial = fun(trial)
+            r_trial = counted(trial)
             rn_trial = float(np.max(np.abs(r_trial)))
             if rn_trial < rnorm:
                 break
+            diag.backtracks += 1
             t *= cfg.damping
         else:
             diag.records.append((it, rnorm, 0.0))
@@ -263,9 +296,17 @@ def solve_bvp_newton(
     def residual(x: np.ndarray) -> np.ndarray:
         return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        return fractional_jacobian(problem.scheme, lag, build(x), cfg.fd_step)
+
     try:
         x, diag = _newton(
-            residual, init.values[1:-1].ravel(), cfg, dim=d, halo=problem.scheme.halo
+            residual,
+            init.values[1:-1].ravel(),
+            cfg,
+            dim=d,
+            halo=problem.scheme.halo,
+            jacobian=jacobian if problem.scheme.is_fractional else None,
         )
     except NewtonConvergenceError as exc:
         exc.last = build(exc.last)
@@ -290,7 +331,7 @@ def march_direct_classical(
         (Q_k - 2 Q_{k-1} + Q_{k-2})/h^2 + grad U(Q_k) = 0.
 
     A failing step raises :class:`NewtonConvergenceError` carrying that
-    step's iterate and diagnostics.
+    step's iterate and history, with its counters summed over every step.
     """
     check_sigma(sigma)
     if sigma != MINUS:
@@ -305,6 +346,7 @@ def march_direct_classical(
     vals = np.empty((grid.n + 1, d))
     vals[0] = q0
     vals[1] = q1
+    spent = NewtonDiagnostics()
     for k in range(2, grid.n + 1):
         t_k = grid.node(k)
         t_prev = grid.node(k - 1)
@@ -318,5 +360,10 @@ def march_direct_classical(
             )
 
         guess = 2.0 * vals[k - 1] - vals[k - 2]
-        vals[k], _ = _newton(step_residual, guess, cfg, f"march step k={k}: ")
+        try:
+            vals[k], step = _newton(step_residual, guess, cfg, f"march step k={k}: ")
+        except NewtonConvergenceError as exc:
+            exc.diagnostics.add_counts(spent)
+            raise
+        spent.add_counts(step)
     return Trajectory(grid, vals)

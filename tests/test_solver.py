@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import fracvi as fv
-from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual
+from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, fractional_jacobian
 from fracvi import solver
 from fracvi.solver import (
     BVPProblem,
@@ -384,11 +385,132 @@ def test_classical_newton_step_takes_three_d_residual_calls(monkeypatch):
     assert len(calls) == 1 + diag.iterations * (3 * d + 1)
 
 
-def test_fractional_newton_step_stays_dense(monkeypatch):
+def counted_lagrangian(lag, calls):
+    # the same Lagrangian, its Lx and Lv calls appended to ``calls``
+    def count(fn):
+        def wrapped(x, v, t):
+            calls.append(1)
+            return fn(x, v, t)
+
+        return wrapped
+
+    return dataclasses.replace(lag, Lx=count(lag.Lx), Lv=count(lag.Lv))
+
+
+FRACTIONAL_FAMILIES = (SchemeFamily.VARIATIONAL_FRACTIONAL, SchemeFamily.DIRECT_FRACTIONAL)
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
+def test_structured_jacobian_matches_finite_differences(family, sigma, problem):
+    cfg = NewtonConfig()
+    rng = np.random.default_rng(63)
+    for d in (1, 2, 3):
+        for n in (2, 3, 5, 16, 33):
+            for alpha in (0.3, 0.8, 1.0):
+                kind = SchemeKind(family, sigma, alpha)
+                grid = fv.make_grid(-0.2, 1.1, n)
+                qa, qb = rng.standard_normal((2, 1, d))
+                calls = []
+                lag = counted_lagrangian(PROBLEMS[problem](d), calls)
+                fun = interior_residual(kind, lag, grid, qa, qb)
+                x = rng.standard_normal((n - 1) * d)
+                fd = solver._fd_jacobian(fun, x, fun(x), cfg, d, kind.halo)
+                calls.clear()
+                q = fv.Trajectory(grid, np.vstack([qa, x.reshape(n - 1, d), qb]))
+                structured = fractional_jacobian(kind, lag, q, cfg.fd_step)
+                assert len(calls) == 4 * d + 2
+                gap = np.max(np.abs(structured - fd))
+                assert gap <= 1e-6 * np.max(np.abs(fd)), (d, n, alpha, gap)
+
+
+def test_structured_jacobian_refuses_classical_schemes():
+    grid = fv.make_grid(0.0, 1.0, 4)
+    q = fv.Trajectory(grid, np.zeros((5, 1)))
+    with pytest.raises(fv.DomainError, match="vi-classical has no structured Jacobian"):
+        fractional_jacobian(vi_classical(), fv.free_particle(), q, 1e-6)
+
+
+def test_fractional_newton_step_uses_structured_jacobian(monkeypatch):
+    # the benchmark's pinned solve: no residual call builds a Jacobian
     calls = count_residual_calls(monkeypatch)
+    callbacks = []
     grid = fv.make_grid(0.0, 1.0, 256)
     kind = SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, fv.MINUS, 0.5)
-    problem = BVPProblem(grid, fv.harmonic_oscillator(1.0), kind, [0.0], [1.0])
+    lag = counted_lagrangian(fv.harmonic_oscillator(1.0), callbacks)
+    problem = BVPProblem(grid, lag, kind, [0.0], [1.0])
     _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
     assert diag.iterations == 2
-    assert len(calls) == 513
+    assert diag.jacobian_builds == diag.iterations
+    # one residual per iterate plus the line-search trials
+    assert len(calls) == diag.residual_evals == 1 + diag.iterations + diag.backtracks
+    per_jacobian = (len(callbacks) - 2 * len(calls)) / diag.jacobian_builds
+    assert per_jacobian <= 4 * lag.dim + 2
+
+
+@pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
+def test_counters_count_calls_and_backtracks(family, monkeypatch):
+    calls = count_residual_calls(monkeypatch)
+    grid = fv.make_grid(0.0, 1.0, 16)
+    kind = SchemeKind(family, fv.PLUS, 0.5 if family is SchemeFamily.DIRECT_FRACTIONAL else 0.3)
+    problem = BVPProblem(grid, fv.pendulum(2.0), kind, [0.0], [2.0])
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+    assert diag.backtracks > 0
+    assert diag.jacobian_builds == diag.iterations
+    assert len(calls) == diag.residual_evals == 1 + diag.iterations + diag.backtracks
+
+
+def test_classical_counters_include_jacobian_columns(monkeypatch):
+    calls = count_residual_calls(monkeypatch)
+    d = 2
+    grid = fv.make_grid(0.0, 1.0, 16)
+    problem = BVPProblem(grid, fv.pendulum(3.0, dim=d), vi_classical(fv.PLUS), [0.0, 0.0], [2.0, 1.0])
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+    assert diag.jacobian_builds == diag.iterations
+    trials = diag.iterations + diag.backtracks
+    assert len(calls) == diag.residual_evals == 1 + diag.iterations * 3 * d + trials
+
+
+def nan_lx(lag, after=-math.inf):
+    # Lx turns NaN at times past ``after``
+    def Lx(x, v, t):
+        return np.where(np.asarray(t)[..., None] > after, math.nan, lag.Lx(x, v, t))
+
+    return dataclasses.replace(lag, Lx=Lx)
+
+
+@pytest.mark.parametrize("kind", [
+    SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, fv.MINUS, 0.5),
+    SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.PLUS),
+], ids=lambda k: k.family.value)
+def test_non_finite_residual_stops_before_any_jacobian(kind):
+    callbacks = []
+    lag = counted_lagrangian(nan_lx(fv.harmonic_oscillator(1.0)), callbacks)
+    problem = BVPProblem(fv.make_grid(0.0, 1.0, 64), lag, kind, [0.0], [1.0])
+    with pytest.raises(NewtonConvergenceError, match=r"non-finite residual \(nan\)") as err:
+        solve_bvp_newton(problem)
+    diag = err.value.diagnostics
+    assert (diag.residual_evals, diag.jacobian_builds, diag.backtracks) == (1, 0, 0)
+    assert len(callbacks) == 2
+    assert isinstance(err.value.last, fv.Trajectory)
+
+
+def test_march_non_finite_step_stops_with_summed_counters():
+    grid = fv.make_grid(0.0, 1.0, 16)
+    lag = nan_lx(fv.pendulum(1.2), after=0.5)
+    lx_calls = []
+
+    def Lx(x, v, t):
+        lx_calls.append(1)
+        return lag.Lx(x, v, t)
+
+    counted = dataclasses.replace(lag, Lx=Lx)
+    with pytest.raises(NewtonConvergenceError, match=r"^march step k=9: non-finite residual") as err:
+        march_direct_classical(counted, grid, [0.1], [0.15], config=NewtonConfig(tol=1e-11))
+    diag = err.value.diagnostics
+    assert len(diag.records) == 1 and math.isnan(diag.records[0][1])
+    # steps k = 2 .. 8 converged, each with at least one Jacobian; every
+    # step residual makes one Lx call
+    assert diag.jacobian_builds >= 7
+    assert diag.residual_evals == len(lx_calls)
