@@ -25,18 +25,15 @@ from .diffops import (
     seq_delta,
 )
 from .fracops import (
-    GLCoefficients,
     check_discrete_frac_ibp,
     delta_alpha_minus,
     delta_alpha_plus,
     discrete_velocity_alpha,
-    gamma_fn,
     gl_coefficients,
     rl_monomial_derivative,
 )
 from .lagrangians import (
     Lagrangian,
-    MechanicalLagrangian,
     builtin_problem,
     discrete_functional_classical,
     discrete_functional_fractional,

@@ -110,15 +110,19 @@ def _count(text: str) -> int:
 def load_config(path) -> dict[str, str]:
     """Read a plain key=value file; '#' starts a comment."""
     cfg: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line (need key=value): {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {path} is not UTF-8 text: {exc}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"bad config line (need key=value): {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
 
 
@@ -472,6 +476,8 @@ def run_glcheck(
     """Discrete left fractional derivative of (t-a)^beta at t=b versus the
     closed-form value, with observed convergence orders."""
     _check_n_list(n_list)
+    if not beta >= 0:
+        raise DomainError(f"beta must be >= 0: (t-a)^beta is sampled at t=a, got {beta}")
     exact = rl_monomial_derivative(beta, alpha, b - a)
     errors = []
     approxes = []
@@ -611,6 +617,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NewtonConvergenceError, SingularMatrixError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

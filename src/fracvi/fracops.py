@@ -5,16 +5,16 @@ Riemann-Liouville oracle on monomials.
 The signed binomial weights are w_r = (-1)^r C(alpha, r), generated by the
 multiplicative recurrence w_r = w_{r-1} * (r - 1 - alpha) / r.  For
 0 < alpha < 1 they satisfy w_0 = 1, w_r < 0 for r >= 1, and positive,
-strictly decreasing partial sums.  Operators are dense O(n^2) kernels built
-from a cached Toeplitz weight matrix; no fast convolution is attempted at
-desk scale; the variational gradient reuses the cached kernels, transposed.
-Fractional orders must be finite and positive.
+strictly decreasing partial sums.  Operators are dense O(n^2) Toeplitz
+kernels from one builder behind one cache, ``_kernel(alpha, n, side)``: the
+left operator reads w_{k-j}, the right one w_{j-k}.  No fast convolution is
+attempted at desk scale; the variational gradient reuses the cached
+kernels, transposed.  Fractional orders must be finite and positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,33 +31,14 @@ from .grids import (
 )
 
 
-@dataclass(frozen=True)
-class GLCoefficients:
-    """Signed binomial weights w_0 .. w_n for one fractional order."""
-
-    alpha: float
-    w: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _freeze(np.atleast_1d(self.w)))
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0] - 1
-
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.w)
-
-
-def gl_coefficients(alpha: float, n: int) -> GLCoefficients:
-    """Generate w_0 .. w_n by the multiplicative recurrence, not factorials."""
+def gl_coefficients(alpha: float, n: int) -> np.ndarray:
+    """w_0 .. w_n, read-only, by the multiplicative recurrence, not factorials."""
     alpha = _check_alpha(alpha)
     if n < 0:
         raise DomainError(f"weight count must be nonnegative, got {n}")
-    return GLCoefficients(alpha=alpha, w=_weights(alpha, int(n)))
+    return _weights(alpha, int(n))
 
 
-@lru_cache(maxsize=128)
 def _weights(alpha: float, n: int) -> np.ndarray:
     w = np.ones(n + 1)
     if n >= 1:
@@ -67,22 +48,16 @@ def _weights(alpha: float, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _minus_matrix(alpha: float, n: int) -> np.ndarray:
-    """Rows k = 1..n of the left-sided kernel over positions 0..n."""
-    w = _weights(alpha, n)
-    k = np.arange(1, n + 1)[:, None]
-    j = np.arange(0, n + 1)[None, :]
-    r = k - j
-    return _freeze(np.where(r >= 0, w[np.clip(r, 0, n)], 0.0))
+def _kernel(alpha: float, n: int, side: int) -> np.ndarray:
+    """The GL kernel of one side over positions 0..n, read-only.
 
-
-@lru_cache(maxsize=64)
-def _plus_matrix(alpha: float, n: int) -> np.ndarray:
-    """Rows k = 0..n-1 of the right-sided kernel over positions 0..n."""
+    MINUS: rows k = 1..n, entry w_{k-j}.  PLUS: rows k = 0..n-1, entry
+    w_{j-k}.  Entries with a negative weight index are zero.
+    """
     w = _weights(alpha, n)
-    k = np.arange(0, n)[:, None]
-    j = np.arange(0, n + 1)[None, :]
-    r = j - k
+    k = np.arange(n)[:, None] + (side == MINUS)
+    j = np.arange(n + 1)[None, :]
+    r = side * (j - k)
     return _freeze(np.where(r >= 0, w[np.clip(r, 0, n)], 0.0))
 
 
@@ -109,14 +84,14 @@ def _scale(h: float, alpha: float) -> float:
 def delta_alpha_minus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Left GL operator: h^-alpha sum_{r=0..k} w_r Q_{k-r}, k in {1, .., n}."""
     alpha = _check_alpha(alpha)
-    vals = (_minus_matrix(alpha, q.grid.n) @ q.values) * _scale(q.grid.h, alpha)
+    vals = (_kernel(alpha, q.grid.n, MINUS) @ q.values) * _scale(q.grid.h, alpha)
     return ShiftedSequence(q.grid, MINUS, vals)
 
 
 def delta_alpha_plus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Right GL operator: h^-alpha sum_{r=0..n-k} w_r Q_{k+r}, k in {0, .., n-1}."""
     alpha = _check_alpha(alpha)
-    vals = (_plus_matrix(alpha, q.grid.n) @ q.values) * _scale(q.grid.h, alpha)
+    vals = (_kernel(alpha, q.grid.n, PLUS) @ q.values) * _scale(q.grid.h, alpha)
     return ShiftedSequence(q.grid, PLUS, vals)
 
 
@@ -137,7 +112,7 @@ def frac_seq_minus(s: ShiftedSequence, alpha: float) -> ResidualField:
     if s.side != PLUS:
         raise DomainError("left GL application needs a forward-window sequence")
     m = s.grid.n - 1
-    vals = (_minus_matrix(alpha, m) @ s.values) * _scale(s.grid.h, alpha)
+    vals = (_kernel(alpha, m, MINUS) @ s.values) * _scale(s.grid.h, alpha)
     return ResidualField(s.grid, 1, vals)
 
 
@@ -151,7 +126,7 @@ def frac_seq_plus(s: ShiftedSequence, alpha: float) -> ResidualField:
     if s.side != MINUS:
         raise DomainError("right GL application needs a backward-window sequence")
     m = s.grid.n - 1
-    vals = (_plus_matrix(alpha, m) @ s.values) * _scale(s.grid.h, alpha)
+    vals = (_kernel(alpha, m, PLUS) @ s.values) * _scale(s.grid.h, alpha)
     return ResidualField(s.grid, 1, vals)
 
 
@@ -181,14 +156,6 @@ def check_discrete_frac_ibp(
     return lhs, rhs
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0."""
-    x = float(x)
-    if not x > 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
-
-
 def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:
     """Left fractional derivative of (t - a)^beta at offset s = t - a.
 
@@ -211,4 +178,4 @@ def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:
         raise DomainError(
             f"beta + 1 - alpha = {tail} < 0 is outside the oracle's domain"
         )
-    return gamma_fn(beta + 1.0) / gamma_fn(tail) * s ** (beta - alpha)
+    return math.gamma(beta + 1.0) / math.gamma(tail) * s ** (beta - alpha)

@@ -8,8 +8,11 @@ have shape (..., d) and t has shape (...); L returns shape (...) and Lx, Lv
 return shape (..., d).  One call thus serves a single node (a (d,) vector
 and a scalar t) or a whole window of m nodes ((m, d) and (m,)), and each
 assembly below makes one Lx and one Lv call.  The discrete functional
-gradient is assembled analytically from the chain rule; finite-difference
-gradients are a test oracle only and live with the tests.
+gradient is assembled analytically from the chain rule, its fractional
+adjoint from the velocity's cached GL kernel.  The Newton Jacobian's
+pointwise Hessian blocks are forward differences of Lx and Lv with the
+relative step FD_STEP, the one the solver uses; finite-difference gradients
+of the functional are a test oracle only and live with the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .diffops import discrete_velocity, gauss_quadrature, seq_delta
-from .fracops import _check_unit_alpha, _minus_matrix, _plus_matrix, _scale
+from .fracops import _check_unit_alpha, _kernel, _scale
 from .fracops import discrete_velocity_alpha
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
@@ -38,6 +41,9 @@ ScalarFn = Callable[[Vec, Vec, Vec], Vec]
 #: Lx or Lv(x, v, t), arguments as for ScalarFn; returns shape (..., d).
 VectorFn = Callable[[Vec, Vec, Vec], Vec]
 
+#: Relative forward-difference step: an entry y moves by FD_STEP * (1 + |y|).
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True, kw_only=True)
 class Lagrangian:
@@ -51,22 +57,14 @@ class Lagrangian:
     name: str = "custom"
 
 
-@dataclass(frozen=True, kw_only=True)
-class MechanicalLagrangian(Lagrangian):
-    """L(x, v, t) = |v|^2 / 2 - U(x), with Lv = v and Lx = -grad U exactly;
-    U maps x of shape (..., d) to shape (...), grad U to shape (..., d)."""
-
-    potential: Callable[[Vec], Vec]
-    grad_potential: Callable[[Vec], Vec]
-
-
 def mechanical(
     potential: Callable[[Vec], Vec],
     grad_potential: Callable[[Vec], Vec],
     dim: int = 1,
     name: str = "mechanical",
-) -> MechanicalLagrangian:
-    """Build the mechanical Lagrangian for a given potential."""
+) -> Lagrangian:
+    """L(x, v, t) = |v|^2 / 2 - U(x), with Lv = v and Lx = -grad U exactly;
+    U maps x of shape (..., d) to shape (...), grad U to shape (..., d)."""
 
     def L(x: Vec, v: Vec, t: Vec) -> Vec:
         return 0.5 * np.sum(v * v, axis=-1) - potential(x)
@@ -77,13 +75,10 @@ def mechanical(
     def Lv(x: Vec, v: Vec, t: Vec) -> Vec:
         return np.array(v, dtype=float)
 
-    return MechanicalLagrangian(
-        L=L, Lx=Lx, Lv=Lv, dim=dim, name=name,
-        potential=potential, grad_potential=grad_potential,
-    )
+    return Lagrangian(L=L, Lx=Lx, Lv=Lv, dim=dim, name=name)
 
 
-def free_particle(dim: int = 1) -> MechanicalLagrangian:
+def free_particle(dim: int = 1) -> Lagrangian:
     """U identically zero."""
     return mechanical(
         lambda x: 0.0,
@@ -93,7 +88,7 @@ def free_particle(dim: int = 1) -> MechanicalLagrangian:
     )
 
 
-def harmonic_oscillator(omega: float = 1.0, dim: int = 1) -> MechanicalLagrangian:
+def harmonic_oscillator(omega: float = 1.0, dim: int = 1) -> Lagrangian:
     """U(x) = omega^2 |x|^2 / 2."""
     w2 = float(omega) ** 2
     return mechanical(
@@ -104,7 +99,7 @@ def harmonic_oscillator(omega: float = 1.0, dim: int = 1) -> MechanicalLagrangia
     )
 
 
-def pendulum(omega: float = 1.0, dim: int = 1) -> MechanicalLagrangian:
+def pendulum(omega: float = 1.0, dim: int = 1) -> Lagrangian:
     """Smooth pendulum-type nonlinearity: U(x) = omega^2 sum_i (1 - cos x_i)."""
     w2 = float(omega) ** 2
     return mechanical(
@@ -118,7 +113,7 @@ def pendulum(omega: float = 1.0, dim: int = 1) -> MechanicalLagrangian:
 BUILTIN_PROBLEMS = ("free", "harmonic", "pendulum")
 
 
-def builtin_problem(name: str, omega: float = 1.0, dim: int = 1) -> MechanicalLagrangian:
+def builtin_problem(name: str, omega: float = 1.0, dim: int = 1) -> Lagrangian:
     """Built-in problems addressable by name (for the command line)."""
     if not np.isfinite(omega):
         raise DomainError(f"omega must be finite, got {omega}")
@@ -162,14 +157,14 @@ def _lagrangian_values(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
     return _call(lag.Lx, "Lx", shape, x, v, t), _call(lag.Lv, "Lv", shape, x, v, t)
 
 
-def _hessian_blocks(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence, fd_step: float):
+def _hessian_blocks(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
     """Forward-difference blocks Hxx, Hxv, Hvx, Hvv over the window of vseq.
 
     Each has shape (n, d, d), with ``Hxv[k, a, b] = d(Lx)_a / dv_b`` at
     window node k, and so on.  The callbacks are pointwise, so moving
     component c of x (or of v) at every node at once gives column c of
     every node's block in one call: 4*d + 2 callback calls in all.  The
-    step is ``fd_step * (1 + |.|)`` per entry, as in the solver.
+    step is ``FD_STEP * (1 + |.|)`` per entry, as in the solver.
     """
     x, v, t = _window(q, vseq)
     shape = (q.grid.n, q.dim)
@@ -177,7 +172,7 @@ def _hessian_blocks(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence, fd_st
     lv = _call(lag.Lv, "Lv", shape, x, v, t)
     blocks = np.empty((2, 2) + shape + (q.dim,))  # [Lx or Lv, by x or by v]
     for by, base in enumerate((x, v)):
-        steps = fd_step * (1.0 + np.abs(base))
+        steps = FD_STEP * (1.0 + np.abs(base))
         for c in range(q.dim):
             moved = base.copy()
             moved[:, c] += steps[:, c]
@@ -233,8 +228,7 @@ def functional_gradient(
         # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
         # interior columns, transposed; the contiguous copy keeps the
         # product's bits.
-        kernel = _minus_matrix(alpha, n) if sigma == MINUS else _plus_matrix(alpha, n)
-        adj = np.ascontiguousarray(kernel[:, 1:n].T)
+        adj = np.ascontiguousarray(_kernel(alpha, n, sigma)[:, 1:n].T)
         adj_lv = _scale(q.grid.h, alpha) * (adj @ lv)
     # rows of I_sigma corresponding to interior nodes 1..n-1
     interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)

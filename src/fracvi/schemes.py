@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import discrete_velocity, seq_delta
-from .fracops import _check_unit_alpha, _minus_matrix, _plus_matrix, _scale
+from .fracops import _check_unit_alpha, _kernel, _scale
 from .fracops import discrete_velocity_alpha, frac_seq_minus, frac_seq_plus
 from .grids import (
     MINUS,
@@ -201,9 +201,7 @@ def assemble_residual(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> Resid
     raise DomainError(f"unknown scheme family {fam!r}")
 
 
-def fractional_jacobian(
-    kind: SchemeKind, lag: Lagrangian, q: Trajectory, fd_step: float
-) -> np.ndarray:
+def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
     """Jacobian of a fractional residual in the interior nodes of q.
 
     Both fractional residuals read R = P^T lx - sigma s A lv, with
@@ -225,16 +223,12 @@ def fractional_jacobian(
     sigma = kind.sigma
     alpha = _check_unit_alpha(kind.alpha)
     n, d = q.grid.n, q.dim
-    kernel = _minus_matrix(alpha, n) if sigma == MINUS else _plus_matrix(alpha, n)
+    kernel = _kernel(alpha, n, sigma)
     if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
         outer = kernel[:, 1:n].T
-    elif sigma == MINUS:
-        outer = _plus_matrix(alpha, n - 1)
     else:
-        outer = _minus_matrix(alpha, n - 1)
-    hxx, hxv, hvx, hvv = _hessian_blocks(
-        lag, q, discrete_velocity_alpha(q, sigma, alpha), fd_step
-    )
+        outer = _kernel(alpha, n - 1, -sigma)
+    hxx, hxv, hvx, hvv = _hessian_blocks(lag, q, discrete_velocity_alpha(q, sigma, alpha))
     s = _scale(q.grid.h, alpha)
     vel = (-sigma * s) * kernel[:, 1:n]
     cols = np.arange(n - 1)

@@ -22,14 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import (
-    MINUS,
-    DomainError,
-    Grid,
-    Trajectory,
-    check_sigma,
-)
-from .lagrangians import Lagrangian
+from .grids import DomainError, Grid, Trajectory
+from .lagrangians import FD_STEP, Lagrangian
 from .schemes import SchemeKind, assemble_residual, fractional_jacobian
 
 
@@ -54,18 +48,12 @@ class NewtonConvergenceError(RuntimeError):
 class NewtonConfig:
     tol: float = 1e-12
     max_iter: int = 50
-    fd_step: float = 1e-6  # actual step per component: fd_step * (1 + |Q_k|)
-    damping: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DomainError(f"tol must be positive and finite, got {self.tol}")
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise DomainError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0 < self.damping < 1:
-            raise DomainError(f"damping must lie in (0, 1), got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -158,11 +146,11 @@ def linear_initial_guess(grid: Grid, qa, qb) -> Trajectory:
 
 
 _MAX_BACKTRACKS = 40
+#: Line-search step shrink factor per rejected trial.
+_DAMPING = 0.5
 
 
-def _fd_jacobian(
-    fun, x: np.ndarray, r: np.ndarray, cfg: NewtonConfig, dim: int, halo: int | None
-) -> np.ndarray:
+def _fd_jacobian(fun, x: np.ndarray, r: np.ndarray, dim: int, halo: int | None) -> np.ndarray:
     """Forward-difference Jacobian of ``fun`` at ``x``, where ``r = fun(x)``.
 
     ``x`` holds nodes of ``dim`` components, and the residual rows come in
@@ -175,7 +163,7 @@ def _fd_jacobian(
     nodes = x.size // dim
     reach = nodes if halo is None else halo
     stride = min(2 * reach + 1, nodes) * dim
-    steps = cfg.fd_step * (1.0 + np.abs(x))
+    steps = FD_STEP * (1.0 + np.abs(x))
     shifted = x + steps
     jac = np.zeros((r.size, x.size))
     for first in range(stride):
@@ -237,7 +225,7 @@ def _newton(
         diag.jacobian_builds += 1
         # the Jacobian is a temporary: it is freed before the line search
         if jacobian is None:
-            delta = lu_solve(_fd_jacobian(counted, x, r, cfg, dim, halo), -r)
+            delta = lu_solve(_fd_jacobian(counted, x, r, dim, halo), -r)
         else:
             delta = lu_solve(jacobian(x), -r)
         t = 1.0
@@ -248,7 +236,7 @@ def _newton(
             if rn_trial < rnorm:
                 break
             diag.backtracks += 1
-            t *= cfg.damping
+            t *= _DAMPING
         else:
             diag.records.append((it, rnorm, 0.0))
             raise NewtonConvergenceError(
@@ -297,7 +285,7 @@ def solve_bvp_newton(
         return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        return fractional_jacobian(problem.scheme, lag, build(x), cfg.fd_step)
+        return fractional_jacobian(problem.scheme, lag, build(x))
 
     try:
         x, diag = _newton(
@@ -320,7 +308,6 @@ def march_direct_classical(
     q0,
     q1,
     config: NewtonConfig | None = None,
-    sigma: int = MINUS,
 ) -> Trajectory:
     """March the backward direct scheme forward from (Q_0, Q_1).
 
@@ -333,9 +320,6 @@ def march_direct_classical(
     A failing step raises :class:`NewtonConvergenceError` carrying that
     step's iterate and history, with its counters summed over every step.
     """
-    check_sigma(sigma)
-    if sigma != MINUS:
-        raise DomainError("marching is defined for the backward scheme (sigma = -1)")
     cfg = config or NewtonConfig()
     d = lag.dim
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))

@@ -222,6 +222,24 @@ def test_glcheck_alpha_one_exact(capsys):
     assert "exact reproduction" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("beta", ["-0.5", "-0.999", "nan"])
+def test_glcheck_refuses_negative_beta(capsys, beta):
+    # (t-a)^beta is sampled at t = a, where a negative power is infinite
+    argv = ["glcheck", "--alpha", "0.5", "--beta", beta, "--n-list", "8,16"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "beta must be >= 0" in captured.err and captured.out == ""
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 728. TiB")
+
+    monkeypatch.setattr("fracvi.cli.solve_bvp_newton", no_memory)
+    assert main(["solve", "--n", "64", "--alpha", "0.5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 728. TiB\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["glcheck", "--alpha", "abc"]) == EXIT_USAGE
     assert main(["nope"]) == EXIT_USAGE
@@ -243,6 +261,13 @@ def test_config_rejects_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")
     assert main(["ibp", "--config", str(cfg)]) == EXIT_USAGE
+
+
+def test_config_rejects_non_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe n=3\n")
+    assert main(["ibp", "--config", str(cfg)]) == EXIT_USAGE
+    assert f"config file {cfg} is not UTF-8 text" in capsys.readouterr().err
 
 
 #: Each subcommand's handler and the defaults it is called with.

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 import fracvi as fv
+from fracvi.fracops import _kernel
 
 
 def test_weights_alpha_one_truncate():
-    np.testing.assert_array_equal(fv.gl_coefficients(1.0, 3).w, [1.0, -1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(fv.gl_coefficients(1.0, 3), [1.0, -1.0, 0.0, 0.0])
 
 
 def test_weights_half_hand_values():
     np.testing.assert_array_equal(
-        fv.gl_coefficients(0.5, 4).w, [1.0, -0.5, -0.125, -0.0625, -0.0390625]
+        fv.gl_coefficients(0.5, 4), [1.0, -0.5, -0.125, -0.0625, -0.0390625]
     )
 
 
 def test_weights_alpha_03():
     np.testing.assert_allclose(
-        fv.gl_coefficients(0.3, 2).w, [1.0, -0.3, -0.105], rtol=1e-15
+        fv.gl_coefficients(0.3, 2), [1.0, -0.3, -0.105], rtol=1e-15
     )
 
 
@@ -44,8 +45,8 @@ def test_non_finite_order_rejected(alpha):
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_weight_structure_large_n(alpha):
-    coeffs = fv.gl_coefficients(alpha, 1000)
-    w = coeffs.w
+    w = fv.gl_coefficients(alpha, 1000)
+    assert not w.flags.writeable
     assert w[0] == 1.0
     assert math.isclose(w[1], -alpha, rel_tol=1e-15)
     assert np.all(w[1:] < 0.0)
@@ -54,9 +55,24 @@ def test_weight_structure_large_n(alpha):
     rebuilt = w[:-1] * (r - 1.0 - alpha) / r
     tol = 4.0 * np.spacing(np.abs(w[1:]))
     assert np.all(np.abs(rebuilt - w[1:]) <= tol)
-    sums = coeffs.partial_sums()
+    sums = np.cumsum(w)
     assert np.all(sums > 0.0)
     assert np.all(np.diff(sums) < 0.0)
+
+
+@pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_kernel_entries_follow_the_definition(alpha, side):
+    # MINUS: rows k = 1..n hold w_{k-j}; PLUS: rows k = 0..n-1 hold w_{j-k}
+    n = 6
+    w = fv.gl_coefficients(alpha, n)
+    kernel = _kernel(alpha, n, side)
+    assert kernel.shape == (n, n + 1) and not kernel.flags.writeable
+    for row in range(n):
+        k = row + 1 if side == fv.MINUS else row
+        for j in range(n + 1):
+            r = k - j if side == fv.MINUS else j - k
+            assert kernel[row, j] == (w[r] if r >= 0 else 0.0)
 
 
 def _traj_0123():
@@ -87,7 +103,7 @@ def test_delta_alpha_of_constant_gives_partial_sums():
     # memory of the lower limit: the fractional derivative of a constant
     # with finite inferior limit does not vanish
     q = fv.sample(lambda t: 1.0, fv.make_grid(0.0, 4.0, 4))
-    sums = fv.gl_coefficients(0.5, 4).partial_sums()
+    sums = np.cumsum(fv.gl_coefficients(0.5, 4))
     out = fv.delta_alpha_minus(q, 0.5)
     np.testing.assert_allclose(out.values.ravel(), sums[1:], rtol=1e-15)
     assert out.values.ravel()[0] == 0.5
@@ -169,28 +185,6 @@ def test_frac_ibp_rejects_hypothesis_violation():
     g = fv.sample(lambda t: t + 2.0, grid)
     with pytest.raises(fv.DomainError):
         fv.check_discrete_frac_ibp(f, g, 0.5)
-
-
-def test_gamma_classical_values():
-    assert math.isclose(fv.gamma_fn(1.0), 1.0, rel_tol=1e-14)
-    assert math.isclose(fv.gamma_fn(5.0), 24.0, rel_tol=1e-14)
-    assert math.isclose(fv.gamma_fn(0.5), math.sqrt(math.pi), rel_tol=1e-13)
-
-
-def test_gamma_against_stdlib_sweep():
-    xs = np.linspace(0.1, 30.0, 1500)
-    worst = max(
-        abs(fv.gamma_fn(float(x)) - math.gamma(float(x))) / math.gamma(float(x))
-        for x in xs
-    )
-    assert worst <= 1e-12
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(fv.DomainError):
-        fv.gamma_fn(0.0)
-    with pytest.raises(fv.DomainError):
-        fv.gamma_fn(-2.5)
 
 
 def test_rl_monomial_hand_values():
