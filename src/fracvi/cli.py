@@ -357,7 +357,7 @@ def run_convergence(
         if marching:
             q0 = np.atleast_1d(exact(grid.node(0)))
             q1 = np.atleast_1d(exact(grid.node(1)))
-            traj = march_direct_classical(lag, grid, q0, q1, config=cfg)
+            traj, _ = march_direct_classical(lag, grid, q0, q1, config=cfg)
         else:
             kind = _scheme_kind(scheme, sigma, alpha)
             bvp = BVPProblem(grid, lag, kind, qa, qb)

@@ -7,12 +7,14 @@ solved for with the endpoints pinned, mirroring variations that vanish at
 both ends.  A fractional scheme's GL kernel couples every node, so its
 Jacobian is built by the chain rule from pointwise Hessian blocks and the
 family's own kernels (``schemes.fractional_jacobian``): 4*d + 2 callback
-calls and one dense product, no residual call.  The three-point classical
-schemes are block tridiagonal; their Jacobians are forward finite
-differences that perturb columns three nodes apart in one residual call
-(``SchemeKind.halo``), 3*d calls per Jacobian, which beats an O(n^3)
-product.  Marching differences its d unknowns one at a time.  Linear
-systems are solved densely by LAPACK through ``np.linalg.solve``.
+calls and one dense product, no residual call, then one dense LAPACK
+solve.  The three-point classical schemes are block tridiagonal
+(``SchemeKind.halo``): forward differences that perturb columns three
+nodes apart in one residual call (3*d calls) fill three block diagonals,
+and odd-even block cyclic reduction solves them in O(n*d^3) time and
+O(n*d^2) memory, ending in one small dense LAPACK solve.  Marching
+differences its d unknowns one at a time and solves each step densely.
+Every Newton iteration makes exactly one :func:`lu_solve` call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .schemes import SchemeKind, assemble_residual, fractional_jacobian
 
 
 class SingularMatrixError(RuntimeError):
-    """The LU factorization hit an exactly zero pivot."""
+    """A Newton system is singular: the LU factorization of a dense system,
+    or of a diagonal block that block cyclic reduction eliminates, hit an
+    exactly zero pivot."""
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -86,7 +90,7 @@ class NewtonDiagnostics:
 
     The counters tally residual calls (finite-difference Jacobian columns
     included), Jacobian builds, and line-search trials that were rejected.
-    A marching failure sums them over every step up to the failing one.
+    Marching sums them over every step, up to the failing one on failure.
     """
 
     records: list[tuple[int, float, float]] = field(default_factory=list)
@@ -178,25 +182,114 @@ def _fd_jacobian(fun, x: np.ndarray, r: np.ndarray, dim: int, halo: int | None) 
     return jac
 
 
+def _fd_block_tridiagonal(fun, x: np.ndarray, r: np.ndarray, dim: int) -> np.ndarray:
+    """The Jacobian of :func:`_fd_jacobian` with ``halo=1``, as block diagonals.
+
+    Returns ``bands`` of shape (3, nodes, dim, dim): row block i of the
+    Jacobian holds ``bands[0, i]``, ``bands[1, i]`` and ``bands[2, i]`` in
+    the columns of nodes i-1, i and i+1; ``bands[0, 0]`` and
+    ``bands[2, -1]`` are zero.  It makes the dense build's residual calls,
+    and each entry is bitwise the dense build's quotient.
+    """
+    nodes = x.size // dim
+    colors = min(3, nodes)
+    stride = colors * dim
+    steps = FD_STEP * (1.0 + np.abs(x))
+    shifted = x + steps
+    node_steps = steps.reshape(nodes, dim)
+    bands = np.zeros((3, nodes, dim, dim))
+    for first in range(stride):
+        xp = x.copy()
+        xp[first::stride] = shifted[first::stride]
+        dr = (fun(xp) - r).reshape(nodes, dim)
+        node, comp = divmod(first, dim)
+        cols = np.arange(node, nodes, colors)
+        # row block = column node + offset, for bands lower, diag, upper
+        for band, offset in enumerate((1, 0, -1)):
+            col = cols[(cols + offset >= 0) & (cols + offset < nodes)]
+            bands[band, col + offset, :, comp] = dr[col + offset] / node_steps[col, comp, None]
+    return bands
+
+
+#: Unknown count at or below which cyclic reduction hands the reduced
+#: system to one dense LAPACK solve: below it a batched level costs more
+#: than the O((nodes*d)^3) work it saves (timings in CHANGES.md).
+_DENSE_UNKNOWNS = 64
+
+
+def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the block-tridiagonal system ``bands`` (as returned by
+    :func:`_fd_block_tridiagonal`) for the right-hand side ``b``.
+
+    Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970; Golub & Van
+    Loan section 4.5): each level eliminates the odd-numbered blocks with
+    one batched solve against their diagonal blocks, which halves the
+    system, until at most ``_DENSE_UNKNOWNS`` unknowns (or one block) are
+    left for one :func:`lu_solve`: O(nodes*d^3) work, O(nodes*d^2)
+    memory.  No pivoting crosses blocks, so a singular diagonal block of an
+    eliminated row raises :class:`SingularMatrixError`, as a singular
+    reduced system does.
+    """
+    nodes, d = bands.shape[1:3]
+    if nodes == 1 or nodes * d <= _DENSE_UNKNOWNS:
+        dense = np.zeros((nodes, d, nodes, d))
+        i = np.arange(nodes)
+        dense[i[1:], :, i[:-1]] = bands[0, 1:]
+        dense[i, :, i] = bands[1]
+        dense[i[:-1], :, i[1:]] = bands[2, :-1]
+        return lu_solve(dense.reshape(nodes * d, nodes * d), b)
+    rhs = b.reshape(nodes, d, 1)
+    even, odd = bands[:, 0::2], bands[:, 1::2]
+    evens, odds = even.shape[1], odd.shape[1]
+    try:
+        # per odd block k: D^-1 [L, U, b] of its row block
+        solved = np.linalg.solve(odd[1], np.concatenate([odd[0], odd[2], rhs[1::2]], axis=2))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular diagonal block in cyclic reduction") from None
+    left, right, inner = np.split(solved, [d, 2 * d], axis=2)
+    # even block k couples to odd block k-1 (k > 0) and odd block k (k < odds)
+    lower, upper = even[0, 1:], even[2, :odds]
+    reduced = np.zeros((3, evens, d, d))
+    reduced[0, 1:] = -lower @ left[: evens - 1]
+    reduced[1] = even[1]
+    reduced[1, 1:] -= lower @ right[: evens - 1]
+    reduced[1, :odds] -= upper @ left
+    reduced[2, : evens - 1] = -even[2, : evens - 1] @ right[: evens - 1]
+    reduced_rhs = rhs[0::2].copy()
+    reduced_rhs[1:] -= lower @ inner[: evens - 1]
+    reduced_rhs[:odds] -= upper @ inner
+    x_even = _block_tridiagonal_solve(reduced, reduced_rhs.ravel()).reshape(evens, d, 1)
+    x_odd = inner - left @ x_even[:odds]
+    x_odd[: evens - 1] -= right[: evens - 1] @ x_even[1:]
+    x = np.empty((nodes, d, 1))
+    x[0::2] = x_even
+    x[1::2] = x_odd
+    return x.ravel()
+
+
+def _dense_step(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Newton step from the dense forward-difference Jacobian of ``fun``."""
+    return lu_solve(_fd_jacobian(fun, x, r, 1, None), -r)
+
+
 def _newton(
     fun,
     x0: np.ndarray,
     cfg: NewtonConfig,
     label: str = "",
-    dim: int = 1,
-    halo: int | None = None,
-    jacobian=None,
+    step=_dense_step,
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
     """Damped Newton for fun(x) = 0 from x0.
 
-    The Jacobian is ``jacobian(x)`` when given (the structured fractional
-    build), else forward finite differences of ``fun`` by
-    :func:`_fd_jacobian`, for nodes of ``dim`` unknowns whose residual rows
-    reach ``halo`` nodes on each side (dense when ``halo`` is None).  It
-    lives only until its linear solve.  Steps backtrack until the residual
-    inf-norm decreases.  Raises :class:`NewtonConvergenceError` with the
-    last iterate and the history, its message prefixed by ``label``, if the
-    target is not met, and at once if the residual is not finite.
+    Each iteration takes its direction from ``step(fun, x, r)``, which
+    builds a Jacobian of ``fun`` at ``x`` (``r = fun(x)``; its residual
+    calls are counted) and solves it against ``-r`` with one
+    :func:`lu_solve`.  The default differences the whole residual
+    densely; the Jacobian lives only until its linear solve.  Steps
+    backtrack until the residual inf-norm decreases.  Raises
+    :class:`NewtonConvergenceError` with the last iterate and the history,
+    its message prefixed by ``label``, if the target is not met, and at
+    once if the residual is not finite.
     """
     x = np.array(x0, dtype=float)
     diag = NewtonDiagnostics()
@@ -223,11 +316,7 @@ def _newton(
                 diag,
             )
         diag.jacobian_builds += 1
-        # the Jacobian is a temporary: it is freed before the line search
-        if jacobian is None:
-            delta = lu_solve(_fd_jacobian(counted, x, r, dim, halo), -r)
-        else:
-            delta = lu_solve(jacobian(x), -r)
+        delta = step(counted, x, r)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = x + t * delta
@@ -284,18 +373,15 @@ def solve_bvp_newton(
     def residual(x: np.ndarray) -> np.ndarray:
         return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        return fractional_jacobian(problem.scheme, lag, build(x))
+    def banded_step(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return _block_tridiagonal_solve(_fd_block_tridiagonal(fun, x, r, d), -r)
 
+    def structured_step(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return lu_solve(fractional_jacobian(problem.scheme, lag, build(x)), -r)
+
+    step = banded_step if problem.scheme.halo == 1 else structured_step
     try:
-        x, diag = _newton(
-            residual,
-            init.values[1:-1].ravel(),
-            cfg,
-            dim=d,
-            halo=problem.scheme.halo,
-            jacobian=jacobian if problem.scheme.is_fractional else None,
-        )
+        x, diag = _newton(residual, init.values[1:-1].ravel(), cfg, step=step)
     except NewtonConvergenceError as exc:
         exc.last = build(exc.last)
         raise
@@ -308,7 +394,7 @@ def march_direct_classical(
     q0,
     q1,
     config: NewtonConfig | None = None,
-) -> Trajectory:
+) -> tuple[Trajectory, NewtonDiagnostics]:
     """March the backward direct scheme forward from (Q_0, Q_1).
 
     For k = 2 .. n the k-th direct residual is solved for its newest
@@ -317,8 +403,11 @@ def march_direct_classical(
 
         (Q_k - 2 Q_{k-1} + Q_{k-2})/h^2 + grad U(Q_k) = 0.
 
-    A failing step raises :class:`NewtonConvergenceError` carrying that
-    step's iterate and history, with its counters summed over every step.
+    Returns the trajectory and diagnostics whose counters are summed over
+    every step and whose history is that of the step that ended with the
+    largest residual.  A failing step raises
+    :class:`NewtonConvergenceError` carrying that step's iterate and
+    history, with its counters summed over every step.
     """
     cfg = config or NewtonConfig()
     d = lag.dim
@@ -330,7 +419,7 @@ def march_direct_classical(
     vals = np.empty((grid.n + 1, d))
     vals[0] = q0
     vals[1] = q1
-    spent = NewtonDiagnostics()
+    spent = NewtonDiagnostics(converged=True)
     for k in range(2, grid.n + 1):
         t_k = grid.node(k)
         t_prev = grid.node(k - 1)
@@ -350,4 +439,6 @@ def march_direct_classical(
             exc.diagnostics.add_counts(spent)
             raise
         spent.add_counts(step)
-    return Trajectory(grid, vals)
+        if not step.final_residual <= spent.final_residual:
+            spent.records = step.records
+    return Trajectory(grid, vals), spent

@@ -163,7 +163,7 @@ def test_criterion_08_order_study():
         traj, _ = solve_bvp_newton(BVPProblem(grid, lag, kind, [qa], [qb]), config=cfg)
         ref = np.array([exact(t) for t in grid.nodes])[:, None]
         vi_err.append(float(np.max(np.abs(traj.values - ref))))
-        marched = march_direct_classical(
+        marched, _ = march_direct_classical(
             lag, grid, [exact(grid.node(0))], [exact(grid.node(1))], config=cfg
         )
         march_err.append(float(np.max(np.abs(marched.values - ref))))

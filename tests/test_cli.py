@@ -185,6 +185,30 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert code == EXIT_SOLVER
 
 
+def test_solve_at_large_n(tmp_path, capsys):
+    # the classical Newton system stays block tridiagonal: a dense Jacobian
+    # at this size would take 74.5 GiB
+    out = tmp_path / "big.csv"
+    code = main(["solve", "--n", "100000", "--tol", "1e-5", "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.startswith("solved harmonic/vi-classical sigma=- n=100000")
+    assert fv.read_trajectory_csv(out).grid.n == 100000
+
+
+def test_solve_singular_jacobian_exit_code(tmp_path, monkeypatch, capsys):
+    # a constant force and no kinetic term: every Jacobian block is zero
+    static = fv.Lagrangian(
+        L=lambda x, v, t: np.sum(x, axis=-1),
+        Lx=lambda x, v, t: np.ones_like(x),
+        Lv=lambda x, v, t: np.zeros_like(v),
+        dim=1,
+    )
+    monkeypatch.setattr("fracvi.cli.builtin_problem", lambda *args, **kwargs: static)
+    code = main(["solve", "--n", "256", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_SOLVER
+    assert "singular" in capsys.readouterr().err
+
+
 def test_solve_deterministic_output(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,13 +210,13 @@ def test_diagnostics_csv_layout():
 
 def test_march_free_exact_linear():
     grid = fv.make_grid(0.0, 1.0, 8)
-    traj = march_direct_classical(fv.free_particle(), grid, [0.0], [0.125])
+    traj, _ = march_direct_classical(fv.free_particle(), grid, [0.0], [0.125])
     np.testing.assert_array_equal(traj.values.ravel(), np.arange(9) / 8)
 
 
 def test_march_zero_fixed_point():
     grid = fv.make_grid(0.0, 1.0, 10)
-    traj = march_direct_classical(fv.pendulum(1.0), grid, [0.0], [0.0])
+    traj, _ = march_direct_classical(fv.pendulum(1.0), grid, [0.0], [0.0])
     assert fv.inf_norm(traj) == 0.0
 
 
@@ -223,9 +224,37 @@ def test_march_satisfies_direct_residual():
     grid = fv.make_grid(0.0, 1.0, 16)
     lag = fv.pendulum(1.2)
     cfg = NewtonConfig(tol=1e-11)
-    traj = march_direct_classical(lag, grid, [0.1], [0.15], config=cfg)
+    traj, _ = march_direct_classical(lag, grid, [0.1], [0.15], config=cfg)
     res = fv.residual_direct_classical(lag, traj, fv.MINUS)
     assert fv.inf_norm(res) <= 1e-10
+
+
+def test_march_reports_summed_counters(monkeypatch):
+    steps = []
+    newton = solver._newton
+
+    def recorded(*args, **kwargs):
+        x, diag = newton(*args, **kwargs)
+        steps.append(diag)
+        return x, diag
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    grid = fv.make_grid(0.0, 1.0, 16)
+    lag = fv.pendulum(1.2)
+    lx_calls = []
+
+    def Lx(x, v, t):
+        lx_calls.append(1)
+        return lag.Lx(x, v, t)
+
+    counted = dataclasses.replace(lag, Lx=Lx)
+    traj, diag = march_direct_classical(counted, grid, [0.1], [0.15], config=NewtonConfig(tol=1e-11))
+    assert diag.converged and traj.grid.n == 16 and len(steps) == 15
+    # every step residual makes one Lx call
+    assert diag.residual_evals == len(lx_calls) == sum(s.residual_evals for s in steps)
+    assert diag.jacobian_builds == sum(s.jacobian_builds for s in steps) >= 15
+    assert diag.backtracks == sum(s.backtracks for s in steps)
+    assert diag.records == max(steps, key=lambda s: s.final_residual).records
 
 
 def test_march_failure_carries_step_diagnostics():
@@ -248,7 +277,7 @@ def test_march_first_order_convergence():
     errors = []
     for n in (16, 32, 64, 128):
         grid = fv.make_grid(0.0, 1.0, n)
-        traj = march_direct_classical(
+        traj, _ = march_direct_classical(
             lag, grid, [exact(grid.node(0))], [exact(grid.node(1))], config=cfg
         )
         ref = np.array([exact(t) for t in grid.nodes])[:, None]
@@ -346,6 +375,88 @@ def test_dense_jacobian_for_fractional_schemes():
     r = fun(x)
     dense = solver._fd_jacobian(fun, x, r, 2, kind.halo)
     assert np.array_equal(dense, column_by_column_jacobian(fun, x, r))
+
+
+@pytest.mark.parametrize("problem", ["harmonic", "pendulum"])
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES, ids=lambda f: f.value)
+def test_banded_newton_system_matches_dense(family, sigma, problem):
+    # n - 1 nodes: one block, sizes solved densely at once, and cyclic
+    # reduction over odd counts (65, 129) and even ones, up to six levels
+    kind = SchemeKind(family, sigma)
+    rng = np.random.default_rng(64)
+    for d in (1, 2, 3):
+        lag = fv.builtin_problem(problem, omega=2.0, dim=d)
+        for n in (2, 3, 4, 5, 7, 16, 33, 66, 130, 257, 1025):
+            if family is SchemeFamily.DIRECT_CLASSICAL and n < 3:
+                continue
+            nodes = n - 1
+            grid = fv.make_grid(-0.2, 1.1, n)
+            qa, qb = rng.standard_normal((2, 1, d))
+            fun = interior_residual(kind, lag, grid, qa, qb)
+            x = rng.standard_normal(nodes * d)
+            r = fun(x)
+            calls = []
+
+            def counted(y):
+                calls.append(1)
+                return fun(y)
+
+            bands = solver._fd_block_tridiagonal(counted, x, r, d)
+            assert len(calls) == min(3, nodes) * d
+            dense = solver._fd_jacobian(fun, x, r, d, kind.halo)
+            # blocks[i, j]: rows of node i, columns of node j
+            blocks = dense.reshape(nodes, d, nodes, d).transpose(0, 2, 1, 3)
+            i = np.arange(nodes)
+            assert np.array_equal(bands[0, 1:], blocks[i[1:], i[:-1]])
+            assert np.array_equal(bands[1], blocks[i, i])
+            assert np.array_equal(bands[2, :-1], blocks[i[:-1], i[1:]])
+            assert not bands[0, 0].any() and not bands[2, -1].any()
+            off_band = np.abs(i[:, None] - i[None, :]) > 1
+            assert not blocks[off_band].any()
+
+            banded = solver._block_tridiagonal_solve(bands, -r)
+            reference = lu_solve(dense, -r)
+            # two backward-stable solves differ by up to cond * eps, and the
+            # condition number grows like nodes^2 (8.5e4 at 256 nodes)
+            tol = 1e-12 * max(1.0, nodes / 256) ** 2
+            gap = np.max(np.abs(banded - reference))
+            assert gap <= tol * np.max(np.abs(reference)), (d, n, gap)
+            backward = np.max(np.abs(dense @ banded + r))
+            scale = np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(banded))
+            assert backward <= 1e-14 * scale, (d, n, backward / scale)
+
+
+@pytest.mark.parametrize("nodes", [5, 100, 101])
+@pytest.mark.parametrize("where", ["first", "odd", "even", "last"])
+def test_block_solve_singular_block_raises(nodes, where):
+    # a zero row block: eliminated at the first level (odd), carried into
+    # the reduced systems (even), or left to the final dense solve
+    rng = np.random.default_rng(65)
+    d = 2
+    bands = 0.1 * rng.standard_normal((3, nodes, d, d))
+    bands[1] += 4.0 * np.eye(d)
+    bands[0, 0] = bands[2, -1] = 0.0
+    row = {"first": 0, "odd": 1, "even": nodes // 2 * 2 - 2, "last": nodes - 1}[where]
+    bands[:, row] = 0.0
+    with pytest.raises(SingularMatrixError):
+        solver._block_tridiagonal_solve(bands, np.ones(nodes * d))
+
+
+def test_classical_solve_takes_no_dense_matrix():
+    # a dense Jacobian at this size would take 34 GB
+    start = time.monotonic()
+    grid = fv.make_grid(0.0, 1.0, 65536)
+    problem = BVPProblem(grid, fv.pendulum(1.0), vi_classical(), [0.0], [1.0])
+    tracemalloc.start()
+    try:
+        _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diag.converged
+    assert peak < 64 * 2**20
+    assert time.monotonic() - start < 30.0
 
 
 def count_residual_calls(monkeypatch):
