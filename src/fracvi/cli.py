@@ -261,15 +261,16 @@ def _harmonic_reference(omega, a, b, qa, qb):
         raise DomainError("harmonic reference undefined: sin(omega (b-a)) ~ 0")
     coef_b = (qb - qa * math.cos(omega * span)) / s
 
-    def exact(t: float) -> np.ndarray:
-        return qa * math.cos(omega * (t - a)) + coef_b * math.sin(omega * (t - a))
+    def exact(t: np.ndarray) -> np.ndarray:
+        phase = omega * (t[:, None] - a)
+        return qa * np.cos(phase) + coef_b * np.sin(phase)
 
     return exact
 
 
 def _linear_reference(a, b, qa, qb):
-    def exact(t: float) -> np.ndarray:
-        s = (t - a) / (b - a)
+    def exact(t: np.ndarray) -> np.ndarray:
+        s = (t[:, None] - a) / (b - a)
         return qa + s * (qb - qa)
 
     return exact
@@ -326,7 +327,9 @@ def run_convergence(
     qb = np.ones_like(qa) if qb is None else np.atleast_1d(np.asarray(qb, dtype=float))
     # discretization errors measured here are >= 1e-6; a 1e-9 residual target
     # stays far below them while clearing the double-precision floor that an
-    # absolute 1e-12 hits once n reaches ~128 (residual sensitivity ~ 4/h^2)
+    # absolute 1e-12 hits once n reaches ~128 (residual sensitivity ~ 4/h^2).
+    # It does not clear the marching floor, about 2^-53 |Q| / h^2 ~ 1.8e-9,
+    # at n >= 4096 on a unit interval: the direct study stalls there (exit 3).
     cfg = NewtonConfig(tol=tol if tol is not None else 1e-9, max_iter=max_iter)
 
     exact = None
@@ -354,21 +357,16 @@ def run_convergence(
     errors = []
     for n in n_list:
         grid = make_grid(a, b, n)
+        if exact is not None:
+            ref_vals = exact(grid.nodes)
+        else:
+            ref_vals = ref_traj.values[:: n_ref // n]
         if marching:
-            q0 = np.atleast_1d(exact(grid.node(0)))
-            q1 = np.atleast_1d(exact(grid.node(1)))
-            traj, _ = march_direct_classical(lag, grid, q0, q1, config=cfg)
+            traj, _ = march_direct_classical(lag, grid, ref_vals[0], ref_vals[1], config=cfg)
         else:
             kind = _scheme_kind(scheme, sigma, alpha)
             bvp = BVPProblem(grid, lag, kind, qa, qb)
             traj, _ = solve_bvp_newton(bvp, config=cfg)
-        if exact is not None:
-            ref_vals = np.vstack(
-                [np.atleast_1d(exact(t)) for t in grid.nodes]
-            )
-        else:
-            stride = n_ref // n
-            ref_vals = ref_traj.values[::stride]
         errors.append(float(np.max(np.abs(traj.values - ref_vals))))
 
     orders = _observed_orders(n_list, errors)

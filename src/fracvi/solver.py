@@ -13,8 +13,10 @@ solve.  The three-point classical schemes are block tridiagonal
 nodes apart in one residual call (3*d calls) fill three block diagonals,
 and odd-even block cyclic reduction solves them in O(n*d^3) time and
 O(n*d^2) memory, ending in one small dense LAPACK solve.  Marching
-differences its d unknowns one at a time and solves each step densely.
-Every Newton iteration makes exactly one :func:`lu_solve` call.
+is a chord iteration: the first Newton iteration of each march step solves
+with the last Jacobian built during the march, and any later iteration of
+that step differences its d unknowns one at a time to rebuild it.  Every
+Newton iteration makes exactly one :func:`lu_solve` call.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ class NewtonDiagnostics:
 
     The counters tally residual calls (finite-difference Jacobian columns
     included), Jacobian builds, and line-search trials that were rejected.
-    Marching sums them over every step, up to the failing one on failure.
+    Builds can be fewer than iterations: a marching iteration that reuses
+    the held Jacobian builds none.  Marching sums the counters over every
+    step, up to the failing one on failure.
     """
 
     records: list[tuple[int, float, float]] = field(default_factory=list)
@@ -267,29 +271,23 @@ def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x.ravel()
 
 
-def _dense_step(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Newton step from the dense forward-difference Jacobian of ``fun``."""
-    return lu_solve(_fd_jacobian(fun, x, r, 1, None), -r)
-
-
 def _newton(
     fun,
     x0: np.ndarray,
     cfg: NewtonConfig,
+    step,
     label: str = "",
-    step=_dense_step,
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
     """Damped Newton for fun(x) = 0 from x0.
 
     Each iteration takes its direction from ``step(fun, x, r)``, which
-    builds a Jacobian of ``fun`` at ``x`` (``r = fun(x)``; its residual
-    calls are counted) and solves it against ``-r`` with one
-    :func:`lu_solve`.  The default differences the whole residual
-    densely; the Jacobian lives only until its linear solve.  Steps
-    backtrack until the residual inf-norm decreases.  Raises
-    :class:`NewtonConvergenceError` with the last iterate and the history,
-    its message prefixed by ``label``, if the target is not met, and at
-    once if the residual is not finite.
+    returns ``(delta, built)``: the solution of a Jacobian of ``fun`` at or
+    near ``x`` (``r = fun(x)``) against ``-r`` by one :func:`lu_solve`,
+    and whether it built that Jacobian (residual calls made while building
+    it are counted).  Steps backtrack until the residual inf-norm
+    decreases.  Raises :class:`NewtonConvergenceError` with the last
+    iterate and the history, its message prefixed by ``label``, if the
+    target is not met, and at once if the residual is not finite.
     """
     x = np.array(x0, dtype=float)
     diag = NewtonDiagnostics()
@@ -299,7 +297,7 @@ def _newton(
         return fun(y)
 
     r = counted(x)
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = float(abs(r).max())
     diag.records.append((0, rnorm, 0.0))
     if not math.isfinite(rnorm):
         raise NewtonConvergenceError(
@@ -315,13 +313,13 @@ def _newton(
                 x,
                 diag,
             )
-        diag.jacobian_builds += 1
-        delta = step(counted, x, r)
+        delta, built = step(counted, x, r)
+        diag.jacobian_builds += built
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = x + t * delta
             r_trial = counted(trial)
-            rn_trial = float(np.max(np.abs(r_trial)))
+            rn_trial = float(abs(r_trial).max())
             if rn_trial < rnorm:
                 break
             diag.backtracks += 1
@@ -335,7 +333,7 @@ def _newton(
                 diag,
             )
         x, r, rnorm = trial, r_trial, rn_trial
-        diag.records.append((it, rnorm, float(np.max(np.abs(t * delta)))))
+        diag.records.append((it, rnorm, float(abs(t * delta).max())))
     diag.converged = True
     return x, diag
 
@@ -373,15 +371,15 @@ def solve_bvp_newton(
     def residual(x: np.ndarray) -> np.ndarray:
         return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
 
-    def banded_step(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return _block_tridiagonal_solve(_fd_block_tridiagonal(fun, x, r, d), -r)
+    def banded_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
+        return _block_tridiagonal_solve(_fd_block_tridiagonal(fun, x, r, d), -r), True
 
-    def structured_step(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return lu_solve(fractional_jacobian(problem.scheme, lag, build(x)), -r)
+    def structured_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
+        return lu_solve(fractional_jacobian(problem.scheme, lag, build(x)), -r), True
 
     step = banded_step if problem.scheme.halo == 1 else structured_step
     try:
-        x, diag = _newton(residual, init.values[1:-1].ravel(), cfg, step=step)
+        x, diag = _newton(residual, init.values[1:-1].ravel(), cfg, step)
     except NewtonConvergenceError as exc:
         exc.last = build(exc.last)
         raise
@@ -403,6 +401,13 @@ def march_direct_classical(
 
         (Q_k - 2 Q_{k-1} + Q_{k-2})/h^2 + grad U(Q_k) = 0.
 
+    Each step is a chord iteration (Kelley 2003, section 5.4): its first
+    Newton iteration solves with the last Jacobian built during the march,
+    which is close because the step Jacobian is about ``1/h^2`` plus a term
+    that moves by O(h) from step to step; any later iteration rebuilds the
+    Jacobian by dense forward differences at its iterate and holds the new
+    one.  A linear problem thus builds one Jacobian for the whole march.
+
     Returns the trajectory and diagnostics whose counters are summed over
     every step and whose history is that of the step that ended with the
     largest residual.  A failing step raises
@@ -415,11 +420,24 @@ def march_direct_classical(
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     if q0.shape != (d,) or q1.shape != (d,):
         raise DomainError(f"initial values must have dim {d}")
+    if not (np.isfinite(q0).all() and np.isfinite(q1).all()):
+        raise DomainError(f"initial values must be finite, got q0={q0}, q1={q1}")
     hinv = 1.0 / grid.h
     vals = np.empty((grid.n + 1, d))
     vals[0] = q0
     vals[1] = q1
     spent = NewtonDiagnostics(converged=True)
+    held = None  # the last Jacobian built during the march
+    rebuild = True  # whether the step's next iteration rebuilds it
+
+    def chord_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
+        nonlocal held, rebuild
+        built = rebuild
+        if built:
+            held = _fd_jacobian(fun, x, r, 1, None)
+        rebuild = True
+        return lu_solve(held, -r), built
+
     for k in range(2, grid.n + 1):
         t_k = grid.node(k)
         t_prev = grid.node(k - 1)
@@ -433,8 +451,11 @@ def march_direct_classical(
             )
 
         guess = 2.0 * vals[k - 1] - vals[k - 2]
+        rebuild = held is None
         try:
-            vals[k], step = _newton(step_residual, guess, cfg, f"march step k={k}: ")
+            vals[k], step = _newton(
+                step_residual, guess, cfg, chord_step, f"march step k={k}: "
+            )
         except NewtonConvergenceError as exc:
             exc.diagnostics.add_counts(spent)
             raise

@@ -20,7 +20,7 @@ from fracvi.solver import (
     march_direct_classical,
     solve_bvp_newton,
 )
-from oracles import coupled_lagrangian, harmonic_exact, probe_linear_system
+from oracles import coupled_lagrangian, fresh_jacobian_march, harmonic_exact, probe_linear_system
 
 
 def vi_classical(sigma=fv.MINUS):
@@ -229,6 +229,19 @@ def test_march_satisfies_direct_residual():
     assert fv.inf_norm(res) <= 1e-10
 
 
+def count_fd_jacobians(monkeypatch) -> list:
+    """Record one entry per dense finite-difference Jacobian that marching builds."""
+    builds = []
+    fd_jacobian = solver._fd_jacobian
+
+    def built(*args, **kwargs):
+        builds.append(1)
+        return fd_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_fd_jacobian", built)
+    return builds
+
+
 def test_march_reports_summed_counters(monkeypatch):
     steps = []
     newton = solver._newton
@@ -239,6 +252,7 @@ def test_march_reports_summed_counters(monkeypatch):
         return x, diag
 
     monkeypatch.setattr(solver, "_newton", recorded)
+    builds = count_fd_jacobians(monkeypatch)
     grid = fv.make_grid(0.0, 1.0, 16)
     lag = fv.pendulum(1.2)
     lx_calls = []
@@ -252,9 +266,68 @@ def test_march_reports_summed_counters(monkeypatch):
     assert diag.converged and traj.grid.n == 16 and len(steps) == 15
     # every step residual makes one Lx call
     assert diag.residual_evals == len(lx_calls) == sum(s.residual_evals for s in steps)
-    assert diag.jacobian_builds == sum(s.jacobian_builds for s in steps) >= 15
+    assert diag.jacobian_builds == len(builds) == sum(s.jacobian_builds for s in steps)
+    # the first iteration of every step after k = 2 reuses the held Jacobian
+    assert all(s.iterations >= 1 for s in steps)
+    assert diag.jacobian_builds == 1 + sum(s.iterations - 1 for s in steps)
     assert diag.backtracks == sum(s.backtracks for s in steps)
     assert diag.records == max(steps, key=lambda s: s.final_residual).records
+
+
+def test_march_linear_problem_builds_one_jacobian():
+    # the harmonic step Jacobian is constant, so the one built at k = 2
+    # serves every step: one chord iteration of two residual calls per step
+    n = 2048
+    grid = fv.make_grid(0.0, 1.0, n)
+    lag = fv.harmonic_oscillator(1.0)
+    _, diag = march_direct_classical(lag, grid, [1.0], [math.cos(grid.h)], config=NewtonConfig(tol=1e-9))
+    assert diag.jacobian_builds == 1
+    assert diag.residual_evals == 2 * (n - 1) + 1
+    assert diag.backtracks == 0
+
+
+def _march_gap_bound(tol, omega, span, max_q, h):
+    """Bound on the gap between two marches from the same (Q_0, Q_1) whose
+    step residuals each stay within ``tol``.
+
+    For U with |U''| <= omega^2 the gap delta obeys
+    (delta_k - 2 delta_{k-1} + delta_{k-2})/h^2 = rho_k - U''(xi_k) delta_k,
+    with |rho_k| at most twice the step target plus the rounding of the
+    second difference, 4 eps max|Q| / h^2.  Its majorant solves
+    e'' = rho + omega^2 e, e(0) = e'(0) = 0:
+    e(t) = rho (cosh(omega t) - 1) / omega^2 (rho t^2 / 2 as omega -> 0).
+    A factor 2 covers the discrete recursion against its continuous limit.
+    """
+    rho = 2.0 * (tol + 4.0 * np.finfo(float).eps * max_q / h**2)
+    return 2.0 * rho * (math.cosh(omega * span) - 1.0) / omega**2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("problem", ["harmonic", "pendulum"])
+def test_chord_march_matches_fresh_jacobian_march(problem, dim):
+    tol = 1e-9
+    rng = np.random.default_rng(dim)
+    make = fv.harmonic_oscillator if problem == "harmonic" else fv.pendulum
+    for omega in (0.5, 2.0):
+        lag = make(omega, dim=dim)
+        for n in (16, 130, 2048):
+            grid = fv.make_grid(0.0, 1.0, n)
+            q0 = rng.uniform(-0.8, 0.8, dim)
+            q1 = q0 + grid.h * rng.uniform(-1.0, 1.0, dim)
+            traj, _ = march_direct_classical(lag, grid, q0, q1, config=NewtonConfig(tol=tol))
+            res = fv.residual_direct_classical(lag, traj, fv.MINUS)
+            assert np.max(np.abs(res.values)) <= tol, (omega, n)
+            oracle = fresh_jacobian_march(lag, grid, q0, q1, tol)
+            max_q = float(np.max(np.abs(oracle)))
+            bound = _march_gap_bound(tol, omega, 1.0, max_q, grid.h)
+            assert np.max(np.abs(traj.values - oracle)) <= bound, (omega, n)
+
+
+@pytest.mark.parametrize("q0, q1", [([math.nan], [0.0]), ([0.0], [math.inf])])
+def test_march_refuses_non_finite_initial_values(q0, q1):
+    grid = fv.make_grid(0.0, 1.0, 16)
+    with pytest.raises(fv.DomainError, match="initial values must be finite, got q0="):
+        march_direct_classical(fv.harmonic_oscillator(1.0), grid, q0, q1)
 
 
 def test_march_failure_carries_step_diagnostics():
@@ -594,7 +667,8 @@ def test_non_finite_residual_stops_before_any_jacobian(kind):
     assert isinstance(err.value.last, fv.Trajectory)
 
 
-def test_march_non_finite_step_stops_with_summed_counters():
+def test_march_non_finite_step_stops_with_summed_counters(monkeypatch):
+    builds = count_fd_jacobians(monkeypatch)
     grid = fv.make_grid(0.0, 1.0, 16)
     lag = nan_lx(fv.pendulum(1.2), after=0.5)
     lx_calls = []
@@ -608,7 +682,7 @@ def test_march_non_finite_step_stops_with_summed_counters():
         march_direct_classical(counted, grid, [0.1], [0.15], config=NewtonConfig(tol=1e-11))
     diag = err.value.diagnostics
     assert len(diag.records) == 1 and math.isnan(diag.records[0][1])
-    # steps k = 2 .. 8 converged, each with at least one Jacobian; every
-    # step residual makes one Lx call
-    assert diag.jacobian_builds >= 7
+    # steps k = 2 .. 8 converged, the first with a Jacobian of its own;
+    # every step residual makes one Lx call
+    assert diag.jacobian_builds == len(builds) >= 1
     assert diag.residual_evals == len(lx_calls)
