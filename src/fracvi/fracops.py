@@ -6,16 +6,17 @@ The signed binomial weights are w_r = (-1)^r C(alpha, r), generated by the
 multiplicative recurrence w_r = w_{r-1} * (r - 1 - alpha) / r.  For
 0 < alpha < 1 they satisfy w_0 = 1, w_r < 0 for r >= 1, and positive,
 strictly decreasing partial sums.  Operators are dense O(n^2) Toeplitz
-kernels from one builder behind one cache, ``_kernel(alpha, n, side)``: the
-left operator reads w_{k-j}, the right one w_{j-k}.  No fast convolution is
-attempted at desk scale; the variational gradient reuses the cached
-kernels, transposed.  Fractional orders must be finite and positive.
+kernels from one builder behind one cache bounded by bytes,
+``_kernel(alpha, n, side)``: the left operator reads w_{k-j}, the right one
+w_{j-k}.  No fast convolution is attempted at desk scale; the variational
+gradient reuses the cached kernels, transposed.  Fractional orders must be
+finite and positive.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import OrderedDict
 
 import numpy as np
 
@@ -47,18 +48,32 @@ def _weights(alpha: float, n: int) -> np.ndarray:
     return _freeze(w)
 
 
-@lru_cache(maxsize=64)
+#: Bytes the kernel cache holds at most; one n = 4096 kernel is 134 MB.
+_CACHE_BYTES = 256 * 2**20
+_cache: OrderedDict = OrderedDict()
+
+
 def _kernel(alpha: float, n: int, side: int) -> np.ndarray:
     """The GL kernel of one side over positions 0..n, read-only.
 
     MINUS: rows k = 1..n, entry w_{k-j}.  PLUS: rows k = 0..n-1, entry
-    w_{j-k}.  Entries with a negative weight index are zero.
+    w_{j-k}.  Entries with a negative weight index are zero.  The most
+    recently used kernels are kept, up to ``_CACHE_BYTES`` in all.
     """
+    key = (alpha, n, side)
+    if key in _cache:
+        _cache.move_to_end(key)
+        return _cache[key]
     w = _weights(alpha, n)
     k = np.arange(n)[:, None] + (side == MINUS)
     j = np.arange(n + 1)[None, :]
     r = side * (j - k)
-    return _freeze(np.where(r >= 0, w[np.clip(r, 0, n)], 0.0))
+    kernel = _freeze(np.where(r >= 0, w[np.clip(r, 0, n)], 0.0))
+    if kernel.nbytes <= _CACHE_BYTES:
+        _cache[key] = kernel
+        while sum(held.nbytes for held in _cache.values()) > _CACHE_BYTES:
+            _cache.popitem(last=False)
+    return kernel
 
 
 def _check_alpha(alpha: float) -> float:

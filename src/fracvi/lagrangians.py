@@ -166,10 +166,9 @@ def _hessian_blocks(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
     every node's block in one call: 4*d + 2 callback calls in all.  The
     step is ``FD_STEP * (1 + |.|)`` per entry, as in the solver.
     """
+    lx, lv = _lagrangian_values(lag, q, vseq)
     x, v, t = _window(q, vseq)
-    shape = (q.grid.n, q.dim)
-    lx = _call(lag.Lx, "Lx", shape, x, v, t)
-    lv = _call(lag.Lv, "Lv", shape, x, v, t)
+    shape = lx.shape
     blocks = np.empty((2, 2) + shape + (q.dim,))  # [Lx or Lv, by x or by v]
     for by, base in enumerate((x, v)):
         steps = FD_STEP * (1.0 + np.abs(base))

@@ -8,6 +8,8 @@ functional.  The comparator reports where (and by how much) the two routes
 disagree; for the symmetric classical embedding they differ by a one-index
 shift of the second-difference stencil, while the asymmetric and
 Grunwald-Letnikov embeddings yield identical schemes.
+Newton Jacobians come from the chain rule through pointwise Hessian
+blocks, each family's own stencils linearized, never from a residual.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ _FRACTIONAL_FAMILIES = (
 
 @dataclass(frozen=True)
 class SchemeKind:
-    """A scheme family plus its parameters; alpha is present iff fractional."""
+    """A scheme family plus its parameters; alpha is present iff fractional.
+
+    A fractional Jacobian is dense (:func:`fractional_jacobian`); a classical
+    three-point one block tridiagonal (:func:`classical_jacobian`).
+    """
 
     family: SchemeFamily
     sigma: int
@@ -69,16 +75,6 @@ class SchemeKind:
     @property
     def is_fractional(self) -> bool:
         return self.family in _FRACTIONAL_FAMILIES
-
-    @property
-    def halo(self) -> int | None:
-        """How many residual row blocks on each side one unknown node moves.
-
-        The classical schemes are three-point stencils: the i-th interior
-        unknown moves only row blocks i-1, i and i+1, so their Jacobian is
-        block tridiagonal.  A GL kernel reaches every row (None).
-        """
-        return None if self.is_fractional else 1
 
 
 def residual_direct_classical(
@@ -218,7 +214,7 @@ def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.
     embedding.  Rows and columns are (node, component), node-major.
     """
     if not kind.is_fractional:
-        raise DomainError(f"{kind.family.value} has no structured Jacobian")
+        raise DomainError(f"{kind.family.value} is classical: use classical_jacobian")
     _check_dims(lag, q)
     sigma = kind.sigma
     alpha = _check_unit_alpha(kind.alpha)
@@ -240,6 +236,41 @@ def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.
     jac += hxv[rows][:, :, None, :] * vel[rows][:, None, :, None]
     jac[cols, :, cols, :] += hxx[rows]
     return jac.reshape((n - 1) * d, (n - 1) * d)
+
+
+def classical_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
+    """Jacobian of a classical residual in the interior nodes of q, as block
+    diagonals of shape (3, n-1, d, d): row block i holds ``bands[:, i]`` in
+    the columns of unknown nodes i-1, i and i+1 (``bands[0, 0]`` and
+    ``bands[2, -1]`` are zero).
+
+    With v_k = -sigma (Q_k - Q_{k+sigma})/h, row i of each classical residual
+    reads lx_m - sigma (lv_k - lv_{k-sigma})/h at k = i + 1: m = k for the
+    variational and asymmetric schemes, m = k - sigma for the direct one
+    (whose outer stencil +sigma (lv_m - lv_{m+sigma})/h is the same term).
+    The chain rule J = P^T (Hxx P + Hxv V) + A (Hvx P + Hvv V) through the
+    pointwise Hessian blocks (4*d + 2 callback calls, no residual call) puts
+    each term on a fixed band: six slice-adds, no per-node loop.
+    """
+    if kind.is_fractional:
+        raise DomainError(f"{kind.family.value} is fractional: use fractional_jacobian")
+    _check_dims(lag, q)
+    sigma, n = kind.sigma, q.grid.n
+    s = sigma / q.grid.h
+    hxx, hxv, hvx, hvv = _hessian_blocks(lag, q, discrete_velocity(q, sigma))
+    # d lx_k and d lv_k by Q_k and by Q_{k+sigma}, over the velocity's window
+    moves = ((hxx - s * hxv, s * hxv), (hvx - s * hvv, s * hvv))
+    m = 1 - sigma if kind.family is SchemeFamily.DIRECT_CLASSICAL else 1
+    first = 1 if sigma == MINUS else 0  # node of the window's first entry
+    bands = np.zeros((3, n - 1) + hxx.shape[1:])
+    for which, node, factor in ((0, m, 1.0), (1, 1, -s), (1, 1 - sigma, s)):
+        # row i reads node k = i + node, whose Q_k lies on band ``node``
+        # and Q_{k+sigma} on band ``node + sigma``
+        rows = slice(node - first, node - first + n - 1)
+        for band, block in zip((node, node + sigma), moves[which]):
+            bands[band] += factor * block[rows]
+    bands[0, 0] = bands[2, -1] = 0.0  # the pinned end nodes are no unknowns
+    return bands
 
 
 COHERENCE_KINDS = ("classical", "asymmetric", "fractional")

@@ -4,19 +4,16 @@ Newton kernel.
 
 Boundary values are never unknowns: the interior nodes Q_1 .. Q_{n-1} are
 solved for with the endpoints pinned, mirroring variations that vanish at
-both ends.  A fractional scheme's GL kernel couples every node, so its
-Jacobian is built by the chain rule from pointwise Hessian blocks and the
-family's own kernels (``schemes.fractional_jacobian``): 4*d + 2 callback
-calls and one dense product, no residual call, then one dense LAPACK
-solve.  The three-point classical schemes are block tridiagonal
-(``SchemeKind.halo``): forward differences that perturb columns three
-nodes apart in one residual call (3*d calls) fill three block diagonals,
-and odd-even block cyclic reduction solves them in O(n*d^3) time and
-O(n*d^2) memory, ending in one small dense LAPACK solve.  Marching
-is a chord iteration: the first Newton iteration of each march step solves
-with the last Jacobian built during the march, and any later iteration of
-that step differences its d unknowns one at a time to rebuild it.  Every
-Newton iteration makes exactly one :func:`lu_solve` call.
+both ends.  No boundary-value solve differentiates its residual: the
+Jacobian comes by the chain rule from pointwise Hessian blocks (4*d + 2
+callback calls).  A fractional one is dense (``schemes.fractional_jacobian``)
+and solved by LAPACK; a classical one has three block diagonals
+(``schemes.classical_jacobian``), which odd-even block cyclic reduction
+solves in O(n*d^3) time and O(n*d^2) memory, ending in one small LAPACK
+solve.  Marching is a chord iteration: each march step's first Newton
+iteration solves with the last Jacobian built during the march, and any
+later iteration differences the step's d unknowns one at a time to
+rebuild it.  Every Newton iteration makes one :func:`lu_solve` call.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 
 from .grids import DomainError, Grid, Trajectory
 from .lagrangians import FD_STEP, Lagrangian
-from .schemes import SchemeKind, assemble_residual, fractional_jacobian
+from .schemes import SchemeKind, assemble_residual, classical_jacobian, fractional_jacobian
 
 
 class SingularMatrixError(RuntimeError):
@@ -90,7 +87,7 @@ class BVPProblem:
 class NewtonDiagnostics:
     """Per-iteration history: (iter, residual inf-norm, step inf-norm).
 
-    The counters tally residual calls (finite-difference Jacobian columns
+    The counters tally residual calls (a marching Jacobian's columns
     included), Jacobian builds, and line-search trials that were rejected.
     Builds can be fewer than iterations: a marching iteration that reuses
     the held Jacobian builds none.  Marching sums the counters over every
@@ -158,61 +155,16 @@ _MAX_BACKTRACKS = 40
 _DAMPING = 0.5
 
 
-def _fd_jacobian(fun, x: np.ndarray, r: np.ndarray, dim: int, halo: int | None) -> np.ndarray:
-    """Forward-difference Jacobian of ``fun`` at ``x``, where ``r = fun(x)``.
-
-    ``x`` holds nodes of ``dim`` components, and the residual rows come in
-    the same blocks; the unknowns of node i move only row blocks
-    i-halo .. i+halo (every row if ``halo`` is None).  Nodes 2*halo+1
-    apart share no row, so they are perturbed in one call, one component at
-    a time (Curtis, Powell & Reid 1974): min(2*halo+1, nodes)*dim calls.
-    Each entry is the same quotient as in a one-column-per-call build.
-    """
-    nodes = x.size // dim
-    reach = nodes if halo is None else halo
-    stride = min(2 * reach + 1, nodes) * dim
+def _fd_jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of ``fun`` at ``x``, where ``r = fun(x)``:
+    one residual call per column, with the step ``FD_STEP * (1 + |x_j|)``."""
     steps = FD_STEP * (1.0 + np.abs(x))
-    shifted = x + steps
-    jac = np.zeros((r.size, x.size))
-    for first in range(stride):
+    jac = np.empty((r.size, x.size))
+    for j in range(x.size):
         xp = x.copy()
-        xp[first::stride] = shifted[first::stride]
-        dr = fun(xp) - r
-        for j in range(first, x.size, stride):
-            node = j // dim
-            lo = max(node - reach, 0) * dim
-            hi = min(node + reach + 1, nodes) * dim
-            jac[lo:hi, j] = dr[lo:hi] / steps[j]
+        xp[j] += steps[j]
+        jac[:, j] = (fun(xp) - r) / steps[j]
     return jac
-
-
-def _fd_block_tridiagonal(fun, x: np.ndarray, r: np.ndarray, dim: int) -> np.ndarray:
-    """The Jacobian of :func:`_fd_jacobian` with ``halo=1``, as block diagonals.
-
-    Returns ``bands`` of shape (3, nodes, dim, dim): row block i of the
-    Jacobian holds ``bands[0, i]``, ``bands[1, i]`` and ``bands[2, i]`` in
-    the columns of nodes i-1, i and i+1; ``bands[0, 0]`` and
-    ``bands[2, -1]`` are zero.  It makes the dense build's residual calls,
-    and each entry is bitwise the dense build's quotient.
-    """
-    nodes = x.size // dim
-    colors = min(3, nodes)
-    stride = colors * dim
-    steps = FD_STEP * (1.0 + np.abs(x))
-    shifted = x + steps
-    node_steps = steps.reshape(nodes, dim)
-    bands = np.zeros((3, nodes, dim, dim))
-    for first in range(stride):
-        xp = x.copy()
-        xp[first::stride] = shifted[first::stride]
-        dr = (fun(xp) - r).reshape(nodes, dim)
-        node, comp = divmod(first, dim)
-        cols = np.arange(node, nodes, colors)
-        # row block = column node + offset, for bands lower, diag, upper
-        for band, offset in enumerate((1, 0, -1)):
-            col = cols[(cols + offset >= 0) & (cols + offset < nodes)]
-            bands[band, col + offset, :, comp] = dr[col + offset] / node_steps[col, comp, None]
-    return bands
 
 
 #: Unknown count at or below which cyclic reduction hands the reduced
@@ -222,8 +174,9 @@ _DENSE_UNKNOWNS = 64
 
 
 def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the block-tridiagonal system ``bands`` (as returned by
-    :func:`_fd_block_tridiagonal`) for the right-hand side ``b``.
+    """Solve the block-tridiagonal system ``bands`` (laid out as
+    :func:`~fracvi.schemes.classical_jacobian` returns them) for the
+    right-hand side ``b``.
 
     Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970; Golub & Van
     Loan section 4.5): each level eliminates the odd-numbered blocks with
@@ -372,12 +325,13 @@ def solve_bvp_newton(
         return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
 
     def banded_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
-        return _block_tridiagonal_solve(_fd_block_tridiagonal(fun, x, r, d), -r), True
+        bands = classical_jacobian(problem.scheme, lag, build(x))
+        return _block_tridiagonal_solve(bands, -r), True
 
-    def structured_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
+    def dense_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
         return lu_solve(fractional_jacobian(problem.scheme, lag, build(x)), -r), True
 
-    step = banded_step if problem.scheme.halo == 1 else structured_step
+    step = dense_step if problem.scheme.is_fractional else banded_step
     try:
         x, diag = _newton(residual, init.values[1:-1].ravel(), cfg, step)
     except NewtonConvergenceError as exc:
@@ -434,7 +388,7 @@ def march_direct_classical(
         nonlocal held, rebuild
         built = rebuild
         if built:
-            held = _fd_jacobian(fun, x, r, 1, None)
+            held = _fd_jacobian(fun, x, r)
         rebuild = True
         return lu_solve(held, -r), built
 

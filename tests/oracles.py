@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's assembly code paths:
 functional gradients come from central finite differences of the scalar
-functional, linear systems are probed column by column and solved with
-numpy's LAPACK bindings, and exact solutions are closed forms.
+functional, Newton Jacobians from forward differences of the residual,
+linear systems are probed column by column and solved with numpy's LAPACK
+bindings, and exact solutions are closed forms.
 """
 
 from __future__ import annotations
@@ -85,6 +86,66 @@ def fd_lagrangian_partials(lag, x, v, t, rel_step=1e-6):
         vm[c] -= step
         lv[c] = (lag.L(x, vp, t) - lag.L(x, vm, t)) / (2.0 * step)
     return lx, lv
+
+
+def interior_residual(kind, lag, grid, qa, qb):
+    """The residual of ``kind`` as a map of the flattened interior nodes,
+    with the end nodes pinned at ``qa`` and ``qb`` (shape (1, d))."""
+
+    def fun(x):
+        vals = np.vstack([qa, x.reshape(grid.n - 1, lag.dim), qb])
+        return fv.assemble_residual(kind, lag, fv.Trajectory(grid, vals)).values.ravel()
+
+    return fun
+
+
+def column_fd_jacobian(fun, x, r, rel_step=1e-6):
+    """Forward-difference Jacobian of ``fun`` at ``x`` (``r = fun(x)``), one
+    residual call per unknown, step rel_step * (1 + |x_j|)."""
+    jac = np.empty((r.size, x.size))
+    for j in range(x.size):
+        step = rel_step * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += step
+        jac[:, j] = (fun(xp) - r) / step
+    return jac
+
+
+def colored_fd_jacobian(fun, x, r, dim, rel_step=1e-6):
+    """The Jacobian of :func:`column_fd_jacobian` for a three-point stencil,
+    from min(3, nodes) * dim residual calls.
+
+    ``x`` holds nodes of ``dim`` components and the residual rows come in
+    the same blocks; the unknowns of node i move only row blocks i-1 .. i+1.
+    Nodes three apart share no row, so they are perturbed in one call, one
+    component at a time (Curtis, Powell & Reid 1974), and each entry is the
+    same quotient as in the one-column-per-call build.
+    """
+    nodes = x.size // dim
+    stride = min(3, nodes) * dim
+    steps = rel_step * (1.0 + np.abs(x))
+    jac = np.zeros((r.size, x.size))
+    for first in range(stride):
+        xp = x.copy()
+        xp[first::stride] += steps[first::stride]
+        dr = fun(xp) - r
+        for j in range(first, x.size, stride):
+            node = j // dim
+            lo, hi = max(node - 1, 0) * dim, min(node + 2, nodes) * dim
+            jac[lo:hi, j] = dr[lo:hi] / steps[j]
+    return jac
+
+
+def dense_from_bands(bands):
+    """The dense matrix of block diagonals laid out as
+    ``fracvi.schemes.classical_jacobian`` returns them."""
+    _, nodes, d, _ = bands.shape
+    dense = np.zeros((nodes, d, nodes, d))
+    i = np.arange(nodes)
+    dense[i[1:], :, i[:-1]] = bands[0, 1:]
+    dense[i, :, i] = bands[1]
+    dense[i[:-1], :, i[1:]] = bands[2, :-1]
+    return dense.reshape(nodes * d, nodes * d)
 
 
 def harmonic_exact(omega, a, b, qa, qb):

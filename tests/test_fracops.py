@@ -1,9 +1,11 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import fracvi as fv
+from fracvi import fracops
 from fracvi.fracops import _kernel
 
 
@@ -73,6 +75,37 @@ def test_kernel_entries_follow_the_definition(alpha, side):
         for j in range(n + 1):
             r = k - j if side == fv.MINUS else j - k
             assert kernel[row, j] == (w[r] if r >= 0 else 0.0)
+
+
+def _fresh_kernel(alpha, n, side):
+    # the kernel by its definition, entry by entry
+    w = fv.gl_coefficients(alpha, n)
+    rows = range(1, n + 1) if side == fv.MINUS else range(n)
+    offset = lambda k, j: k - j if side == fv.MINUS else j - k
+    return np.array([[w[offset(k, j)] if offset(k, j) >= 0 else 0.0 for j in range(n + 1)] for k in rows])
+
+
+def test_kernel_cache_is_bounded_by_bytes(monkeypatch):
+    nbytes = lambda n: 8 * n * (n + 1)
+    bound = nbytes(40) + nbytes(30)
+    monkeypatch.setattr(fracops, "_cache", OrderedDict())
+    monkeypatch.setattr(fracops, "_CACHE_BYTES", bound)
+    calls = [  # (alpha, n, side), then the keys held afterwards, oldest first
+        ((0.5, 30, fv.MINUS), [30]),
+        ((0.5, 20, fv.MINUS), [30, 20]),
+        ((0.5, 30, fv.MINUS), [20, 30]),  # a hit becomes the most recent
+        ((0.5, 40, fv.MINUS), [30, 40]),  # the least recent goes first
+        ((0.3, 10, fv.PLUS), [40, 10]),
+        ((0.3, 60, fv.PLUS), [40, 10]),  # larger than the bound: not kept
+        ((0.3, 10, fv.PLUS), [40, 10]),
+    ]
+    for key, held in calls:
+        kernel = _kernel(*key)
+        assert not kernel.flags.writeable
+        assert np.array_equal(kernel, _fresh_kernel(*key))
+        assert [n for _, n, _ in fracops._cache] == held
+        assert sum(k.nbytes for k in fracops._cache.values()) <= bound
+    assert _kernel(0.3, 10, fv.PLUS) is fracops._cache[(0.3, 10, fv.PLUS)]
 
 
 def _traj_0123():

@@ -1,17 +1,19 @@
 """Property tests of the identities the schemes rest on, over random
 (n, d, alpha, sigma): discrete integration by parts, direct-vs-variational
 coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
-fractional functional and gradient to the classical ones.
+fractional functional and gradient to the classical ones.  A last property
+checks the classical Newton Jacobian's bands against finite differences.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fracvi as fv
-from oracles import coupled_lagrangian
+from fracvi.schemes import SchemeFamily, SchemeKind, classical_jacobian
+from oracles import column_fd_jacobian, coupled_lagrangian, dense_from_bands, interior_residual
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -20,10 +22,15 @@ alphas = st.floats(0.05, 1.0)
 lagrangians = st.sampled_from(["harmonic", "pendulum", "coupled"])
 
 
+classical_families = st.sampled_from(
+    [SchemeFamily.DIRECT_CLASSICAL, SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.ASYMMETRIC_DIRECT]
+)
+
+
 @st.composite
-def trajectories(draw, count=1, min_n=2):
+def trajectories(draw, count=1, min_n=2, max_n=40):
     """``count`` trajectories on one random grid, values in [-2, 2]."""
-    n = draw(st.integers(min_n, 40))
+    n = draw(st.integers(min_n, max_n))
     d = draw(st.integers(1, 3))
     a = draw(st.floats(-1.0, 1.0))
     grid = fv.make_grid(a, a + draw(st.floats(0.5, 3.0)), n)
@@ -91,3 +98,19 @@ def test_alpha_one_reduces_to_classical(qs, sigma, name):
         fv.functional_gradient(lag, q, sigma, 1.0).values,
         fv.functional_gradient(lag, q, sigma).values,
     )
+
+
+@PROPERTY
+@given(trajectories(max_n=64), classical_families, sigmas)
+def test_classical_jacobian_matches_finite_differences(qs, family, sigma):
+    [q] = qs
+    n, d = q.grid.n, q.dim
+    assume(family is not SchemeFamily.DIRECT_CLASSICAL or n >= 3)
+    kind = SchemeKind(family, sigma)
+    lag = coupled_lagrangian(d)
+    fun = interior_residual(kind, lag, q.grid, q.values[:1], q.values[-1:])
+    x = q.values[1:-1].ravel()
+    fd = column_fd_jacobian(fun, x, fun(x))
+    bands = classical_jacobian(kind, lag, q)
+    assert not bands[0, 0].any() and not bands[2, -1].any()
+    assert np.max(np.abs(dense_from_bands(bands) - fd)) <= 1e-6 * np.max(np.abs(fd))

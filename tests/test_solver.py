@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 import fracvi as fv
-from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, fractional_jacobian
+from fracvi.schemes import (
+    SchemeFamily,
+    SchemeKind,
+    assemble_residual,
+    classical_jacobian,
+    fractional_jacobian,
+)
 from fracvi import solver
-from fracvi.lagrangians import FD_STEP
 from fracvi.solver import (
     BVPProblem,
     NewtonConfig,
@@ -20,7 +25,16 @@ from fracvi.solver import (
     march_direct_classical,
     solve_bvp_newton,
 )
-from oracles import coupled_lagrangian, fresh_jacobian_march, harmonic_exact, probe_linear_system
+from oracles import (
+    colored_fd_jacobian,
+    column_fd_jacobian,
+    coupled_lagrangian,
+    dense_from_bands,
+    fresh_jacobian_march,
+    harmonic_exact,
+    interior_residual,
+    probe_linear_system,
+)
 
 
 def vi_classical(sigma=fv.MINUS):
@@ -390,31 +404,12 @@ PROBLEMS = {
 }
 
 
-def column_by_column_jacobian(fun, x, r):
-    # one residual call per unknown: the reference the grouped build must match
-    jac = np.empty((x.size, x.size))
-    for j in range(x.size):
-        step = FD_STEP * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += step
-        jac[:, j] = (fun(xp) - r) / step
-    return jac
-
-
-def interior_residual(kind, lag, grid, qa, qb):
-    def fun(x):
-        vals = np.vstack([qa, x.reshape(grid.n - 1, lag.dim), qb])
-        return assemble_residual(kind, lag, fv.Trajectory(grid, vals)).values.ravel()
-
-    return fun
-
-
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 @pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
 @pytest.mark.parametrize("family", CLASSICAL_FAMILIES, ids=lambda f: f.value)
 def test_grouped_jacobian_is_bitwise_the_dense_one(family, sigma, problem):
+    # the colored oracle that the banded Jacobian is checked against
     kind = SchemeKind(family, sigma)
-    assert kind.halo == 1
     rng = np.random.default_rng(61)
     for d in (1, 2, 3):
         lag = PROBLEMS[problem](d)
@@ -432,25 +427,25 @@ def test_grouped_jacobian_is_bitwise_the_dense_one(family, sigma, problem):
 
             x = rng.standard_normal((n - 1) * d)
             r = fun(x)
-            grouped = solver._fd_jacobian(counted, x, r, d, kind.halo)
-            assert np.array_equal(grouped, column_by_column_jacobian(fun, x, r))
+            grouped = colored_fd_jacobian(counted, x, r, d)
+            assert np.array_equal(grouped, column_fd_jacobian(fun, x, r))
             assert len(calls) == min(3, n - 1) * d
 
 
 def test_dense_jacobian_for_fractional_schemes():
+    # the marching Jacobian's build, on a layout of several nodes
     kind = SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, fv.PLUS, 0.6)
-    assert kind.halo is None
     lag = coupled_lagrangian(2)
     grid = fv.make_grid(0.0, 1.0, 9)
     rng = np.random.default_rng(62)
     fun = interior_residual(kind, lag, grid, *rng.standard_normal((2, 1, 2)))
     x = rng.standard_normal(16)
     r = fun(x)
-    dense = solver._fd_jacobian(fun, x, r, 2, kind.halo)
-    assert np.array_equal(dense, column_by_column_jacobian(fun, x, r))
+    dense = solver._fd_jacobian(fun, x, r)
+    assert np.array_equal(dense, column_fd_jacobian(fun, x, r))
 
 
-@pytest.mark.parametrize("problem", ["harmonic", "pendulum"])
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
 @pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
 @pytest.mark.parametrize("family", CLASSICAL_FAMILIES, ids=lambda f: f.value)
 def test_banded_newton_system_matches_dense(family, sigma, problem):
@@ -459,7 +454,11 @@ def test_banded_newton_system_matches_dense(family, sigma, problem):
     kind = SchemeKind(family, sigma)
     rng = np.random.default_rng(64)
     for d in (1, 2, 3):
-        lag = fv.builtin_problem(problem, omega=2.0, dim=d)
+        callbacks = []
+        if problem == "coupled":
+            lag = counted_lagrangian(coupled_lagrangian(d), callbacks)
+        else:
+            lag = counted_lagrangian(fv.builtin_problem(problem, omega=2.0, dim=d), callbacks)
         for n in (2, 3, 4, 5, 7, 16, 33, 66, 130, 257, 1025):
             if family is SchemeFamily.DIRECT_CLASSICAL and n < 3:
                 continue
@@ -469,32 +468,29 @@ def test_banded_newton_system_matches_dense(family, sigma, problem):
             fun = interior_residual(kind, lag, grid, qa, qb)
             x = rng.standard_normal(nodes * d)
             r = fun(x)
-            calls = []
-
-            def counted(y):
-                calls.append(1)
-                return fun(y)
-
-            bands = solver._fd_block_tridiagonal(counted, x, r, d)
-            assert len(calls) == min(3, nodes) * d
-            dense = solver._fd_jacobian(fun, x, r, d, kind.halo)
-            # blocks[i, j]: rows of node i, columns of node j
-            blocks = dense.reshape(nodes, d, nodes, d).transpose(0, 2, 1, 3)
-            i = np.arange(nodes)
-            assert np.array_equal(bands[0, 1:], blocks[i[1:], i[:-1]])
-            assert np.array_equal(bands[1], blocks[i, i])
-            assert np.array_equal(bands[2, :-1], blocks[i[:-1], i[1:]])
+            callbacks.clear()
+            q = fv.Trajectory(grid, np.vstack([qa, x.reshape(nodes, d), qb]))
+            bands = classical_jacobian(kind, lag, q)
+            assert len(callbacks) == 4 * d + 2
+            assert bands.shape == (3, nodes, d, d)
+            # the blocks that would couple to the pinned end nodes
             assert not bands[0, 0].any() and not bands[2, -1].any()
-            off_band = np.abs(i[:, None] - i[None, :]) > 1
-            assert not blocks[off_band].any()
+            dense = dense_from_bands(bands)
+            fd = colored_fd_jacobian(fun, x, r, d)
+            gap = np.max(np.abs(dense - fd))
+            assert gap <= 1e-6 * np.max(np.abs(fd)), (d, n, gap)
 
             banded = solver._block_tridiagonal_solve(bands, -r)
             reference = lu_solve(dense, -r)
-            # two backward-stable solves differ by up to cond * eps, and the
-            # condition number grows like nodes^2 (8.5e4 at 256 nodes)
-            tol = 1e-12 * max(1.0, nodes / 256) ** 2
-            gap = np.max(np.abs(banded - reference))
-            assert gap <= tol * np.max(np.abs(reference)), (d, n, gap)
+            # two backward-stable solves differ by up to cond * eps, and for
+            # the mechanical problems the condition number grows like
+            # nodes^2 (8.5e4 at 256 nodes); the coupled problem's quartic
+            # term can bring its operator near a resonance (cond 3.9e6 at
+            # 129 nodes), so only its backward error is bounded
+            if problem != "coupled":
+                tol = 1e-12 * max(1.0, nodes / 256) ** 2
+                gap = np.max(np.abs(banded - reference))
+                assert gap <= tol * np.max(np.abs(reference)), (d, n, gap)
             backward = np.max(np.abs(dense @ banded + r))
             scale = np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(banded))
             assert backward <= 1e-14 * scale, (d, n, backward / scale)
@@ -544,17 +540,20 @@ def count_residual_calls(monkeypatch):
     return calls
 
 
-def test_classical_newton_step_takes_three_d_residual_calls(monkeypatch):
+def test_classical_newton_step_makes_no_jacobian_residual_call(monkeypatch):
     d = 2
     calls = count_residual_calls(monkeypatch)
+    callbacks = []
     grid = fv.make_grid(0.0, 1.0, 256)
-    problem = BVPProblem(
-        grid, fv.harmonic_oscillator(1.0, dim=d), vi_classical(), [0.0, 1.0], [1.0, 0.0]
-    )
+    lag = counted_lagrangian(fv.harmonic_oscillator(1.0, dim=d), callbacks)
+    problem = BVPProblem(grid, lag, vi_classical(), [0.0, 1.0], [1.0, 0.0])
     _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
     assert diag.converged and diag.iterations >= 1
-    # one initial residual; per iteration 3*d Jacobian calls and one trial
-    assert len(calls) == 1 + diag.iterations * (3 * d + 1)
+    assert diag.jacobian_builds == diag.iterations
+    # one residual per iterate plus the line-search trials
+    assert len(calls) == diag.residual_evals == 1 + diag.iterations + diag.backtracks
+    per_jacobian = (len(callbacks) - 2 * len(calls)) / diag.jacobian_builds
+    assert per_jacobian <= 4 * d + 2
 
 
 def counted_lagrangian(lag, calls):
@@ -587,7 +586,7 @@ def test_structured_jacobian_matches_finite_differences(family, sigma, problem):
                 lag = counted_lagrangian(PROBLEMS[problem](d), calls)
                 fun = interior_residual(kind, lag, grid, qa, qb)
                 x = rng.standard_normal((n - 1) * d)
-                fd = solver._fd_jacobian(fun, x, fun(x), d, kind.halo)
+                fd = solver._fd_jacobian(fun, x, fun(x))
                 calls.clear()
                 q = fv.Trajectory(grid, np.vstack([qa, x.reshape(n - 1, d), qb]))
                 structured = fractional_jacobian(kind, lag, q)
@@ -596,11 +595,14 @@ def test_structured_jacobian_matches_finite_differences(family, sigma, problem):
                 assert gap <= 1e-6 * np.max(np.abs(fd)), (d, n, alpha, gap)
 
 
-def test_structured_jacobian_refuses_classical_schemes():
+def test_structured_jacobians_refuse_the_other_kind():
     grid = fv.make_grid(0.0, 1.0, 4)
     q = fv.Trajectory(grid, np.zeros((5, 1)))
-    with pytest.raises(fv.DomainError, match="vi-classical has no structured Jacobian"):
+    with pytest.raises(fv.DomainError, match="vi-classical is classical: use classical_jacobian"):
         fractional_jacobian(vi_classical(), fv.free_particle(), q)
+    kind = SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, fv.PLUS, 0.5)
+    with pytest.raises(fv.DomainError, match="direct-fractional is fractional: use fractional_jacobian"):
+        classical_jacobian(kind, fv.free_particle(), q)
 
 
 def test_fractional_newton_step_uses_structured_jacobian(monkeypatch):
@@ -632,15 +634,18 @@ def test_counters_count_calls_and_backtracks(family, monkeypatch):
     assert len(calls) == diag.residual_evals == 1 + diag.iterations + diag.backtracks
 
 
-def test_classical_counters_include_jacobian_columns(monkeypatch):
+def test_classical_counters_count_calls_and_backtracks(monkeypatch):
     calls = count_residual_calls(monkeypatch)
+    callbacks = []
     d = 2
     grid = fv.make_grid(0.0, 1.0, 16)
-    problem = BVPProblem(grid, fv.pendulum(3.0, dim=d), vi_classical(fv.PLUS), [0.0, 0.0], [2.0, 1.0])
+    lag = counted_lagrangian(fv.pendulum(3.0, dim=d), callbacks)
+    problem = BVPProblem(grid, lag, vi_classical(fv.PLUS), [0.0, 0.0], [2.0, 1.0])
     _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
     assert diag.jacobian_builds == diag.iterations
-    trials = diag.iterations + diag.backtracks
-    assert len(calls) == diag.residual_evals == 1 + diag.iterations * 3 * d + trials
+    assert len(calls) == diag.residual_evals == 1 + diag.iterations + diag.backtracks
+    per_jacobian = (len(callbacks) - 2 * len(calls)) / diag.jacobian_builds
+    assert per_jacobian <= 4 * d + 2
 
 
 def nan_lx(lag, after=-math.inf):
