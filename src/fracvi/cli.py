@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import math
 import sys
@@ -597,15 +598,25 @@ def _build_parsers():
     return parser, commands
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser that every call of :func:`main` without ``--config``
+    reuses: building one takes about 1.5 ms, a parse a few hundredths of
+    that."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser, commands = _build_parsers()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults: argparse then
-            # converts and checks them like flags, and explicit flags win
+            # config values become the subcommand's defaults of a parser of
+            # this call's own: argparse then converts and checks them like
+            # flags, explicit flags win, and no later call sees them
             flags = vars(args).keys() - {"handler", "command", "config"}
             cfg = {k: v for k, v in load_config(args.config).items() if k in flags}
+            parser, commands = _build_parsers()
             commands[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
         takes = inspect.signature(args.handler).parameters

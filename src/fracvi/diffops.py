@@ -22,25 +22,34 @@ from .grids import (
 )
 
 
+def _delta(v: np.ndarray, h: float, side: int) -> np.ndarray:
+    """Array core of the one-sided differences: (v_k - v_{k+1})/h for
+    ``side=PLUS``, (v_k - v_{k-1})/h for MINUS, one row fewer than ``v``."""
+    hinv = 1.0 / h
+    if side == PLUS:
+        return (v[:-1] - v[1:]) * hinv
+    return (v[1:] - v[:-1]) * hinv
+
+
+def _velocity(values: np.ndarray, h: float, sigma: int) -> np.ndarray:
+    """Array core of :func:`discrete_velocity`: (n+1, d) in, (n, d) out."""
+    return (-sigma) * _delta(values, h, sigma)
+
+
 def delta_plus(q: Trajectory) -> ShiftedSequence:
     """Forward difference (Q_k - Q_{k+1})/h on the window {0, .., n-1}."""
-    v = q.values
-    hinv = 1.0 / q.grid.h
-    return ShiftedSequence(q.grid, PLUS, (v[:-1] - v[1:]) * hinv)
+    return ShiftedSequence(q.grid, PLUS, _delta(q.values, q.grid.h, PLUS))
 
 
 def delta_minus(q: Trajectory) -> ShiftedSequence:
     """Backward difference (Q_k - Q_{k-1})/h on the window {1, .., n}."""
-    v = q.values
-    hinv = 1.0 / q.grid.h
-    return ShiftedSequence(q.grid, MINUS, (v[1:] - v[:-1]) * hinv)
+    return ShiftedSequence(q.grid, MINUS, _delta(q.values, q.grid.h, MINUS))
 
 
 def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
     """The derivative analogue (-sigma * delta_sigma Q) on I_sigma."""
     check_sigma(sigma)
-    base = delta_plus(q) if sigma == PLUS else delta_minus(q)
-    return ShiftedSequence(q.grid, sigma, (-sigma) * base.values)
+    return ShiftedSequence(q.grid, sigma, _velocity(q.values, q.grid.h, sigma))
 
 
 def seq_delta(s: ShiftedSequence, side: int) -> ResidualField:
@@ -51,11 +60,8 @@ def seq_delta(s: ShiftedSequence, side: int) -> ResidualField:
     drops the last index, ``side=MINUS`` (uses k, k-1) drops the first.
     """
     check_sigma(side)
-    v = s.values
-    hinv = 1.0 / s.grid.h
-    if side == PLUS:
-        return ResidualField(s.grid, s.k_start, (v[:-1] - v[1:]) * hinv)
-    return ResidualField(s.grid, s.k_start + 1, (v[1:] - v[:-1]) * hinv)
+    k_start = s.k_start if side == PLUS else s.k_start + 1
+    return ResidualField(s.grid, k_start, _delta(s.values, s.grid.h, side))
 
 
 def gauss_quadrature(s: ShiftedSequence):

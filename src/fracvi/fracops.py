@@ -6,11 +6,14 @@ The signed binomial weights are w_r = (-1)^r C(alpha, r), generated by the
 multiplicative recurrence w_r = w_{r-1} * (r - 1 - alpha) / r.  For
 0 < alpha < 1 they satisfy w_0 = 1, w_r < 0 for r >= 1, and positive,
 strictly decreasing partial sums.  Operators are dense O(n^2) Toeplitz
-kernels from one builder behind one cache bounded by bytes,
-``_kernel(alpha, n, side)``: the left operator reads w_{k-j}, the right one
-w_{j-k}.  No fast convolution is attempted at desk scale; the variational
-gradient reuses the cached kernels, transposed.  Fractional orders must be
-finite and positive.
+kernels from one builder, ``_kernel(alpha, n, side)``: the left operator
+reads w_{k-j}, the right one w_{j-k}.  Every kernel product in the package
+goes through one pair keyed by (alpha, side): :func:`gl_apply` (the
+kernel) and :func:`gl_adjoint_apply` (the transpose of its interior
+columns, which the variational gradient and its Jacobian scatter through).
+Kernels and contiguous adjoints share one cache bounded by bytes.  No fast
+convolution is attempted at desk scale.  Fractional orders must be finite
+and positive.
 """
 
 from __future__ import annotations
@@ -48,32 +51,68 @@ def _weights(alpha: float, n: int) -> np.ndarray:
     return _freeze(w)
 
 
-#: Bytes the kernel cache holds at most; one n = 4096 kernel is 134 MB.
+#: Bytes the cache of kernels and adjoints holds at most; one n = 4096
+#: kernel is 134 MB.
 _CACHE_BYTES = 256 * 2**20
 _cache: OrderedDict = OrderedDict()
 
 
-def _kernel(alpha: float, n: int, side: int) -> np.ndarray:
-    """The GL kernel of one side over positions 0..n, read-only.
-
-    MINUS: rows k = 1..n, entry w_{k-j}.  PLUS: rows k = 0..n-1, entry
-    w_{j-k}.  Entries with a negative weight index are zero.  The most
-    recently used kernels are kept, up to ``_CACHE_BYTES`` in all.
-    """
-    key = (alpha, n, side)
+def _cached(key, build) -> np.ndarray:
+    """``build()`` frozen (a C-contiguous, read-only copy), kept under
+    ``key``.  The most recently used arrays are kept, up to
+    ``_CACHE_BYTES`` in all; a larger one is rebuilt at every use."""
     if key in _cache:
         _cache.move_to_end(key)
         return _cache[key]
-    w = _weights(alpha, n)
-    k = np.arange(n)[:, None] + (side == MINUS)
-    j = np.arange(n + 1)[None, :]
-    r = side * (j - k)
-    kernel = _freeze(np.where(r >= 0, w[np.clip(r, 0, n)], 0.0))
-    if kernel.nbytes <= _CACHE_BYTES:
-        _cache[key] = kernel
-        while sum(held.nbytes for held in _cache.values()) > _CACHE_BYTES:
+    held = _freeze(build())
+    if held.nbytes <= _CACHE_BYTES:
+        _cache[key] = held
+        while sum(array.nbytes for array in _cache.values()) > _CACHE_BYTES:
             _cache.popitem(last=False)
-    return kernel
+    return held
+
+
+def _kernel(alpha: float, n: int, side: int) -> np.ndarray:
+    """The GL kernel of one side over positions 0..n, read-only and cached.
+
+    MINUS: rows k = 1..n, entry w_{k-j}.  PLUS: rows k = 0..n-1, entry
+    w_{j-k}.  Entries with a negative weight index are zero.
+    """
+
+    def build():
+        w = _weights(alpha, n)
+        k = np.arange(n)[:, None] + (side == MINUS)
+        j = np.arange(n + 1)[None, :]
+        r = side * (j - k)
+        return np.where(r >= 0, w[np.clip(r, 0, n)], 0.0)
+
+    return _cached((alpha, n, side), build)
+
+
+def _adjoint(alpha: float, n: int, side: int) -> np.ndarray:
+    """``_kernel(alpha, n, side)[:, 1:n].T`` as a contiguous, read-only,
+    cached copy: the adjoint of the velocity map onto the interior nodes."""
+    return _cached((alpha, n, side, "adjoint"), lambda: _kernel(alpha, n, side)[:, 1:n].T)
+
+
+def gl_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
+    """``K @ y`` for the GL kernel K of ``side`` over positions
+    0..len(y)-1, unscaled: len(y) - 1 rows out."""
+    return _kernel(alpha, len(y) - 1, side) @ y
+
+
+def gl_adjoint_apply(alpha: float, side: int, y: np.ndarray, contiguous: bool = True):
+    """``K[:, 1:n].T @ y`` for the GL kernel K of ``side`` over positions
+    0..n, n = len(y), unscaled: n - 1 rows out, one per interior node.
+
+    The product is taken with the cached contiguous adjoint, or with
+    ``contiguous=False`` with K's transpose read in place.  BLAS orders the
+    two products' sums differently, so their last bits differ: the
+    variational gradient uses the first, its dense Jacobian the second.
+    """
+    n = len(y)
+    adjoint = _adjoint(alpha, n, side) if contiguous else _kernel(alpha, n, side)[:, 1:n].T
+    return adjoint @ y
 
 
 def _check_alpha(alpha: float) -> float:
@@ -99,22 +138,27 @@ def _scale(h: float, alpha: float) -> float:
 def delta_alpha_minus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Left GL operator: h^-alpha sum_{r=0..k} w_r Q_{k-r}, k in {1, .., n}."""
     alpha = _check_alpha(alpha)
-    vals = (_kernel(alpha, q.grid.n, MINUS) @ q.values) * _scale(q.grid.h, alpha)
+    vals = gl_apply(alpha, MINUS, q.values) * _scale(q.grid.h, alpha)
     return ShiftedSequence(q.grid, MINUS, vals)
 
 
 def delta_alpha_plus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Right GL operator: h^-alpha sum_{r=0..n-k} w_r Q_{k+r}, k in {0, .., n-1}."""
     alpha = _check_alpha(alpha)
-    vals = (_kernel(alpha, q.grid.n, PLUS) @ q.values) * _scale(q.grid.h, alpha)
+    vals = gl_apply(alpha, PLUS, q.values) * _scale(q.grid.h, alpha)
     return ShiftedSequence(q.grid, PLUS, vals)
 
 
 def discrete_velocity_alpha(q: Trajectory, sigma: int, alpha: float) -> ShiftedSequence:
     """The fractional derivative analogue (-sigma * delta^alpha_sigma Q)."""
     check_sigma(sigma)
-    base = delta_alpha_plus(q, alpha) if sigma == PLUS else delta_alpha_minus(q, alpha)
-    return ShiftedSequence(q.grid, sigma, (-sigma) * base.values)
+    alpha = _check_alpha(alpha)
+    return ShiftedSequence(q.grid, sigma, _velocity_alpha(q.values, q.grid.h, sigma, alpha))
+
+
+def _velocity_alpha(values: np.ndarray, h: float, sigma: int, alpha: float) -> np.ndarray:
+    """Array core of :func:`discrete_velocity_alpha`: (n+1, d) in, (n, d) out."""
+    return (-sigma) * (gl_apply(alpha, sigma, values) * _scale(h, alpha))
 
 
 def frac_seq_minus(s: ShiftedSequence, alpha: float) -> ResidualField:
@@ -126,8 +170,7 @@ def frac_seq_minus(s: ShiftedSequence, alpha: float) -> ResidualField:
     alpha = _check_alpha(alpha)
     if s.side != PLUS:
         raise DomainError("left GL application needs a forward-window sequence")
-    m = s.grid.n - 1
-    vals = (_kernel(alpha, m, MINUS) @ s.values) * _scale(s.grid.h, alpha)
+    vals = gl_apply(alpha, MINUS, s.values) * _scale(s.grid.h, alpha)
     return ResidualField(s.grid, 1, vals)
 
 
@@ -140,8 +183,7 @@ def frac_seq_plus(s: ShiftedSequence, alpha: float) -> ResidualField:
     alpha = _check_alpha(alpha)
     if s.side != MINUS:
         raise DomainError("right GL application needs a backward-window sequence")
-    m = s.grid.n - 1
-    vals = (_kernel(alpha, m, PLUS) @ s.values) * _scale(s.grid.h, alpha)
+    vals = gl_apply(alpha, PLUS, s.values) * _scale(s.grid.h, alpha)
     return ResidualField(s.grid, 1, vals)
 
 

@@ -9,10 +9,14 @@ return shape (..., d).  One call thus serves a single node (a (d,) vector
 and a scalar t) or a whole window of m nodes ((m, d) and (m,)), and each
 assembly below makes one Lx and one Lv call.  The discrete functional
 gradient is assembled analytically from the chain rule, its fractional
-adjoint from the velocity's cached GL kernel.  The Newton Jacobian's
-pointwise Hessian blocks are forward differences of Lx and Lv with the
-relative step FD_STEP, the one the solver uses; finite-difference gradients
-of the functional are a test oracle only and live with the tests.
+adjoint by ``fracops.gl_adjoint_apply`` (the cached contiguous transpose of
+the velocity's GL kernel); ``functional_gradient`` checks its arguments and
+wraps the array-level core ``_gradient``, which the Newton solver calls
+directly.  The callback helpers take the window's x, v and t as arrays.
+The Newton Jacobian's pointwise Hessian blocks are forward differences of
+Lx and Lv with the relative step FD_STEP, the one the solver uses;
+finite-difference gradients of the functional are a test oracle only and
+live with the tests.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ from typing import Callable
 
 import numpy as np
 
-from .diffops import discrete_velocity, gauss_quadrature, seq_delta
-from .fracops import _check_unit_alpha, _kernel, _scale
+from .diffops import _delta, _velocity, discrete_velocity, gauss_quadrature
+from .fracops import _check_unit_alpha, _scale, _velocity_alpha, gl_adjoint_apply
 from .fracops import discrete_velocity_alpha
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
     MINUS,
+    PLUS,
     DomainError,
+    Grid,
     ResidualField,
     ShiftedSequence,
     Trajectory,
@@ -133,10 +139,9 @@ def _check_dims(lag: Lagrangian, q: Trajectory) -> None:
         )
 
 
-def _window(q: Trajectory, vseq: ShiftedSequence):
-    """(x, v, t) over the window of vseq: shapes (n, d), (n, d) and (n,)."""
-    rows = slice(vseq.k_start, vseq.k_start + q.grid.n)
-    return q.values[rows], vseq.values, q.grid.nodes[rows]
+def _rows(sigma: int, n: int) -> slice:
+    """Rows of the nodes 0..n that the window I_sigma covers."""
+    return slice(0, n) if sigma == PLUS else slice(1, n + 1)
 
 
 def _call(fn, name: str, shape: tuple, x: Vec, v: Vec, t: Vec) -> Vec:
@@ -150,29 +155,28 @@ def _call(fn, name: str, shape: tuple, x: Vec, v: Vec, t: Vec) -> Vec:
     return out
 
 
-def _lagrangian_values(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
-    """Evaluate Lx and Lv along the trajectory over the window of vseq."""
-    x, v, t = _window(q, vseq)
-    shape = (q.grid.n, q.dim)
-    return _call(lag.Lx, "Lx", shape, x, v, t), _call(lag.Lv, "Lv", shape, x, v, t)
+def _lagrangian_values(lag: Lagrangian, x: Vec, v: Vec, t: Vec):
+    """Lx and Lv at the window nodes: x, v of shape (m, d), t of shape (m,)."""
+    return _call(lag.Lx, "Lx", v.shape, x, v, t), _call(lag.Lv, "Lv", v.shape, x, v, t)
 
 
-def _hessian_blocks(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
-    """Forward-difference blocks Hxx, Hxv, Hvx, Hvv over the window of vseq.
+def _hessian_blocks(lag: Lagrangian, x: Vec, v: Vec, t: Vec):
+    """Forward-difference blocks Hxx, Hxv, Hvx, Hvv at the window nodes
+    (x, v of shape (m, d), t of shape (m,)).
 
-    Each has shape (n, d, d), with ``Hxv[k, a, b] = d(Lx)_a / dv_b`` at
+    Each has shape (m, d, d), with ``Hxv[k, a, b] = d(Lx)_a / dv_b`` at
     window node k, and so on.  The callbacks are pointwise, so moving
     component c of x (or of v) at every node at once gives column c of
     every node's block in one call: 4*d + 2 callback calls in all.  The
     step is ``FD_STEP * (1 + |.|)`` per entry, as in the solver.
     """
-    lx, lv = _lagrangian_values(lag, q, vseq)
-    x, v, t = _window(q, vseq)
+    lx, lv = _lagrangian_values(lag, x, v, t)
     shape = lx.shape
-    blocks = np.empty((2, 2) + shape + (q.dim,))  # [Lx or Lv, by x or by v]
+    dim = shape[1]
+    blocks = np.empty((2, 2) + shape + (dim,))  # [Lx or Lv, by x or by v]
     for by, base in enumerate((x, v)):
         steps = FD_STEP * (1.0 + np.abs(base))
-        for c in range(q.dim):
+        for c in range(dim):
             moved = base.copy()
             moved[:, c] += steps[:, c]
             args = (moved, v, t) if by == 0 else (x, moved, t)
@@ -183,7 +187,8 @@ def _hessian_blocks(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence):
 
 
 def _functional(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence) -> float:
-    lvals = _call(lag.L, "L", (q.grid.n,), *_window(q, vseq))
+    rows = _rows(vseq.side, q.grid.n)
+    lvals = _call(lag.L, "L", (q.grid.n,), q.values[rows], vseq.values, q.grid.nodes[rows])
     return gauss_quadrature(ShiftedSequence(q.grid, vseq.side, lvals))
 
 
@@ -216,19 +221,29 @@ def functional_gradient(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    n = q.grid.n
-    if alpha is None:
-        lx, lv = _lagrangian_values(lag, q, discrete_velocity(q, sigma))
-        # the alpha = 1 kernel is the two-point difference on the other side
-        adj_lv = seq_delta(ShiftedSequence(q.grid, sigma, lv), -sigma).values
-    else:
+    if alpha is not None:
         alpha = _check_unit_alpha(alpha)
-        lx, lv = _lagrangian_values(lag, q, discrete_velocity_alpha(q, sigma, alpha))
+    return ResidualField(q.grid, 1, _gradient(lag, q.values, q.grid, sigma, alpha))
+
+
+def _gradient(
+    lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float | None
+) -> Vec:
+    """Array core of :func:`functional_gradient`: node values (n+1, d) in,
+    the gradient at the interior nodes (n-1, d) out; arguments unchecked."""
+    n, h = grid.n, grid.h
+    rows = _rows(sigma, n)
+    if alpha is None:
+        v = _velocity(values, h, sigma)
+        lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
+        # the alpha = 1 kernel is the two-point difference on the other side
+        adj_lv = _delta(lv, h, -sigma)
+    else:
+        v = _velocity_alpha(values, h, sigma, alpha)
+        lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
         # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
-        # interior columns, transposed; the contiguous copy keeps the
-        # product's bits.
-        adj = np.ascontiguousarray(_kernel(alpha, n, sigma)[:, 1:n].T)
-        adj_lv = _scale(q.grid.h, alpha) * (adj @ lv)
+        # interior columns, transposed
+        adj_lv = _scale(h, alpha) * gl_adjoint_apply(alpha, sigma, lv)
     # rows of I_sigma corresponding to interior nodes 1..n-1
     interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)
-    return ResidualField(q.grid, 1, lx[interior] - sigma * adj_lv)
+    return lx[interior] - sigma * adj_lv

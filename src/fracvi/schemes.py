@@ -10,6 +10,14 @@ shift of the second-difference stencil, while the asymmetric and
 Grunwald-Letnikov embeddings yield identical schemes.
 Newton Jacobians come from the chain rule through pointwise Hessian
 blocks, each family's own stencils linearized, never from a residual.
+
+Each assembler and Jacobian builder is a thin checked wrapper around an
+array-level core (``_direct_classical``, ``_asymmetric_direct``,
+``_direct_fractional``, ``lagrangians._gradient``, ``_fractional_jacobian``,
+``_classical_jacobian``): node values in, an array out, nothing checked
+and no container built.  The Newton solver calls the cores through
+``_assemble_values``.  The direct and variational cores stay two
+independent assemblies; they share only the operators.
 """
 
 from __future__ import annotations
@@ -19,20 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import discrete_velocity, seq_delta
-from .fracops import _check_unit_alpha, _kernel, _scale
-from .fracops import discrete_velocity_alpha, frac_seq_minus, frac_seq_plus
-from .grids import (
-    MINUS,
-    DomainError,
-    ResidualField,
-    ShiftedSequence,
-    Trajectory,
-    check_sigma,
-    sigma_label,
-)
-from .lagrangians import Lagrangian, functional_gradient, _check_dims, _hessian_blocks
-from .lagrangians import _lagrangian_values
+from .diffops import _delta, _velocity
+from .fracops import _check_unit_alpha, _kernel, _scale, _velocity_alpha
+from .fracops import gl_adjoint_apply, gl_apply
+from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
+from .grids import sigma_label
+from .lagrangians import Lagrangian, Vec, functional_gradient, _check_dims, _hessian_blocks
+from .lagrangians import _gradient, _lagrangian_values, _rows
+
+# perfbench/tracer.py times these names here; the assemblies call the array
+# cores they wrap
+from .diffops import discrete_velocity, seq_delta  # noqa: F401
+from .fracops import discrete_velocity_alpha, frac_seq_minus, frac_seq_plus  # noqa: F401
 
 #: Relative tolerance for declaring two residual paths coherent.
 COHERENCE_RTOL = 1e-10
@@ -92,11 +98,19 @@ def residual_direct_classical(
     _check_dims(lag, q)
     if q.grid.n < 3:
         raise DomainError("direct classical residual needs n >= 3")
-    vseq = discrete_velocity(q, sigma)
-    lx, lv = _lagrangian_values(lag, q, vseq)
-    outer = seq_delta(ShiftedSequence(q.grid, sigma, lv), sigma)
+    k_start = 2 if sigma == MINUS else 0
+    return ResidualField(q.grid, k_start, _direct_classical(lag, q.values, q.grid, sigma))
+
+
+def _direct_classical(lag: Lagrangian, values: Vec, grid: Grid, sigma: int) -> Vec:
+    """Array core of :func:`residual_direct_classical`: node values
+    (n+1, d) in, the residual over its window (n-1, d) out."""
+    h = grid.h
+    rows = _rows(sigma, grid.n)
+    v = _velocity(values, h, sigma)
+    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
     lx_win = lx[1:] if sigma == MINUS else lx[:-1]
-    return ResidualField(q.grid, outer.k_start, lx_win + sigma * outer.values)
+    return lx_win + sigma * _delta(lv, h, sigma)
 
 
 def newton_friction_direct(q: Trajectory) -> ResidualField:
@@ -137,14 +151,22 @@ def residual_asymmetric_direct(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    hinv = 1.0 / q.grid.h
-    lx, lv = _lagrangian_values(lag, q, discrete_velocity(q, sigma))
+    return ResidualField(q.grid, 1, _asymmetric_direct(lag, q.values, q.grid, sigma))
+
+
+def _asymmetric_direct(lag: Lagrangian, values: Vec, grid: Grid, sigma: int) -> Vec:
+    """Array core of :func:`residual_asymmetric_direct`: node values
+    (n+1, d) in, the residual at the interior nodes (n-1, d) out."""
+    hinv = 1.0 / grid.h
+    rows = _rows(sigma, grid.n)
+    v = _velocity(values, grid.h, sigma)
+    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
     # interior nodes 1..n-1 are rows 0..n-2 of {1, .., n} and 1..n-1 of {0, .., n-1}
     if sigma == MINUS:
         d = (lv[:-1] - lv[1:]) * hinv  # delta_plus on the Lv sequence
-        return ResidualField(q.grid, 1, lx[:-1] - sigma * d)
+        return lx[:-1] - sigma * d
     d = (lv[1:] - lv[:-1]) * hinv  # delta_minus on the Lv sequence
-    return ResidualField(q.grid, 1, lx[1:] - sigma * d)
+    return lx[1:] - sigma * d
 
 
 def residual_direct_fractional(
@@ -162,16 +184,23 @@ def residual_direct_fractional(
     check_sigma(sigma)
     _check_dims(lag, q)
     alpha = _check_unit_alpha(alpha)
-    vseq = discrete_velocity_alpha(q, sigma, alpha)
-    lx, lv = _lagrangian_values(lag, q, vseq)
-    lvseq = ShiftedSequence(q.grid, sigma, lv)
-    if sigma == MINUS:
-        outer = frac_seq_plus(lvseq, alpha)
-        interior = slice(0, q.grid.n - 1)
-    else:
-        outer = frac_seq_minus(lvseq, alpha)
-        interior = slice(1, q.grid.n)
-    return ResidualField(q.grid, 1, lx[interior] - sigma * outer.values)
+    return ResidualField(q.grid, 1, _direct_fractional(lag, q.values, q.grid, sigma, alpha))
+
+
+def _direct_fractional(
+    lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float
+) -> Vec:
+    """Array core of :func:`residual_direct_fractional`: node values
+    (n+1, d) in, the residual at the interior nodes (n-1, d) out."""
+    n, h = grid.n, grid.h
+    rows = _rows(sigma, n)
+    v = _velocity_alpha(values, h, sigma, alpha)
+    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
+    # the opposite-side GL operator on the Lv sequence (frac_seq_plus for
+    # sigma = -1, frac_seq_minus for sigma = +1), over the interior nodes
+    outer = gl_apply(alpha, -sigma, np.ascontiguousarray(lv)) * _scale(h, alpha)
+    interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)
+    return lx[interior] - sigma * outer
 
 
 def residual_vi_fractional(
@@ -197,6 +226,20 @@ def assemble_residual(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> Resid
     raise DomainError(f"unknown scheme family {fam!r}")
 
 
+def _assemble_values(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid) -> Vec:
+    """Array core of :func:`assemble_residual`: node values (n+1, d) in,
+    the residual field's values (n-1, d) out.  Nothing is checked: the
+    caller validates ``kind``, ``lag`` and the layout once."""
+    fam = kind.family
+    if fam is SchemeFamily.DIRECT_CLASSICAL:
+        return _direct_classical(lag, values, grid, kind.sigma)
+    if fam is SchemeFamily.ASYMMETRIC_DIRECT:
+        return _asymmetric_direct(lag, values, grid, kind.sigma)
+    if fam is SchemeFamily.DIRECT_FRACTIONAL:
+        return _direct_fractional(lag, values, grid, kind.sigma, kind.alpha)
+    return _gradient(lag, values, grid, kind.sigma, kind.alpha)
+
+
 def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
     """Jacobian of a fractional residual in the interior nodes of q.
 
@@ -208,31 +251,51 @@ def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.
         J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V),
 
     one dense product, with the blocks from 4*d + 2 callback calls.  Each
-    family linearizes its own outer operator A, the cached kernel its
-    residual applies: the adjoint K[:, 1:n]^T for the variational
-    gradient, the opposite-side GL kernel of ``frac_seq_*`` for the direct
-    embedding.  Rows and columns are (node, component), node-major.
+    family linearizes its own outer operator A, the one its residual
+    applies: the adjoint K[:, 1:n]^T for the variational gradient, the
+    opposite-side GL kernel for the direct embedding.  Rows and columns
+    are (node, component), node-major.
     """
     if not kind.is_fractional:
         raise DomainError(f"{kind.family.value} is classical: use classical_jacobian")
     _check_dims(lag, q)
-    sigma = kind.sigma
-    alpha = _check_unit_alpha(kind.alpha)
-    n, d = q.grid.n, q.dim
-    kernel = _kernel(alpha, n, sigma)
-    if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
-        outer = kernel[:, 1:n].T
-    else:
-        outer = _kernel(alpha, n - 1, -sigma)
-    hxx, hxv, hvx, hvv = _hessian_blocks(lag, q, discrete_velocity_alpha(q, sigma, alpha))
-    s = _scale(q.grid.h, alpha)
-    vel = (-sigma * s) * kernel[:, 1:n]
+    _check_unit_alpha(kind.alpha)
+    layout = _fractional_layout(kind, q.grid)
+    return _fractional_jacobian(kind, lag, q.values, q.grid, layout)
+
+
+def _fractional_layout(kind: SchemeKind, grid: Grid):
+    """What a fractional Jacobian on ``grid`` reads but never changes: the
+    scaled velocity kernel V = -sigma s K[:, 1:n], the window rows of the
+    interior nodes and their columns.  A solve computes it once."""
+    n, sigma, alpha = grid.n, kind.sigma, float(kind.alpha)
+    vel = (-sigma * _scale(grid.h, alpha)) * _kernel(alpha, n, sigma)[:, 1:n]
     cols = np.arange(n - 1)
     rows = cols if sigma == MINUS else cols + 1
+    return vel, rows, cols
+
+
+def _fractional_jacobian(
+    kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid, layout
+) -> Vec:
+    """Array core of :func:`fractional_jacobian`, with ``layout`` from
+    :func:`_fractional_layout` on the same kind and grid."""
+    vel, rows, cols = layout
+    sigma, alpha = kind.sigma, float(kind.alpha)
+    n, d, h = grid.n, values.shape[1], grid.h
+    window = _rows(sigma, n)
+    v = _velocity_alpha(values, h, sigma, alpha)
+    hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
+    s = _scale(h, alpha)
     # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
     w = hvv[:, :, None, :] * vel[:, None, :, None]
     w[rows, :, cols, :] += hvx[rows]
-    jac = ((-sigma * s) * (outer @ w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
+    w = w.reshape(n, -1)
+    if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
+        outer = gl_adjoint_apply(alpha, sigma, w, contiguous=False)
+    else:
+        outer = gl_apply(alpha, -sigma, w)
+    jac = ((-sigma * s) * outer).reshape(n - 1, d, n - 1, d)
     jac += hxv[rows][:, :, None, :] * vel[rows][:, None, :, None]
     jac[cols, :, cols, :] += hxx[rows]
     return jac.reshape((n - 1) * d, (n - 1) * d)
@@ -255,9 +318,17 @@ def classical_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.n
     if kind.is_fractional:
         raise DomainError(f"{kind.family.value} is fractional: use fractional_jacobian")
     _check_dims(lag, q)
-    sigma, n = kind.sigma, q.grid.n
-    s = sigma / q.grid.h
-    hxx, hxv, hvx, hvv = _hessian_blocks(lag, q, discrete_velocity(q, sigma))
+    return _classical_jacobian(kind, lag, q.values, q.grid)
+
+
+def _classical_jacobian(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid) -> Vec:
+    """Array core of :func:`classical_jacobian`: node values (n+1, d) in,
+    the bands out."""
+    sigma, n, h = kind.sigma, grid.n, grid.h
+    s = sigma / h
+    window = _rows(sigma, n)
+    v = _velocity(values, h, sigma)
+    hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
     # d lx_k and d lv_k by Q_k and by Q_{k+sigma}, over the velocity's window
     moves = ((hxx - s * hxv, s * hxv), (hvx - s * hvv, s * hvv))
     m = 1 - sigma if kind.family is SchemeFamily.DIRECT_CLASSICAL else 1

@@ -4,28 +4,39 @@ Newton kernel.
 
 Boundary values are never unknowns: the interior nodes Q_1 .. Q_{n-1} are
 solved for with the endpoints pinned, mirroring variations that vanish at
-both ends.  No boundary-value solve differentiates its residual: the
-Jacobian comes by the chain rule from pointwise Hessian blocks (4*d + 2
-callback calls).  A fractional one is dense (``schemes.fractional_jacobian``)
-and solved by LAPACK; a classical one has three block diagonals
-(``schemes.classical_jacobian``), which odd-even block cyclic reduction
-solves in O(n*d^3) time and O(n*d^2) memory, ending in one small LAPACK
-solve.  Marching is a chord iteration: each march step's first Newton
-iteration solves with the last Jacobian built during the march, and any
-later iteration differences the step's d unknowns one at a time to
-rebuild it.  Every Newton iteration makes one :func:`lu_solve` call.
+both ends.  A boundary-value solve validates its problem once, then works
+on raw arrays: each iterate is written into one (n+1, d) array whose end
+rows hold the boundary values, and the array-level cores behind
+``schemes.assemble_residual`` and the Jacobian builders run on it, with
+the per-grid constants computed once.  No boundary-value solve
+differentiates its residual: the Jacobian comes by the chain rule from
+pointwise Hessian blocks (4*d + 2 callback calls).  A fractional one is
+dense (``schemes.fractional_jacobian``) and solved by LAPACK; a classical
+one has three block diagonals (``schemes.classical_jacobian``), which
+odd-even block cyclic reduction solves in O(n*d^3) time and O(n*d^2)
+memory, ending in one small LAPACK solve.  Marching is a chord iteration:
+each march step's first Newton iteration solves with the last Jacobian
+built during the march, and any later iteration differences the step's d
+unknowns one at a time to rebuild it; a step reuses the previous step's
+last Lv value.  Every Newton iteration makes one :func:`lu_solve` call,
+which answers a 1x1 system by a division.  The line search stops as soon
+as a rejected trial rounds to the iterate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fracops import _check_unit_alpha
 from .grids import DomainError, Grid, Trajectory
 from .lagrangians import FD_STEP, Lagrangian
-from .schemes import SchemeKind, assemble_residual, classical_jacobian, fractional_jacobian
+from .schemes import SchemeFamily, SchemeKind, _assemble_values, _classical_jacobian
+from .schemes import _fractional_jacobian, _fractional_layout
+from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
 
 
 class SingularMatrixError(RuntimeError):
@@ -125,7 +136,13 @@ class NewtonDiagnostics:
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a dense square system by LAPACK's partial-pivoting LU."""
+    """Solve a dense square system by LAPACK's partial-pivoting LU.
+
+    A 1x1 system with one right-hand side is answered by the one division
+    LAPACK does, in Python floats, without its call overhead (a sixth of a
+    marching step); a zero pivot raises :class:`SingularMatrixError` as
+    LAPACK's does.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m = a.shape[0]
@@ -133,6 +150,11 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DomainError(f"matrix must be square, got {a.shape}")
     if b.shape[0] != m:
         raise DomainError(f"right-hand side length {b.shape[0]} != {m}")
+    if b.shape == (1,):
+        pivot = float(a[0, 0])
+        if pivot == 0.0:
+            raise SingularMatrixError("singular matrix")
+        return np.array([float(b[0]) / pivot])
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -238,9 +260,13 @@ def _newton(
     near ``x`` (``r = fun(x)``) against ``-r`` by one :func:`lu_solve`,
     and whether it built that Jacobian (residual calls made while building
     it are counted).  Steps backtrack until the residual inf-norm
-    decreases.  Raises :class:`NewtonConvergenceError` with the last
-    iterate and the history, its message prefixed by ``label``, if the
-    target is not met, and at once if the residual is not finite.
+    decreases.  A rejected trial that rounds to ``x`` bit for bit ends the
+    search at once: every shorter step rounds to ``x`` too, so no trial can
+    decrease the residual.  The last residual call of a successful solve
+    is at the iterate it returns.  Raises :class:`NewtonConvergenceError`
+    with the last iterate and the history, its message prefixed by
+    ``label``, if the target is not met, and at once if the residual is
+    not finite.
     """
     x = np.array(x0, dtype=float)
     diag = NewtonDiagnostics()
@@ -276,8 +302,10 @@ def _newton(
             if rn_trial < rnorm:
                 break
             diag.backtracks += 1
+            if trial.tobytes() == x.tobytes():
+                break
             t *= _DAMPING
-        else:
+        if not rn_trial < rnorm:
             diag.records.append((it, rnorm, 0.0))
             raise NewtonConvergenceError(
                 f"{label}line search stalled at iteration {it} "
@@ -289,6 +317,34 @@ def _newton(
         diag.records.append((it, rnorm, float(abs(t * delta).max())))
     diag.converged = True
     return x, diag
+
+
+def _bvp_functions(problem: BVPProblem):
+    """The solver's array path: ``residual(x)`` and ``jacobian(x)`` of the
+    flattened interior nodes ``x``, bit for bit the public assemblers' on
+    the trajectory with the ends pinned.  Each writes ``x`` into one
+    (n+1, d) array that holds the boundary values in its end rows, and
+    calls the array-level cores on it; nothing is checked."""
+    grid, lag, kind = problem.grid, problem.lagrangian, problem.scheme
+    n, d = grid.n, lag.dim
+    buf = np.empty((n + 1, d))
+    buf[0], buf[-1] = problem.qa, problem.qb
+    values = buf.view()
+    values.flags.writeable = False  # callbacks see read-only node values
+    if kind.is_fractional:  # the per-grid constants, once per solve
+        core = functools.partial(_fractional_jacobian, layout=_fractional_layout(kind, grid))
+    else:
+        core = _classical_jacobian
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        buf[1:-1] = x.reshape(n - 1, d)
+        return _assemble_values(kind, lag, values, grid).ravel()
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        buf[1:-1] = x.reshape(n - 1, d)
+        return core(kind, lag, values, grid)
+
+    return residual, jacobian
 
 
 def solve_bvp_newton(
@@ -303,8 +359,8 @@ def solve_bvp_newton(
     """
     cfg = config or NewtonConfig()
     grid = problem.grid
-    lag = problem.lagrangian
-    d = lag.dim
+    kind = problem.scheme
+    d = problem.lagrangian.dim
     if init is None:
         init = linear_initial_guess(grid, problem.qa, problem.qb)
     if init.grid != grid or init.dim != d:
@@ -314,6 +370,12 @@ def solve_bvp_newton(
         and np.array_equal(init.values[-1], problem.qb)
     ):
         raise DomainError("initial guess must satisfy the boundary values")
+    # the checks of the public assemblers, which the solver does not call
+    if kind.is_fractional:
+        _check_unit_alpha(kind.alpha)
+    elif kind.family is SchemeFamily.DIRECT_CLASSICAL and grid.n < 3:
+        raise DomainError("direct classical residual needs n >= 3")
+    residual, jacobian = _bvp_functions(problem)
 
     def build(x: np.ndarray) -> Trajectory:
         vals = np.vstack(
@@ -321,17 +383,11 @@ def solve_bvp_newton(
         )
         return Trajectory(grid, vals)
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return assemble_residual(problem.scheme, lag, build(x)).values.ravel()
+    solve = lu_solve if kind.is_fractional else _block_tridiagonal_solve
 
-    def banded_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
-        bands = classical_jacobian(problem.scheme, lag, build(x))
-        return _block_tridiagonal_solve(bands, -r), True
+    def step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
+        return solve(jacobian(x), -r), True
 
-    def dense_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
-        return lu_solve(fractional_jacobian(problem.scheme, lag, build(x)), -r), True
-
-    step = dense_step if problem.scheme.is_fractional else banded_step
     try:
         x, diag = _newton(residual, init.values[1:-1].ravel(), cfg, step)
     except NewtonConvergenceError as exc:
@@ -377,6 +433,7 @@ def march_direct_classical(
     if not (np.isfinite(q0).all() and np.isfinite(q1).all()):
         raise DomainError(f"initial values must be finite, got q0={q0}, q1={q1}")
     hinv = 1.0 / grid.h
+    nodes = grid.nodes.tolist()
     vals = np.empty((grid.n + 1, d))
     vals[0] = q0
     vals[1] = q1
@@ -392,19 +449,21 @@ def march_direct_classical(
         rebuild = True
         return lu_solve(held, -r), built
 
+    # step k's residual at Q_k = x, with prev = Q_{k-1}, t_k and
+    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last
+    def step_residual(x: np.ndarray) -> np.ndarray:
+        nonlocal lv_last
+        v = (x - prev) * hinv
+        lx = lag.Lx(x, v, t_k)
+        lv_last = lag.Lv(x, v, t_k)
+        return np.asarray(lx - (lv_last - lv_prev) * hinv)
+
+    lv_last = lag.Lv(q1, (q1 - q0) * hinv, nodes[1])
     for k in range(2, grid.n + 1):
-        t_k = grid.node(k)
-        t_prev = grid.node(k - 1)
-        v_prev = (vals[k - 1] - vals[k - 2]) * hinv
-        lv_prev = lag.Lv(vals[k - 1], v_prev, t_prev)
-
-        def step_residual(x: np.ndarray) -> np.ndarray:
-            v = (x - vals[k - 1]) * hinv
-            return np.asarray(
-                lag.Lx(x, v, t_k) - (lag.Lv(x, v, t_k) - lv_prev) * hinv
-            )
-
-        guess = 2.0 * vals[k - 1] - vals[k - 2]
+        # a converged step's last residual call was at the Q_{k-1} it
+        # returned, so its Lv is the one at node k-1, bit for bit
+        prev, t_k, lv_prev = vals[k - 1], nodes[k], lv_last
+        guess = 2.0 * prev - vals[k - 2]
         rebuild = held is None
         try:
             vals[k], step = _newton(

@@ -281,6 +281,33 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert "n=8" in capsys.readouterr().out
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    from fracvi import cli
+
+    builds = []
+    build = cli._build_parsers
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parsers", counted)
+    cli._shared_parser.cache_clear()
+    assert main(["ibp", "--trials", "2"]) == EXIT_OK
+    assert main(["glcheck", "--n-list", "8,16"]) == EXIT_OK
+    assert len(builds) == 1
+    assert "n=64" in capsys.readouterr().out
+    # a --config call parses with a parser of its own, whose defaults the
+    # next call does not see
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 16\n")
+    assert main(["ibp", "--config", str(cfg), "--trials", "2"]) == EXIT_OK
+    assert "n=16" in capsys.readouterr().out
+    assert main(["ibp", "--trials", "2"]) == EXIT_OK
+    assert "n=64" in capsys.readouterr().out
+    assert len(builds) == 2
+
+
 def test_config_rejects_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")

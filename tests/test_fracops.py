@@ -6,7 +6,7 @@ import pytest
 
 import fracvi as fv
 from fracvi import fracops
-from fracvi.fracops import _kernel
+from fracvi.fracops import _adjoint, _kernel
 
 
 def test_weights_alpha_one_truncate():
@@ -106,6 +106,37 @@ def test_kernel_cache_is_bounded_by_bytes(monkeypatch):
         assert [n for _, n, _ in fracops._cache] == held
         assert sum(k.nbytes for k in fracops._cache.values()) <= bound
     assert _kernel(0.3, 10, fv.PLUS) is fracops._cache[(0.3, 10, fv.PLUS)]
+
+
+def test_adjoints_are_cached_within_the_same_bound(monkeypatch):
+    # an adjoint of size n holds 8 n (n - 1) bytes and caches its kernel,
+    # 8 n (n + 1) bytes, first
+    nbytes = lambda n: 8 * n * (n + 1)
+    bound = nbytes(40) + nbytes(30)
+    monkeypatch.setattr(fracops, "_cache", OrderedDict())
+    monkeypatch.setattr(fracops, "_CACHE_BYTES", bound)
+    K, A = "kernel", "adjoint"
+    calls = [  # (what, n), then the entries held afterwards, oldest first
+        ((A, 30), [(K, 30), (A, 30)]),
+        ((K, 20), [(K, 30), (A, 30), (K, 20)]),
+        ((A, 30), [(K, 30), (K, 20), (A, 30)]),  # a hit becomes the most recent
+        ((A, 40), [(A, 40)]),  # its kernel, then itself, push the rest out
+        ((K, 40), [(K, 40)]),
+        ((A, 60), [(K, 40)]),  # larger than the bound, as its kernel: not kept
+    ]
+    for (what, n), held in calls:
+        fresh = _fresh_kernel(0.5, n, fv.MINUS)
+        if what == A:
+            array = _adjoint(0.5, n, fv.MINUS)
+            assert array.flags.c_contiguous
+            assert np.array_equal(array, fresh[:, 1:n].T)
+        else:
+            array = _kernel(0.5, n, fv.MINUS)
+            assert np.array_equal(array, fresh)
+        assert not array.flags.writeable
+        assert [(A if len(key) == 4 else K, key[1]) for key in fracops._cache] == held
+        assert sum(a.nbytes for a in fracops._cache.values()) <= bound
+    assert _adjoint(0.5, 8, fv.PLUS) is fracops._cache[(0.5, 8, fv.PLUS, "adjoint")]
 
 
 def _traj_0123():

@@ -1,8 +1,9 @@
 """Property tests of the identities the schemes rest on, over random
 (n, d, alpha, sigma): discrete integration by parts, direct-vs-variational
 coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
-fractional functional and gradient to the classical ones.  A last property
-checks the classical Newton Jacobian's bands against finite differences.
+fractional functional and gradient to the classical ones.  The last two
+properties check the classical Newton Jacobian's bands against finite
+differences, and the solver's array path against the public assemblers.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -12,7 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fracvi as fv
-from fracvi.schemes import SchemeFamily, SchemeKind, classical_jacobian
+from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, classical_jacobian
+from fracvi.schemes import fractional_jacobian
+from fracvi.solver import BVPProblem, _bvp_functions
 from oracles import column_fd_jacobian, coupled_lagrangian, dense_from_bands, interior_residual
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -114,3 +117,19 @@ def test_classical_jacobian_matches_finite_differences(qs, family, sigma):
     bands = classical_jacobian(kind, lag, q)
     assert not bands[0, 0].any() and not bands[2, -1].any()
     assert np.max(np.abs(dense_from_bands(bands) - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@PROPERTY
+@given(trajectories(max_n=48), st.sampled_from(list(SchemeFamily)), sigmas, alphas, lagrangians)
+def test_solver_array_path_is_the_public_assembly(qs, family, sigma, alpha, name):
+    [q] = qs
+    assume(family is not SchemeFamily.DIRECT_CLASSICAL or q.grid.n >= 3)
+    fractional = family in (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
+    kind = SchemeKind(family, sigma, alpha if fractional else None)
+    lag = lagrangian(name, q.dim)
+    residual, jacobian = _bvp_functions(BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1]))
+    x = q.values[1:-1].ravel()
+    jac = (fractional_jacobian if fractional else classical_jacobian)(kind, lag, q)
+    # the Jacobian first: the array path must not depend on its last residual
+    assert jacobian(x).tobytes() == jac.tobytes()
+    assert residual(x).tobytes() == assemble_residual(kind, lag, q).values.tobytes()

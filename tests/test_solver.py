@@ -79,6 +79,23 @@ def test_lu_singular_reports_pivot():
         lu_solve(a, np.array([1.0, 2.0]))
 
 
+def test_lu_one_by_one_is_lapacks_division_without_lapack(monkeypatch):
+    rng = np.random.default_rng(43)
+    special = [0.0, -0.0, 5e-324, 1.7e308, math.inf, -math.inf, math.nan, 1.0 / 3.0]
+    cases = [(rng.standard_normal((1, 1)) * 10.0 ** rng.integers(-300, 300),
+              rng.standard_normal(1) * 10.0 ** rng.integers(-300, 300)) for _ in range(2000)]
+    cases += [(np.array([[a]]), np.array([b])) for a in special[2:] for b in special]
+    expected = [np.linalg.solve(a, b).tobytes() for a, b in cases]
+    lapack = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: lapack.append(1) or solve(*args))
+    assert [lu_solve(a, b).tobytes() for a, b in cases] == expected
+    assert not lapack
+    for pivot in (0.0, -0.0):
+        with pytest.raises(SingularMatrixError, match="singular matrix"):
+            lu_solve(np.array([[pivot]]), np.array([1.0]))
+
+
 def test_newton_config_validation():
     with pytest.raises(fv.DomainError):
         NewtonConfig(tol=0.0)
@@ -286,6 +303,25 @@ def test_march_reports_summed_counters(monkeypatch):
     assert diag.jacobian_builds == 1 + sum(s.iterations - 1 for s in steps)
     assert diag.backtracks == sum(s.backtracks for s in steps)
     assert diag.records == max(steps, key=lambda s: s.final_residual).records
+
+
+def test_march_reuses_each_steps_last_lv():
+    # a converged step's last residual call is at the value it returns, so
+    # its Lv serves the next step: one Lv call per step residual plus the
+    # one at node 1
+    lag = fv.pendulum(1.2)
+    lv_calls = []
+
+    def Lv(x, v, t):
+        lv_calls.append(1)
+        return lag.Lv(x, v, t)
+
+    grid = fv.make_grid(0.0, 1.0, 64)
+    cfg = NewtonConfig(tol=1e-11)
+    traj, diag = march_direct_classical(dataclasses.replace(lag, Lv=Lv), grid, [0.1], [0.15], config=cfg)
+    assert len(lv_calls) == diag.residual_evals + 1
+    oracle = fresh_jacobian_march(lag, grid, np.array([0.1]), np.array([0.15]), 1e-11)
+    assert np.max(np.abs(traj.values - oracle)) <= 1e-9
 
 
 def test_march_linear_problem_builds_one_jacobian():
@@ -529,14 +565,16 @@ def test_classical_solve_takes_no_dense_matrix():
 
 
 def count_residual_calls(monkeypatch):
+    # the solver's residual seam: one call of the array-level assembler per
+    # residual evaluation
     calls = []
-    assemble = solver.assemble_residual
+    assemble = solver._assemble_values
 
     def counted(*args):
         calls.append(1)
         return assemble(*args)
 
-    monkeypatch.setattr(solver, "assemble_residual", counted)
+    monkeypatch.setattr(solver, "_assemble_values", counted)
     return calls
 
 
@@ -646,6 +684,22 @@ def test_classical_counters_count_calls_and_backtracks(monkeypatch):
     assert len(calls) == diag.residual_evals == 1 + diag.iterations + diag.backtracks
     per_jacobian = (len(callbacks) - 2 * len(calls)) / diag.jacobian_builds
     assert per_jacobian <= 4 * d + 2
+
+
+def test_line_search_stops_at_the_rounding_floor():
+    # the default 1e-12 target lies below the rounding floor of this
+    # residual (which scales like 4/h^2): the third step's first trial
+    # rounds to the iterate, and so would every shorter one
+    grid = fv.make_grid(0.0, 1.0, 512)
+    problem = BVPProblem(grid, fv.harmonic_oscillator(1.0), vi_classical(), [0.0], [1.0])
+    message = "line search stalled at iteration 3 (residual 5.405e-11, target 1.000e-12)"
+    with pytest.raises(NewtonConvergenceError) as err:
+        solve_bvp_newton(problem)
+    assert str(err.value) == message
+    diag = err.value.diagnostics
+    # 40 backtracks and 43 residual calls when the search ran to its limit
+    assert diag.backtracks <= 2 and diag.residual_evals <= 5
+    assert diag.records[-1] == (3, diag.records[-2][1], 0.0)
 
 
 def nan_lx(lag, after=-math.inf):
