@@ -236,27 +236,35 @@ def run_coherence(
 
 CONVERGENCE_HEADER = ["N", "h", "error", "observed_order"]
 
-_SCHEME_CHOICES = ("direct", "vi", "asymmetric")
+#: (--scheme, fractional?) -> family; a missing pair takes no alpha
+_FAMILIES = {
+    ("direct", False): SchemeFamily.DIRECT_CLASSICAL,
+    ("direct", True): SchemeFamily.DIRECT_FRACTIONAL,
+    ("vi", False): SchemeFamily.VARIATIONAL_CLASSICAL,
+    ("vi", True): SchemeFamily.VARIATIONAL_FRACTIONAL,
+    ("asymmetric", False): SchemeFamily.ASYMMETRIC_DIRECT,
+}
+_SCHEME_CHOICES = tuple(dict.fromkeys(scheme for scheme, _ in _FAMILIES))
 
 
 def _scheme_kind(scheme: str, sigma: int, alpha: float | None) -> SchemeKind:
-    if scheme == "vi":
-        if alpha is None:
-            return SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma)
-        return SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, sigma, alpha)
-    if scheme == "direct":
-        if alpha is None:
-            return SchemeKind(SchemeFamily.DIRECT_CLASSICAL, sigma)
-        return SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, sigma, alpha)
-    if scheme == "asymmetric":
-        if alpha is not None:
-            raise DomainError("the asymmetric scheme takes no alpha")
-        return SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma)
-    raise DomainError(f"scheme must be one of {_SCHEME_CHOICES}, got {scheme!r}")
+    if scheme not in _SCHEME_CHOICES:
+        raise DomainError(f"scheme must be one of {_SCHEME_CHOICES}, got {scheme!r}")
+    family = _FAMILIES.get((scheme, alpha is not None))
+    if family is None:
+        raise DomainError(f"the {scheme} scheme takes no alpha")
+    return SchemeKind(family, sigma, alpha)
 
 
-def _harmonic_reference(omega, a, b, qa, qb):
+def _exact_solution(problem, omega, a, b, qa, qb):
+    """The classical closed form through (a, qa) and (b, qb) as a function
+    of the nodes, or None for a problem without one: the study then
+    self-references."""
     span = b - a
+    if problem == "free":
+        return lambda t: qa + (t[:, None] - a) / span * (qb - qa)
+    if problem != "harmonic":
+        return None
     s = math.sin(omega * span)
     if abs(s) < 1e-12:
         raise DomainError("harmonic reference undefined: sin(omega (b-a)) ~ 0")
@@ -265,14 +273,6 @@ def _harmonic_reference(omega, a, b, qa, qb):
     def exact(t: np.ndarray) -> np.ndarray:
         phase = omega * (t[:, None] - a)
         return qa * np.cos(phase) + coef_b * np.sin(phase)
-
-    return exact
-
-
-def _linear_reference(a, b, qa, qb):
-    def exact(t: np.ndarray) -> np.ndarray:
-        s = (t[:, None] - a) / (b - a)
-        return qa + s * (qb - qa)
 
     return exact
 
@@ -319,6 +319,7 @@ def run_convergence(
     """
     _check_n_list(n_list)
     lag = builtin_problem(problem, omega=omega, dim=1)
+    kind = _scheme_kind(scheme, sigma, alpha)
     harmonic_exact_case = problem == "harmonic" and alpha is None
     if qa is None:
         qa = [1.0 if harmonic_exact_case else 0.0]
@@ -333,26 +334,18 @@ def run_convergence(
     # at n >= 4096 on a unit interval: the direct study stalls there (exit 3).
     cfg = NewtonConfig(tol=tol if tol is not None else 1e-9, max_iter=max_iter)
 
-    exact = None
-    if alpha is None and problem == "harmonic":
-        exact = _harmonic_reference(omega, a, b, qa, qb)
-    elif alpha is None and problem == "free":
-        exact = _linear_reference(a, b, qa, qb)
-
-    marching = scheme == "direct" and alpha is None
+    exact = None if kind.is_fractional else _exact_solution(problem, omega, a, b, qa, qb)
+    marching = kind.family is SchemeFamily.DIRECT_CLASSICAL
     if marching and exact is None:
         raise DomainError(
             "direct classical marching needs an exact reference (free or harmonic)"
         )
 
-    ref_traj = None
     n_ref = 4 * max(n_list)
     if exact is None:
         if any(n_ref % n for n in n_list):
             raise DomainError(f"self-reference requires every n to divide n_ref={n_ref}")
-        kind = _scheme_kind(scheme, sigma, alpha)
-        ref_grid = make_grid(a, b, n_ref)
-        ref_problem = BVPProblem(ref_grid, lag, kind, qa, qb)
+        ref_problem = BVPProblem(make_grid(a, b, n_ref), lag, kind, qa, qb)
         ref_traj, _ = solve_bvp_newton(ref_problem, config=cfg)
 
     errors = []
@@ -365,9 +358,7 @@ def run_convergence(
         if marching:
             traj, _ = march_direct_classical(lag, grid, ref_vals[0], ref_vals[1], config=cfg)
         else:
-            kind = _scheme_kind(scheme, sigma, alpha)
-            bvp = BVPProblem(grid, lag, kind, qa, qb)
-            traj, _ = solve_bvp_newton(bvp, config=cfg)
+            traj, _ = solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=cfg)
         errors.append(float(np.max(np.abs(traj.values - ref_vals))))
 
     orders = _observed_orders(n_list, errors)

@@ -10,10 +10,10 @@ kernels from one builder, ``_kernel(alpha, n, side)``: the left operator
 reads w_{k-j}, the right one w_{j-k}.  Every kernel product in the package
 goes through one pair keyed by (alpha, side): :func:`gl_apply` (the
 kernel) and :func:`gl_adjoint_apply` (the transpose of its interior
-columns, which the variational gradient and its Jacobian scatter through).
-Kernels and contiguous adjoints share one cache bounded by bytes.  No fast
-convolution is attempted at desk scale.  Fractional orders must be finite
-and positive.
+columns, held as one contiguous copy, which the variational gradient and
+its Jacobian both scatter through).  Kernels and adjoints share one cache
+bounded by bytes.  No fast convolution is attempted at desk scale.
+Fractional orders must be finite and positive.
 """
 
 from __future__ import annotations
@@ -101,18 +101,12 @@ def gl_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
     return _kernel(alpha, len(y) - 1, side) @ y
 
 
-def gl_adjoint_apply(alpha: float, side: int, y: np.ndarray, contiguous: bool = True):
+def gl_adjoint_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
     """``K[:, 1:n].T @ y`` for the GL kernel K of ``side`` over positions
     0..n, n = len(y), unscaled: n - 1 rows out, one per interior node.
-
-    The product is taken with the cached contiguous adjoint, or with
-    ``contiguous=False`` with K's transpose read in place.  BLAS orders the
-    two products' sums differently, so their last bits differ: the
-    variational gradient uses the first, its dense Jacobian the second.
-    """
-    n = len(y)
-    adjoint = _adjoint(alpha, n, side) if contiguous else _kernel(alpha, n, side)[:, 1:n].T
-    return adjoint @ y
+    The product is taken with the cached contiguous adjoint, for the
+    variational gradient and its dense Jacobian alike."""
+    return _adjoint(alpha, len(y), side) @ y
 
 
 def _check_alpha(alpha: float) -> float:

@@ -11,13 +11,15 @@ Grunwald-Letnikov embeddings yield identical schemes.
 Newton Jacobians come from the chain rule through pointwise Hessian
 blocks, each family's own stencils linearized, never from a residual.
 
-Each assembler and Jacobian builder is a thin checked wrapper around an
-array-level core (``_direct_classical``, ``_asymmetric_direct``,
-``_direct_fractional``, ``lagrangians._gradient``, ``_fractional_jacobian``,
-``_classical_jacobian``): node values in, an array out, nothing checked
-and no container built.  The Newton solver calls the cores through
-``_assemble_values``.  The direct and variational cores stay two
-independent assemblies; they share only the operators.
+Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
+sigma and order when built, and :func:`_check_layout` is the one layout
+check, made by :func:`assemble_residual`, the Jacobian builders and the
+Newton solver.  Behind them are array-level cores (``_direct_classical``,
+``_asymmetric_direct``, ``_direct_fractional``, ``lagrangians._gradient``,
+``_fractional_jacobian``, ``_classical_jacobian``): node values in, an
+array out, nothing checked, dispatched by family in ``_assemble_values``.
+The direct and variational cores stay two independent assemblies; they
+share only the operators.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ _FRACTIONAL_FAMILIES = (
 
 @dataclass(frozen=True)
 class SchemeKind:
-    """A scheme family plus its parameters; alpha is present iff fractional.
+    """A scheme family plus its parameters; alpha is present iff fractional,
+    and then a float in (0, 1].  A kind is valid once built.
 
     A fractional Jacobian is dense (:func:`fractional_jacobian`); a classical
     three-point one block tridiagonal (:func:`classical_jacobian`).
@@ -75,6 +78,7 @@ class SchemeKind:
         if self.family in _FRACTIONAL_FAMILIES:
             if self.alpha is None:
                 raise DomainError(f"{self.family.value} requires alpha")
+            object.__setattr__(self, "alpha", _check_unit_alpha(self.alpha))
         elif self.alpha is not None:
             raise DomainError(f"{self.family.value} does not take alpha")
 
@@ -94,12 +98,7 @@ def residual_direct_classical(
     Window: {2, .., n} for sigma = -1, {0, .., n-2} for sigma = +1 (the
     maximal set where the outer same-side difference exists).
     """
-    check_sigma(sigma)
-    _check_dims(lag, q)
-    if q.grid.n < 3:
-        raise DomainError("direct classical residual needs n >= 3")
-    k_start = 2 if sigma == MINUS else 0
-    return ResidualField(q.grid, k_start, _direct_classical(lag, q.values, q.grid, sigma))
+    return assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, sigma), lag, q)
 
 
 def _direct_classical(lag: Lagrangian, values: Vec, grid: Grid, sigma: int) -> Vec:
@@ -149,9 +148,7 @@ def residual_asymmetric_direct(
     its own transcription so agreement with :func:`residual_vi_classical`
     stays a two-path check.
     """
-    check_sigma(sigma)
-    _check_dims(lag, q)
-    return ResidualField(q.grid, 1, _asymmetric_direct(lag, q.values, q.grid, sigma))
+    return assemble_residual(SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma), lag, q)
 
 
 def _asymmetric_direct(lag: Lagrangian, values: Vec, grid: Grid, sigma: int) -> Vec:
@@ -181,10 +178,8 @@ def residual_direct_fractional(
     :func:`fracvi.lagrangians.functional_gradient` and never shares this
     assembly.
     """
-    check_sigma(sigma)
-    _check_dims(lag, q)
-    alpha = _check_unit_alpha(alpha)
-    return ResidualField(q.grid, 1, _direct_fractional(lag, q.values, q.grid, sigma, alpha))
+    kind = SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, sigma, alpha)
+    return assemble_residual(kind, lag, q)
 
 
 def _direct_fractional(
@@ -210,26 +205,27 @@ def residual_vi_fractional(
     return functional_gradient(lag, q, sigma, alpha)
 
 
+def _check_layout(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> None:
+    """The one check of a kind's residual on ``q``: the dimensions match,
+    and n >= 3 for the direct classical scheme."""
+    _check_dims(lag, q)
+    if kind.family is SchemeFamily.DIRECT_CLASSICAL and q.grid.n < 3:
+        raise DomainError("direct classical residual needs n >= 3")
+
+
 def assemble_residual(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> ResidualField:
-    """Dispatch a scheme kind to its residual assembler."""
-    fam = kind.family
-    if fam is SchemeFamily.DIRECT_CLASSICAL:
-        return residual_direct_classical(lag, q, kind.sigma)
-    if fam is SchemeFamily.VARIATIONAL_CLASSICAL:
-        return residual_vi_classical(lag, q, kind.sigma)
-    if fam is SchemeFamily.ASYMMETRIC_DIRECT:
-        return residual_asymmetric_direct(lag, q, kind.sigma)
-    if fam is SchemeFamily.DIRECT_FRACTIONAL:
-        return residual_direct_fractional(lag, q, kind.sigma, kind.alpha)
-    if fam is SchemeFamily.VARIATIONAL_FRACTIONAL:
-        return residual_vi_fractional(lag, q, kind.sigma, kind.alpha)
-    raise DomainError(f"unknown scheme family {fam!r}")
+    """The residual of a scheme kind on q, checked once, over its window."""
+    _check_layout(kind, lag, q)
+    k_start = 1
+    if kind.family is SchemeFamily.DIRECT_CLASSICAL:
+        k_start = 2 if kind.sigma == MINUS else 0
+    return ResidualField(q.grid, k_start, _assemble_values(kind, lag, q.values, q.grid))
 
 
 def _assemble_values(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid) -> Vec:
     """Array core of :func:`assemble_residual`: node values (n+1, d) in,
     the residual field's values (n-1, d) out.  Nothing is checked: the
-    caller validates ``kind``, ``lag`` and the layout once."""
+    caller checks the layout once (:func:`_check_layout`)."""
     fam = kind.family
     if fam is SchemeFamily.DIRECT_CLASSICAL:
         return _direct_classical(lag, values, grid, kind.sigma)
@@ -258,8 +254,7 @@ def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.
     """
     if not kind.is_fractional:
         raise DomainError(f"{kind.family.value} is classical: use classical_jacobian")
-    _check_dims(lag, q)
-    _check_unit_alpha(kind.alpha)
+    _check_layout(kind, lag, q)
     layout = _fractional_layout(kind, q.grid)
     return _fractional_jacobian(kind, lag, q.values, q.grid, layout)
 
@@ -268,7 +263,7 @@ def _fractional_layout(kind: SchemeKind, grid: Grid):
     """What a fractional Jacobian on ``grid`` reads but never changes: the
     scaled velocity kernel V = -sigma s K[:, 1:n], the window rows of the
     interior nodes and their columns.  A solve computes it once."""
-    n, sigma, alpha = grid.n, kind.sigma, float(kind.alpha)
+    n, sigma, alpha = grid.n, kind.sigma, kind.alpha
     vel = (-sigma * _scale(grid.h, alpha)) * _kernel(alpha, n, sigma)[:, 1:n]
     cols = np.arange(n - 1)
     rows = cols if sigma == MINUS else cols + 1
@@ -281,7 +276,7 @@ def _fractional_jacobian(
     """Array core of :func:`fractional_jacobian`, with ``layout`` from
     :func:`_fractional_layout` on the same kind and grid."""
     vel, rows, cols = layout
-    sigma, alpha = kind.sigma, float(kind.alpha)
+    sigma, alpha = kind.sigma, kind.alpha
     n, d, h = grid.n, values.shape[1], grid.h
     window = _rows(sigma, n)
     v = _velocity_alpha(values, h, sigma, alpha)
@@ -292,7 +287,7 @@ def _fractional_jacobian(
     w[rows, :, cols, :] += hvx[rows]
     w = w.reshape(n, -1)
     if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
-        outer = gl_adjoint_apply(alpha, sigma, w, contiguous=False)
+        outer = gl_adjoint_apply(alpha, sigma, w)
     else:
         outer = gl_apply(alpha, -sigma, w)
     jac = ((-sigma * s) * outer).reshape(n - 1, d, n - 1, d)
@@ -317,7 +312,7 @@ def classical_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.n
     """
     if kind.is_fractional:
         raise DomainError(f"{kind.family.value} is fractional: use fractional_jacobian")
-    _check_dims(lag, q)
+    _check_layout(kind, lag, q)
     return _classical_jacobian(kind, lag, q.values, q.grid)
 
 
@@ -344,7 +339,13 @@ def _classical_jacobian(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Gr
     return bands
 
 
-COHERENCE_KINDS = ("classical", "asymmetric", "fractional")
+#: Coherence kind -> the direct family compared with the variational gradient.
+_COHERENCE_DIRECT = {
+    "classical": SchemeFamily.DIRECT_CLASSICAL,
+    "asymmetric": SchemeFamily.ASYMMETRIC_DIRECT,
+    "fractional": SchemeFamily.DIRECT_FRACTIONAL,
+}
+COHERENCE_KINDS = tuple(_COHERENCE_DIRECT)
 
 VERDICT_COHERENT = "COHERENT"
 VERDICT_NOT_COHERENT = "NOT COHERENT"
@@ -400,23 +401,14 @@ def coherence_report(
     variational), or "fractional" (requires ``alpha``).  When ``kind`` is
     omitted it is inferred from the presence of ``alpha``.
     """
-    check_sigma(sigma)
     if kind is None:
         kind = "fractional" if alpha is not None else "classical"
     if kind not in COHERENCE_KINDS:
         raise DomainError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
-    if kind == "fractional":
-        if alpha is None:
-            raise DomainError("fractional coherence requires alpha")
-        direct = residual_direct_fractional(lag, q, sigma, alpha)
-        variational = residual_vi_fractional(lag, q, sigma, alpha)
-    else:
+    if kind != "fractional":
         alpha = None
-        variational = residual_vi_classical(lag, q, sigma)
-        if kind == "classical":
-            direct = residual_direct_classical(lag, q, sigma)
-        else:
-            direct = residual_asymmetric_direct(lag, q, sigma)
+    direct = assemble_residual(SchemeKind(_COHERENCE_DIRECT[kind], sigma, alpha), lag, q)
+    variational = functional_gradient(lag, q, sigma, alpha)
 
     lo = max(direct.indices.start, variational.indices.start)
     hi = min(direct.indices.stop, variational.indices.stop)

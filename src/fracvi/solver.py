@@ -4,9 +4,10 @@ Newton kernel.
 
 Boundary values are never unknowns: the interior nodes Q_1 .. Q_{n-1} are
 solved for with the endpoints pinned, mirroring variations that vanish at
-both ends.  A boundary-value solve validates its problem once, then works
-on raw arrays: each iterate is written into one (n+1, d) array whose end
-rows hold the boundary values, and the array-level cores behind
+both ends.  A boundary-value solve validates its problem once, by the
+layout check that ``schemes.assemble_residual`` makes, then works on raw
+arrays: each iterate is written into one (n+1, d) array whose end rows
+hold the boundary values, and the array-level cores behind
 ``schemes.assemble_residual`` and the Jacobian builders run on it, with
 the per-grid constants computed once.  No boundary-value solve
 differentiates its residual: the Jacobian comes by the chain rule from
@@ -31,10 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import _check_unit_alpha
 from .grids import DomainError, Grid, Trajectory
 from .lagrangians import FD_STEP, Lagrangian
-from .schemes import SchemeFamily, SchemeKind, _assemble_values, _classical_jacobian
+from .schemes import SchemeKind, _assemble_values, _check_layout, _classical_jacobian
 from .schemes import _fractional_jacobian, _fractional_layout
 from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
 
@@ -370,11 +370,7 @@ def solve_bvp_newton(
         and np.array_equal(init.values[-1], problem.qb)
     ):
         raise DomainError("initial guess must satisfy the boundary values")
-    # the checks of the public assemblers, which the solver does not call
-    if kind.is_fractional:
-        _check_unit_alpha(kind.alpha)
-    elif kind.family is SchemeFamily.DIRECT_CLASSICAL and grid.n < 3:
-        raise DomainError("direct classical residual needs n >= 3")
+    _check_layout(kind, problem.lagrangian, init)
     residual, jacobian = _bvp_functions(problem)
 
     def build(x: np.ndarray) -> Trajectory:

@@ -125,6 +125,20 @@ def test_convergence_rejects_bad_n_list(capsys):
     assert main(["convergence", "--n-list", "32,16"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--scheme", "asymmetric", "--alpha", "0.5"], "the asymmetric scheme takes no alpha"),
+    (["--scheme", "direct", "--problem", "pendulum"],
+     "direct classical marching needs an exact reference (free or harmonic)"),
+    (["--problem", "pendulum", "--n-list", "3,5"],
+     "self-reference requires every n to divide n_ref=20"),
+    (["--omega", "3.141592653589793"],
+     "harmonic reference undefined: sin(omega (b-a)) ~ 0"),
+])
+def test_convergence_usage_refusals(capsys, argv, message):
+    assert main(["convergence"] + argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"  # no traceback
+
+
 def test_glcheck_rejects_repeated_n(capsys):
     assert main(["glcheck", "--n-list", "64,64,128"]) == EXIT_USAGE
     assert "strictly increasing" in capsys.readouterr().err

@@ -296,7 +296,8 @@ def test_gl_converges_to_rl_on_monomials(alpha, beta):
     lambda lag, q, alpha: fv.functional_gradient(lag, q, fv.MINUS, alpha),
     lambda lag, q, alpha: fv.residual_direct_fractional(lag, q, fv.MINUS, alpha),
     lambda lag, q, alpha: fv.rl_monomial_derivative(1.0, alpha, 1.0),
-], ids=["functional", "gradient", "direct", "closed_form"])
+    lambda lag, q, alpha: fv.SchemeKind(fv.SchemeFamily.DIRECT_FRACTIONAL, fv.MINUS, alpha),
+], ids=["functional", "gradient", "direct", "closed_form", "scheme_kind"])
 def test_order_outside_unit_interval_refused(caller, alpha):
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
     with pytest.raises(fv.DomainError, match=r"must lie in \(0, 1\]"):

@@ -8,6 +8,8 @@ from fracvi.schemes import (
     VERDICT_COHERENT,
     VERDICT_NOT_COHERENT,
     assemble_residual,
+    classical_jacobian,
+    fractional_jacobian,
 )
 from oracles import random_trajectory
 
@@ -44,6 +46,32 @@ def test_direct_classical_needs_three_intervals():
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 2))
     with pytest.raises(fv.DomainError):
         fv.residual_direct_classical(lag, q, fv.MINUS)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda kind, lag, q: fv.residual_direct_classical(lag, q, kind.sigma),
+    assemble_residual,
+    classical_jacobian,
+    lambda kind, lag, q: fv.solve_bvp_newton(
+        fv.BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1]), init=q
+    ),
+], ids=["residual", "assemble", "jacobian", "solve"])
+def test_direct_classical_n2_refused_at_every_entry(entry):
+    kind = SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS)
+    q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 2))
+    with pytest.raises(fv.DomainError, match="needs n >= 3"):
+        entry(kind, fv.free_particle(), q)
+
+
+@pytest.mark.parametrize("family", list(SchemeFamily), ids=lambda f: f.value)
+def test_layout_check_refuses_dimension_mismatch(family):
+    alpha = 0.5 if family.value.endswith("fractional") else None
+    kind = SchemeKind(family, fv.MINUS, alpha)
+    q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
+    jacobian = fractional_jacobian if alpha else classical_jacobian
+    for entry in (assemble_residual, jacobian):
+        with pytest.raises(fv.DomainError, match="dimension mismatch"):
+            entry(kind, fv.free_particle(dim=2), q)
 
 
 def test_direct_classical_mechanical_stencil():
@@ -246,6 +274,12 @@ def test_coherence_report_fractional_inferred():
     rep = fv.coherence_report(lag, q, fv.MINUS, alpha=0.5)
     assert rep.kind == "fractional"
     assert rep.verdict == VERDICT_COHERENT
+
+
+def test_coherence_report_fractional_needs_alpha():
+    q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
+    with pytest.raises(fv.DomainError, match="requires alpha"):
+        fv.coherence_report(fv.free_particle(), q, fv.MINUS, kind="fractional")
 
 
 def test_coherence_report_degenerate_grid():
