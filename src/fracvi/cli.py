@@ -327,6 +327,8 @@ def run_convergence(
     if qb is None and harmonic_exact_case:
         qb = qa * math.cos(omega * (b - a)) + 0.5 * math.sin(omega * (b - a))
     qb = np.ones_like(qa) if qb is None else np.atleast_1d(np.asarray(qb, dtype=float))
+    if not (np.isfinite(qa).all() and np.isfinite(qb).all()):  # before the closed form
+        raise DomainError(f"boundary values must be finite, got qa={qa}, qb={qb}")
     # discretization errors measured here are >= 1e-6; a 1e-9 residual target
     # stays far below them while clearing the double-precision floor that an
     # absolute 1e-12 hits once n reaches ~128 (residual sensitivity ~ 4/h^2).
@@ -510,6 +512,31 @@ def run_glcheck(
 # parser
 
 
+class _NegativeNumbers:
+    """Matches an argument that is a number, or a comma list of them,
+    starting with '-': every form ``float`` reads, as -1e-5 or -inf."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if not text.startswith("-"):
+            return False
+        try:
+            _vector(text)
+        except argparse.ArgumentTypeError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number as a value, not
+    as a flag: argparse's own test admits only -1 and -.5 forms.  Its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumbers
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``fracvi`` parser: the one place that states each flag's default."""
     return _build_parsers()[0]
@@ -517,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_parsers():
     """The top-level parser and a map from subcommand to its subparser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracvi",
         description="Discrete variational integrator experiments.",
     )

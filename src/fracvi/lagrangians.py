@@ -49,6 +49,10 @@ VectorFn = Callable[[Vec, Vec, Vec], Vec]
 
 #: Relative forward-difference step: an entry y moves by FD_STEP * (1 + |y|).
 FD_STEP = 1e-6
+#: Rounding error of one forward quotient at that step, relative to
+#: 1 + |entry|: a Hessian entry whose node values spread by no more is one
+#: value up to that noise.
+FD_NOISE = np.finfo(float).eps / FD_STEP
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -9,7 +9,11 @@ disagree; for the symmetric classical embedding they differ by a one-index
 shift of the second-difference stencil, while the asymmetric and
 Grunwald-Letnikov embeddings yield identical schemes.
 Newton Jacobians come from the chain rule through pointwise Hessian
-blocks, each family's own stencils linearized, never from a residual.
+blocks, each family's own stencils linearized, never from a residual.  A
+fractional Jacobian of a mechanical Lagrangian (zero Hvx, one Hvv at every
+node) takes its kinetic block from one Gram matrix per solve, so no
+iteration multiplies a GL kernel into a matrix; any other Lagrangian keeps
+the per-node product.
 
 Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
 sigma and order when built, and :func:`_check_layout` is the one layout
@@ -25,6 +29,7 @@ share only the operators.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,8 @@ from .fracops import _check_unit_alpha, _kernel, _scale, _velocity_alpha
 from .fracops import gl_adjoint_apply, gl_apply
 from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
 from .grids import sigma_label
-from .lagrangians import Lagrangian, Vec, functional_gradient, _check_dims, _hessian_blocks
+from .lagrangians import FD_NOISE, Lagrangian, Vec, functional_gradient, _check_dims
+from .lagrangians import _hessian_blocks
 from .lagrangians import _gradient, _lagrangian_values, _rows
 
 # perfbench/tracer.py times these names here; the assemblies call the array
@@ -246,11 +252,16 @@ def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.
 
         J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V),
 
-    one dense product, with the blocks from 4*d + 2 callback calls.  Each
-    family linearizes its own outer operator A, the one its residual
-    applies: the adjoint K[:, 1:n]^T for the variational gradient, the
-    opposite-side GL kernel for the direct embedding.  Rows and columns
-    are (node, component), node-major.
+    with the blocks from 4*d + 2 callback calls.  Each family linearizes
+    its own outer operator A, the one its residual applies: the adjoint
+    K[:, 1:n]^T for the variational gradient, the opposite-side GL kernel
+    for the direct embedding.  When Hvx is zero and every entry of Hvv is
+    one value at all nodes up to the noise of one forward quotient
+    (``FD_NOISE``), as for every mechanical Lagrangian, the kinetic term
+    is s^2 (G kron mean(Hvv)) with the Gram matrix G = A K[:, 1:n]: O(n^2 d^2)
+    work, and G is one product per layout.  Otherwise the term is one dense
+    O(n^3 d^2) product.  Rows and columns are (node, component),
+    node-major.
     """
     if not kind.is_fractional:
         raise DomainError(f"{kind.family.value} is classical: use classical_jacobian")
@@ -259,15 +270,39 @@ def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.
     return _fractional_jacobian(kind, lag, q.values, q.grid, layout)
 
 
+def _outer(kind: SchemeKind, y: Vec) -> Vec:
+    """The fractional family's outer operator A, unscaled, applied to the
+    window rows of ``y``: n - 1 rows out, one per interior node."""
+    if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
+        return gl_adjoint_apply(kind.alpha, kind.sigma, y)
+    return gl_apply(kind.alpha, -kind.sigma, y)
+
+
 def _fractional_layout(kind: SchemeKind, grid: Grid):
     """What a fractional Jacobian on ``grid`` reads but never changes: the
     scaled velocity kernel V = -sigma s K[:, 1:n], the window rows of the
-    interior nodes and their columns.  A solve computes it once."""
+    interior nodes and their columns, and ``gram()``, the Gram matrix
+    G = A K[:, 1:n], formed by one product at its first call and kept.  A
+    solve computes the layout once."""
     n, sigma, alpha = grid.n, kind.sigma, kind.alpha
-    vel = (-sigma * _scale(grid.h, alpha)) * _kernel(alpha, n, sigma)[:, 1:n]
+    inner = _kernel(alpha, n, sigma)[:, 1:n]
+    vel = (-sigma * _scale(grid.h, alpha)) * inner
     cols = np.arange(n - 1)
     rows = cols if sigma == MINUS else cols + 1
-    return vel, rows, cols
+    gram = functools.cache(lambda: _outer(kind, inner))
+    return vel, rows, cols, gram
+
+
+def _uniform_kinetic(hvx: Vec, hvv: Vec) -> Vec | None:
+    """The node mean of ``hvv`` if ``hvx`` is zero and each entry of
+    ``hvv`` spreads over the nodes by no more than the noise of one
+    forward quotient, else None."""
+    if hvx.any():
+        return None
+    mean = hvv.mean(axis=0)
+    if np.all(np.ptp(hvv, axis=0) <= FD_NOISE * (1.0 + np.abs(mean))):
+        return mean
+    return None
 
 
 def _fractional_jacobian(
@@ -275,23 +310,24 @@ def _fractional_jacobian(
 ) -> Vec:
     """Array core of :func:`fractional_jacobian`, with ``layout`` from
     :func:`_fractional_layout` on the same kind and grid."""
-    vel, rows, cols = layout
+    vel, rows, cols, gram = layout
     sigma, alpha = kind.sigma, kind.alpha
     n, d, h = grid.n, values.shape[1], grid.h
     window = _rows(sigma, n)
     v = _velocity_alpha(values, h, sigma, alpha)
     hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
     s = _scale(h, alpha)
-    # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
-    w = hvv[:, :, None, :] * vel[:, None, :, None]
-    w[rows, :, cols, :] += hvx[rows]
-    w = w.reshape(n, -1)
-    if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
-        outer = gl_adjoint_apply(alpha, sigma, w)
+    kinetic = _uniform_kinetic(hvx, hvv)
+    if kinetic is None:
+        # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
+        w = hvv[:, :, None, :] * vel[:, None, :, None]
+        w[rows, :, cols, :] += hvx[rows]
+        jac = ((-sigma * s) * _outer(kind, w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
     else:
-        outer = gl_apply(alpha, -sigma, w)
-    jac = ((-sigma * s) * outer).reshape(n - 1, d, n - 1, d)
-    jac += hxv[rows][:, :, None, :] * vel[rows][:, None, :, None]
+        # -sigma s A (Hvv V) with one Hvv is s^2 (A K[:, 1:n]) kron Hvv
+        jac = gram()[:, None, :, None] * ((s * s) * kinetic)[None, :, None, :]
+    if hxv.any():  # zero for every mechanical Lagrangian
+        jac += hxv[rows][:, :, None, :] * vel[rows][:, None, :, None]
     jac[cols, :, cols, :] += hxx[rows]
     return jac.reshape((n - 1) * d, (n - 1) * d)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fracvi as fv
+from fracvi import cli
 from fracvi.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -296,8 +297,6 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 
 
 def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
-    from fracvi import cli
-
     builds = []
     build = cli._build_parsers
 
@@ -439,6 +438,52 @@ def test_non_finite_tol_refused(tmp_path, capsys, cmd, tol):
     argv = [cmd, "--n-list", "16,32"] if cmd == "convergence" else [cmd, "--n", "16"]
     assert main(argv + ["--tol", tol, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
     assert f"tol must be positive and finite, got {tol}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+NEGATIVE_FORMS = ["-1e-3", "-2.5E-3"]
+
+
+@pytest.mark.parametrize("text", NEGATIVE_FORMS)
+def test_every_number_flag_reads_negative_exponent_forms(text):
+    # argparse's own test reads only -1 and -.5 as numbers, anything else
+    # starting with '-' as a flag
+    parser, commands = cli._build_parsers()
+    checked = 0
+    for command, subparser in commands.items():
+        for action in subparser._actions:
+            if action.type not in (float, cli._vector):
+                continue
+            args = parser.parse_args([command, action.option_strings[0], text])
+            value = getattr(args, action.dest)
+            assert np.ravel(value).tolist() == [float(text)], (command, action.dest, value)
+            checked += 1
+    assert checked >= 20
+
+
+def test_vector_flag_reads_a_negative_list(tmp_path):
+    args = build_parser().parse_args(["solve", "--qa", "-1e-3,-inf", "--qb", "-2,1"])
+    assert args.qa.tolist() == [-1e-3, -np.inf] and args.qb.tolist() == [-2.0, 1.0]
+
+
+def test_solve_starts_at_a_negative_exponent_form(tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    assert main(["solve", "--qa", "-1e-5", "--out", str(out)]) == EXIT_OK
+    assert fv.read_trajectory_csv(out).values[0, 0] == -1e-5
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--qa", "-inf"], "boundary values must be finite, got qa=[-inf]"),
+    (["solve", "--qb", "-inf"], "boundary values must be finite, got qa=[0.], qb=[-inf]"),
+    (["convergence", "--qa", "-inf"], "boundary values must be finite, got qa=[-inf]"),
+    (["convergence", "--qb", "-inf"], "boundary values must be finite, got qa=[1.], qb=[-inf]"),
+    (["solve", "--alpha", "-1e-1"], "fractional order must lie in (0, 1], got -0.1"),
+    (["glcheck", "--alpha", "-1e-1"], "fractional order must lie in (0, 1], got -0.1"),
+])
+def test_negative_values_reach_the_refusals(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
 

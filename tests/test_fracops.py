@@ -139,6 +139,16 @@ def test_adjoints_are_cached_within_the_same_bound(monkeypatch):
     assert _adjoint(0.5, 8, fv.PLUS) is fracops._cache[(0.5, 8, fv.PLUS, "adjoint")]
 
 
+@pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
+def test_adjoint_is_the_opposite_side_kernel(side):
+    # the GL claim, entry for entry: the variational gradient's outer
+    # operator is the direct embedding's, so both families' Gram matrices
+    # A K[:, 1:n] are one matrix
+    for n in (2, 3, 17, 64):
+        for alpha in (0.05, 0.37, 1.0):
+            assert np.array_equal(_adjoint(alpha, n, side), _kernel(alpha, n - 1, -side))
+
+
 def _traj_0123():
     return fv.Trajectory(fv.make_grid(0.0, 3.0, 3), [0.0, 1.0, 2.0, 3.0])
 

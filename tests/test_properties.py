@@ -3,16 +3,20 @@
 coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
 fractional functional and gradient to the classical ones.  The last two
 properties check the classical Newton Jacobian's bands against finite
-differences, and the solver's array path against the public assemblers.
+differences, the solver's array path against the public assemblers, and
+the Gram-matrix kinetic block of a mechanical fractional Jacobian against
+the per-node product.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fracvi as fv
+from fracvi import schemes
 from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, classical_jacobian
 from fracvi.schemes import fractional_jacobian
 from fracvi.solver import BVPProblem, _bvp_functions
@@ -23,6 +27,10 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None)
 sigmas = st.sampled_from([fv.PLUS, fv.MINUS])
 alphas = st.floats(0.05, 1.0)
 lagrangians = st.sampled_from(["harmonic", "pendulum", "coupled"])
+mechanical = st.sampled_from(["free", "harmonic", "pendulum"])
+fractional_families = st.sampled_from(
+    [SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL]
+)
 
 
 classical_families = st.sampled_from(
@@ -133,3 +141,28 @@ def test_solver_array_path_is_the_public_assembly(qs, family, sigma, alpha, name
     # the Jacobian first: the array path must not depend on its last residual
     assert jacobian(x).tobytes() == jac.tobytes()
     assert residual(x).tobytes() == assemble_residual(kind, lag, q).values.tobytes()
+
+
+@PROPERTY
+@given(trajectories(max_n=130), fractional_families, sigmas, alphas, mechanical)
+def test_mechanical_kinetic_block_is_the_gram_product(qs, family, sigma, alpha, name):
+    [q] = qs
+    kind = SchemeKind(family, sigma, alpha)
+    lag = lagrangian(name, q.dim)
+    uniform = schemes._uniform_kinetic
+    taken = []
+
+    def recorded(hvx, hvv):
+        taken.append(uniform(hvx, hvv))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemes, "_uniform_kinetic", recorded)
+        gram = fractional_jacobian(kind, lag, q)
+        patch.setattr(schemes, "_uniform_kinetic", lambda hvx, hvv: None)
+        product = fractional_jacobian(kind, lag, q)
+    assert len(taken) == 1 and taken[0] is not None
+    # rounding moves the kinetic block, which the potential's diagonal can
+    # cancel: measure against the kinetic block alone, the free particle's
+    kinetic = fractional_jacobian(kind, lagrangian("free", q.dim), q)
+    assert np.max(np.abs(gram - product)) <= 1e-9 * np.max(np.abs(kinetic))

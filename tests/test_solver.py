@@ -14,7 +14,7 @@ from fracvi.schemes import (
     classical_jacobian,
     fractional_jacobian,
 )
-from fracvi import solver
+from fracvi import fracops, lagrangians, schemes, solver
 from fracvi.solver import (
     BVPProblem,
     NewtonConfig,
@@ -652,12 +652,79 @@ def test_fractional_newton_step_uses_structured_jacobian(monkeypatch):
     lag = counted_lagrangian(fv.harmonic_oscillator(1.0), callbacks)
     problem = BVPProblem(grid, lag, kind, [0.0], [1.0])
     _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
-    assert diag.iterations == 2
+    assert diag.iterations == 1
     assert diag.jacobian_builds == diag.iterations
     # one residual per iterate plus the line-search trials
     assert len(calls) == diag.residual_evals == 1 + diag.iterations + diag.backtracks
     per_jacobian = (len(callbacks) - 2 * len(calls)) / diag.jacobian_builds
     assert per_jacobian <= 4 * lag.dim + 2
+
+
+def record_kinetic_branch(monkeypatch):
+    # the kinetic block each fractional Jacobian used: the node mean of Hvv
+    # (the Gram branch), or None (the per-node product)
+    taken = []
+    uniform = schemes._uniform_kinetic
+
+    def recorded(hvx, hvv):
+        taken.append(uniform(hvx, hvv))
+        return taken[-1]
+
+    monkeypatch.setattr(schemes, "_uniform_kinetic", recorded)
+    return taken
+
+
+@pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
+def test_mechanical_solve_makes_one_kernel_matrix_product(family, monkeypatch):
+    # every GL kernel product, wherever it is called from; a residual's
+    # operand has one column per component, the Gram matrix's one per node
+    products = []
+    for module in (fracops, lagrangians, schemes):
+        for name in ("gl_apply", "gl_adjoint_apply"):
+            if hasattr(module, name):
+                def counted(alpha, side, y, apply=getattr(module, name)):
+                    if y.shape[1] > 1:
+                        products.append(y.shape)
+                    return apply(alpha, side, y)
+
+                monkeypatch.setattr(module, name, counted)
+    taken = record_kinetic_branch(monkeypatch)
+    grid = fv.make_grid(0.0, 1.0, 64)
+    kind = SchemeKind(family, fv.PLUS, 0.5)
+    problem = BVPProblem(grid, fv.pendulum(2.0), kind, [0.0], [2.0])
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+    assert diag.converged and diag.jacobian_builds >= 3
+    assert len(taken) == diag.jacobian_builds and all(k is not None for k in taken)
+    assert products == [(grid.n, grid.n - 1)]  # the Gram matrix, once per solve
+
+
+def growing_mass(dim=1, rate=1e-8):
+    # L = (1 + rate t) |v|^2 / 2: Hvx is zero, Hvv moves with the node
+    def L(x, v, t):
+        return 0.5 * (1.0 + rate * t) * np.sum(v * v, axis=-1)
+
+    def Lx(x, v, t):
+        return np.zeros_like(x)
+
+    def Lv(x, v, t):
+        return (1.0 + rate * t)[..., None] * v
+
+    return fv.Lagrangian(L=L, Lx=Lx, Lv=Lv, dim=dim, name="growing mass")
+
+
+@pytest.mark.parametrize("make_lagrangian", [coupled_lagrangian, growing_mass])
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
+def test_non_uniform_kinetic_keeps_the_per_node_product(family, sigma, make_lagrangian, monkeypatch):
+    # coupled: Hvx = sin(t) I; growing mass: Hvv spreads by 1e-8 over the
+    # nodes, far above one quotient's noise
+    taken = record_kinetic_branch(monkeypatch)
+    rng = np.random.default_rng(67)
+    for d in (1, 2):
+        grid = fv.make_grid(0.0, 1.0, 24)
+        q = fv.Trajectory(grid, rng.standard_normal((grid.n + 1, d)))
+        fractional_jacobian(SchemeKind(family, sigma, 0.6), make_lagrangian(d), q)
+    assert taken == [None, None]
 
 
 @pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
