@@ -20,7 +20,6 @@ failure.  Every command is deterministic given ``--seed``.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import inspect
 import math
@@ -36,6 +35,8 @@ from .grids import (
     DomainError,
     Trajectory,
     _fmt,
+    _write_csv,
+    check_endpoints,
     make_grid,
     sample,
     sigma_label,
@@ -125,13 +126,6 @@ def load_config(path) -> dict[str, str]:
         key, value = line.split("=", 1)
         cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
-
-
-def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +299,7 @@ def run_convergence(
     b: float,
     qa: np.ndarray | None,
     qb: np.ndarray | None,
-    tol: float | None,
+    tol: float,
     max_iter: int,
     out=None,
 ) -> tuple[int, list[str]]:
@@ -323,18 +317,13 @@ def run_convergence(
     harmonic_exact_case = problem == "harmonic" and alpha is None
     if qa is None:
         qa = [1.0 if harmonic_exact_case else 0.0]
-    qa = np.atleast_1d(np.asarray(qa, dtype=float))
     if qb is None and harmonic_exact_case:
-        qb = qa * math.cos(omega * (b - a)) + 0.5 * math.sin(omega * (b - a))
-    qb = np.ones_like(qa) if qb is None else np.atleast_1d(np.asarray(qb, dtype=float))
-    if not (np.isfinite(qa).all() and np.isfinite(qb).all()):  # before the closed form
-        raise DomainError(f"boundary values must be finite, got qa={qa}, qb={qb}")
-    # discretization errors measured here are >= 1e-6; a 1e-9 residual target
-    # stays far below them while clearing the double-precision floor that an
-    # absolute 1e-12 hits once n reaches ~128 (residual sensitivity ~ 4/h^2).
-    # It does not clear the marching floor, about 2^-53 |Q| / h^2 ~ 1.8e-9,
-    # at n >= 4096 on a unit interval: the direct study stalls there (exit 3).
-    cfg = NewtonConfig(tol=tol if tol is not None else 1e-9, max_iter=max_iter)
+        span = omega * (b - a)
+        qb = np.multiply(qa, math.cos(span)) + 0.5 * math.sin(span)
+    elif qb is None:
+        qb = np.ones_like(qa, dtype=float)
+    qa, qb = check_endpoints(qa, qb, lag.dim)  # before the closed form
+    cfg = NewtonConfig(tol=tol, max_iter=max_iter)
 
     exact = None if kind.is_fractional else _exact_solution(problem, omega, a, b, qa, qb)
     marching = kind.family is SchemeFamily.DIRECT_CLASSICAL
@@ -428,8 +417,7 @@ def run_solve(
     max_iter: int,
 ) -> tuple[int, list[str]]:
     """One boundary-value solve; writes the trajectory and diagnostics CSVs."""
-    if len(qa) != len(qb):
-        raise DomainError(f"qa and qb must share a dimension, got {qa} and {qb}")
+    qa, qb = check_endpoints(qa, qb)
     lag = builtin_problem(problem, omega=omega, dim=len(qa))
     kind = _scheme_kind(scheme, sigma, alpha)
     grid = make_grid(a, b, n)
@@ -593,7 +581,10 @@ def _build_parsers():
                    help="increasing subinterval counts")
     p.add_argument("--qa", type=_vector, help="start value; unset: by problem")
     p.add_argument("--qb", type=_vector, help="end value; unset: by problem")
-    p.add_argument("--tol", type=float, help="Newton residual target; unset: 1e-9")
+    # 1e-9 lies far below the study's errors (>= 1e-6) and clears the
+    # rounding floor that 1e-12 meets from n ~ 128, but not the march
+    # floor, about 1.8e-9 at n >= 4096 (README "Numerical notes")
+    p.add_argument("--tol", type=float, default=1e-9, help="Newton residual target")
     p.add_argument("--out", help="CSV output path")
 
     p = command("solve", run_solve, "boundary-value solve")

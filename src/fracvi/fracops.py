@@ -31,6 +31,7 @@ from .grids import (
     ShiftedSequence,
     Trajectory,
     _freeze,
+    check_integer,
     check_sigma,
 )
 
@@ -38,9 +39,10 @@ from .grids import (
 def gl_coefficients(alpha: float, n: int) -> np.ndarray:
     """w_0 .. w_n, read-only, by the multiplicative recurrence, not factorials."""
     alpha = _check_alpha(alpha)
+    n = check_integer(n, "weight count")
     if n < 0:
         raise DomainError(f"weight count must be nonnegative, got {n}")
-    return _weights(alpha, int(n))
+    return _weights(alpha, n)
 
 
 def _weights(alpha: float, n: int) -> np.ndarray:

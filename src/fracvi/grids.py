@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -31,6 +32,28 @@ def check_sigma(sigma: int) -> int:
     if sigma not in (PLUS, MINUS):
         raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
     return sigma
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, refused unless it is an integer: 2.7 is not
+    truncated to 2."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_endpoints(first, last, dim=None, what="boundary", names=("qa", "qb")):
+    """Two endpoint values as (dim,) float arrays, refused unless both have
+    that shape (``dim=None``: the first one's length) and are finite."""
+    a = np.atleast_1d(np.asarray(first, dtype=float))
+    b = np.atleast_1d(np.asarray(last, dtype=float))
+    dim = a.size if dim is None else dim
+    if a.shape != (dim,) or b.shape != (dim,):
+        raise DomainError(f"{what} values must have dim {dim}, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError(f"{what} values must be finite, got {names[0]}={a}, {names[1]}={b}")
+    return a, b
 
 
 def sigma_label(sigma: int) -> str:
@@ -70,7 +93,7 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_integer(self.n, "grid n"))
         if not np.isfinite([self.a, self.b]).all():
             raise DomainError(f"grid ends must be finite, got a={self.a}, b={self.b}")
         if not self.b > self.a:
@@ -232,16 +255,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write ``k,t,q0[,q1,...]`` rows at full double precision."""
-    header = ["k", "t"] + [f"q{c}" for c in range(traj.dim)]
+def _write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer: LF-terminated rows of already formatted fields."""
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for k in range(traj.grid.n + 1):
-            row = [str(k), _fmt(traj.grid.node(k))]
-            row += [_fmt(v) for v in traj.values[k]]
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write ``k,t,q0[,q1,...]`` rows at full double precision."""
+    header = ["k", "t"] + [f"q{c}" for c in range(traj.dim)]
+    rows = (
+        [str(k), _fmt(t)] + [_fmt(v) for v in traj.values[k]]
+        for k, t in enumerate(traj.grid.nodes.tolist())
+    )
+    _write_csv(path, header, rows)
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -38,7 +38,7 @@ from .diffops import _delta, _velocity
 from .fracops import _check_unit_alpha, _kernel, _scale, _velocity_alpha
 from .fracops import gl_adjoint_apply, gl_apply
 from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
-from .grids import sigma_label
+from .grids import _fmt, sigma_label
 from .lagrangians import FD_NOISE, Lagrangian, Vec, functional_gradient, _check_dims
 from .lagrangians import _hessian_blocks
 from .lagrangians import _gradient, _lagrangian_values, _rows
@@ -280,17 +280,16 @@ def _outer(kind: SchemeKind, y: Vec) -> Vec:
 
 def _fractional_layout(kind: SchemeKind, grid: Grid):
     """What a fractional Jacobian on ``grid`` reads but never changes: the
-    scaled velocity kernel V = -sigma s K[:, 1:n], the window rows of the
-    interior nodes and their columns, and ``gram()``, the Gram matrix
-    G = A K[:, 1:n], formed by one product at its first call and kept.  A
-    solve computes the layout once."""
-    n, sigma, alpha = grid.n, kind.sigma, kind.alpha
-    inner = _kernel(alpha, n, sigma)[:, 1:n]
-    vel = (-sigma * _scale(grid.h, alpha)) * inner
+    velocity kernel's interior columns K[:, 1:n] (a view of the cached
+    kernel, unscaled), the window rows of the interior nodes and their
+    columns, and ``gram()``, the Gram matrix G = A K[:, 1:n], formed by one
+    product at its first call and kept.  A solve computes the layout once."""
+    n, sigma = grid.n, kind.sigma
+    inner = _kernel(kind.alpha, n, sigma)[:, 1:n]
     cols = np.arange(n - 1)
     rows = cols if sigma == MINUS else cols + 1
     gram = functools.cache(lambda: _outer(kind, inner))
-    return vel, rows, cols, gram
+    return inner, rows, cols, gram
 
 
 def _uniform_kinetic(hvx: Vec, hvv: Vec) -> Vec | None:
@@ -310,24 +309,25 @@ def _fractional_jacobian(
 ) -> Vec:
     """Array core of :func:`fractional_jacobian`, with ``layout`` from
     :func:`_fractional_layout` on the same kind and grid."""
-    vel, rows, cols, gram = layout
+    inner, rows, cols, gram = layout
     sigma, alpha = kind.sigma, kind.alpha
     n, d, h = grid.n, values.shape[1], grid.h
     window = _rows(sigma, n)
     v = _velocity_alpha(values, h, sigma, alpha)
     hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
     s = _scale(h, alpha)
+    vs = -sigma * s  # V = vs K[:, 1:n]
     kinetic = _uniform_kinetic(hvx, hvv)
     if kinetic is None:
         # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
-        w = hvv[:, :, None, :] * vel[:, None, :, None]
+        w = (vs * hvv)[:, :, None, :] * inner[:, None, :, None]
         w[rows, :, cols, :] += hvx[rows]
-        jac = ((-sigma * s) * _outer(kind, w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
+        jac = (vs * _outer(kind, w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
     else:
         # -sigma s A (Hvv V) with one Hvv is s^2 (A K[:, 1:n]) kron Hvv
         jac = gram()[:, None, :, None] * ((s * s) * kinetic)[None, :, None, :]
     if hxv.any():  # zero for every mechanical Lagrangian
-        jac += hxv[rows][:, :, None, :] * vel[rows][:, None, :, None]
+        jac += (vs * hxv[rows])[:, :, None, :] * inner[rows][:, None, :, None]
     jac[cols, :, cols, :] += hxx[rows]
     return jac.reshape((n - 1) * d, (n - 1) * d)
 
@@ -416,9 +416,9 @@ class CoherenceReport:
         return [
             self.kind,
             sigma_label(self.sigma),
-            "" if self.alpha is None else f"{self.alpha:.17g}",
+            "" if self.alpha is None else _fmt(self.alpha),
             str(self.n),
-            f"{self.gap:.17g}",
+            _fmt(self.gap),
             self.verdict,
         ]
 
@@ -441,18 +441,11 @@ def coherence_report(
         kind = "fractional" if alpha is not None else "classical"
     if kind not in COHERENCE_KINDS:
         raise DomainError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
-    if kind != "fractional":
-        alpha = None
     direct = assemble_residual(SchemeKind(_COHERENCE_DIRECT[kind], sigma, alpha), lag, q)
     variational = functional_gradient(lag, q, sigma, alpha)
 
     lo = max(direct.indices.start, variational.indices.start)
     hi = min(direct.indices.stop, variational.indices.stop)
-    if lo >= hi:
-        raise DomainError(
-            f"residual windows {direct.indices} and {variational.indices} "
-            "do not intersect"
-        )
     a = direct.values[lo - direct.k_start : hi - direct.k_start]
     b = variational.values[lo - variational.k_start : hi - variational.k_start]
     diff = np.abs(a - b)

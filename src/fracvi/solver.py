@@ -15,13 +15,17 @@ pointwise Hessian blocks (4*d + 2 callback calls).  A fractional one is
 dense (``schemes.fractional_jacobian``) and solved by LAPACK; a classical
 one has three block diagonals (``schemes.classical_jacobian``), which
 odd-even block cyclic reduction solves in O(n*d^3) time and O(n*d^2)
-memory, ending in one small LAPACK solve.  Marching is a chord iteration:
-each march step's first Newton iteration solves with the last Jacobian
-built during the march, and any later iteration differences the step's d
-unknowns one at a time to rebuild it; a step reuses the previous step's
-last Lv value.  Every Newton iteration makes one :func:`lu_solve` call,
-which answers a 1x1 system by a division.  The line search stops as soon
-as a rejected trial rounds to the iterate.
+memory, ending in one small LAPACK solve.
+
+The Newton kernel owns its step: handed a Jacobian builder, a linear solve
+and maybe a held Jacobian, it solves with the held one at its first
+iteration, builds one at every other, and returns the last one it used.
+A boundary-value solve holds none: plain Newton.  Marching threads the
+held Jacobian from step to step, a chord iteration whose rebuilds
+difference the step's d unknowns one at a time; a step reuses the previous
+step's last Lv value.  Each iteration makes one linear solve (:func:`lu_solve`
+answers a 1x1 system by a division), and the line search stops as soon as
+a rejected trial rounds to the iterate.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import DomainError, Grid, Trajectory
+from .grids import DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
+from .grids import check_integer
 from .lagrangians import FD_STEP, Lagrangian
 from .schemes import SchemeKind, _assemble_values, _check_layout, _classical_jacobian
 from .schemes import _fractional_jacobian, _fractional_layout
@@ -66,6 +71,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        object.__setattr__(self, "max_iter", check_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -81,15 +87,7 @@ class BVPProblem:
     qb: np.ndarray
 
     def __post_init__(self):
-        qa = np.atleast_1d(np.asarray(self.qa, dtype=float))
-        qb = np.atleast_1d(np.asarray(self.qb, dtype=float))
-        if qa.shape != (self.lagrangian.dim,) or qb.shape != (self.lagrangian.dim,):
-            raise DomainError(
-                f"boundary values must have dim {self.lagrangian.dim}, "
-                f"got {qa.shape} and {qb.shape}"
-            )
-        if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
-            raise DomainError(f"boundary values must be finite, got qa={qa}, qb={qb}")
+        qa, qb = check_endpoints(self.qa, self.qb, self.lagrangian.dim)
         object.__setattr__(self, "qa", qa)
         object.__setattr__(self, "qb", qb)
 
@@ -124,15 +122,9 @@ class NewtonDiagnostics:
     def final_residual(self) -> float:
         return self.records[-1][1] if self.records else float("nan")
 
-    def csv_text(self) -> str:
-        lines = ["iter,residual_norm,step_norm"]
-        for it, rn, sn in self.records:
-            lines.append(f"{it},{rn:.17g},{sn:.17g}")
-        return "\n".join(lines) + "\n"
-
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.csv_text())
+        rows = ([str(it), _fmt(rn), _fmt(sn)] for it, rn, sn in self.records)
+        _write_csv(path, ["iter", "residual_norm", "step_norm"], rows)
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,8 +155,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def linear_initial_guess(grid: Grid, qa, qb) -> Trajectory:
     """Straight line between the endpoint values (exact for the free problem)."""
-    qa = np.atleast_1d(np.asarray(qa, dtype=float))
-    qb = np.atleast_1d(np.asarray(qb, dtype=float))
+    qa, qb = check_endpoints(qa, qb)
     s = np.arange(grid.n + 1, dtype=float) / grid.n
     vals = qa[None, :] + s[:, None] * (qb - qa)[None, :]
     vals[0] = qa
@@ -250,23 +241,26 @@ def _newton(
     fun,
     x0: np.ndarray,
     cfg: NewtonConfig,
-    step,
+    jacobian,
+    solve,
+    held: np.ndarray | None = None,
     label: str = "",
-) -> tuple[np.ndarray, NewtonDiagnostics]:
+) -> tuple[np.ndarray, NewtonDiagnostics, np.ndarray | None]:
     """Damped Newton for fun(x) = 0 from x0.
 
-    Each iteration takes its direction from ``step(fun, x, r)``, which
-    returns ``(delta, built)``: the solution of a Jacobian of ``fun`` at or
-    near ``x`` (``r = fun(x)``) against ``-r`` by one :func:`lu_solve`,
-    and whether it built that Jacobian (residual calls made while building
-    it are counted).  Steps backtrack until the residual inf-norm
-    decreases.  A rejected trial that rounds to ``x`` bit for bit ends the
-    search at once: every shorter step rounds to ``x`` too, so no trial can
-    decrease the residual.  The last residual call of a successful solve
-    is at the iterate it returns.  Raises :class:`NewtonConvergenceError`
-    with the last iterate and the history, its message prefixed by
-    ``label``, if the target is not met, and at once if the residual is
-    not finite.
+    Each iteration solves a Jacobian against ``-r`` (``r = fun(x)``) by one
+    ``solve(jac, -r)``.  The first iteration solves with ``held`` when one
+    is given; every other iteration builds ``jacobian(fun, x, r)`` at its
+    iterate and counts the build (``fun`` counts the residual calls the
+    build makes).  Returns the solution, the diagnostics and the last
+    Jacobian used, which a chord iteration hands to its next solve as
+    ``held``.  Steps backtrack until the residual inf-norm decreases.  A
+    rejected trial that rounds to ``x`` bit for bit ends the search at
+    once: every shorter step rounds to ``x`` too, so no trial can decrease
+    the residual.  The last residual call of a successful solve is at the
+    iterate it returns.  Raises :class:`NewtonConvergenceError` with the
+    last iterate and the history, its message prefixed by ``label``, if
+    the target is not met, and at once if the residual is not finite.
     """
     x = np.array(x0, dtype=float)
     diag = NewtonDiagnostics()
@@ -292,8 +286,10 @@ def _newton(
                 x,
                 diag,
             )
-        delta, built = step(counted, x, r)
-        diag.jacobian_builds += built
+        if held is None or it > 1:
+            held = jacobian(counted, x, r)
+            diag.jacobian_builds += 1
+        delta = solve(held, -r)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = x + t * delta
@@ -316,15 +312,17 @@ def _newton(
         x, r, rnorm = trial, r_trial, rn_trial
         diag.records.append((it, rnorm, float(abs(t * delta).max())))
     diag.converged = True
-    return x, diag
+    return x, diag, held
 
 
 def _bvp_functions(problem: BVPProblem):
-    """The solver's array path: ``residual(x)`` and ``jacobian(x)`` of the
-    flattened interior nodes ``x``, bit for bit the public assemblers' on
-    the trajectory with the ends pinned.  Each writes ``x`` into one
-    (n+1, d) array that holds the boundary values in its end rows, and
-    calls the array-level cores on it; nothing is checked."""
+    """The solver's array path: ``residual(x)`` and ``jacobian(fun, x, r)``
+    (``fun``, ``r`` unread) of the flattened interior nodes ``x``, bit for
+    bit the public assemblers' on the trajectory with the ends pinned, and
+    the ``solve`` for that Jacobian: dense LU or cyclic reduction.  Each
+    writes ``x`` into one (n+1, d) array that holds the boundary values in
+    its end rows, and calls the array-level cores on it; nothing is
+    checked."""
     grid, lag, kind = problem.grid, problem.lagrangian, problem.scheme
     n, d = grid.n, lag.dim
     buf = np.empty((n + 1, d))
@@ -333,18 +331,19 @@ def _bvp_functions(problem: BVPProblem):
     values.flags.writeable = False  # callbacks see read-only node values
     if kind.is_fractional:  # the per-grid constants, once per solve
         core = functools.partial(_fractional_jacobian, layout=_fractional_layout(kind, grid))
+        solve = lu_solve
     else:
-        core = _classical_jacobian
+        core, solve = _classical_jacobian, _block_tridiagonal_solve
 
     def residual(x: np.ndarray) -> np.ndarray:
         buf[1:-1] = x.reshape(n - 1, d)
         return _assemble_values(kind, lag, values, grid).ravel()
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
+    def jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         buf[1:-1] = x.reshape(n - 1, d)
         return core(kind, lag, values, grid)
 
-    return residual, jacobian
+    return residual, jacobian, solve
 
 
 def solve_bvp_newton(
@@ -371,7 +370,7 @@ def solve_bvp_newton(
     ):
         raise DomainError("initial guess must satisfy the boundary values")
     _check_layout(kind, problem.lagrangian, init)
-    residual, jacobian = _bvp_functions(problem)
+    residual, jacobian, solve = _bvp_functions(problem)
 
     def build(x: np.ndarray) -> Trajectory:
         vals = np.vstack(
@@ -379,13 +378,8 @@ def solve_bvp_newton(
         )
         return Trajectory(grid, vals)
 
-    solve = lu_solve if kind.is_fractional else _block_tridiagonal_solve
-
-    def step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
-        return solve(jacobian(x), -r), True
-
     try:
-        x, diag = _newton(residual, init.values[1:-1].ravel(), cfg, step)
+        x, diag, _ = _newton(residual, init.values[1:-1].ravel(), cfg, jacobian, solve)
     except NewtonConvergenceError as exc:
         exc.last = build(exc.last)
         raise
@@ -407,12 +401,14 @@ def march_direct_classical(
 
         (Q_k - 2 Q_{k-1} + Q_{k-2})/h^2 + grad U(Q_k) = 0.
 
-    Each step is a chord iteration (Kelley 2003, section 5.4): its first
-    Newton iteration solves with the last Jacobian built during the march,
-    which is close because the step Jacobian is about ``1/h^2`` plus a term
-    that moves by O(h) from step to step; any later iteration rebuilds the
-    Jacobian by dense forward differences at its iterate and holds the new
-    one.  A linear problem thus builds one Jacobian for the whole march.
+    Each step is a chord iteration (Kelley 2003, section 5.4): the march
+    hands every step's Newton solve the last Jacobian built so far as its
+    held Jacobian, which is close because the step Jacobian is about
+    ``1/h^2`` plus a term that moves by O(h) from step to step.  The solve's
+    first iteration uses it; any later iteration rebuilds the Jacobian by
+    dense forward differences at its iterate, and the solve returns the
+    last one.  A linear problem thus builds one Jacobian for the whole
+    march.
 
     Returns the trajectory and diagnostics whose counters are summed over
     every step and whose history is that of the step that ended with the
@@ -422,12 +418,7 @@ def march_direct_classical(
     """
     cfg = config or NewtonConfig()
     d = lag.dim
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    q1 = np.atleast_1d(np.asarray(q1, dtype=float))
-    if q0.shape != (d,) or q1.shape != (d,):
-        raise DomainError(f"initial values must have dim {d}")
-    if not (np.isfinite(q0).all() and np.isfinite(q1).all()):
-        raise DomainError(f"initial values must be finite, got q0={q0}, q1={q1}")
+    q0, q1 = check_endpoints(q0, q1, d, "initial", ("q0", "q1"))
     hinv = 1.0 / grid.h
     nodes = grid.nodes.tolist()
     vals = np.empty((grid.n + 1, d))
@@ -435,15 +426,6 @@ def march_direct_classical(
     vals[1] = q1
     spent = NewtonDiagnostics(converged=True)
     held = None  # the last Jacobian built during the march
-    rebuild = True  # whether the step's next iteration rebuilds it
-
-    def chord_step(fun, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
-        nonlocal held, rebuild
-        built = rebuild
-        if built:
-            held = _fd_jacobian(fun, x, r)
-        rebuild = True
-        return lu_solve(held, -r), built
 
     # step k's residual at Q_k = x, with prev = Q_{k-1}, t_k and
     # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last
@@ -460,10 +442,9 @@ def march_direct_classical(
         # returned, so its Lv is the one at node k-1, bit for bit
         prev, t_k, lv_prev = vals[k - 1], nodes[k], lv_last
         guess = 2.0 * prev - vals[k - 2]
-        rebuild = held is None
         try:
-            vals[k], step = _newton(
-                step_residual, guess, cfg, chord_step, f"march step k={k}: "
+            vals[k], step, held = _newton(
+                step_residual, guess, cfg, _fd_jacobian, lu_solve, held, f"march step k={k}: "
             )
         except NewtonConvergenceError as exc:
             exc.diagnostics.add_counts(spent)

@@ -148,7 +148,7 @@ def test_glcheck_rejects_repeated_n(capsys):
 def test_run_convergence_api_rows():
     code, lines = run_convergence(
         problem="harmonic", scheme="vi", sigma=fv.MINUS, n_list=[16, 32, 64],
-        alpha=None, omega=1.0, a=0.0, b=1.0, qa=None, qb=None, tol=None,
+        alpha=None, omega=1.0, a=0.0, b=1.0, qa=None, qb=None, tol=1e-9,
         max_iter=50, out=None,
     )
     assert code == EXIT_OK
@@ -343,7 +343,7 @@ DEFAULTS = {
     )),
     "convergence": (run_convergence, dict(
         problem="harmonic", scheme="vi", sigma=fv.MINUS, n_list=[16, 32, 64, 128],
-        alpha=None, omega=1.0, a=0.0, b=1.0, qa=None, qb=None, tol=None,
+        alpha=None, omega=1.0, a=0.0, b=1.0, qa=None, qb=None, tol=1e-9,
         max_iter=50, out=None,
     )),
     "solve": (run_solve, dict(
@@ -416,6 +416,7 @@ def test_counts_must_be_positive(capsys, argv):
     (["solve", "--a", "nan"], "grid ends must be finite, got a=nan"),
     (["solve", "--qa", "nan"], "boundary values must be finite, got qa=[nan]"),
     (["solve", "--qb", "inf"], "boundary values must be finite"),
+    (["solve", "--qa", "0,1"], "boundary values must have dim 2, got (2,) and (1,)"),
 ])
 def test_non_finite_ends_refused(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE

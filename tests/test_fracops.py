@@ -32,6 +32,8 @@ def test_weights_reject_bad_input():
         fv.gl_coefficients(-0.5, 4)
     with pytest.raises(fv.DomainError):
         fv.gl_coefficients(0.5, -1)
+    with pytest.raises(fv.DomainError, match="weight count must be an integer"):
+        fv.gl_coefficients(0.5, 2.9)  # returned w_0 .. w_2
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])

@@ -39,10 +39,38 @@ def test_grid_nodes_monotone():
     assert np.all(np.diff(grid.nodes) > 0)
 
 
-@pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 0)])
+@pytest.mark.parametrize("a,b,n", [
+    (1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 0),
+    # not truncated: 2.7 built 2 subintervals
+    (0.0, 1.0, 2.7), (0.0, 1.0, 3.0), (0.0, 1.0, "4"),
+])
 def test_make_grid_rejects_bad_input(a, b, n):
     with pytest.raises(fv.DomainError):
         fv.make_grid(a, b, n)
+
+
+def test_make_grid_takes_numpy_integers():
+    assert fv.make_grid(0.0, 1.0, np.int64(5)).n == 5
+
+
+@pytest.mark.parametrize("first,last,dim,message", [
+    ([0.0, 1.0], [1.0], None, r"boundary values must have dim 2, got \(2,\) and \(1,\)"),
+    ([0.0], [0.0, 1.0], 1, r"boundary values must have dim 1, got \(1,\) and \(2,\)"),
+    ([[0.0]], [1.0], 1, r"boundary values must have dim 1, got \(1, 1\) and \(1,\)"),
+    ([0.0], [-math.inf], 1, r"boundary values must be finite, got qa=\[0.\], qb=\[-inf\]"),
+    ([math.nan], [1.0], None, r"boundary values must be finite, got qa=\[nan\]"),
+])
+def test_check_endpoints_refuses(first, last, dim, message):
+    with pytest.raises(fv.DomainError, match=message):
+        fv.grids.check_endpoints(first, last, dim)
+
+
+def test_check_endpoints_coerces_scalars_and_names_them():
+    qa, qb = fv.grids.check_endpoints(0, 2.5, 1)
+    assert qa.dtype == qb.dtype == float and qa.shape == qb.shape == (1,)
+    message = r"initial values must be finite, got q0=\[0.\], q1=\[inf\]"
+    with pytest.raises(fv.DomainError, match=message):
+        fv.grids.check_endpoints(0.0, math.inf, 1, "initial", ("q0", "q1"))
 
 
 def test_sample_identity_curve():

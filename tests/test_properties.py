@@ -135,11 +135,11 @@ def test_solver_array_path_is_the_public_assembly(qs, family, sigma, alpha, name
     fractional = family in (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
     kind = SchemeKind(family, sigma, alpha if fractional else None)
     lag = lagrangian(name, q.dim)
-    residual, jacobian = _bvp_functions(BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1]))
+    residual, jacobian, _ = _bvp_functions(BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1]))
     x = q.values[1:-1].ravel()
     jac = (fractional_jacobian if fractional else classical_jacobian)(kind, lag, q)
     # the Jacobian first: the array path must not depend on its last residual
-    assert jacobian(x).tobytes() == jac.tobytes()
+    assert jacobian(residual, x, None).tobytes() == jac.tobytes()
     assert residual(x).tobytes() == assemble_residual(kind, lag, q).values.tobytes()
 
 

@@ -285,9 +285,20 @@ def test_coherence_report_fractional_needs_alpha():
 def test_coherence_report_degenerate_grid():
     lag = fv.free_particle()
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 2))
-    # n = 2 leaves no index where both classical paths are defined
-    with pytest.raises(fv.DomainError):
+    # n = 2 leaves no index where both classical paths are defined; the
+    # layout check refuses it before any window is compared
+    with pytest.raises(fv.DomainError, match="needs n >= 3"):
         fv.coherence_report(lag, q, fv.MINUS, kind="classical")
+
+
+@pytest.mark.parametrize("kind,family", [
+    ("classical", "direct-classical"), ("asymmetric", "asymmetric-direct"),
+])
+def test_coherence_report_refuses_alpha_of_classical_kind(kind, family):
+    # alpha was dropped without a word
+    q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
+    with pytest.raises(fv.DomainError, match=f"{family} does not take alpha"):
+        fv.coherence_report(fv.free_particle(), q, fv.MINUS, alpha=0.5, kind=kind)
 
 
 def test_coherence_csv_row_shape():

@@ -101,6 +101,18 @@ def test_newton_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(fv.DomainError):
         NewtonConfig(max_iter=0)
+    with pytest.raises(fv.DomainError, match="max_iter must be an integer, got 2.5"):
+        NewtonConfig(max_iter=2.5)
+
+
+@pytest.mark.parametrize("qa,qb,message", [
+    # the guess had 2 columns and ended at [1, 1]
+    ([0.0, 1.0], [1.0], r"boundary values must have dim 2, got \(2,\) and \(1,\)"),
+    ([math.nan], [1.0], r"boundary values must be finite, got qa=\[nan\]"),
+])
+def test_linear_initial_guess_refuses_bad_endpoints(qa, qb, message):
+    with pytest.raises(fv.DomainError, match=message):
+        linear_initial_guess(fv.make_grid(0.0, 1.0, 4), qa, qb)
 
 
 @pytest.mark.parametrize("field,value", [("tol", math.inf), ("tol", math.nan)])
@@ -229,14 +241,25 @@ def test_nonconvergence_reports_history():
     assert isinstance(err.value.last, fv.Trajectory)
 
 
-def test_diagnostics_csv_layout():
+def test_diagnostics_csv_layout(tmp_path):
     grid = fv.make_grid(0.0, 1.0, 8)
     problem = BVPProblem(grid, fv.harmonic_oscillator(1.0), vi_classical(), [0.0], [1.0])
     _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
-    text = diag.csv_text()
+    diag.write_csv(tmp_path / "diag.csv")
+    text = (tmp_path / "diag.csv").read_bytes().decode()
     lines = text.strip().split("\n")
     assert lines[0] == "iter,residual_norm,step_norm"
     assert lines[1].startswith("0,")
+
+
+def test_diagnostics_csv_bytes(tmp_path):
+    records = [(0, 1.5, 0.0), (1, math.nan, -1e-300), (2, 0.1, math.inf)]
+    diag = solver.NewtonDiagnostics(records=records)
+    diag.write_csv(tmp_path / "diag.csv")
+    assert (tmp_path / "diag.csv").read_bytes() == (
+        b"iter,residual_norm,step_norm\n0,1.5,0\n1,nan,-1e-300\n"
+        b"2,0.10000000000000001,inf\n"
+    )
 
 
 def test_march_free_exact_linear():
@@ -278,9 +301,9 @@ def test_march_reports_summed_counters(monkeypatch):
     newton = solver._newton
 
     def recorded(*args, **kwargs):
-        x, diag = newton(*args, **kwargs)
+        x, diag, held = newton(*args, **kwargs)
         steps.append(diag)
-        return x, diag
+        return x, diag, held
 
     monkeypatch.setattr(solver, "_newton", recorded)
     builds = count_fd_jacobians(monkeypatch)
