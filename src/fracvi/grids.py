@@ -1,11 +1,12 @@
 """Uniform time grids, sampled trajectories, and index-windowed sequences.
 
-Index conventions used throughout the package: a grid with ``n`` subintervals
-has nodes ``t_0 .. t_n``.  A forward (plus) sequence carries one value per
-node index in ``{0, .., n-1}``, a backward (minus) sequence covers
-``{1, .., n}``, and a residual field covers an explicit contiguous window
-inside ``{0, .., n}``.  All value containers are immutable after
-construction and safe for concurrent reads.
+A grid with ``n`` subintervals has nodes ``t_0 .. t_n``.  Every sequence is
+a :class:`Sequence`: d >= 1 components per node over a contiguous window of
+node indices inside ``{0, .., n}``.  A :class:`Trajectory` covers them all,
+a :class:`ShiftedSequence` the one-sided window I_sigma (``{0, .., n-1}``
+for plus, ``{1, .., n}`` for minus; :func:`_rows` is that rule's one home)
+and a :class:`ResidualField` the window its scheme states.  Values are
+immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -28,19 +29,26 @@ class DomainError(ValueError):
     """An argument violates the stated domain of an operation."""
 
 
-def check_sigma(sigma: int) -> int:
-    if sigma not in (PLUS, MINUS):
-        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
-    return sigma
-
-
 def check_integer(value, name: str) -> int:
     """``value`` as an int, refused unless it is an integer: 2.7 is not
-    truncated to 2."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    truncated to 2, and True is not taken as 1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def check_sigma(sigma) -> int:
+    """``sigma`` as the int PLUS or MINUS; True and -1.0 are refused, as
+    :func:`check_integer` refuses them."""
+    value = check_integer(sigma, "sigma")
+    if value not in (PLUS, MINUS):
+        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
+    return value
+
+
+def _rows(sigma: int, n: int) -> slice:
+    """Rows of the nodes 0..n that the window I_sigma covers."""
+    return slice(0, n) if sigma == PLUS else slice(1, n + 1)
 
 
 def check_endpoints(first, last, dim=None, what="boundary", names=("qa", "qb")):
@@ -65,16 +73,6 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float, order="C")
     out.setflags(write=False)
     return out
-
-
-def _as_matrix(values) -> np.ndarray:
-    """Coerce to a 2-d (entries, dim) float array; 1-d input means dim=1."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise DomainError(f"expected 1-d or 2-d values, got shape {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -118,93 +116,37 @@ def make_grid(a: float, b: float, n: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Discrete curve: one d-dimensional value per grid node."""
+class Sequence:
+    """Values over a window of grid node indices: entry i, a (d,) vector
+    with d >= 1, belongs to node ``k_start + i``; 1-d values mean d = 1.
 
-    grid: Grid
-    values: np.ndarray  # shape (n + 1, d)
-
-    def __post_init__(self):
-        arr = _as_matrix(self.values)
-        if arr.shape[0] != self.grid.n + 1:
-            raise DomainError(
-                f"trajectory needs {self.grid.n + 1} entries, got {arr.shape[0]}"
-            )
-        object.__setattr__(self, "values", _freeze(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def value_at(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.grid.n:
-            raise IndexError(f"node index {k} outside 0..{self.grid.n}")
-        return self.values[k]
-
-
-@dataclass(frozen=True)
-class ShiftedSequence:
-    """Values indexed over the one-sided window I_sigma.
-
-    ``side=PLUS`` covers node indices {0, .., n-1}; ``side=MINUS`` covers
-    {1, .., n}.  Access outside the declared window is an error, never a
-    silent wraparound.
-    """
-
-    grid: Grid
-    side: int
-    values: np.ndarray  # shape (n, d)
-
-    def __post_init__(self):
-        check_sigma(self.side)
-        arr = _as_matrix(self.values)
-        if arr.shape[0] != self.grid.n:
-            raise DomainError(
-                f"shifted sequence needs {self.grid.n} entries, got {arr.shape[0]}"
-            )
-        object.__setattr__(self, "values", _freeze(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def k_start(self) -> int:
-        return 0 if self.side == PLUS else 1
-
-    @property
-    def indices(self) -> range:
-        return range(self.k_start, self.k_start + self.grid.n)
-
-    def value_at(self, k: int) -> np.ndarray:
-        if k not in self.indices:
-            raise IndexError(
-                f"index {k} outside window {self.indices.start}.."
-                f"{self.indices.stop - 1} (side {sigma_label(self.side)})"
-            )
-        return self.values[k - self.k_start]
-
-
-@dataclass(frozen=True)
-class ResidualField:
-    """Per-node residual of a discrete Euler-Lagrange scheme.
-
-    The window start depends on the producing scheme; see each assembler.
+    Built values are a frozen copy, and a window outside the nodes 0..n is
+    refused.  A subclass fixes the window at ``n + _extra`` entries.
+    Access outside the window is an error, never a silent wraparound.
     """
 
     grid: Grid
     k_start: int
     values: np.ndarray  # shape (m, d)
 
+    _what, _extra = "sequence", None  # class attributes, not fields
+
     def __post_init__(self):
-        arr = _as_matrix(self.values)
-        if arr.shape[0] < 1:
-            raise DomainError("residual field must hold at least one entry")
-        if self.k_start < 0 or self.k_start + arr.shape[0] - 1 > self.grid.n:
-            raise DomainError(
-                f"window {self.k_start}..{self.k_start + arr.shape[0] - 1} "
-                f"outside grid nodes 0..{self.grid.n}"
-            )
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2:
+            raise DomainError(f"expected 1-d or 2-d values, got shape {arr.shape}")
+        m, n = arr.shape[0], self.grid.n
+        if self._extra is not None and m != n + self._extra:
+            raise DomainError(f"{self._what} needs {n + self._extra} entries, got {m}")
+        if m < 1:
+            raise DomainError(f"{self._what} must hold at least one entry")
+        if arr.shape[1] < 1:
+            raise DomainError(f"{self._what} values need d >= 1 components, got shape {arr.shape}")
+        last = self.k_start + m - 1
+        if self.k_start < 0 or last > n:
+            raise DomainError(f"window {self.k_start}..{last} outside grid nodes 0..{n}")
         object.__setattr__(self, "values", _freeze(arr))
 
     @property
@@ -217,14 +159,41 @@ class ResidualField:
 
     def value_at(self, k: int) -> np.ndarray:
         if k not in self.indices:
-            raise IndexError(
-                f"index {k} outside window {self.indices.start}.."
-                f"{self.indices.stop - 1}"
-            )
+            raise IndexError(f"index {k} outside window {self.k_start}..{self.indices.stop - 1}")
         return self.values[k - self.k_start]
 
 
-Sequence = Union[Trajectory, ShiftedSequence, ResidualField]
+@dataclass(frozen=True)
+class Trajectory(Sequence):
+    """Discrete curve: one d-dimensional value per grid node, 0..n."""
+
+    k_start: int = field(default=0, init=False)
+    _what, _extra = "trajectory", 1
+
+
+@dataclass(frozen=True, init=False)
+class ShiftedSequence(Sequence):
+    """Values over the one-sided window I_side: ``side=PLUS`` covers node
+    indices {0, .., n-1}, ``side=MINUS`` {1, .., n}."""
+
+    _what, _extra = "shifted sequence", 0
+
+    def __init__(self, grid: Grid, side: int, values):
+        super().__init__(grid, _rows(check_sigma(side), grid.n).start, values)
+
+    @property
+    def side(self) -> int:
+        return PLUS if self.k_start == 0 else MINUS
+
+
+@dataclass(frozen=True)
+class ResidualField(Sequence):
+    """Per-node residual of a discrete Euler-Lagrange scheme.
+
+    The window start depends on the producing scheme; see each assembler.
+    """
+
+    _what = "residual field"
 
 
 def sample(f: Callable[[float], object], grid: Grid) -> Trajectory:
@@ -238,15 +207,11 @@ def sample(f: Callable[[float], object], grid: Grid) -> Trajectory:
 
 def restrict(traj: Trajectory, side: int) -> ShiftedSequence:
     """Restrict a trajectory to the one-sided window I_sigma."""
-    check_sigma(side)
-    rows = traj.values[:-1] if side == PLUS else traj.values[1:]
-    return ShiftedSequence(traj.grid, side, rows)
+    return ShiftedSequence(traj.grid, side, traj.values[_rows(check_sigma(side), traj.grid.n)])
 
 
 def inf_norm(x: Sequence) -> float:
     """Maximum absolute component over all entries."""
-    if x.values.size == 0:
-        raise DomainError("inf_norm of an empty sequence")
     return float(np.max(np.abs(x.values)))
 
 

@@ -32,12 +32,13 @@ from .fracops import discrete_velocity_alpha
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
     MINUS,
-    PLUS,
     DomainError,
     Grid,
     ResidualField,
     ShiftedSequence,
     Trajectory,
+    _rows,
+    check_integer,
     check_sigma,
 )
 
@@ -65,6 +66,11 @@ class Lagrangian:
     Lv: VectorFn
     dim: int
     name: str = "custom"
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", check_integer(self.dim, "Lagrangian dim"))
+        if self.dim < 1:
+            raise DomainError(f"Lagrangian dim must be at least 1, got {self.dim}")
 
 
 def mechanical(
@@ -141,11 +147,6 @@ def _check_dims(lag: Lagrangian, q: Trajectory) -> None:
         raise DomainError(
             f"dimension mismatch: Lagrangian dim {lag.dim}, trajectory dim {q.dim}"
         )
-
-
-def _rows(sigma: int, n: int) -> slice:
-    """Rows of the nodes 0..n that the window I_sigma covers."""
-    return slice(0, n) if sigma == PLUS else slice(1, n + 1)
 
 
 def _call(fn, name: str, shape: tuple, x: Vec, v: Vec, t: Vec) -> Vec:

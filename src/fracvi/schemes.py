@@ -38,10 +38,10 @@ from .diffops import _delta, _velocity
 from .fracops import _check_unit_alpha, _kernel, _scale, _velocity_alpha
 from .fracops import gl_adjoint_apply, gl_apply
 from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
-from .grids import _fmt, sigma_label
+from .grids import _fmt, _rows, sigma_label
 from .lagrangians import FD_NOISE, Lagrangian, Vec, functional_gradient, _check_dims
 from .lagrangians import _hessian_blocks
-from .lagrangians import _gradient, _lagrangian_values, _rows
+from .lagrangians import _gradient, _lagrangian_values
 
 # perfbench/tracer.py times these names here; the assemblies call the array
 # cores they wrap
@@ -80,7 +80,7 @@ class SchemeKind:
     alpha: float | None = None
 
     def __post_init__(self):
-        check_sigma(self.sigma)
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
         if self.family in _FRACTIONAL_FAMILIES:
             if self.alpha is None:
                 raise DomainError(f"{self.family.value} requires alpha")

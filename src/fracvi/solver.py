@@ -38,7 +38,7 @@ import numpy as np
 
 from .grids import DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
 from .grids import check_integer
-from .lagrangians import FD_STEP, Lagrangian
+from .lagrangians import FD_STEP, Lagrangian, _call
 from .schemes import SchemeKind, _assemble_values, _check_layout, _classical_jacobian
 from .schemes import _fractional_jacobian, _fractional_layout
 from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
@@ -428,15 +428,16 @@ def march_direct_classical(
     held = None  # the last Jacobian built during the march
 
     # step k's residual at Q_k = x, with prev = Q_{k-1}, t_k and
-    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last
+    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last.  Lx is
+    # refused at a wrong shape, as Lv is by its first call, at node 1
     def step_residual(x: np.ndarray) -> np.ndarray:
         nonlocal lv_last
         v = (x - prev) * hinv
-        lx = lag.Lx(x, v, t_k)
+        lx = _call(lag.Lx, "Lx", (d,), x, v, t_k)
         lv_last = lag.Lv(x, v, t_k)
-        return np.asarray(lx - (lv_last - lv_prev) * hinv)
+        return lx - (lv_last - lv_prev) * hinv
 
-    lv_last = lag.Lv(q1, (q1 - q0) * hinv, nodes[1])
+    lv_last = _call(lag.Lv, "Lv", (d,), q1, (q1 - q0) * hinv, nodes[1])
     for k in range(2, grid.n + 1):
         # a converged step's last residual call was at the Q_{k-1} it
         # returned, so its Lv is the one at node k-1, bit for bit

@@ -34,6 +34,8 @@ def test_weights_reject_bad_input():
         fv.gl_coefficients(0.5, -1)
     with pytest.raises(fv.DomainError, match="weight count must be an integer"):
         fv.gl_coefficients(0.5, 2.9)  # returned w_0 .. w_2
+    with pytest.raises(fv.DomainError, match="weight count must be an integer, got True"):
+        fv.gl_coefficients(0.5, True)  # returned w_0, w_1
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])

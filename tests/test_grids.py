@@ -220,3 +220,41 @@ def test_read_trajectory_csv_refuses_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(fv.DomainError, match="unexpected trajectory header"):
         fv.read_trajectory_csv(path)
+
+
+def test_one_windowed_sequence_type():
+    grid = fv.make_grid(0.0, 1.0, 4)
+    traj = fv.sample(lambda t: t, grid)
+    seqs = [traj, fv.restrict(traj, fv.MINUS), fv.ResidualField(grid, 2, np.ones((2, 1)))]
+    assert all(isinstance(s, fv.grids.Sequence) for s in seqs)
+    assert [list(s.indices) for s in seqs] == [[0, 1, 2, 3, 4], [1, 2, 3, 4], [2, 3]]
+    assert seqs[1].side == fv.MINUS and seqs[1].value_at(4)[0] == 1.0
+    with pytest.raises(IndexError):
+        traj.value_at(5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: fv.Trajectory(g, np.zeros((3, 0))),
+    lambda g: fv.ShiftedSequence(g, fv.PLUS, np.zeros((2, 0))),
+    lambda g: fv.ResidualField(g, 1, np.zeros((1, 0))),
+], ids=["trajectory", "shifted", "residual"])
+def test_sequence_refuses_zero_components(make):
+    with pytest.raises(fv.DomainError, match=r"need d >= 1 components, got shape \(\d, 0\)"):
+        make(fv.make_grid(0.0, 1.0, 2))
+
+
+def test_read_trajectory_csv_refuses_no_components(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("k,t\n0,0\n1,0.5\n2,1\n")
+    with pytest.raises(fv.DomainError, match=r"trajectory values need d >= 1 components"):
+        fv.read_trajectory_csv(path)
+
+
+def test_check_sigma_returns_the_canonical_int():
+    for sigma, want in [(1, fv.PLUS), (np.int64(-1), fv.MINUS)]:
+        got = fv.grids.check_sigma(sigma)
+        assert got == want and type(got) is int
+    for bad in [True, False, np.True_, -1.0, 1.0, 0, 2, "+"]:
+        with pytest.raises(fv.DomainError, match="sigma must be"):
+            fv.grids.check_sigma(bad)
+

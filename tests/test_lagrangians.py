@@ -269,3 +269,13 @@ def test_wrong_callback_shape_refused(name):
             fv.discrete_functional_fractional(lag, q, fv.MINUS, 0.5)
         else:
             fv.residual_direct_classical(lag, q, fv.PLUS)
+
+
+@pytest.mark.parametrize("dim,message", [
+    (2.5, "Lagrangian dim must be an integer, got 2.5"),
+    (True, "Lagrangian dim must be an integer, got True"),
+    (0, "Lagrangian dim must be at least 1, got 0"),
+], ids=["float", "bool", "zero"])
+def test_lagrangian_dim_refused_at_construction(dim, message):
+    with pytest.raises(fv.DomainError, match=message):
+        fv.builtin_problem("harmonic", dim=dim)

@@ -310,3 +310,11 @@ def test_coherence_csv_row_shape():
     assert row[2] == ""
     assert row[3] == "4"
     assert row[5] == VERDICT_NOT_COHERENT
+
+
+def test_scheme_kind_stores_the_canonical_sigma():
+    kind = SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, np.int64(-1))
+    assert kind.sigma == fv.MINUS and type(kind.sigma) is int
+    for bad in [True, -1.0]:
+        with pytest.raises(fv.DomainError, match="sigma must be"):
+            SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, bad)

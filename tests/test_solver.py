@@ -103,6 +103,8 @@ def test_newton_config_validation():
         NewtonConfig(max_iter=0)
     with pytest.raises(fv.DomainError, match="max_iter must be an integer, got 2.5"):
         NewtonConfig(max_iter=2.5)
+    with pytest.raises(fv.DomainError, match="max_iter must be an integer, got True"):
+        NewtonConfig(max_iter=True)  # allowed one iteration
 
 
 @pytest.mark.parametrize("qa,qb,message", [
@@ -835,3 +837,15 @@ def test_march_non_finite_step_stops_with_summed_counters(monkeypatch):
     # every step residual makes one Lx call
     assert diag.jacobian_builds == len(builds) >= 1
     assert diag.residual_evals == len(lx_calls)
+
+
+@pytest.mark.parametrize("name,wrong", [
+    ("Lx", lambda x, v, t: -np.sum(x, axis=-1)),
+    ("Lv", lambda x, v, t: np.sum(v, axis=-1)),
+])
+def test_march_refuses_wrong_callback_shape(name, wrong):
+    # the shape was broadcast into a wrong trajectory
+    lag = dataclasses.replace(fv.harmonic_oscillator(dim=2), **{name: wrong})
+    message = rf"Lagrangian callback {name} returned shape \(\), expected \(2,\)"
+    with pytest.raises(fv.DomainError, match=message):
+        march_direct_classical(lag, fv.make_grid(0.0, 1.0, 16), [1.0, 0.5], [1.0, 0.5])
