@@ -35,8 +35,7 @@ from .fracops import (
 from .lagrangians import (
     Lagrangian,
     builtin_problem,
-    discrete_functional_classical,
-    discrete_functional_fractional,
+    discrete_functional,
     free_particle,
     functional_gradient,
     harmonic_oscillator,

@@ -132,6 +132,7 @@ class Sequence:
     _what, _extra = "sequence", None  # class attributes, not fields
 
     def __post_init__(self):
+        object.__setattr__(self, "k_start", check_integer(self.k_start, "k_start"))
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]

@@ -1,5 +1,5 @@
-"""Lagrangian evaluation interface, built-in problems, and discrete
-Lagrangian functionals with their analytic gradients.
+"""Lagrangian evaluation interface, built-in problems, and the discrete
+Lagrangian functional with its analytic gradient.
 
 A Lagrangian is supplied as three callables L, Lx, Lv of (x, v, t); no
 automatic differentiation is involved, which keeps the C2 contract directly
@@ -8,9 +8,11 @@ have shape (..., d) and t has shape (...); L returns shape (...) and Lx, Lv
 return shape (..., d).  One call thus serves a single node (a (d,) vector
 and a scalar t) or a whole window of m nodes ((m, d) and (m,)), and each
 assembly below makes one Lx and one Lv call.  The discrete functional
-gradient is assembled analytically from the chain rule, its fractional
-adjoint by ``fracops.gl_adjoint_apply`` (the cached contiguous transpose of
-the velocity's GL kernel); ``functional_gradient`` checks its arguments and
+and its gradient each serve both embeddings: ``alpha=None`` takes the
+two-point velocity, an order in (0, 1] the GL one.  The gradient is
+assembled analytically from the chain rule, its fractional adjoint by
+``fracops.gl_adjoint_apply`` (the cached contiguous transpose of the
+velocity's GL kernel); ``functional_gradient`` checks its arguments and
 wraps the array-level core ``_gradient``, which the Newton solver calls
 directly.  The callback helpers take the window's x, v and t as arrays.
 The Newton Jacobian's pointwise Hessian blocks are forward differences of
@@ -191,27 +193,20 @@ def _hessian_blocks(lag: Lagrangian, x: Vec, v: Vec, t: Vec):
     return blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1]
 
 
-def _functional(lag: Lagrangian, q: Trajectory, vseq: ShiftedSequence) -> float:
-    rows = _rows(vseq.side, q.grid.n)
-    lvals = _call(lag.L, "L", (q.grid.n,), q.values[rows], vseq.values, q.grid.nodes[rows])
-    return gauss_quadrature(ShiftedSequence(q.grid, vseq.side, lvals))
-
-
-def discrete_functional_classical(lag: Lagrangian, q: Trajectory, sigma: int) -> float:
-    """h * sum over I_sigma of L(Q_k, (-sigma delta_sigma Q)_k, t_k)."""
-    check_sigma(sigma)
-    _check_dims(lag, q)
-    return _functional(lag, q, discrete_velocity(q, sigma))
-
-
-def discrete_functional_fractional(
-    lag: Lagrangian, q: Trajectory, sigma: int, alpha: float
+def discrete_functional(
+    lag: Lagrangian, q: Trajectory, sigma: int, alpha: float | None = None
 ) -> float:
-    """h * sum over I_sigma of L(Q_k, (-sigma delta^alpha_sigma Q)_k, t_k)."""
-    check_sigma(sigma)
+    """h * sum over I_sigma of L(Q_k, v_k, t_k), with the velocity
+    v = -sigma delta_sigma Q, or -sigma delta^alpha_sigma Q given alpha."""
+    sigma = check_sigma(sigma)
     _check_dims(lag, q)
-    alpha = _check_unit_alpha(alpha)
-    return _functional(lag, q, discrete_velocity_alpha(q, sigma, alpha))
+    if alpha is None:
+        vseq = discrete_velocity(q, sigma)
+    else:
+        vseq = discrete_velocity_alpha(q, sigma, _check_unit_alpha(alpha))
+    rows = _rows(sigma, q.grid.n)
+    lvals = _call(lag.L, "L", (q.grid.n,), q.values[rows], vseq.values, q.grid.nodes[rows])
+    return gauss_quadrature(ShiftedSequence(q.grid, sigma, lvals))
 
 
 def functional_gradient(

@@ -17,11 +17,12 @@ the per-node product.
 
 Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
 sigma and order when built, and :func:`_check_layout` is the one layout
-check, made by :func:`assemble_residual`, the Jacobian builders and the
-Newton solver.  Behind them are array-level cores (``_direct_classical``,
-``_asymmetric_direct``, ``_direct_fractional``, ``lagrangians._gradient``,
-``_fractional_jacobian``, ``_classical_jacobian``): node values in, an
-array out, nothing checked, dispatched by family in ``_assemble_values``.
+check, made by :func:`assemble_residual`, :func:`jacobian` and the Newton
+solver.  Behind them are array-level cores: node values in, an array out,
+nothing checked.  ``_assemble_values`` dispatches the residual cores
+(``_direct_classical``, ``_asymmetric_direct``, ``_direct_fractional``,
+``lagrangians._gradient``) by family; ``_jacobian_core(kind, grid)``
+makes the Jacobian core of one grid, which holds that grid's constants.
 The direct and variational cores stay two independent assemblies; they
 share only the operators.
 """
@@ -71,8 +72,8 @@ class SchemeKind:
     """A scheme family plus its parameters; alpha is present iff fractional,
     and then a float in (0, 1].  A kind is valid once built.
 
-    A fractional Jacobian is dense (:func:`fractional_jacobian`); a classical
-    three-point one block tridiagonal (:func:`classical_jacobian`).
+    Its Newton Jacobian (:func:`jacobian`) is dense if fractional, block
+    tridiagonal if classical.
     """
 
     family: SchemeFamily
@@ -242,32 +243,78 @@ def _assemble_values(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid)
     return _gradient(lag, values, grid, kind.sigma, kind.alpha)
 
 
-def fractional_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
-    """Jacobian of a fractional residual in the interior nodes of q.
+def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
+    """Newton Jacobian of a kind's residual in the interior nodes of q, by
+    the chain rule through the pointwise Hessian blocks (4*d + 2 callback
+    calls, no residual call).  With v = V Q and P picking the interior
+    rows of the window, each family linearizes its own outer operator A,
+    the one its residual applies.
 
-    Both fractional residuals read R = P^T lx - sigma s A lv, with
-    v = V Q, V = -sigma s K[:, 1:n] for the velocity kernel K and
-    s = h^-alpha, and P picking the interior rows of the window.  The
-    chain rule through the pointwise Hessian blocks then gives
+    A fractional Jacobian is dense, rows and columns (node, component),
+    node-major.  Both fractional residuals read R = P^T lx - sigma s A lv,
+    with V = -sigma s K[:, 1:n] for the velocity kernel K and s = h^-alpha,
+    so J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V).  A is the
+    adjoint K[:, 1:n]^T for the variational gradient, the opposite-side GL
+    kernel for the direct embedding.  When Hvx is zero and every entry of
+    Hvv is one value at all nodes up to the noise of one forward quotient
+    (``FD_NOISE``), as for every mechanical Lagrangian, the kinetic term is
+    s^2 (G kron mean(Hvv)) with the Gram matrix G = A K[:, 1:n]: O(n^2 d^2)
+    work.  Otherwise it is one dense O(n^3 d^2) product.
 
-        J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V),
-
-    with the blocks from 4*d + 2 callback calls.  Each family linearizes
-    its own outer operator A, the one its residual applies: the adjoint
-    K[:, 1:n]^T for the variational gradient, the opposite-side GL kernel
-    for the direct embedding.  When Hvx is zero and every entry of Hvv is
-    one value at all nodes up to the noise of one forward quotient
-    (``FD_NOISE``), as for every mechanical Lagrangian, the kinetic term
-    is s^2 (G kron mean(Hvv)) with the Gram matrix G = A K[:, 1:n]: O(n^2 d^2)
-    work, and G is one product per layout.  Otherwise the term is one dense
-    O(n^3 d^2) product.  Rows and columns are (node, component),
-    node-major.
+    A classical Jacobian is block diagonals of shape (3, n-1, d, d): row
+    block i holds ``bands[:, i]`` in the columns of unknown nodes i-1, i
+    and i+1 (``bands[0, 0]`` and ``bands[2, -1]`` are zero).  With
+    v_k = -sigma (Q_k - Q_{k+sigma})/h, row i of each classical residual
+    reads lx_m - sigma (lv_k - lv_{k-sigma})/h at k = i + 1: m = k for the
+    variational and asymmetric schemes, m = k - sigma for the direct one
+    (whose outer stencil +sigma (lv_m - lv_{m+sigma})/h is the same term).
+    J = P^T (Hxx P + Hxv V) + A (Hvx P + Hvv V) puts each term on a fixed
+    band: six slice-adds, no per-node loop.
     """
-    if not kind.is_fractional:
-        raise DomainError(f"{kind.family.value} is classical: use classical_jacobian")
     _check_layout(kind, lag, q)
-    layout = _fractional_layout(kind, q.grid)
-    return _fractional_jacobian(kind, lag, q.values, q.grid, layout)
+    return _jacobian_core(kind, q.grid)(lag, q.values)
+
+
+def _jacobian_core(kind: SchemeKind, grid: Grid):
+    """Array core of :func:`jacobian` for one kind and grid:
+    ``core(lag, values)``, node values (n+1, d) in, the Jacobian out,
+    nothing checked.  A classical core is the kind and grid bound to
+    :func:`_classical_bands`.  A fractional core holds what its
+    Jacobians read but never change: the velocity kernel's interior
+    columns K[:, 1:n] (a view of the cached kernel, unscaled), the window
+    rows of the interior nodes and their columns, and ``gram()``, the Gram
+    matrix G = A K[:, 1:n], formed by one product at its first call and
+    kept.  A solve makes one core."""
+    if not kind.is_fractional:
+        return functools.partial(_classical_bands, kind, grid)
+    sigma, alpha, n, h = kind.sigma, kind.alpha, grid.n, grid.h
+    inner = _kernel(alpha, n, sigma)[:, 1:n]
+    cols = np.arange(n - 1)
+    rows = cols if sigma == MINUS else cols + 1
+    gram = functools.cache(lambda: _outer(kind, inner))
+    window = _rows(sigma, n)
+    s = _scale(h, alpha)
+    vs = -sigma * s  # V = vs K[:, 1:n]
+
+    def core(lag: Lagrangian, values: Vec) -> Vec:
+        d = values.shape[1]
+        v = _velocity_alpha(values, h, sigma, alpha)
+        hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
+        kinetic = _uniform_kinetic(hvx, hvv)
+        if kinetic is None:
+            # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
+            w = (vs * hvv)[:, :, None, :] * inner[:, None, :, None]
+            w[rows, :, cols, :] += hvx[rows]
+            jac = (vs * _outer(kind, w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
+        else:
+            # -sigma s A (Hvv V) with one Hvv is s^2 (A K[:, 1:n]) kron Hvv
+            jac = gram()[:, None, :, None] * ((s * s) * kinetic)[None, :, None, :]
+        if hxv.any():  # zero for every mechanical Lagrangian
+            jac += (vs * hxv[rows])[:, :, None, :] * inner[rows][:, None, :, None]
+        jac[cols, :, cols, :] += hxx[rows]
+        return jac.reshape((n - 1) * d, (n - 1) * d)
+
+    return core
 
 
 def _outer(kind: SchemeKind, y: Vec) -> Vec:
@@ -276,20 +323,6 @@ def _outer(kind: SchemeKind, y: Vec) -> Vec:
     if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
         return gl_adjoint_apply(kind.alpha, kind.sigma, y)
     return gl_apply(kind.alpha, -kind.sigma, y)
-
-
-def _fractional_layout(kind: SchemeKind, grid: Grid):
-    """What a fractional Jacobian on ``grid`` reads but never changes: the
-    velocity kernel's interior columns K[:, 1:n] (a view of the cached
-    kernel, unscaled), the window rows of the interior nodes and their
-    columns, and ``gram()``, the Gram matrix G = A K[:, 1:n], formed by one
-    product at its first call and kept.  A solve computes the layout once."""
-    n, sigma = grid.n, kind.sigma
-    inner = _kernel(kind.alpha, n, sigma)[:, 1:n]
-    cols = np.arange(n - 1)
-    rows = cols if sigma == MINUS else cols + 1
-    gram = functools.cache(lambda: _outer(kind, inner))
-    return inner, rows, cols, gram
 
 
 def _uniform_kinetic(hvx: Vec, hvv: Vec) -> Vec | None:
@@ -304,57 +337,9 @@ def _uniform_kinetic(hvx: Vec, hvv: Vec) -> Vec | None:
     return None
 
 
-def _fractional_jacobian(
-    kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid, layout
-) -> Vec:
-    """Array core of :func:`fractional_jacobian`, with ``layout`` from
-    :func:`_fractional_layout` on the same kind and grid."""
-    inner, rows, cols, gram = layout
-    sigma, alpha = kind.sigma, kind.alpha
-    n, d, h = grid.n, values.shape[1], grid.h
-    window = _rows(sigma, n)
-    v = _velocity_alpha(values, h, sigma, alpha)
-    hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
-    s = _scale(h, alpha)
-    vs = -sigma * s  # V = vs K[:, 1:n]
-    kinetic = _uniform_kinetic(hvx, hvv)
-    if kinetic is None:
-        # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
-        w = (vs * hvv)[:, :, None, :] * inner[:, None, :, None]
-        w[rows, :, cols, :] += hvx[rows]
-        jac = (vs * _outer(kind, w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
-    else:
-        # -sigma s A (Hvv V) with one Hvv is s^2 (A K[:, 1:n]) kron Hvv
-        jac = gram()[:, None, :, None] * ((s * s) * kinetic)[None, :, None, :]
-    if hxv.any():  # zero for every mechanical Lagrangian
-        jac += (vs * hxv[rows])[:, :, None, :] * inner[rows][:, None, :, None]
-    jac[cols, :, cols, :] += hxx[rows]
-    return jac.reshape((n - 1) * d, (n - 1) * d)
-
-
-def classical_jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
-    """Jacobian of a classical residual in the interior nodes of q, as block
-    diagonals of shape (3, n-1, d, d): row block i holds ``bands[:, i]`` in
-    the columns of unknown nodes i-1, i and i+1 (``bands[0, 0]`` and
-    ``bands[2, -1]`` are zero).
-
-    With v_k = -sigma (Q_k - Q_{k+sigma})/h, row i of each classical residual
-    reads lx_m - sigma (lv_k - lv_{k-sigma})/h at k = i + 1: m = k for the
-    variational and asymmetric schemes, m = k - sigma for the direct one
-    (whose outer stencil +sigma (lv_m - lv_{m+sigma})/h is the same term).
-    The chain rule J = P^T (Hxx P + Hxv V) + A (Hvx P + Hvv V) through the
-    pointwise Hessian blocks (4*d + 2 callback calls, no residual call) puts
-    each term on a fixed band: six slice-adds, no per-node loop.
-    """
-    if kind.is_fractional:
-        raise DomainError(f"{kind.family.value} is fractional: use fractional_jacobian")
-    _check_layout(kind, lag, q)
-    return _classical_jacobian(kind, lag, q.values, q.grid)
-
-
-def _classical_jacobian(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid) -> Vec:
-    """Array core of :func:`classical_jacobian`: node values (n+1, d) in,
-    the bands out."""
+def _classical_bands(kind: SchemeKind, grid: Grid, lag: Lagrangian, values: Vec) -> Vec:
+    """The classical core, with the kind and grid bound: node values
+    (n+1, d) in, the bands out."""
     sigma, n, h = kind.sigma, grid.n, grid.h
     s = sigma / h
     window = _rows(sigma, n)

@@ -8,14 +8,13 @@ both ends.  A boundary-value solve validates its problem once, by the
 layout check that ``schemes.assemble_residual`` makes, then works on raw
 arrays: each iterate is written into one (n+1, d) array whose end rows
 hold the boundary values, and the array-level cores behind
-``schemes.assemble_residual`` and the Jacobian builders run on it, with
-the per-grid constants computed once.  No boundary-value solve
-differentiates its residual: the Jacobian comes by the chain rule from
-pointwise Hessian blocks (4*d + 2 callback calls).  A fractional one is
-dense (``schemes.fractional_jacobian``) and solved by LAPACK; a classical
-one has three block diagonals (``schemes.classical_jacobian``), which
-odd-even block cyclic reduction solves in O(n*d^3) time and O(n*d^2)
-memory, ending in one small LAPACK solve.
+``schemes.assemble_residual`` and ``schemes.jacobian`` run on it, with
+one Jacobian core per solve holding the grid's constants.  No
+boundary-value solve differentiates its residual: the Jacobian comes by
+the chain rule from pointwise Hessian blocks (4*d + 2 callback calls).  A
+fractional one is dense and solved by LAPACK; a classical one has three
+block diagonals, which odd-even block cyclic reduction solves in
+O(n*d^3) time and O(n*d^2) memory, ending in one small LAPACK solve.
 
 The Newton kernel owns its step: handed a Jacobian builder, a linear solve
 and maybe a held Jacobian, it solves with the held one at its first
@@ -30,7 +29,6 @@ a rejected trial rounds to the iterate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,8 +37,7 @@ import numpy as np
 from .grids import DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
 from .grids import check_integer
 from .lagrangians import FD_STEP, Lagrangian, _call
-from .schemes import SchemeKind, _assemble_values, _check_layout, _classical_jacobian
-from .schemes import _fractional_jacobian, _fractional_layout
+from .schemes import SchemeKind, _assemble_values, _check_layout, _jacobian_core
 from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
 
 
@@ -188,7 +185,7 @@ _DENSE_UNKNOWNS = 64
 
 def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the block-tridiagonal system ``bands`` (laid out as
-    :func:`~fracvi.schemes.classical_jacobian` returns them) for the
+    :func:`~fracvi.schemes.jacobian` returns classical ones) for the
     right-hand side ``b``.
 
     Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970; Golub & Van
@@ -329,11 +326,8 @@ def _bvp_functions(problem: BVPProblem):
     buf[0], buf[-1] = problem.qa, problem.qb
     values = buf.view()
     values.flags.writeable = False  # callbacks see read-only node values
-    if kind.is_fractional:  # the per-grid constants, once per solve
-        core = functools.partial(_fractional_jacobian, layout=_fractional_layout(kind, grid))
-        solve = lu_solve
-    else:
-        core, solve = _classical_jacobian, _block_tridiagonal_solve
+    core = _jacobian_core(kind, grid)  # the per-grid constants, once per solve
+    solve = lu_solve if kind.is_fractional else _block_tridiagonal_solve
 
     def residual(x: np.ndarray) -> np.ndarray:
         buf[1:-1] = x.reshape(n - 1, d)
@@ -341,7 +335,7 @@ def _bvp_functions(problem: BVPProblem):
 
     def jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         buf[1:-1] = x.reshape(n - 1, d)
-        return core(kind, lag, values, grid)
+        return core(lag, values)
 
     return residual, jacobian, solve
 

@@ -41,12 +41,6 @@ def coupled_lagrangian(dim=1):
     return fv.Lagrangian(L=L, Lx=Lx, Lv=Lv, dim=dim, name="coupled")
 
 
-def functional_value(lag, traj, sigma, alpha=None):
-    if alpha is None:
-        return fv.discrete_functional_classical(lag, traj, sigma)
-    return fv.discrete_functional_fractional(lag, traj, sigma, alpha)
-
-
 def fd_functional_gradient(lag, traj, sigma, alpha=None, rel_step=1e-6):
     """Central finite differences of the discrete functional at the interior
     nodes, scaled by 1/h to match the analytic gradient convention."""
@@ -61,8 +55,8 @@ def fd_functional_gradient(lag, traj, sigma, alpha=None, rel_step=1e-6):
             up[j, c] += step
             down = base.copy()
             down[j, c] -= step
-            plus = functional_value(lag, fv.Trajectory(traj.grid, up), sigma, alpha)
-            minus = functional_value(lag, fv.Trajectory(traj.grid, down), sigma, alpha)
+            plus = fv.discrete_functional(lag, fv.Trajectory(traj.grid, up), sigma, alpha)
+            minus = fv.discrete_functional(lag, fv.Trajectory(traj.grid, down), sigma, alpha)
             out[j - 1, c] = (plus - minus) / (2.0 * step) / h
     return out
 
@@ -138,7 +132,7 @@ def colored_fd_jacobian(fun, x, r, dim, rel_step=1e-6):
 
 def dense_from_bands(bands):
     """The dense matrix of block diagonals laid out as
-    ``fracvi.schemes.classical_jacobian`` returns them."""
+    ``fracvi.schemes.jacobian`` returns them for a classical kind."""
     _, nodes, d, _ = bands.shape
     dense = np.zeros((nodes, d, nodes, d))
     i = np.arange(nodes)

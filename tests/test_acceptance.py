@@ -212,8 +212,8 @@ def test_criterion_10_alpha_one_reduction():
         )
         lag = fv.pendulum(1.2, dim=d)
         for sigma in (fv.PLUS, fv.MINUS):
-            fa = fv.discrete_functional_fractional(lag, q, sigma, 1.0)
-            fc = fv.discrete_functional_classical(lag, q, sigma)
+            fa = fv.discrete_functional(lag, q, sigma, 1.0)
+            fc = fv.discrete_functional(lag, q, sigma)
             ok = ok and abs(fa - fc) <= 8.0 * np.spacing(max(abs(fa), abs(fc)))
             ok = ok and close_ulp(
                 fv.residual_direct_fractional(lag, q, sigma, 1.0).values,

@@ -306,7 +306,7 @@ def test_gl_converges_to_rl_on_monomials(alpha, beta):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
 @pytest.mark.parametrize("caller", [
-    lambda lag, q, alpha: fv.discrete_functional_fractional(lag, q, fv.MINUS, alpha),
+    lambda lag, q, alpha: fv.discrete_functional(lag, q, fv.MINUS, alpha),
     lambda lag, q, alpha: fv.functional_gradient(lag, q, fv.MINUS, alpha),
     lambda lag, q, alpha: fv.residual_direct_fractional(lag, q, fv.MINUS, alpha),
     lambda lag, q, alpha: fv.rl_monomial_derivative(1.0, alpha, 1.0),

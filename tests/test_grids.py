@@ -148,6 +148,18 @@ def test_residual_field_window_validation():
         field.value_at(0)
 
 
+def test_sequence_refuses_a_fractional_window_start():
+    # it used to build, and then its indices raised a raw TypeError
+    with pytest.raises(fv.DomainError, match="k_start must be an integer, got 1.5"):
+        fv.ResidualField(fv.make_grid(0.0, 1.0, 4), 1.5, np.ones((2, 1)))
+
+
+def test_sequence_refuses_a_bool_window_start():
+    # True used to be taken as window start 1
+    with pytest.raises(fv.DomainError, match="k_start must be an integer, got True"):
+        fv.ResidualField(fv.make_grid(0.0, 1.0, 4), True, np.ones((2, 1)))
+
+
 def test_values_immutable():
     traj = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 4))
     with pytest.raises(ValueError):

@@ -50,28 +50,28 @@ def test_builtin_lookup():
 def test_classical_functional_hand_case():
     lag = fv.free_particle()
     q = fv.Trajectory(fv.make_grid(0.0, 2.0, 2), [0.0, 1.0, 2.0])
-    assert fv.discrete_functional_classical(lag, q, fv.MINUS) == 1.0
+    assert fv.discrete_functional(lag, q, fv.MINUS) == 1.0
 
 
 def test_functional_zero_trajectory():
     lag = fv.harmonic_oscillator(3.0)
     q = fv.sample(lambda t: 0.0, fv.make_grid(0.0, 1.0, 8))
-    assert fv.discrete_functional_classical(lag, q, fv.PLUS) == 0.0
-    assert fv.discrete_functional_fractional(lag, q, fv.MINUS, 0.5) == 0.0
+    assert fv.discrete_functional(lag, q, fv.PLUS) == 0.0
+    assert fv.discrete_functional(lag, q, fv.MINUS, 0.5) == 0.0
 
 
 def test_functional_pure():
     lag = fv.pendulum(1.1)
     rng = np.random.default_rng(6)
     q = random_trajectory(rng, fv.make_grid(0.0, 1.0, 12))
-    first = fv.discrete_functional_classical(lag, q, fv.MINUS)
-    assert fv.discrete_functional_classical(lag, q, fv.MINUS) == first
+    first = fv.discrete_functional(lag, q, fv.MINUS)
+    assert fv.discrete_functional(lag, q, fv.MINUS) == first
 
 
 def test_fractional_functional_hand_case():
     lag = fv.free_particle()
     q = fv.Trajectory(fv.make_grid(0.0, 3.0, 3), [0.0, 1.0, 2.0, 3.0])
-    assert fv.discrete_functional_fractional(lag, q, fv.MINUS, 0.5) == 3.3828125
+    assert fv.discrete_functional(lag, q, fv.MINUS, 0.5) == 3.3828125
 
 
 @pytest.mark.parametrize("sigma", [fv.PLUS, fv.MINUS])
@@ -79,9 +79,7 @@ def test_fractional_functional_reduces_exactly(sigma):
     rng = np.random.default_rng(8)
     lag = fv.pendulum(1.4, dim=2)
     q = random_trajectory(rng, fv.make_grid(0.2, 1.9, 13), dim=2)
-    assert fv.discrete_functional_fractional(
-        lag, q, sigma, 1.0
-    ) == fv.discrete_functional_classical(lag, q, sigma)
+    assert fv.discrete_functional(lag, q, sigma, 1.0) == fv.discrete_functional(lag, q, sigma)
 
 
 def test_functional_rejects_bad_alpha():
@@ -89,14 +87,14 @@ def test_functional_rejects_bad_alpha():
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 4))
     for alpha in (0.0, 1.5, -0.2):
         with pytest.raises(fv.DomainError):
-            fv.discrete_functional_fractional(lag, q, fv.MINUS, alpha)
+            fv.discrete_functional(lag, q, fv.MINUS, alpha)
 
 
 def test_functional_rejects_dim_mismatch():
     lag = fv.free_particle(dim=2)
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 4))
     with pytest.raises(fv.DomainError):
-        fv.discrete_functional_classical(lag, q, fv.MINUS)
+        fv.discrete_functional(lag, q, fv.MINUS)
 
 
 def test_gradient_classical_hand_case():
@@ -147,10 +145,7 @@ def test_directional_derivative_consistency(sigma):
         eps = 1e-6
 
         def functional(vals):
-            traj = fv.Trajectory(grid, vals)
-            if alpha is None:
-                return fv.discrete_functional_classical(lag, traj, sigma)
-            return fv.discrete_functional_fractional(lag, traj, sigma, alpha)
+            return fv.discrete_functional(lag, fv.Trajectory(grid, vals), sigma, alpha)
 
         directional = (
             functional(q.values + eps * w) - functional(q.values - eps * w)
@@ -224,10 +219,7 @@ def test_one_functional_calls_l_once(alpha):
     q = random_trajectory(np.random.default_rng(41), fv.make_grid(0.0, 1.0, 16), dim=2)
     for sigma in (fv.PLUS, fv.MINUS):
         calls.clear()
-        if alpha is None:
-            fv.discrete_functional_classical(lag, q, sigma)
-        else:
-            fv.discrete_functional_fractional(lag, q, sigma, alpha)
+        fv.discrete_functional(lag, q, sigma, alpha)
         assert calls == {"L": 1}
 
 
@@ -266,7 +258,7 @@ def test_wrong_callback_shape_refused(name):
     q = random_trajectory(np.random.default_rng(43), fv.make_grid(0.0, 1.0, 8), dim=2)
     with pytest.raises(fv.DomainError, match=rf"callback {name} returned shape"):
         if name == "L":
-            fv.discrete_functional_fractional(lag, q, fv.MINUS, 0.5)
+            fv.discrete_functional(lag, q, fv.MINUS, 0.5)
         else:
             fv.residual_direct_classical(lag, q, fv.PLUS)
 

@@ -1,8 +1,8 @@
 """Property tests of the identities the schemes rest on, over random
 (n, d, alpha, sigma): discrete integration by parts, direct-vs-variational
 coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
-fractional functional and gradient to the classical ones.  The last two
-properties check the classical Newton Jacobian's bands against finite
+fractional functional and gradient to the classical ones.  The last three
+properties check every family's Newton Jacobian against finite
 differences, the solver's array path against the public assemblers, and
 the Gram-matrix kinetic block of a mechanical fractional Jacobian against
 the per-node product.
@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import fracvi as fv
 from fracvi import schemes
-from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, classical_jacobian
-from fracvi.schemes import fractional_jacobian
+from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
 from fracvi.solver import BVPProblem, _bvp_functions
 from oracles import column_fd_jacobian, coupled_lagrangian, dense_from_bands, interior_residual
 
@@ -28,14 +27,9 @@ sigmas = st.sampled_from([fv.PLUS, fv.MINUS])
 alphas = st.floats(0.05, 1.0)
 lagrangians = st.sampled_from(["harmonic", "pendulum", "coupled"])
 mechanical = st.sampled_from(["free", "harmonic", "pendulum"])
-fractional_families = st.sampled_from(
-    [SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL]
-)
-
-
-classical_families = st.sampled_from(
-    [SchemeFamily.DIRECT_CLASSICAL, SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.ASYMMETRIC_DIRECT]
-)
+FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
+fractional_families = st.sampled_from(FRACTIONAL)
+families = st.sampled_from(list(SchemeFamily))
 
 
 @st.composite
@@ -102,9 +96,7 @@ def test_gl_embedding_is_coherent(qs, sigma, alpha, name):
 def test_alpha_one_reduces_to_classical(qs, sigma, name):
     [q] = qs
     lag = lagrangian(name, q.dim)
-    assert fv.discrete_functional_fractional(
-        lag, q, sigma, 1.0
-    ) == fv.discrete_functional_classical(lag, q, sigma)
+    assert fv.discrete_functional(lag, q, sigma, 1.0) == fv.discrete_functional(lag, q, sigma)
     np.testing.assert_array_equal(
         fv.functional_gradient(lag, q, sigma, 1.0).values,
         fv.functional_gradient(lag, q, sigma).values,
@@ -112,34 +104,39 @@ def test_alpha_one_reduces_to_classical(qs, sigma, name):
 
 
 @PROPERTY
-@given(trajectories(max_n=64), classical_families, sigmas)
-def test_classical_jacobian_matches_finite_differences(qs, family, sigma):
-    [q] = qs
+@given(st.data(), families, sigmas, alphas)
+def test_jacobian_matches_finite_differences(data, family, sigma, alpha):
+    # a fractional residual couples every node, so each of the oracle's
+    # n*d calls costs O(n^2 d): keep its n small
+    fractional = family in FRACTIONAL
+    [q] = data.draw(trajectories(max_n=24 if fractional else 64))
     n, d = q.grid.n, q.dim
     assume(family is not SchemeFamily.DIRECT_CLASSICAL or n >= 3)
-    kind = SchemeKind(family, sigma)
+    kind = SchemeKind(family, sigma, alpha if fractional else None)
     lag = coupled_lagrangian(d)
     fun = interior_residual(kind, lag, q.grid, q.values[:1], q.values[-1:])
     x = q.values[1:-1].ravel()
     fd = column_fd_jacobian(fun, x, fun(x))
-    bands = classical_jacobian(kind, lag, q)
-    assert not bands[0, 0].any() and not bands[2, -1].any()
-    assert np.max(np.abs(dense_from_bands(bands) - fd)) <= 1e-6 * np.max(np.abs(fd))
+    jac = jacobian(kind, lag, q)
+    if not fractional:
+        assert not jac[0, 0].any() and not jac[2, -1].any()
+        jac = dense_from_bands(jac)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 @PROPERTY
-@given(trajectories(max_n=48), st.sampled_from(list(SchemeFamily)), sigmas, alphas, lagrangians)
+@given(trajectories(max_n=48), families, sigmas, alphas, lagrangians)
 def test_solver_array_path_is_the_public_assembly(qs, family, sigma, alpha, name):
     [q] = qs
     assume(family is not SchemeFamily.DIRECT_CLASSICAL or q.grid.n >= 3)
-    fractional = family in (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
-    kind = SchemeKind(family, sigma, alpha if fractional else None)
+    kind = SchemeKind(family, sigma, alpha if family in FRACTIONAL else None)
     lag = lagrangian(name, q.dim)
-    residual, jacobian, _ = _bvp_functions(BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1]))
+    residual, array_jacobian, _ = _bvp_functions(
+        BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1])
+    )
     x = q.values[1:-1].ravel()
-    jac = (fractional_jacobian if fractional else classical_jacobian)(kind, lag, q)
     # the Jacobian first: the array path must not depend on its last residual
-    assert jacobian(residual, x, None).tobytes() == jac.tobytes()
+    assert array_jacobian(residual, x, None).tobytes() == jacobian(kind, lag, q).tobytes()
     assert residual(x).tobytes() == assemble_residual(kind, lag, q).values.tobytes()
 
 
@@ -158,11 +155,11 @@ def test_mechanical_kinetic_block_is_the_gram_product(qs, family, sigma, alpha, 
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schemes, "_uniform_kinetic", recorded)
-        gram = fractional_jacobian(kind, lag, q)
+        gram = jacobian(kind, lag, q)
         patch.setattr(schemes, "_uniform_kinetic", lambda hvx, hvv: None)
-        product = fractional_jacobian(kind, lag, q)
+        product = jacobian(kind, lag, q)
     assert len(taken) == 1 and taken[0] is not None
     # rounding moves the kinetic block, which the potential's diagonal can
     # cancel: measure against the kinetic block alone, the free particle's
-    kinetic = fractional_jacobian(kind, lagrangian("free", q.dim), q)
+    kinetic = jacobian(kind, lagrangian("free", q.dim), q)
     assert np.max(np.abs(gram - product)) <= 1e-9 * np.max(np.abs(kinetic))

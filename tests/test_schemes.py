@@ -8,8 +8,7 @@ from fracvi.schemes import (
     VERDICT_COHERENT,
     VERDICT_NOT_COHERENT,
     assemble_residual,
-    classical_jacobian,
-    fractional_jacobian,
+    jacobian,
 )
 from oracles import random_trajectory
 
@@ -51,7 +50,7 @@ def test_direct_classical_needs_three_intervals():
 @pytest.mark.parametrize("entry", [
     lambda kind, lag, q: fv.residual_direct_classical(lag, q, kind.sigma),
     assemble_residual,
-    classical_jacobian,
+    jacobian,
     lambda kind, lag, q: fv.solve_bvp_newton(
         fv.BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1]), init=q
     ),
@@ -68,7 +67,6 @@ def test_layout_check_refuses_dimension_mismatch(family):
     alpha = 0.5 if family.value.endswith("fractional") else None
     kind = SchemeKind(family, fv.MINUS, alpha)
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
-    jacobian = fractional_jacobian if alpha else classical_jacobian
     for entry in (assemble_residual, jacobian):
         with pytest.raises(fv.DomainError, match="dimension mismatch"):
             entry(kind, fv.free_particle(dim=2), q)

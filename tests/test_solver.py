@@ -11,8 +11,7 @@ from fracvi.schemes import (
     SchemeFamily,
     SchemeKind,
     assemble_residual,
-    classical_jacobian,
-    fractional_jacobian,
+    jacobian,
 )
 from fracvi import fracops, lagrangians, schemes, solver
 from fracvi.solver import (
@@ -434,7 +433,7 @@ def test_march_first_order_convergence():
         assert 0.7 <= math.log2(errors[i] / errors[i + 1]) <= 1.3
 
 
-def test_fractional_jacobian_budget():
+def test_fractional_solve_budget():
     # dense O(n^2 d^2) assembly must stay affordable at n = 256
     start = time.monotonic()
     grid = fv.make_grid(0.0, 1.0, 256)
@@ -531,7 +530,7 @@ def test_banded_newton_system_matches_dense(family, sigma, problem):
             r = fun(x)
             callbacks.clear()
             q = fv.Trajectory(grid, np.vstack([qa, x.reshape(nodes, d), qb]))
-            bands = classical_jacobian(kind, lag, q)
+            bands = jacobian(kind, lag, q)
             assert len(callbacks) == 4 * d + 2
             assert bands.shape == (3, nodes, d, d)
             # the blocks that would couple to the pinned end nodes
@@ -649,23 +648,13 @@ def test_structured_jacobian_matches_finite_differences(family, sigma, problem):
                 lag = counted_lagrangian(PROBLEMS[problem](d), calls)
                 fun = interior_residual(kind, lag, grid, qa, qb)
                 x = rng.standard_normal((n - 1) * d)
-                fd = solver._fd_jacobian(fun, x, fun(x))
+                fd = column_fd_jacobian(fun, x, fun(x))
                 calls.clear()
                 q = fv.Trajectory(grid, np.vstack([qa, x.reshape(n - 1, d), qb]))
-                structured = fractional_jacobian(kind, lag, q)
+                structured = jacobian(kind, lag, q)
                 assert len(calls) == 4 * d + 2
                 gap = np.max(np.abs(structured - fd))
                 assert gap <= 1e-6 * np.max(np.abs(fd)), (d, n, alpha, gap)
-
-
-def test_structured_jacobians_refuse_the_other_kind():
-    grid = fv.make_grid(0.0, 1.0, 4)
-    q = fv.Trajectory(grid, np.zeros((5, 1)))
-    with pytest.raises(fv.DomainError, match="vi-classical is classical: use classical_jacobian"):
-        fractional_jacobian(vi_classical(), fv.free_particle(), q)
-    kind = SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, fv.PLUS, 0.5)
-    with pytest.raises(fv.DomainError, match="direct-fractional is fractional: use fractional_jacobian"):
-        classical_jacobian(kind, fv.free_particle(), q)
 
 
 def test_fractional_newton_step_uses_structured_jacobian(monkeypatch):
@@ -748,7 +737,7 @@ def test_non_uniform_kinetic_keeps_the_per_node_product(family, sigma, make_lagr
     for d in (1, 2):
         grid = fv.make_grid(0.0, 1.0, 24)
         q = fv.Trajectory(grid, rng.standard_normal((grid.n + 1, d)))
-        fractional_jacobian(SchemeKind(family, sigma, 0.6), make_lagrangian(d), q)
+        jacobian(SchemeKind(family, sigma, 0.6), make_lagrangian(d), q)
     assert taken == [None, None]
 
 
