@@ -6,14 +6,15 @@ The signed binomial weights are w_r = (-1)^r C(alpha, r), generated by the
 multiplicative recurrence w_r = w_{r-1} * (r - 1 - alpha) / r.  For
 0 < alpha < 1 they satisfy w_0 = 1, w_r < 0 for r >= 1, and positive,
 strictly decreasing partial sums.  Operators are dense O(n^2) Toeplitz
-kernels from one builder, ``_kernel(alpha, n, side)``: the left operator
-reads w_{k-j}, the right one w_{j-k}.  Every kernel product in the package
-goes through one pair keyed by (alpha, side): :func:`gl_apply` (the
-kernel) and :func:`gl_adjoint_apply` (the transpose of its interior
-columns, held as one contiguous copy, which the variational gradient and
-its Jacobian both scatter through).  Kernels and adjoints share one cache
-bounded by bytes.  No fast convolution is attempted at desk scale.
-Fractional orders must be finite and positive.
+kernels from one builder, ``_kernel(alpha, n, side)``, which copies the
+rows out of strided windows over one zero-padded weight vector: the left
+operator reads w_{k-j}, the right one w_{j-k}.  Every kernel product in
+the package goes through one pair keyed by (alpha, side):
+:func:`gl_apply` (the kernel) and :func:`gl_adjoint_apply` (the transpose
+of its interior columns, held as one contiguous copy, which the
+variational gradient and its Jacobian both scatter through).  Kernels and
+adjoints share one cache bounded by bytes.  No fast convolution is
+attempted at desk scale.  Fractional orders must be finite and positive.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from collections import OrderedDict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import (
     MINUS,
@@ -82,11 +84,11 @@ def _kernel(alpha: float, n: int, side: int) -> np.ndarray:
     """
 
     def build():
-        w = _weights(alpha, n)
-        k = np.arange(n)[:, None] + (side == MINUS)
-        j = np.arange(n + 1)[None, :]
-        r = side * (j - k)
-        return np.where(r >= 0, w[np.clip(r, 0, n)], 0.0)
+        # windows[s] = [0]*(n-s) + w_0..w_s: the PLUS row k is window n - k,
+        # and the MINUS kernel is the PLUS one read backwards on both axes
+        padded = np.concatenate([np.zeros(n), _weights(alpha, n)])
+        plus = sliding_window_view(padded, n + 1)[n:0:-1]
+        return plus if side == PLUS else plus[::-1, ::-1]
 
     return _cached((alpha, n, side), build)
 

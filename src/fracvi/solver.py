@@ -14,7 +14,9 @@ boundary-value solve differentiates its residual: the Jacobian comes by
 the chain rule from pointwise Hessian blocks (4*d + 2 callback calls).  A
 fractional one is dense and solved by LAPACK; a classical one has three
 block diagonals, which odd-even block cyclic reduction solves in
-O(n*d^3) time and O(n*d^2) memory, ending in one small LAPACK solve.
+O(n*d^3) time and O(n*d^2) memory, ending in one small LAPACK solve.  A
+reduction level with 1x1 blocks (d = 1) is one reciprocal and elementwise
+products; with d > 1 it is one batched LAPACK solve and stacked matmuls.
 
 The Newton kernel owns its step: handed a Jacobian builder, a linear solve
 and maybe a held Jacobian, it solves with the held one at its first
@@ -178,9 +180,37 @@ def _fd_jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 #: Unknown count at or below which cyclic reduction hands the reduced
-#: system to one dense LAPACK solve: below it a batched level costs more
-#: than the O((nodes*d)^3) work it saves (timings in CHANGES.md).
+#: system to one dense LAPACK solve: below it a reduction level costs more
+#: than the O((nodes*d)^3) work it saves (cutoff table in CHANGES.md).
 _DENSE_UNKNOWNS = 64
+
+
+def _block_solve(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray):
+    """``diag^-1 @`` each of the stacks ``lower``, ``upper`` and ``rhs``,
+    where ``diag`` is a stack of (d, d) blocks or, for d = 1, of scalars.
+    Scalars take one reciprocal and three products, bit for bit LAPACK's
+    answer for several right-hand sides; blocks take one batched LAPACK
+    solve of the three side by side.  An exactly singular block raises
+    :class:`SingularMatrixError`, a zero scalar before any division."""
+    message = "singular diagonal block in cyclic reduction"
+    if diag.ndim == 1:
+        if not diag.all():
+            raise SingularMatrixError(message)
+        inverse = 1.0 / diag
+        return lower * inverse, upper * inverse, rhs * inverse
+    try:
+        solved = np.linalg.solve(diag, np.concatenate([lower, upper, rhs], axis=2))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(message) from None
+    d = diag.shape[-1]
+    return np.split(solved, [d, 2 * d], axis=2)
+
+
+def _block_product(diag: np.ndarray):
+    """The product of stacks laid out like ``diag``: ``np.matmul`` of
+    blocks, or the elementwise ``np.multiply`` of scalars, the same numbers
+    without a stacked matmul."""
+    return np.multiply if diag.ndim == 1 else np.matmul
 
 
 def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,49 +219,61 @@ def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     right-hand side ``b``.
 
     Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970; Golub & Van
-    Loan section 4.5): each level eliminates the odd-numbered blocks with
-    one batched solve against their diagonal blocks, which halves the
-    system, until at most ``_DENSE_UNKNOWNS`` unknowns (or one block) are
-    left for one :func:`lu_solve`: O(nodes*d^3) work, O(nodes*d^2)
-    memory.  No pivoting crosses blocks, so a singular diagonal block of an
-    eliminated row raises :class:`SingularMatrixError`, as a singular
-    reduced system does.
+    Loan section 4.5): each level eliminates the odd-numbered blocks
+    against their diagonal blocks, which halves the system, until at most
+    ``_DENSE_UNKNOWNS`` unknowns (or one block) are left for one
+    :func:`lu_solve`: O(nodes*d^3) work, O(nodes*d^2) memory.  1x1 blocks
+    travel as scalars, (3, nodes) bands and a (nodes,) right-hand side, so
+    that with d = 1 a level is one reciprocal and elementwise products;
+    with d > 1 it is one batched LAPACK solve and stacked matmuls
+    (:func:`_block_solve`, :func:`_block_product`).  No pivoting crosses
+    blocks, so a singular diagonal block of an eliminated row raises
+    :class:`SingularMatrixError`, as a singular reduced system does.
     """
     nodes, d = bands.shape[1:3]
-    if nodes == 1 or nodes * d <= _DENSE_UNKNOWNS:
+    if d == 1:
+        return _cyclic_reduction(bands.reshape(3, nodes), b)
+    return _cyclic_reduction(bands, b.reshape(nodes, d, 1)).ravel()
+
+
+def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`_block_tridiagonal_solve` on stacks: ``bands`` (3, nodes) of
+    scalars or (3, nodes, d, d) of blocks, ``rhs`` (nodes,) or (nodes, d,
+    1); the solution is laid out as ``rhs``."""
+    nodes = len(rhs)
+    if nodes == 1 or rhs.size <= _DENSE_UNKNOWNS:
+        d = rhs.size // nodes
+        blocks = bands.reshape(3, nodes, d, d)
         dense = np.zeros((nodes, d, nodes, d))
         i = np.arange(nodes)
-        dense[i[1:], :, i[:-1]] = bands[0, 1:]
-        dense[i, :, i] = bands[1]
-        dense[i[:-1], :, i[1:]] = bands[2, :-1]
-        return lu_solve(dense.reshape(nodes * d, nodes * d), b)
-    rhs = b.reshape(nodes, d, 1)
+        dense[i[1:], :, i[:-1]] = blocks[0, 1:]
+        dense[i, :, i] = blocks[1]
+        dense[i[:-1], :, i[1:]] = blocks[2, :-1]
+        return lu_solve(dense.reshape(rhs.size, rhs.size), rhs.ravel()).reshape(rhs.shape)
     even, odd = bands[:, 0::2], bands[:, 1::2]
     evens, odds = even.shape[1], odd.shape[1]
-    try:
-        # per odd block k: D^-1 [L, U, b] of its row block
-        solved = np.linalg.solve(odd[1], np.concatenate([odd[0], odd[2], rhs[1::2]], axis=2))
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("singular diagonal block in cyclic reduction") from None
-    left, right, inner = np.split(solved, [d, 2 * d], axis=2)
+    m = evens - 1
+    mul = _block_product(odd[1])
+    # per odd block k: D^-1 L, D^-1 U and D^-1 b of its row block
+    left, right, inner = _block_solve(odd[1], odd[0], odd[2], rhs[1::2])
     # even block k couples to odd block k-1 (k > 0) and odd block k (k < odds)
     lower, upper = even[0, 1:], even[2, :odds]
-    reduced = np.zeros((3, evens, d, d))
-    reduced[0, 1:] = -lower @ left[: evens - 1]
+    reduced = np.zeros(even.shape)
+    reduced[0, 1:] = mul(-lower, left[:m])
     reduced[1] = even[1]
-    reduced[1, 1:] -= lower @ right[: evens - 1]
-    reduced[1, :odds] -= upper @ left
-    reduced[2, : evens - 1] = -even[2, : evens - 1] @ right[: evens - 1]
+    reduced[1, 1:] -= mul(lower, right[:m])
+    reduced[1, :odds] -= mul(upper, left)
+    reduced[2, :m] = mul(-even[2, :m], right[:m])
     reduced_rhs = rhs[0::2].copy()
-    reduced_rhs[1:] -= lower @ inner[: evens - 1]
-    reduced_rhs[:odds] -= upper @ inner
-    x_even = _block_tridiagonal_solve(reduced, reduced_rhs.ravel()).reshape(evens, d, 1)
-    x_odd = inner - left @ x_even[:odds]
-    x_odd[: evens - 1] -= right[: evens - 1] @ x_even[1:]
-    x = np.empty((nodes, d, 1))
+    reduced_rhs[1:] -= mul(lower, inner[:m])
+    reduced_rhs[:odds] -= mul(upper, inner)
+    x_even = _cyclic_reduction(reduced, reduced_rhs)
+    x_odd = inner - mul(left, x_even[:odds])
+    x_odd[:m] -= mul(right[:m], x_even[1:])
+    x = np.empty(rhs.shape)
     x[0::2] = x_even
     x[1::2] = x_odd
-    return x.ravel()
+    return x
 
 
 def _newton(

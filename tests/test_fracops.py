@@ -69,16 +69,18 @@ def test_weight_structure_large_n(alpha):
 @pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
 def test_kernel_entries_follow_the_definition(alpha, side):
-    # MINUS: rows k = 1..n hold w_{k-j}; PLUS: rows k = 0..n-1 hold w_{j-k}
-    n = 6
-    w = fv.gl_coefficients(alpha, n)
-    kernel = _kernel(alpha, n, side)
-    assert kernel.shape == (n, n + 1) and not kernel.flags.writeable
-    for row in range(n):
-        k = row + 1 if side == fv.MINUS else row
-        for j in range(n + 1):
-            r = k - j if side == fv.MINUS else j - k
-            assert kernel[row, j] == (w[r] if r >= 0 else 0.0)
+    # MINUS: rows k = 1..n hold w_{k-j}; PLUS: rows k = 0..n-1 hold w_{j-k};
+    # n = 0 is the empty kernel of one column
+    for n in (0, 1, 2, 6, 65):
+        w = fv.gl_coefficients(alpha, n)
+        kernel = _kernel(alpha, n, side)
+        assert kernel.shape == (n, n + 1), n
+        assert kernel.flags.c_contiguous and not kernel.flags.writeable
+        for row in range(n):
+            k = row + 1 if side == fv.MINUS else row
+            for j in range(n + 1):
+                r = k - j if side == fv.MINUS else j - k
+                assert kernel[row, j] == (w[r] if r >= 0 else 0.0), (n, row, j)
 
 
 def _fresh_kernel(alpha, n, side):

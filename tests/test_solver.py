@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -560,16 +561,39 @@ def test_banded_newton_system_matches_dense(family, sigma, problem):
 @pytest.mark.parametrize("where", ["first", "odd", "even", "last"])
 def test_block_solve_singular_block_raises(nodes, where):
     # a zero row block: eliminated at the first level (odd), carried into
-    # the reduced systems (even), or left to the final dense solve
+    # the reduced systems (even), or left to the final dense solve; a zero
+    # 1x1 block is refused before any division, so no RuntimeWarning
     rng = np.random.default_rng(65)
-    d = 2
-    bands = 0.1 * rng.standard_normal((3, nodes, d, d))
-    bands[1] += 4.0 * np.eye(d)
-    bands[0, 0] = bands[2, -1] = 0.0
-    row = {"first": 0, "odd": 1, "even": nodes // 2 * 2 - 2, "last": nodes - 1}[where]
-    bands[:, row] = 0.0
-    with pytest.raises(SingularMatrixError):
-        solver._block_tridiagonal_solve(bands, np.ones(nodes * d))
+    for d in (1, 2):
+        bands = 0.1 * rng.standard_normal((3, nodes, d, d))
+        bands[1] += 4.0 * np.eye(d)
+        bands[0, 0] = bands[2, -1] = 0.0
+        row = {"first": 0, "odd": 1, "even": nodes // 2 * 2 - 2, "last": nodes - 1}[where]
+        bands[:, row] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularMatrixError):
+                solver._block_tridiagonal_solve(bands, np.ones(nodes * d))
+
+
+def test_scalar_block_reduction_makes_no_batched_lapack_call(monkeypatch):
+    # d = 1: each level is elementwise, and each Newton iteration makes one
+    # 2-D LAPACK call, for the dense bottom (511 nodes reduce to 64)
+    dims = []  # the matrix dimension of every np.linalg.solve call
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: dims.append(np.ndim(a)) or solve(a, b))
+    grid = fv.make_grid(0.0, 1.0, 512)
+    problem = BVPProblem(grid, fv.pendulum(1.0), vi_classical(), [0.0], [1.0])
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-9))
+    assert diag.converged and diag.iterations >= 2
+    assert dims == [2] * diag.iterations
+    # d = 2 keeps one batched LAPACK solve per level
+    dims.clear()
+    problem = BVPProblem(grid, fv.pendulum(1.0, dim=2), vi_classical(), [0.0, 0.5], [1.0, 0.0])
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-9))
+    assert diag.converged
+    assert dims.count(2) == diag.iterations
+    assert dims.count(3) == 4 * diag.iterations  # 511 -> 256 -> 128 -> 64 -> 32 nodes
 
 
 def test_classical_solve_takes_no_dense_matrix():
