@@ -233,4 +233,9 @@ def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:
         raise DomainError(
             f"beta + 1 - alpha = {tail} < 0 is outside the oracle's domain"
         )
-    return math.gamma(beta + 1.0) / math.gamma(tail) * s ** (beta - alpha)
+    try:
+        return math.gamma(beta + 1.0) / math.gamma(tail) * s ** (beta - alpha)
+    except OverflowError:
+        raise DomainError(
+            f"Gamma(beta + 1) or s^(beta - alpha) overflows a float at beta = {beta}, s = {s}"
+        ) from None

@@ -133,8 +133,8 @@ BUILTIN_PROBLEMS = ("free", "harmonic", "pendulum")
 
 def builtin_problem(name: str, omega: float = 1.0, dim: int = 1) -> Lagrangian:
     """Built-in problems addressable by name (for the command line)."""
-    if not np.isfinite(omega):
-        raise DomainError(f"omega must be finite, got {omega}")
+    if not np.isfinite(float(omega) * float(omega)):  # the potentials scale by omega^2
+        raise DomainError(f"omega must be finite with a finite square, got {omega}")
     if name == "free":
         return free_particle(dim=dim)
     if name == "harmonic":
@@ -155,11 +155,16 @@ def _call(fn, name: str, shape: tuple, x: Vec, v: Vec, t: Vec) -> Vec:
     """One batched callback call; a result of the wrong shape is refused."""
     out = np.asarray(fn(x, v, t), dtype=float)
     if out.shape != shape:
-        raise DomainError(
-            f"Lagrangian callback {name} returned shape {out.shape}, expected "
-            f"{shape}: callbacks take x, v of shape (..., d) and t of shape (...)"
-        )
+        raise _shape_error(name, out.shape, shape)
     return out
+
+
+def _shape_error(name: str, got: tuple, shape: tuple) -> DomainError:
+    """The refusal of a callback result of shape ``got`` where ``shape`` is due."""
+    return DomainError(
+        f"Lagrangian callback {name} returned shape {got}, expected "
+        f"{shape}: callbacks take x, v of shape (..., d) and t of shape (...)"
+    )
 
 
 def _lagrangian_values(lag: Lagrangian, x: Vec, v: Vec, t: Vec):

@@ -218,3 +218,120 @@ def fresh_jacobian_march(lag, grid, q0, q1, tol, max_iter=50, rel_step=1e-6):
             raise RuntimeError(f"oracle march did not converge at step k={k}")
         vals[k] = x
     return vals
+
+
+def chord_march(lag, grid, q0, q1, tol, max_iter=50):
+    """Frozen reference for ``march_direct_classical``: the chord march
+    written out plainly.  Its damped Newton loop, forward-difference
+    Jacobian, 1x1 division and step residual make each numpy call in the
+    obvious way (norms by reduction, every trial step scaled by t), so that
+    a tuned march can be compared with it byte for byte.
+
+    Returns ``(values, diagnostics)`` like the march, or raises
+    ``NewtonConvergenceError`` with the failing step's iterate and history
+    and the counters summed over every step.
+    """
+    NewtonDiagnostics = fv.solver.NewtonDiagnostics
+    NewtonConvergenceError = fv.solver.NewtonConvergenceError
+
+    def fd_jacobian(fun, x, r):
+        steps = 1e-6 * (1.0 + np.abs(x))
+        jac = np.empty((r.size, x.size))
+        for j in range(x.size):
+            xp = x.copy()
+            xp[j] += steps[j]
+            jac[:, j] = (fun(xp) - r) / steps[j]
+        return jac
+
+    def solve(a, b):
+        if b.shape == (1,):
+            pivot = float(a[0, 0])
+            if pivot == 0.0:
+                raise fv.solver.SingularMatrixError("singular matrix")
+            return np.array([float(b[0]) / pivot])
+        return np.linalg.solve(a, b)
+
+    def newton(fun, x0, held, label):
+        x = np.array(x0, dtype=float)
+        diag = NewtonDiagnostics()
+
+        def counted(y):
+            diag.residual_evals += 1
+            return fun(y)
+
+        r = counted(x)
+        rnorm = float(abs(r).max())
+        diag.records.append((0, rnorm, 0.0))
+        if not math.isfinite(rnorm):
+            raise NewtonConvergenceError(
+                f"{label}non-finite residual ({rnorm}) at the initial iterate", x, diag
+            )
+        it = 0
+        while not rnorm <= tol:
+            it += 1
+            if it > max_iter:
+                raise NewtonConvergenceError(
+                    f"{label}no convergence after {max_iter} iterations "
+                    f"(residual {rnorm:.3e}, target {tol:.3e})",
+                    x,
+                    diag,
+                )
+            if held is None or it > 1:
+                held = fd_jacobian(counted, x, r)
+                diag.jacobian_builds += 1
+            delta = solve(held, -r)
+            t = 1.0
+            for _ in range(40):
+                trial = x + t * delta
+                r_trial = counted(trial)
+                rn_trial = float(abs(r_trial).max())
+                if rn_trial < rnorm:
+                    break
+                diag.backtracks += 1
+                if trial.tobytes() == x.tobytes():
+                    break
+                t *= 0.5
+            if not rn_trial < rnorm:
+                diag.records.append((it, rnorm, 0.0))
+                raise NewtonConvergenceError(
+                    f"{label}line search stalled at iteration {it} "
+                    f"(residual {rnorm:.3e}, target {tol:.3e})",
+                    x,
+                    diag,
+                )
+            x, r, rnorm = trial, r_trial, rn_trial
+            diag.records.append((it, rnorm, float(abs(t * delta).max())))
+        diag.converged = True
+        return x, diag, held
+
+    d = lag.dim
+    q0 = np.asarray(q0, dtype=float).reshape(d)
+    q1 = np.asarray(q1, dtype=float).reshape(d)
+    hinv = 1.0 / grid.h
+    nodes = grid.nodes.tolist()
+    vals = np.empty((grid.n + 1, d))
+    vals[0] = q0
+    vals[1] = q1
+    spent = NewtonDiagnostics(converged=True)
+    held = None
+
+    def step_residual(x):
+        nonlocal lv_last
+        v = (x - prev) * hinv
+        lx = np.asarray(lag.Lx(x, v, t_k), dtype=float)
+        lv_last = lag.Lv(x, v, t_k)
+        return lx - (lv_last - lv_prev) * hinv
+
+    lv_last = np.asarray(lag.Lv(q1, (q1 - q0) * hinv, nodes[1]), dtype=float)
+    for k in range(2, grid.n + 1):
+        prev, t_k, lv_prev = vals[k - 1], nodes[k], lv_last
+        guess = 2.0 * prev - vals[k - 2]
+        try:
+            vals[k], step, held = newton(step_residual, guess, held, f"march step k={k}: ")
+        except NewtonConvergenceError as exc:
+            exc.diagnostics.add_counts(spent)
+            raise
+        spent.add_counts(step)
+        if not step.final_residual <= spent.final_residual:
+            spent.records = step.records
+    return vals, spent

@@ -261,6 +261,15 @@ def test_glcheck_alpha_one_exact(capsys):
     assert "exact reproduction" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("beta, b", [("400", "1"), ("169", "1000")])
+def test_glcheck_refuses_an_overflowing_closed_form(capsys, beta, b):
+    # Gamma(401) and 1000^168.5 lie past the float range
+    argv = ["glcheck", "--alpha", "0.5", "--beta", beta, "--b", b, "--n-list", "8,16"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"overflows a float at beta = {float(beta)}" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("beta", ["-0.5", "-0.999", "nan"])
 def test_glcheck_refuses_negative_beta(capsys, beta):
     # (t-a)^beta is sampled at t = a, where a negative power is infinite
@@ -427,6 +436,8 @@ def test_non_finite_ends_refused(tmp_path, capsys, argv, message):
     ["coherence", "--omega", "nan"],
     ["solve", "--omega", "inf"],
     ["convergence", "--omega", "nan"],
+    ["solve", "--omega", "1e200"],
+    ["convergence", "--scheme", "vi", "--omega", "1e200"],
 ])
 def test_non_finite_omega_refused(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE

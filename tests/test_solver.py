@@ -26,6 +26,7 @@ from fracvi.solver import (
     solve_bvp_newton,
 )
 from oracles import (
+    chord_march,
     colored_fd_jacobian,
     column_fd_jacobian,
     coupled_lagrangian,
@@ -396,6 +397,79 @@ def test_chord_march_matches_fresh_jacobian_march(problem, dim):
             max_q = float(np.max(np.abs(oracle)))
             bound = _march_gap_bound(tol, omega, 1.0, max_q, grid.h)
             assert np.max(np.abs(traj.values - oracle)) <= bound, (omega, n)
+
+
+def nan_lx(lag, after=-math.inf):
+    # Lx turns NaN at times past ``after``
+    def Lx(x, v, t):
+        return np.where(np.asarray(t)[..., None] > after, math.nan, lag.Lx(x, v, t))
+
+    return dataclasses.replace(lag, Lx=Lx)
+
+
+def _march_outcome(march, lag, grid, q0, q1, tol, max_iter=50):
+    """Everything a march reports, as bytes and strings: the trajectory,
+    the history and the three counters, or for a failure the message, the
+    last iterate, the history and the counters."""
+    try:
+        values, diag = march(lag, grid, q0, q1, tol, max_iter)
+        failure = None
+    except NewtonConvergenceError as exc:
+        values, diag, failure = exc.last, exc.diagnostics, str(exc)
+    counters = (diag.residual_evals, diag.jacobian_builds, diag.backtracks, diag.converged)
+    return failure, np.asarray(values).tobytes(), np.array(diag.records).tobytes(), counters
+
+
+def _library_march(lag, grid, q0, q1, tol, max_iter):
+    traj, diag = march_direct_classical(lag, grid, q0, q1, NewtonConfig(tol, max_iter))
+    return traj.values, diag
+
+
+_MARCH_PROBLEMS = {
+    "free": fv.free_particle,
+    "harmonic": lambda dim: fv.harmonic_oscillator(1.5, dim=dim),
+    "pendulum": lambda dim: fv.pendulum(2.0, dim=dim),
+    "coupled": coupled_lagrangian,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("problem", sorted(_MARCH_PROBLEMS))
+def test_march_matches_frozen_chord_march_bytes(problem, dim):
+    # at n = 2048 most of these marches stall at tol 1e-11 and 1e-12, under
+    # the step residual's rounding floor, so line-search stalls are compared
+    # as well as converged marches
+    lag = _MARCH_PROBLEMS[problem](dim=dim)
+    rng = np.random.default_rng(dim)
+    for n in (16, 130, 2048):
+        grid = fv.make_grid(0.0, 1.0, n)
+        q0 = rng.uniform(-0.8, 0.8, dim)
+        q1 = q0 + grid.h * rng.uniform(-1.0, 1.0, dim)
+        for tol in (1e-9, 1e-11, 1e-12):
+            got = _march_outcome(_library_march, lag, grid, q0, q1, tol)
+            assert got == _march_outcome(chord_march, lag, grid, q0, q1, tol), (n, tol)
+
+
+# (Lagrangian, n, Q_0, step Q_1 - Q_0 in units of h, max_iter, failure)
+_MARCH_EDGE_CASES = {
+    "nan-step": (nan_lx(fv.pendulum(1.2), after=0.5), 64, 0.1, 3.2, 50, "non-finite residual"),
+    "max-iter": (fv.pendulum(1.2, dim=2), 64, 0.1, 3.2, 1, "no convergence after 1 iterations"),
+    "backtrack": (fv.pendulum(20.0), 8, 2.0, 10.0, 50, None),
+    "backtrack-stall": (fv.pendulum(20.0, dim=2), 16, 2.0, 5.0, 50, "line search stalled"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MARCH_EDGE_CASES))
+def test_march_edge_case_matches_frozen_chord_march_bytes(case):
+    lag, n, start, slope, max_iter, failure = _MARCH_EDGE_CASES[case]
+    grid = fv.make_grid(0.0, 1.0, n)
+    q0 = np.full(lag.dim, start)
+    q1 = q0 + slope * grid.h
+    got = _march_outcome(_library_march, lag, grid, q0, q1, 1e-11, max_iter)
+    assert got[0] is None if failure is None else failure in got[0]
+    if case.startswith("backtrack"):
+        assert got[3][2] >= 1  # the line search shortened a step
+    assert got == _march_outcome(chord_march, lag, grid, q0, q1, 1e-11, max_iter)
 
 
 @pytest.mark.parametrize("q0, q1", [([math.nan], [0.0]), ([0.0], [math.inf])])
@@ -805,14 +879,6 @@ def test_line_search_stops_at_the_rounding_floor():
     # 40 backtracks and 43 residual calls when the search ran to its limit
     assert diag.backtracks <= 2 and diag.residual_evals <= 5
     assert diag.records[-1] == (3, diag.records[-2][1], 0.0)
-
-
-def nan_lx(lag, after=-math.inf):
-    # Lx turns NaN at times past ``after``
-    def Lx(x, v, t):
-        return np.where(np.asarray(t)[..., None] > after, math.nan, lag.Lx(x, v, t))
-
-    return dataclasses.replace(lag, Lx=Lx)
 
 
 @pytest.mark.parametrize("kind", [
