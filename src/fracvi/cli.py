@@ -66,6 +66,7 @@ EXIT_SOLVER = 3
 
 CLASSICAL_IBP_RTOL = 1e-12
 FRACTIONAL_IBP_RTOL = 1e-10
+_FRACTIONAL_SOLVE_TOL = 1e-10  # solve's default --tol; a classical solve takes NewtonConfig.tol
 
 #: Observed-order acceptance windows per scheme.
 VI_ORDER_WINDOW = (1.8, 2.2)
@@ -150,16 +151,13 @@ def run_ibp(
     for _ in range(trials):
         f_vals = rng.standard_normal((n + 1, dim))
         g_vals = rng.standard_normal((n + 1, dim))
+        if alpha is not None:
+            f_vals[[0, -1]] = 0.0  # the fractional identity has no boundary term
+        f, g = Trajectory(grid, f_vals), Trajectory(grid, g_vals)
         if alpha is None:
-            lhs, rhs = check_discrete_ibp(
-                Trajectory(grid, f_vals), Trajectory(grid, g_vals)
-            )
+            lhs, rhs = check_discrete_ibp(f, g)
         else:
-            f_vals[0] = 0.0
-            f_vals[-1] = 0.0
-            lhs, rhs = check_discrete_frac_ibp(
-                Trajectory(grid, f_vals), Trajectory(grid, g_vals), alpha
-            )
+            lhs, rhs = check_discrete_frac_ibp(f, g, alpha)
         gap = abs(lhs - rhs) / (1.0 + abs(lhs))
         worst = max(worst, gap)
         if gap > rtol:
@@ -421,8 +419,9 @@ def run_solve(
     lag = builtin_problem(problem, omega=omega, dim=len(qa))
     kind = _scheme_kind(scheme, sigma, alpha)
     grid = make_grid(a, b, n)
-    own_tol = 1e-12 if alpha is None else 1e-10
-    cfg = NewtonConfig(tol=tol if tol is not None else own_tol, max_iter=max_iter)
+    if tol is None:
+        tol = NewtonConfig.tol if alpha is None else _FRACTIONAL_SOLVE_TOL
+    cfg = NewtonConfig(tol=tol, max_iter=max_iter)
     bvp = BVPProblem(grid, lag, kind, qa, qb)
     traj, diagnostics = solve_bvp_newton(bvp, config=cfg)
     write_trajectory_csv(traj, out)
@@ -595,7 +594,8 @@ def _build_parsers():
     p.add_argument("--qb", type=_vector, default="1", help="end value")
     p.add_argument("--out", default="solution.csv", help="trajectory CSV path")
     p.add_argument("--diag", help="diagnostics CSV path; unset: next to --out")
-    p.add_argument("--tol", type=float, help="residual target; unset: 1e-12 or 1e-10")
+    p.add_argument("--tol", type=float, help=f"residual target; unset: {NewtonConfig.tol:g} "
+                   f"classical, {_FRACTIONAL_SOLVE_TOL:g} fractional")
 
     p = command("glcheck", run_glcheck, "fractional derivative vs closed form")
     p.add_argument("--alpha", type=float, default=0.5, help="fractional order")
@@ -630,7 +630,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         takes = inspect.signature(args.handler).parameters
         kwargs = {k: v for k, v in vars(args).items() if k in takes}
-        code, lines = args.handler(**kwargs)
+        with np.errstate(all="ignore"):  # the checks refuse or report non-finite values
+            code, lines = args.handler(**kwargs)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     except (DomainError, OSError) as exc:

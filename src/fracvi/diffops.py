@@ -14,10 +14,10 @@ import numpy as np
 from .grids import (
     MINUS,
     PLUS,
-    DomainError,
     ResidualField,
     ShiftedSequence,
     Trajectory,
+    _check_ibp_pair,
     check_sigma,
 )
 
@@ -83,10 +83,7 @@ def check_discrete_ibp(f: Trajectory, g: Trajectory) -> tuple[float, float]:
 
     Both sides are returned so callers can report the gap magnitude.
     """
-    if f.grid != g.grid:
-        raise DomainError("integration by parts requires a common grid")
-    if f.dim != g.dim:
-        raise DomainError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    _check_ibp_pair(f, g)
     hinv = 1.0 / f.grid.h
     lhs = math.fsum((delta_minus(f).values * g.values[1:]).ravel())
     boundary = np.array(

@@ -32,6 +32,7 @@ from .grids import (
     ResidualField,
     ShiftedSequence,
     Trajectory,
+    _check_ibp_pair,
     _freeze,
     check_integer,
     check_sigma,
@@ -196,10 +197,7 @@ def check_discrete_frac_ibp(
     Requires F_0 = F_n = 0 or G_0 = G_n = 0 (no boundary term exists).
     """
     alpha = _check_alpha(alpha)
-    if f.grid != g.grid:
-        raise DomainError("integration by parts requires a common grid")
-    if f.dim != g.dim:
-        raise DomainError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    _check_ibp_pair(f, g)
     f_zero = not (f.values[0].any() or f.values[-1].any())
     g_zero = not (g.values[0].any() or g.values[-1].any())
     if not (f_zero or g_zero):

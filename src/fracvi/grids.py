@@ -211,6 +211,14 @@ def restrict(traj: Trajectory, side: int) -> ShiftedSequence:
     return ShiftedSequence(traj.grid, side, traj.values[_rows(check_sigma(side), traj.grid.n)])
 
 
+def _check_ibp_pair(f: Trajectory, g: Trajectory) -> None:
+    """The refusals of an integration-by-parts pair: one grid, one dimension."""
+    if f.grid != g.grid:
+        raise DomainError("integration by parts requires a common grid")
+    if f.dim != g.dim:
+        raise DomainError(f"dimension mismatch: {f.dim} vs {g.dim}")
+
+
 def inf_norm(x: Sequence) -> float:
     """Maximum absolute component over all entries."""
     return float(np.max(np.abs(x.values)))

@@ -9,11 +9,11 @@ disagree; for the symmetric classical embedding they differ by a one-index
 shift of the second-difference stencil, while the asymmetric and
 Grunwald-Letnikov embeddings yield identical schemes.
 Newton Jacobians come from the chain rule through pointwise Hessian
-blocks, each family's own stencils linearized, never from a residual.  A
-fractional Jacobian of a mechanical Lagrangian (zero Hvx, one Hvv at every
-node) takes its kinetic block from one Gram matrix per solve, so no
-iteration multiplies a GL kernel into a matrix; any other Lagrangian keeps
-the per-node product.
+blocks, never from a residual.  Both fractional families take one
+Jacobian, whose outer operator A = K[:, 1:n]^T (K the velocity kernel)
+is the direct embedding's opposite-side GL kernel by discrete fractional
+integration by parts.  A mechanical Lagrangian's kinetic block comes from
+one Gram matrix per solve, any other Lagrangian's from a per-node product.
 
 Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
 sigma and order when built, and :func:`_check_layout` is the one layout
@@ -70,11 +70,7 @@ _FRACTIONAL_FAMILIES = (
 @dataclass(frozen=True)
 class SchemeKind:
     """A scheme family plus its parameters; alpha is present iff fractional,
-    and then a float in (0, 1].  A kind is valid once built.
-
-    Its Newton Jacobian (:func:`jacobian`) is dense if fractional, block
-    tridiagonal if classical.
-    """
+    and then a float in (0, 1].  A kind is valid once built."""
 
     family: SchemeFamily
     sigma: int
@@ -247,19 +243,19 @@ def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
     """Newton Jacobian of a kind's residual in the interior nodes of q, by
     the chain rule through the pointwise Hessian blocks (4*d + 2 callback
     calls, no residual call).  With v = V Q and P picking the interior
-    rows of the window, each family linearizes its own outer operator A,
-    the one its residual applies.
+    rows of the window, each residual applies an outer operator A to lv.
 
     A fractional Jacobian is dense, rows and columns (node, component),
     node-major.  Both fractional residuals read R = P^T lx - sigma s A lv,
     with V = -sigma s K[:, 1:n] for the velocity kernel K and s = h^-alpha,
-    so J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V).  A is the
-    adjoint K[:, 1:n]^T for the variational gradient, the opposite-side GL
-    kernel for the direct embedding.  When Hvx is zero and every entry of
-    Hvv is one value at all nodes up to the noise of one forward quotient
-    (``FD_NOISE``), as for every mechanical Lagrangian, the kinetic term is
-    s^2 (G kron mean(Hvv)) with the Gram matrix G = A K[:, 1:n]: O(n^2 d^2)
-    work.  Otherwise it is one dense O(n^3 d^2) product.
+    so J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V), where
+    A = K[:, 1:n]^T for both families: discrete fractional integration by
+    parts makes it the direct embedding's opposite-side GL kernel.  When
+    Hvx is zero and every entry of Hvv is one value at all nodes up to the
+    noise of one forward quotient (``FD_NOISE``), as for every mechanical
+    Lagrangian, the kinetic term is s^2 (G kron mean(Hvv)) with the Gram
+    matrix G = A K[:, 1:n]: O(n^2 d^2) work.  Otherwise it is one dense
+    O(n^3 d^2) product.
 
     A classical Jacobian is block diagonals of shape (3, n-1, d, d): row
     block i holds ``bands[:, i]`` in the columns of unknown nodes i-1, i
@@ -284,14 +280,16 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
     columns K[:, 1:n] (a view of the cached kernel, unscaled), the window
     rows of the interior nodes and their columns, and ``gram()``, the Gram
     matrix G = A K[:, 1:n], formed by one product at its first call and
-    kept.  A solve makes one core."""
+    kept; A = K[:, 1:n]^T, for both families, is the cached adjoint.  A
+    solve makes one core."""
     if not kind.is_fractional:
         return functools.partial(_classical_bands, kind, grid)
     sigma, alpha, n, h = kind.sigma, kind.alpha, grid.n, grid.h
     inner = _kernel(alpha, n, sigma)[:, 1:n]
     cols = np.arange(n - 1)
     rows = cols if sigma == MINUS else cols + 1
-    gram = functools.cache(lambda: _outer(kind, inner))
+    adjoint = functools.partial(gl_adjoint_apply, alpha, sigma)  # A, unscaled
+    gram = functools.cache(lambda: adjoint(inner))
     window = _rows(sigma, n)
     s = _scale(h, alpha)
     vs = -sigma * s  # V = vs K[:, 1:n]
@@ -305,7 +303,7 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
             # W = Hvx P + Hvv V, indexed [window node, a, interior node, b]
             w = (vs * hvv)[:, :, None, :] * inner[:, None, :, None]
             w[rows, :, cols, :] += hvx[rows]
-            jac = (vs * _outer(kind, w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
+            jac = (vs * adjoint(w.reshape(n, -1))).reshape(n - 1, d, n - 1, d)
         else:
             # -sigma s A (Hvv V) with one Hvv is s^2 (A K[:, 1:n]) kron Hvv
             jac = gram()[:, None, :, None] * ((s * s) * kinetic)[None, :, None, :]
@@ -315,14 +313,6 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
         return jac.reshape((n - 1) * d, (n - 1) * d)
 
     return core
-
-
-def _outer(kind: SchemeKind, y: Vec) -> Vec:
-    """The fractional family's outer operator A, unscaled, applied to the
-    window rows of ``y``: n - 1 rows out, one per interior node."""
-    if kind.family is SchemeFamily.VARIATIONAL_FRACTIONAL:
-        return gl_adjoint_apply(kind.alpha, kind.sigma, y)
-    return gl_apply(kind.alpha, -kind.sigma, y)
 
 
 def _uniform_kinetic(hvx: Vec, hvv: Vec) -> Vec | None:
@@ -428,6 +418,11 @@ def coherence_report(
         raise DomainError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
     direct = assemble_residual(SchemeKind(_COHERENCE_DIRECT[kind], sigma, alpha), lag, q)
     variational = functional_gradient(lag, q, sigma, alpha)
+    for route, residual in (("direct", direct), ("variational", variational)):
+        finite = np.isfinite(residual.values).all(axis=1)
+        if not finite.all():
+            k = residual.k_start + int(np.argmin(finite))
+            raise DomainError(f"{kind} embedding: the {route} residual is not finite at k={k}")
 
     lo = max(direct.indices.start, variational.indices.start)
     hi = min(direct.indices.stop, variational.indices.stop)

@@ -444,6 +444,20 @@ def test_non_finite_omega_refused(tmp_path, capsys, argv):
     assert "omega must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["coherence", "--omega", "1e154"], EXIT_USAGE,
+     "error: classical embedding: the direct residual is not finite at k=2"),
+    (["convergence", "--scheme", "direct", "--omega", "1e154"], EXIT_SOLVER,
+     "march step k=2: non-finite residual (inf) at the initial iterate"),
+])
+def test_overflowing_potential_is_reported_without_warnings(capsys, argv, code, message):
+    # omega^2 is finite but the potential overflows; under the suite's
+    # filterwarnings = error a numpy RuntimeWarning would raise here
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("cmd", ["solve", "convergence"])
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_non_finite_tol_refused(tmp_path, capsys, cmd, tol):

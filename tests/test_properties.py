@@ -1,11 +1,12 @@
 """Property tests of the identities the schemes rest on, over random
 (n, d, alpha, sigma): discrete integration by parts, direct-vs-variational
 coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
-fractional functional and gradient to the classical ones.  The last three
+fractional functional and gradient to the classical ones.  Three more
 properties check every family's Newton Jacobian against finite
 differences, the solver's array path against the public assemblers, and
 the Gram-matrix kinetic block of a mechanical fractional Jacobian against
-the per-node product.
+the per-node product.  The last one solves each coherent embedding by
+both of its routes and asks for the same bytes.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 import fracvi as fv
 from fracvi import schemes
 from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
-from fracvi.solver import BVPProblem, _bvp_functions
+from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError, _bvp_functions
+from fracvi.solver import solve_bvp_newton
 from oracles import column_fd_jacobian, coupled_lagrangian, dense_from_bands, interior_residual
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -163,3 +165,40 @@ def test_mechanical_kinetic_block_is_the_gram_product(qs, family, sigma, alpha, 
     # cancel: measure against the kinetic block alone, the free particle's
     kinetic = jacobian(kind, lagrangian("free", q.dim), q)
     assert np.max(np.abs(gram - product)) <= 1e-9 * np.max(np.abs(kinetic))
+
+
+def solve_outcome(problem):
+    """A solve's result: the trajectory or the last iterate and the history
+    as bytes, the failure message and the counters."""
+    try:
+        traj, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+        last, message = traj.values, ""
+    except NewtonConvergenceError as exc:
+        last, message, diag = exc.last.values, str(exc), exc.diagnostics
+    history = np.array(diag.records, dtype=float).tobytes()
+    counters = (diag.converged, diag.residual_evals, diag.jacobian_builds, diag.backtracks)
+    return last.tobytes(), message, history, counters
+
+
+@settings(PROPERTY, max_examples=50)  # each example makes four solves, n up to 256
+@given(st.data(), lagrangians, sigmas, alphas)
+def test_coherent_embeddings_solve_identically(data, name, sigma, alpha):
+    # the direct and variational routes of the asymmetric and GL embeddings
+    # are one scheme, so Newton takes the same steps on both, bit for bit
+    n = data.draw(st.integers(3, 256))
+    d = data.draw(st.integers(1, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = data.draw(st.floats(-1.0, 1.0))
+    grid = fv.make_grid(a, a + data.draw(st.floats(0.5, 3.0)), n)
+    lag = lagrangian(name, d)
+    qa, qb = rng.uniform(-1.0, 1.0, (2, d))
+    pairs = (
+        (SchemeFamily.VARIATIONAL_FRACTIONAL, SchemeFamily.DIRECT_FRACTIONAL, alpha),
+        (SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.ASYMMETRIC_DIRECT, None),
+    )
+    for variational, direct, order in pairs:
+        outcomes = [
+            solve_outcome(BVPProblem(grid, lag, SchemeKind(family, sigma, order), qa, qb))
+            for family in (variational, direct)
+        ]
+        assert outcomes[0] == outcomes[1], (variational.value, n, d)

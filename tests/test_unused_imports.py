@@ -5,10 +5,13 @@ an imported name that no expression of its module reads fails, unless its
 line carries ``# noqa: F401``.  Such a line is allowed only for a name
 that ``perfbench/tracer.py`` patches in that module, as a
 ``(fracvi.<module>, "<name>", ...)`` tuple: the tracer is parsed, never
-imported.  ``__init__`` re-exports by import and is exempt.
+imported.  ``__init__`` re-exports by import and is exempt.  Every name
+the tracer patches must resolve, so that a deletion in the package cannot
+break ``perfbench/run.py --trace 1`` unseen.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -32,22 +35,28 @@ def _bound_names(tree: ast.Module, lines: list[str]):
             yield name, alias.lineno, "# noqa: F401" in lines[alias.lineno - 1]
 
 
+def _owner(node) -> str | None:
+    """``module.Attr`` for the expression ``fracvi.module.Attr``, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if parts and isinstance(node, ast.Name) and node.id == "fracvi":
+        return ".".join(reversed(parts))
+    return None
+
+
 def _patched_names() -> set[tuple[str, str]]:
-    """(module, name) of every ``(fracvi.<module>, "<name>", ...)`` tuple
-    in the tracer."""
+    """(owner, name) of every ``(fracvi.<owner>, "<name>", ...)`` tuple in
+    the tracer; the owner is a module (``solver``) or an attribute of one
+    (``solver.NewtonDiagnostics``)."""
     out = set()
     for node in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8"))):
         if not isinstance(node, ast.Tuple) or len(node.elts) < 2:
             continue
-        owner, name = node.elts[:2]
-        if (
-            isinstance(owner, ast.Attribute)
-            and isinstance(owner.value, ast.Name)
-            and owner.value.id == "fracvi"
-            and isinstance(name, ast.Constant)
-            and isinstance(name.value, str)
-        ):
-            out.add((owner.attr, name.value))
+        owner, name = _owner(node.elts[0]), node.elts[1]
+        if owner and isinstance(name, ast.Constant) and isinstance(name.value, str):
+            out.add((owner, name.value))
     return out
 
 
@@ -86,3 +95,18 @@ def test_noqa_imports_are_tracer_patch_points(path):
     ]
     message = "noqa: F401 on a name perfbench/tracer.py does not patch: "
     assert not unpatched, message + ", ".join(unpatched)
+
+
+def test_tracer_patch_points_resolve():
+    patched = _patched_names()
+    assert ("solver", "solve_bvp_newton") in patched  # the parse found the tuples
+    assert ("solver.NewtonDiagnostics", "write_csv") in patched
+    missing = []
+    for owner, name in sorted(patched):
+        module, *attrs = owner.split(".")
+        obj = importlib.import_module(f"fracvi.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not hasattr(obj, name):
+            missing.append(f"fracvi.{owner}.{name}")
+    assert not missing, "perfbench/tracer.py patches missing names: " + ", ".join(missing)
