@@ -23,6 +23,7 @@ import argparse
 import functools
 import inspect
 import math
+import re
 import sys
 
 import numpy as np
@@ -108,6 +109,15 @@ def _count(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _finish(ok: bool, lines: list[str], out, header: list[str], rows):
+    """The end of a check: write ``rows`` under ``header`` to ``out`` when one
+    is given, and exit 0 if the check passed, 1 if not."""
+    if out is not None:
+        _write_csv(out, header, rows)
+        lines.append(f"wrote {out}")
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), lines
 
 
 def load_config(path) -> dict[str, str]:
@@ -217,10 +227,7 @@ def run_coherence(
     )
     lines = [rep.text() for rep in reports]
     lines.append("coherence: PASS" if ok else "coherence: FAIL")
-    if out is not None:
-        _write_csv(out, COHERENCE_HEADER, [rep.csv_row() for rep in reports])
-        lines.append(f"wrote {out}")
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), lines
+    return _finish(ok, lines, out, COHERENCE_HEADER, (rep.csv_row() for rep in reports))
 
 
 # --------------------------------------------------------------------------
@@ -388,10 +395,7 @@ def run_convergence(
         + (f" alpha={alpha:g}" if alpha is not None else "")
         + f" sigma={sigma_label(sigma)}: {check} -> {'PASS' if ok else 'FAIL'}"
     )
-    if out is not None:
-        _write_csv(out, CONVERGENCE_HEADER, rows)
-        lines.append(f"wrote {out}")
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), lines
+    return _finish(ok, lines, out, CONVERGENCE_HEADER, rows)
 
 
 # --------------------------------------------------------------------------
@@ -489,39 +493,24 @@ def run_glcheck(
     lines.append(
         f"glcheck alpha={alpha:g} beta={beta:g}: {check} -> {'PASS' if ok else 'FAIL'}"
     )
-    if out is not None:
-        _write_csv(out, GLCHECK_HEADER, rows)
-        lines.append(f"wrote {out}")
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), lines
+    return _finish(ok, lines, out, GLCHECK_HEADER, rows)
 
 
 # --------------------------------------------------------------------------
 # parser
 
 
-class _NegativeNumbers:
-    """Matches an argument that is a number, or a comma list of them,
-    starting with '-': every form ``float`` reads, as -1e-5 or -inf."""
-
-    @staticmethod
-    def match(text: str) -> bool:
-        if not text.startswith("-"):
-            return False
-        try:
-            _vector(text)
-        except argparse.ArgumentTypeError:
-            return False
-        return True
-
-
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads every negative number as a value, not
-    as a flag: argparse's own test admits only -1 and -.5 forms.  Its
-    subparsers are of this class too."""
+    """An argument parser that reads an argument starting like a negative
+    number (a '-' then a digit, '.digit', 'inf' or 'nan', in any case, as
+    -1e-5 or -Inf) as a value, not as a flag: argparse's own test admits
+    only -1 and -.5 forms, and no flag starts so.  The flag's converter
+    refuses a malformed one, as -1,x, with exit 2.  Its subparsers are of
+    this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NegativeNumbers
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,14 @@ the package goes through one pair keyed by (alpha, side):
 :func:`gl_apply` (the kernel) and :func:`gl_adjoint_apply` (the transpose
 of its interior columns, held as one contiguous copy, which the
 variational gradient and its Jacobian both scatter through).  Kernels and
-adjoints share one cache bounded by bytes.  No fast convolution is
-attempted at desk scale.  Fractional orders must be finite and positive.
+adjoints share one cache bounded by bytes.  The bound, 256 MiB, holds
+exactly one kernel and its adjoint at n = 4096 (134,250,496 + 134,184,960
+bytes).  Above that one solve no longer fits: two vi-fractional residual
+evaluations build the kernel and the adjoint twice each at n = 4200, once
+at n = 4096, and a direct-fractional solve, which reads both sides'
+kernels and an adjoint, cannot keep its three at n = 4096.  No fast
+convolution is attempted at desk scale.  Fractional orders must be finite
+and positive, and the scale h^-alpha a finite positive float.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ def _weights(alpha: float, n: int) -> np.ndarray:
     return _freeze(w)
 
 
-#: Bytes the cache of kernels and adjoints holds at most; one n = 4096
-#: kernel is 134 MB.
+#: Bytes the cache of kernels and adjoints holds at most: one n = 4096
+#: kernel and its adjoint, exactly.
 _CACHE_BYTES = 256 * 2**20
 _cache: OrderedDict = OrderedDict()
 
@@ -130,8 +136,18 @@ def _check_unit_alpha(alpha: float) -> float:
 
 
 def _scale(h: float, alpha: float) -> float:
-    # 1/(h**alpha) so that alpha = 1 reproduces the classical 1/h bitwise.
-    return 1.0 / (h ** alpha)
+    """``1/(h**alpha)``, so that alpha = 1 reproduces the classical 1/h
+    bitwise; refused unless it is finite and positive, as it is not when
+    ``h**alpha`` underflows, overflows or has no finite reciprocal."""
+    try:
+        scale = 1.0 / (h ** alpha)
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise DomainError(
+            f"GL scale h^-alpha leaves the float range at h = {h!r}, alpha = {alpha!r}"
+        )
+    return scale
 
 
 def delta_alpha_minus(q: Trajectory, alpha: float) -> ShiftedSequence:

@@ -79,8 +79,10 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 class Grid:
     """Uniform partition of [a, b] into ``n`` subintervals (``n + 1`` nodes).
 
-    Nodes are computed as ``a + k*h`` rather than by cumulative summation,
-    and the right endpoint is forced to ``b`` exactly.
+    The span ``b - a``, the step ``h`` and their reciprocals must be finite
+    floats: every scheme divides by ``h``.  Nodes are computed as
+    ``a + k*h`` rather than by cumulative summation, and the right endpoint
+    is forced to ``b`` exactly.
     """
 
     a: float
@@ -98,6 +100,13 @@ class Grid:
             raise DomainError(f"grid requires b > a, got a={self.a}, b={self.b}")
         if self.n < 2:
             raise DomainError(f"grid requires n >= 2 subintervals, got n={self.n}")
+        span, h = self.b - self.a, self.h
+        # h <= span/2, so a finite span and 1/h bound 1/span and h as well
+        if not (math.isfinite(span) and h > 0 and math.isfinite(1.0 / h)):
+            raise DomainError(
+                f"grid span b - a = {span!r} and step h = {h!r} must be finite with "
+                f"finite reciprocals, got a={self.a}, b={self.b}, n={self.n}"
+            )
         nodes = self.a + self.h * np.arange(self.n + 1)
         nodes[-1] = self.b
         object.__setattr__(self, "nodes", _freeze(nodes))

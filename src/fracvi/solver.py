@@ -18,9 +18,11 @@ O(n*d^3) time and O(n*d^2) memory, ending in one small LAPACK solve.  A
 reduction level with 1x1 blocks (d = 1) is one reciprocal and elementwise
 products; with d > 1 it is one batched LAPACK solve and stacked matmuls.
 
-The Newton kernel owns its step: handed a Jacobian builder, a linear solve
-and maybe a held Jacobian, it solves with the held one at its first
-iteration, builds one at every other, and returns the last one it used.
+The Newton kernel owns its step: handed a Jacobian builder and maybe a
+held Jacobian, it solves with the held one at its first iteration, builds
+one at every other, and returns the last one it used.  The Jacobian's
+layout picks the linear solve: :func:`lu_solve` for a matrix, cyclic
+reduction for three block bands.
 A boundary-value solve holds none: plain Newton.  Marching threads the
 held Jacobian from step to step, a chord iteration whose rebuilds
 difference the step's d unknowns one at a time; a step reuses the previous
@@ -288,25 +290,26 @@ def _newton(
     x0: np.ndarray,
     cfg: NewtonConfig,
     jacobian,
-    solve,
     held: np.ndarray | None = None,
     label: str = "",
 ) -> tuple[np.ndarray, NewtonDiagnostics, np.ndarray | None]:
     """Damped Newton for fun(x) = 0 from x0.
 
-    Each iteration solves a Jacobian against ``-r`` (``r = fun(x)``) by one
-    ``solve(jac, -r)``.  The first iteration solves with ``held`` when one
-    is given; every other iteration builds ``jacobian(fun, x, r)`` at its
-    iterate and counts the build (``fun`` counts the residual calls the
-    build makes).  Returns the solution, the diagnostics and the last
-    Jacobian used, which a chord iteration hands to its next solve as
-    ``held``.  Steps backtrack until the residual inf-norm decreases.  A
-    rejected trial that rounds to ``x`` bit for bit ends the search at
-    once: every shorter step rounds to ``x`` too, so no trial can decrease
-    the residual.  The last residual call of a successful solve is at the
-    iterate it returns.  Raises :class:`NewtonConvergenceError` with the
-    last iterate and the history, its message prefixed by ``label``, if
-    the target is not met, and at once if the residual is not finite.
+    Each iteration solves a Jacobian against ``-r`` (``r = fun(x)``) by the
+    linear solve its layout picks: :func:`lu_solve` for a matrix,
+    :func:`_block_tridiagonal_solve` for (3, nodes, d, d) bands.  The first
+    iteration solves with ``held`` when one is given; every other iteration
+    builds ``jacobian(fun, x, r)`` at its iterate and counts the build
+    (``fun`` counts the residual calls the build makes).  Returns the
+    solution, the diagnostics and the last Jacobian used, which a chord
+    iteration hands to its next solve as ``held``.  Steps backtrack until
+    the residual inf-norm decreases.  A rejected trial that rounds to ``x``
+    bit for bit ends the search at once: every shorter step rounds to ``x``
+    too, so no trial can decrease the residual.  The last residual call of
+    a successful solve is at the iterate it returns.  Raises
+    :class:`NewtonConvergenceError` with the last iterate and the history,
+    its message prefixed by ``label``, if the target is not met, and at
+    once if the residual is not finite.
     """
     x = np.asarray(x0, dtype=float)  # never written: a step makes a new iterate
     diag = NewtonDiagnostics()
@@ -335,7 +338,7 @@ def _newton(
         if held is None or it > 1:
             held = jacobian(counted, x, r)
             diag.jacobian_builds += 1
-        delta = solve(held, -r)
+        delta = (lu_solve if held.ndim == 2 else _block_tridiagonal_solve)(held, -r)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             step = delta if t == 1.0 else t * delta  # 1.0 * delta is delta
@@ -365,11 +368,10 @@ def _newton(
 def _bvp_functions(problem: BVPProblem):
     """The solver's array path: ``residual(x)`` and ``jacobian(fun, x, r)``
     (``fun``, ``r`` unread) of the flattened interior nodes ``x``, bit for
-    bit the public assemblers' on the trajectory with the ends pinned, and
-    the ``solve`` for that Jacobian: dense LU or cyclic reduction.  Each
-    writes ``x`` into one (n+1, d) array that holds the boundary values in
-    its end rows, and calls the array-level cores on it; nothing is
-    checked."""
+    bit the public assemblers' on the trajectory with the ends pinned.
+    Each writes ``x`` into one (n+1, d) array that holds the boundary
+    values in its end rows, and calls the array-level cores on it; nothing
+    is checked."""
     grid, lag, kind = problem.grid, problem.lagrangian, problem.scheme
     n, d = grid.n, lag.dim
     buf = np.empty((n + 1, d))
@@ -377,7 +379,6 @@ def _bvp_functions(problem: BVPProblem):
     values = buf.view()
     values.flags.writeable = False  # callbacks see read-only node values
     core = _jacobian_core(kind, grid)  # the per-grid constants, once per solve
-    solve = lu_solve if kind.is_fractional else _block_tridiagonal_solve
 
     def residual(x: np.ndarray) -> np.ndarray:
         buf[1:-1] = x.reshape(n - 1, d)
@@ -387,7 +388,7 @@ def _bvp_functions(problem: BVPProblem):
         buf[1:-1] = x.reshape(n - 1, d)
         return core(lag, values)
 
-    return residual, jacobian, solve
+    return residual, jacobian
 
 
 def solve_bvp_newton(
@@ -414,7 +415,7 @@ def solve_bvp_newton(
     ):
         raise DomainError("initial guess must satisfy the boundary values")
     _check_layout(kind, problem.lagrangian, init)
-    residual, jacobian, solve = _bvp_functions(problem)
+    residual, jacobian = _bvp_functions(problem)
 
     def build(x: np.ndarray) -> Trajectory:
         vals = np.vstack(
@@ -423,7 +424,7 @@ def solve_bvp_newton(
         return Trajectory(grid, vals)
 
     try:
-        x, diag, _ = _newton(residual, init.values[1:-1].ravel(), cfg, jacobian, solve)
+        x, diag, _ = _newton(residual, init.values[1:-1].ravel(), cfg, jacobian)
     except NewtonConvergenceError as exc:
         exc.last = build(exc.last)
         raise
@@ -493,7 +494,7 @@ def march_direct_classical(
         guess = 2.0 * prev - vals[k - 2]
         try:
             vals[k], step, held = _newton(
-                step_residual, guess, cfg, _fd_jacobian, lu_solve, held, f"march step k={k}: "
+                step_residual, guess, cfg, _fd_jacobian, held, f"march step k={k}: "
             )
         except NewtonConvergenceError as exc:
             exc.diagnostics.add_counts(spent)

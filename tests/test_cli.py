@@ -330,6 +330,13 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
     assert len(builds) == 2
 
 
+def test_config_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a whole-line comment\n\n   \nn = 16\n  # indented comment\n")
+    assert main(["ibp", "--config", str(cfg), "--trials", "2"]) == EXIT_OK
+    assert "ibp classical: n=16 trials=2" in capsys.readouterr().out
+
+
 def test_config_rejects_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")
@@ -414,10 +421,50 @@ def test_config_ignores_other_and_internal_keys(tmp_path, capsys):
     ["coherence", "--dim", "0"],
     ["ibp", "--dim", "0"],
     ["ibp", "--trials", "-1"],
+    ["ibp", "--trials", "abc"],
 ])
 def test_counts_must_be_positive(capsys, argv):
     assert main(argv) == EXIT_USAGE
     assert f"positive integer, got {argv[-1]!r}" in capsys.readouterr().err
+
+
+def test_convergence_rejects_a_non_integer_n_list(capsys):
+    assert main(["convergence", "--n-list", "8,x"]) == EXIT_USAGE
+    assert "argument --n-list: bad integer list '8,x'" in capsys.readouterr().err
+
+
+def test_sigma_plus_reaches_every_row(capsys):
+    assert main(["coherence", "--sigma", "+", "--n", "8", "--alpha", "0.5"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4 and all("sigma=+" in row for row in rows[:3])
+
+
+def test_self_referenced_classical_verdict(capsys):
+    argv = ["convergence", "--problem", "pendulum", "--scheme", "vi", "--n-list", "8,16"]
+    assert main(argv) == EXIT_OK
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "convergence pendulum/vi sigma=-: last order 2.08 in [1.8, 2.2] -> PASS"
+
+
+GRID_RANGE = "must be finite with finite reciprocals"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ibp", "--b", "1e-300", "--alpha", "2"],
+     "GL scale h^-alpha leaves the float range at h = 1.5625e-302, alpha = 2.0"),
+    (["ibp", "--alpha", "1e300"],
+     "GL scale h^-alpha leaves the float range at h = 0.015625, alpha = 1e+300"),
+    (["ibp", "--b", "1e-100", "--alpha", "3.05"],
+     "GL scale h^-alpha leaves the float range at h = 1.5625e-102, alpha = 3.05"),
+    (["ibp", "--b", "1e-307"], f"grid span b - a = 1e-307 and step h = 1.5625e-309 {GRID_RANGE}"),
+    (["glcheck", "--a", "-1e308", "--b", "1e308"], f"grid span b - a = inf and step h = inf {GRID_RANGE}"),
+    (["ibp", "--a", "-1e308", "--b", "1e308"], f"grid span b - a = inf and step h = inf {GRID_RANGE}"),
+])
+def test_grid_or_gl_scale_outside_the_float_range_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -510,6 +557,19 @@ def test_negative_values_reach_the_refusals(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--qa", "-1,x"], "argument --qa: bad vector '-1,x'"),
+    (["solve", "--alpha", "-1x"], "argument --alpha: invalid float value: '-1x'"),
+    (["solve", "--n", "-.5"], "argument --n: invalid int value: '-.5'"),
+    (["glcheck", "--a", "-nanx"], "argument --a: invalid float value: '-nanx'"),
+])
+def test_malformed_negative_value_is_refused_by_its_converter(tmp_path, capsys, argv, message):
+    # read as a value, not as a flag: the flag's own converter refuses it
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -206,6 +206,21 @@ def test_delta_alpha_rejects_bad_order():
         fv.delta_alpha_plus(q, -1.0)
 
 
+@pytest.mark.parametrize("b,n,alpha,h", [
+    (1e-300, 64, 2.0, "1.5625e-302"),  # h^alpha underflows to 0
+    (1.0, 2, 1100.0, "0.5"),  # the same, by the order
+    (1e-100, 64, 3.05, "1.5625e-102"),  # h^alpha is subnormal: 1/h^alpha overflows
+    (1e300, 2, 2.0, "5e+299"),  # h^alpha overflows
+])
+def test_gl_scale_outside_the_float_range_refused(b, n, alpha, h):
+    q = fv.Trajectory(fv.make_grid(0.0, b, n), np.zeros(n + 1))
+    message = f"GL scale h^-alpha leaves the float range at h = {h}, alpha = {alpha!r}"
+    for operator in (fv.delta_alpha_minus, fv.delta_alpha_plus):
+        with pytest.raises(fv.DomainError) as info:
+            operator(q, alpha)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
 def test_mirror_symmetry(alpha):
     rng = np.random.default_rng(23)

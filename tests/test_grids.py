@@ -49,6 +49,19 @@ def test_make_grid_rejects_bad_input(a, b, n):
         fv.make_grid(a, b, n)
 
 
+@pytest.mark.parametrize("a,b,n,span,h", [
+    (-1e308, 1e308, 64, "inf", "inf"),  # the span overflows
+    (0.0, 1e-307, 64, "1e-307", "1.5625e-309"),  # 1/h overflows
+    (0.0, 5e-324, 4, "5e-324", "0.0"),  # h underflows to zero
+])
+def test_grid_refuses_a_span_or_step_outside_the_float_range(a, b, n, span, h):
+    message = (f"grid span b - a = {span} and step h = {h} must be finite with "
+               f"finite reciprocals, got a={float(a)}, b={b}, n={n}")
+    with pytest.raises(fv.DomainError) as info:
+        fv.make_grid(a, b, n)
+    assert str(info.value) == message
+
+
 def test_make_grid_takes_numpy_integers():
     assert fv.make_grid(0.0, 1.0, np.int64(5)).n == 5
 
@@ -227,6 +240,13 @@ def test_read_trajectory_csv_refuses_bad_rows(tmp_path, row, message):
         fv.read_trajectory_csv(path)
 
 
+def test_read_trajectory_csv_refuses_fewer_than_three_nodes(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("k,t,q0\n0,0,0\n1,1,1\n")
+    with pytest.raises(fv.DomainError, match="trajectory file needs at least 3 nodes"):
+        fv.read_trajectory_csv(path)
+
+
 def test_read_trajectory_csv_refuses_empty_file(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("")
@@ -253,6 +273,21 @@ def test_one_windowed_sequence_type():
 def test_sequence_refuses_zero_components(make):
     with pytest.raises(fv.DomainError, match=r"need d >= 1 components, got shape \(\d, 0\)"):
         make(fv.make_grid(0.0, 1.0, 2))
+
+
+@pytest.mark.parametrize("values,message", [
+    (np.zeros((3, 1, 1)), r"expected 1-d or 2-d values, got shape \(3, 1, 1\)"),
+    (np.zeros(0), "sequence must hold at least one entry"),
+], ids=["3-d", "empty"])
+def test_sequence_refuses_values_without_a_window(values, message):
+    with pytest.raises(fv.DomainError, match=message):
+        fv.grids.Sequence(fv.make_grid(0.0, 1.0, 2), 0, values)
+
+
+def test_sample_refuses_inconsistent_shapes():
+    grid = fv.make_grid(0.0, 1.0, 4)
+    with pytest.raises(fv.DomainError, match=r"inconsistent shapes: \[\(1,\), \(2,\)\]"):
+        fv.sample(lambda t: [t] if t < 0.5 else [t, t], grid)
 
 
 def test_read_trajectory_csv_refuses_no_components(tmp_path):

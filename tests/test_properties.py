@@ -133,7 +133,7 @@ def test_solver_array_path_is_the_public_assembly(qs, family, sigma, alpha, name
     assume(family is not SchemeFamily.DIRECT_CLASSICAL or q.grid.n >= 3)
     kind = SchemeKind(family, sigma, alpha if family in FRACTIONAL else None)
     lag = lagrangian(name, q.dim)
-    residual, array_jacobian, _ = _bvp_functions(
+    residual, array_jacobian = _bvp_functions(
         BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1])
     )
     x = q.values[1:-1].ravel()

@@ -280,6 +280,14 @@ def test_coherence_report_fractional_needs_alpha():
         fv.coherence_report(fv.free_particle(), q, fv.MINUS, kind="fractional")
 
 
+def test_coherence_report_refuses_an_unknown_kind():
+    q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
+    message = "kind must be one of ('classical', 'asymmetric', 'fractional'), got 'bogus'"
+    with pytest.raises(fv.DomainError) as info:
+        fv.coherence_report(fv.free_particle(), q, fv.MINUS, kind="bogus")
+    assert str(info.value) == message
+
+
 def test_coherence_report_degenerate_grid():
     lag = fv.free_particle()
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 2))

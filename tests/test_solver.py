@@ -74,6 +74,15 @@ def test_lu_residual_contract():
     assert np.max(np.abs(a @ x - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
 
+@pytest.mark.parametrize("a,b,message", [
+    (np.zeros((2, 3)), np.zeros(2), r"matrix must be square, got \(2, 3\)"),
+    (np.eye(3), np.zeros(2), "right-hand side length 2 != 3"),
+])
+def test_lu_refuses_a_mismatched_system(a, b, message):
+    with pytest.raises(fv.DomainError, match=message):
+        lu_solve(a, b)
+
+
 def test_lu_singular_reports_pivot():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
@@ -161,6 +170,14 @@ def test_init_must_respect_boundaries():
     bad = fv.Trajectory(grid, np.linspace(0.5, 1.0, 9))
     with pytest.raises(fv.DomainError):
         solve_bvp_newton(problem, init=bad)
+
+
+def test_init_must_lie_on_the_problem_grid():
+    problem = BVPProblem(fv.make_grid(0.0, 1.0, 8), fv.free_particle(), vi_classical(),
+                         [0.0], [1.0])
+    other = linear_initial_guess(fv.make_grid(0.0, 2.0, 8), [0.0], [1.0])
+    with pytest.raises(fv.DomainError, match="initial guess does not match the problem layout"):
+        solve_bvp_newton(problem, init=other)
 
 
 def test_harmonic_second_order_convergence():
@@ -629,6 +646,29 @@ def test_banded_newton_system_matches_dense(family, sigma, problem):
             backward = np.max(np.abs(dense @ banded + r))
             scale = np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(banded))
             assert backward <= 1e-14 * scale, (d, n, backward / scale)
+
+
+@pytest.mark.parametrize("omega", [10.0, 100.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_cyclic_reduction_on_an_indefinite_jacobian(omega, d):
+    # omega far above pi over the interval length: the harmonic Jacobian
+    # has eigenvalues of both signs, and no pivoting crosses blocks, yet
+    # the reduction stays backward stable (about 2e-16 relative)
+    kind = vi_classical()
+    lag = fv.harmonic_oscillator(omega, dim=d)
+    grid = fv.make_grid(0.0, 1.0, 1025)
+    q = linear_initial_guess(grid, np.zeros(d), np.ones(d))
+    bands = jacobian(kind, lag, q)
+    r = assemble_residual(kind, lag, q).values.ravel()
+    banded = solver._block_tridiagonal_solve(bands, -r)
+    dense = dense_from_bands(bands)
+    t = grid.nodes[1:-1]
+    smooth = np.repeat(np.sin(np.pi * t), d)
+    rough = np.repeat((-1.0) ** np.arange(t.size), d)
+    assert smooth @ dense @ smooth < 0 < rough @ dense @ rough
+    backward = np.max(np.abs(dense @ banded + r))
+    scale = np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(banded))
+    assert backward <= 1e-14 * scale, backward / scale
 
 
 @pytest.mark.parametrize("nodes", [5, 100, 101])

@@ -7,11 +7,15 @@ that ``perfbench/tracer.py`` patches in that module, as a
 ``(fracvi.<module>, "<name>", ...)`` tuple: the tracer is parsed, never
 imported.  ``__init__`` re-exports by import and is exempt.  Every name
 the tracer patches must resolve, so that a deletion in the package cannot
-break ``perfbench/run.py --trace 1`` unseen.
+break ``perfbench/run.py --trace 1`` unseen.  Importing the package and
+its CLI loads no third-party package but numpy.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +114,20 @@ def test_tracer_patch_points_resolve():
         if not hasattr(obj, name):
             missing.append(f"fracvi.{owner}.{name}")
     assert not missing, "perfbench/tracer.py patches missing names: " + ", ".join(missing)
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    # importing scipy.linalg alone takes about 0.3 s and 28 MB on a 2-core
+    # x86_64 host, which every CLI call and every solve would pay; packages
+    # loaded at interpreter start-up (site hooks) are not the package's
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fracvi, fracvi.cli\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(tops - set(sys.stdlib_module_names)))\n"
+    )
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["fracvi", "numpy"]
