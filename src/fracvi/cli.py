@@ -102,13 +102,21 @@ def _sigma(text: str) -> int:
     raise argparse.ArgumentTypeError(f"sigma must be '+' or '-', got {text!r}")
 
 
-def _count(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _integer_from(low: int, what: str):
+    """The flag type of an integer of at least ``low``, named ``what``."""
+
+    def convert(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return convert
+
+
+_count = _integer_from(1, "a positive integer")
+_seed = _integer_from(0, "a non-negative integer")  # numpy's seeds
 
 
 def _finish(ok: bool, lines: list[str], out, header: list[str], rows):
@@ -279,6 +287,8 @@ def _exact_solution(problem, omega, a, b, qa, qb):
 def _check_n_list(n_list: list[int]) -> None:
     if len(n_list) < 2 or any(lo >= hi for lo, hi in zip(n_list, n_list[1:])):
         raise DomainError("n-list must be at least two strictly increasing values")
+    if n_list[0] < 2:  # a grid's fewest subintervals
+        raise DomainError(f"n-list values must be at least 2, got {n_list[0]}")
 
 
 def _observed_orders(ns: list[int], errors: list[float]) -> list[float | None]:
@@ -320,6 +330,10 @@ def run_convergence(
     lag = builtin_problem(problem, omega=omega, dim=1)
     kind = _scheme_kind(scheme, sigma, alpha)
     harmonic_exact_case = problem == "harmonic" and alpha is None
+    if harmonic_exact_case and not math.isfinite(omega * (b - a)):
+        raise DomainError(
+            f"harmonic phase omega (b - a) must be finite, got omega = {omega}, a = {a}, b = {b}"
+        )
     if qa is None:
         qa = [1.0 if harmonic_exact_case else 0.0]
     if qb is None and harmonic_exact_case:
@@ -330,7 +344,7 @@ def run_convergence(
     qa, qb = check_endpoints(qa, qb, lag.dim)  # before the closed form
     cfg = NewtonConfig(tol=tol, max_iter=max_iter)
 
-    exact = None if kind.is_fractional else _exact_solution(problem, omega, a, b, qa, qb)
+    exact = None if alpha is not None else _exact_solution(problem, omega, a, b, qa, qb)
     marching = kind.family is SchemeFamily.DIRECT_CLASSICAL
     if marching and exact is None:
         raise DomainError(
@@ -533,7 +547,7 @@ def _build_parsers():
         p.set_defaults(handler=handler)
         p.add_argument("--a", type=float, default=0.0, help="interval start")
         p.add_argument("--b", type=float, default=1.0, help="interval end")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--seed", type=_seed, default=0, help="random seed")
         p.add_argument("--config", help="key=value file of flag values")
         return p
 

@@ -12,15 +12,14 @@ operator reads w_{k-j}, the right one w_{j-k}.  Every kernel product in
 the package goes through one pair keyed by (alpha, side):
 :func:`gl_apply` (the kernel) and :func:`gl_adjoint_apply` (the transpose
 of its interior columns, held as one contiguous copy, which the
-variational gradient and its Jacobian both scatter through).  Kernels and
-adjoints share one cache bounded by bytes.  The bound, 256 MiB, holds
-exactly one kernel and its adjoint at n = 4096 (134,250,496 + 134,184,960
-bytes).  Above that one solve no longer fits: two vi-fractional residual
-evaluations build the kernel and the adjoint twice each at n = 4200, once
-at n = 4096, and a direct-fractional solve, which reads both sides'
-kernels and an adjoint, cannot keep its three at n = 4096.  No fast
-convolution is attempted at desk scale.  Fractional orders must be finite
-and positive, and the scale h^-alpha a finite positive float.
+variational gradient and its Jacobian both scatter through).  At alpha = 1
+the weights are 1, -1, 0, ..., and both answer with the two-point
+difference, the classical operator: O(n), no kernel and no cache entry.
+Kernels and adjoints share one cache bounded by bytes: 256 MiB, exactly
+one kernel and its adjoint at n = 4096 (README "Numerical notes" says
+what no longer fits above that).  No fast convolution is attempted at
+desk scale.  Fractional orders must be finite and positive, their weights
+finite, and the scale h^-alpha a finite positive float.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .diffops import _delta
 from .grids import (
     MINUS,
     PLUS,
@@ -58,7 +58,10 @@ def _weights(alpha: float, n: int) -> np.ndarray:
     w = np.ones(n + 1)
     if n >= 1:
         r = np.arange(1, n + 1, dtype=float)
-        w[1:] = np.cumprod((r - 1.0 - alpha) / r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[1:] = np.cumprod((r - 1.0 - alpha) / r)
+    if not np.isfinite(w).all():
+        raise DomainError(f"GL weights overflow a float at alpha = {alpha!r}, n = {n}")
     return _freeze(w)
 
 
@@ -108,7 +111,10 @@ def _adjoint(alpha: float, n: int, side: int) -> np.ndarray:
 
 def gl_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
     """``K @ y`` for the GL kernel K of ``side`` over positions
-    0..len(y)-1, unscaled: len(y) - 1 rows out."""
+    0..len(y)-1, unscaled: len(y) - 1 rows out; at alpha = 1 the two-point
+    difference of ``side``."""
+    if alpha == 1:
+        return _delta(y, 1.0, side)
     return _kernel(alpha, len(y) - 1, side) @ y
 
 
@@ -116,7 +122,10 @@ def gl_adjoint_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
     """``K[:, 1:n].T @ y`` for the GL kernel K of ``side`` over positions
     0..n, n = len(y), unscaled: n - 1 rows out, one per interior node.
     The product is taken with the cached contiguous adjoint, for the
-    variational gradient and its dense Jacobian alike."""
+    variational gradient and its dense Jacobian alike; at alpha = 1 the
+    two-point difference of the opposite side."""
+    if alpha == 1:
+        return _delta(y, 1.0, -side)
     return _adjoint(alpha, len(y), side) @ y
 
 
@@ -133,6 +142,11 @@ def _check_unit_alpha(alpha: float) -> float:
     if not 0 < alpha <= 1:
         raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
     return alpha
+
+
+def _unit_order(alpha: float | None) -> float:
+    """An order checked to lie in (0, 1]; ``None`` (classical) is 1."""
+    return 1.0 if alpha is None else _check_unit_alpha(alpha)
 
 
 def _scale(h: float, alpha: float) -> float:
@@ -153,14 +167,15 @@ def _scale(h: float, alpha: float) -> float:
 def delta_alpha_minus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Left GL operator: h^-alpha sum_{r=0..k} w_r Q_{k-r}, k in {1, .., n}."""
     alpha = _check_alpha(alpha)
-    vals = gl_apply(alpha, MINUS, q.values) * _scale(q.grid.h, alpha)
+    # the scale first: an order that overflows it refuses there, naming h
+    vals = _scale(q.grid.h, alpha) * gl_apply(alpha, MINUS, q.values)
     return ShiftedSequence(q.grid, MINUS, vals)
 
 
 def delta_alpha_plus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Right GL operator: h^-alpha sum_{r=0..n-k} w_r Q_{k+r}, k in {0, .., n-1}."""
     alpha = _check_alpha(alpha)
-    vals = gl_apply(alpha, PLUS, q.values) * _scale(q.grid.h, alpha)
+    vals = _scale(q.grid.h, alpha) * gl_apply(alpha, PLUS, q.values)
     return ShiftedSequence(q.grid, PLUS, vals)
 
 

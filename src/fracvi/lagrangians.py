@@ -8,13 +8,14 @@ have shape (..., d) and t has shape (...); L returns shape (...) and Lx, Lv
 return shape (..., d).  One call thus serves a single node (a (d,) vector
 and a scalar t) or a whole window of m nodes ((m, d) and (m,)), and each
 assembly below makes one Lx and one Lv call.  The discrete functional
-and its gradient each serve both embeddings: ``alpha=None`` takes the
-two-point velocity, an order in (0, 1] the GL one.  The gradient is
-assembled analytically from the chain rule, its fractional adjoint by
-``fracops.gl_adjoint_apply`` (the cached contiguous transpose of the
-velocity's GL kernel); ``functional_gradient`` checks its arguments and
-wraps the array-level core ``_gradient``, which the Newton solver calls
-directly.  The callback helpers take the window's x, v and t as arrays.
+and its gradient each serve both embeddings with the GL velocity of an
+order in (0, 1]; ``alpha=None`` is the classical alpha = 1.  The gradient
+is assembled analytically from the chain rule, its adjoint by
+``fracops.gl_adjoint_apply`` (the transpose of the velocity's GL kernel,
+a two-point difference at alpha = 1); ``functional_gradient`` checks its
+arguments and wraps the array-level core ``_gradient``, which the Newton
+solver calls directly.  The callback helpers take the window's x, v and t
+as arrays.
 The Newton Jacobian's pointwise Hessian blocks are forward differences of
 Lx and Lv with the relative step FD_STEP, the one the solver uses;
 finite-difference gradients of the functional are a test oracle only and
@@ -28,9 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .diffops import _delta, _velocity, discrete_velocity, gauss_quadrature
-from .fracops import _check_unit_alpha, _scale, _velocity_alpha, gl_adjoint_apply
-from .fracops import discrete_velocity_alpha
+from .diffops import gauss_quadrature
+from .diffops import discrete_velocity  # noqa: F401  perfbench/tracer.py patches it here
+from .fracops import _scale, _unit_order, _velocity_alpha, discrete_velocity_alpha
+from .fracops import gl_adjoint_apply
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
     MINUS,
@@ -202,13 +204,10 @@ def discrete_functional(
     lag: Lagrangian, q: Trajectory, sigma: int, alpha: float | None = None
 ) -> float:
     """h * sum over I_sigma of L(Q_k, v_k, t_k), with the velocity
-    v = -sigma delta_sigma Q, or -sigma delta^alpha_sigma Q given alpha."""
+    v = -sigma delta^alpha_sigma Q (delta_sigma Q at alpha = None or 1)."""
     sigma = check_sigma(sigma)
     _check_dims(lag, q)
-    if alpha is None:
-        vseq = discrete_velocity(q, sigma)
-    else:
-        vseq = discrete_velocity_alpha(q, sigma, _check_unit_alpha(alpha))
+    vseq = discrete_velocity_alpha(q, sigma, _unit_order(alpha))
     rows = _rows(sigma, q.grid.n)
     lvals = _call(lag.L, "L", (q.grid.n,), q.values[rows], vseq.values, q.grid.nodes[rows])
     return gauss_quadrature(ShiftedSequence(q.grid, sigma, lvals))
@@ -226,29 +225,19 @@ def functional_gradient(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    if alpha is not None:
-        alpha = _check_unit_alpha(alpha)
-    return ResidualField(q.grid, 1, _gradient(lag, q.values, q.grid, sigma, alpha))
+    return ResidualField(q.grid, 1, _gradient(lag, q.values, q.grid, sigma, _unit_order(alpha)))
 
 
-def _gradient(
-    lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float | None
-) -> Vec:
+def _gradient(lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float) -> Vec:
     """Array core of :func:`functional_gradient`: node values (n+1, d) in,
     the gradient at the interior nodes (n-1, d) out; arguments unchecked."""
     n, h = grid.n, grid.h
     rows = _rows(sigma, n)
-    if alpha is None:
-        v = _velocity(values, h, sigma)
-        lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
-        # the alpha = 1 kernel is the two-point difference on the other side
-        adj_lv = _delta(lv, h, -sigma)
-    else:
-        v = _velocity_alpha(values, h, sigma, alpha)
-        lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
-        # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
-        # interior columns, transposed
-        adj_lv = _scale(h, alpha) * gl_adjoint_apply(alpha, sigma, lv)
+    v = _velocity_alpha(values, h, sigma, alpha)
+    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
+    # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
+    # interior columns, transposed
+    adj_lv = _scale(h, alpha) * gl_adjoint_apply(alpha, sigma, lv)
     # rows of I_sigma corresponding to interior nodes 1..n-1
     interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)
     return lx[interior] - sigma * adj_lv

@@ -7,24 +7,28 @@ equation, while the variational route differentiates the discrete
 functional.  The comparator reports where (and by how much) the two routes
 disagree; for the symmetric classical embedding they differ by a one-index
 shift of the second-difference stencil, while the asymmetric and
-Grunwald-Letnikov embeddings yield identical schemes.
+Grunwald-Letnikov embeddings yield identical schemes.  The asymmetric
+embedding is the GL one at alpha = 1 and is assembled as such.
 Newton Jacobians come from the chain rule through pointwise Hessian
-blocks, never from a residual.  Both fractional families take one
-Jacobian, whose outer operator A = K[:, 1:n]^T (K the velocity kernel)
-is the direct embedding's opposite-side GL kernel by discrete fractional
-integration by parts.  A mechanical Lagrangian's kinetic block comes from
-one Gram matrix per solve, any other Lagrangian's from a per-node product.
+blocks, never from a residual.  Their layout follows the kernel's reach:
+three block diagonals at alpha = 1 (every classical kind), else dense.
+Both fractional families take one Jacobian, whose outer operator
+A = K[:, 1:n]^T (K the velocity kernel) is the direct embedding's
+opposite-side GL kernel by discrete fractional integration by parts.  A
+mechanical Lagrangian's kinetic block comes from one Gram matrix per
+solve, any other Lagrangian's from a per-node product.
 
 Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
 sigma and order when built, and :func:`_check_layout` is the one layout
 check, made by :func:`assemble_residual`, :func:`jacobian` and the Newton
 solver.  Behind them are array-level cores: node values in, an array out,
-nothing checked.  ``_assemble_values`` dispatches the residual cores
-(``_direct_classical``, ``_asymmetric_direct``, ``_direct_fractional``,
-``lagrangians._gradient``) by family; ``_jacobian_core(kind, grid)``
-makes the Jacobian core of one grid, which holds that grid's constants.
-The direct and variational cores stay two independent assemblies; they
-share only the operators.
+nothing checked.  ``_assemble_values`` dispatches three residual cores:
+``_direct_classical`` (the symmetric scheme), ``_direct_fractional``
+(direct substitution) and ``lagrangians._gradient`` (the functional
+gradient), the last two at alpha = 1 for the asymmetric and vi-classical
+kinds.  ``_jacobian_core(kind, grid)`` makes the Jacobian core of one
+grid, which holds that grid's constants.  The direct and variational
+cores stay two independent assemblies; they share only the operators.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import _delta, _velocity
-from .fracops import _check_unit_alpha, _kernel, _scale, _velocity_alpha
+from .fracops import _check_unit_alpha, _kernel, _scale, _unit_order, _velocity_alpha
 from .fracops import gl_adjoint_apply, gl_apply
 from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
 from .grids import _fmt, _rows, sigma_label
@@ -61,12 +65,6 @@ class SchemeFamily(enum.Enum):
     VARIATIONAL_FRACTIONAL = "vi-fractional"
 
 
-_FRACTIONAL_FAMILIES = (
-    SchemeFamily.DIRECT_FRACTIONAL,
-    SchemeFamily.VARIATIONAL_FRACTIONAL,
-)
-
-
 @dataclass(frozen=True)
 class SchemeKind:
     """A scheme family plus its parameters; alpha is present iff fractional,
@@ -78,16 +76,12 @@ class SchemeKind:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
-        if self.family in _FRACTIONAL_FAMILIES:
+        if self.family in (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL):
             if self.alpha is None:
                 raise DomainError(f"{self.family.value} requires alpha")
             object.__setattr__(self, "alpha", _check_unit_alpha(self.alpha))
         elif self.alpha is not None:
             raise DomainError(f"{self.family.value} does not take alpha")
-
-    @property
-    def is_fractional(self) -> bool:
-        return self.family in _FRACTIONAL_FAMILIES
 
 
 def residual_direct_classical(
@@ -147,26 +141,12 @@ def residual_asymmetric_direct(
     """Direct embedding of the asymmetric Euler-Lagrange equation.
 
     Substitutes delta_plus for the forward derivative and delta_minus for
-    the backward derivative in the one-sided continuous formula; written as
-    its own transcription so agreement with :func:`residual_vi_classical`
-    stays a two-path check.
+    the backward derivative in the one-sided continuous formula: the direct
+    fractional embedding at alpha = 1, assembled by its direct substitution,
+    so agreement with :func:`residual_vi_classical` (the functional
+    gradient) stays a two-path check.
     """
     return assemble_residual(SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma), lag, q)
-
-
-def _asymmetric_direct(lag: Lagrangian, values: Vec, grid: Grid, sigma: int) -> Vec:
-    """Array core of :func:`residual_asymmetric_direct`: node values
-    (n+1, d) in, the residual at the interior nodes (n-1, d) out."""
-    hinv = 1.0 / grid.h
-    rows = _rows(sigma, grid.n)
-    v = _velocity(values, grid.h, sigma)
-    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
-    # interior nodes 1..n-1 are rows 0..n-2 of {1, .., n} and 1..n-1 of {0, .., n-1}
-    if sigma == MINUS:
-        d = (lv[:-1] - lv[1:]) * hinv  # delta_plus on the Lv sequence
-        return lx[:-1] - sigma * d
-    d = (lv[1:] - lv[:-1]) * hinv  # delta_minus on the Lv sequence
-    return lx[1:] - sigma * d
 
 
 def residual_direct_fractional(
@@ -188,8 +168,9 @@ def residual_direct_fractional(
 def _direct_fractional(
     lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float
 ) -> Vec:
-    """Array core of :func:`residual_direct_fractional`: node values
-    (n+1, d) in, the residual at the interior nodes (n-1, d) out."""
+    """Array core of :func:`residual_direct_fractional`, and at alpha = 1
+    of :func:`residual_asymmetric_direct`: node values (n+1, d) in, the
+    residual at the interior nodes (n-1, d) out."""
     n, h = grid.n, grid.h
     rows = _rows(sigma, n)
     v = _velocity_alpha(values, h, sigma, alpha)
@@ -232,11 +213,10 @@ def _assemble_values(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid)
     fam = kind.family
     if fam is SchemeFamily.DIRECT_CLASSICAL:
         return _direct_classical(lag, values, grid, kind.sigma)
-    if fam is SchemeFamily.ASYMMETRIC_DIRECT:
-        return _asymmetric_direct(lag, values, grid, kind.sigma)
-    if fam is SchemeFamily.DIRECT_FRACTIONAL:
-        return _direct_fractional(lag, values, grid, kind.sigma, kind.alpha)
-    return _gradient(lag, values, grid, kind.sigma, kind.alpha)
+    alpha = _unit_order(kind.alpha)
+    if fam in (SchemeFamily.ASYMMETRIC_DIRECT, SchemeFamily.DIRECT_FRACTIONAL):
+        return _direct_fractional(lag, values, grid, kind.sigma, alpha)
+    return _gradient(lag, values, grid, kind.sigma, alpha)
 
 
 def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
@@ -245,7 +225,7 @@ def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
     calls, no residual call).  With v = V Q and P picking the interior
     rows of the window, each residual applies an outer operator A to lv.
 
-    A fractional Jacobian is dense, rows and columns (node, component),
+    Below alpha = 1 a Jacobian is dense, rows and columns (node, component),
     node-major.  Both fractional residuals read R = P^T lx - sigma s A lv,
     with V = -sigma s K[:, 1:n] for the velocity kernel K and s = h^-alpha,
     so J = P^T (Hxx P + Hxv V) - sigma s A (Hvx P + Hvv V), where
@@ -257,12 +237,12 @@ def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
     matrix G = A K[:, 1:n]: O(n^2 d^2) work.  Otherwise it is one dense
     O(n^3 d^2) product.
 
-    A classical Jacobian is block diagonals of shape (3, n-1, d, d): row
-    block i holds ``bands[:, i]`` in the columns of unknown nodes i-1, i
-    and i+1 (``bands[0, 0]`` and ``bands[2, -1]`` are zero).  With
-    v_k = -sigma (Q_k - Q_{k+sigma})/h, row i of each classical residual
-    reads lx_m - sigma (lv_k - lv_{k-sigma})/h at k = i + 1: m = k for the
-    variational and asymmetric schemes, m = k - sigma for the direct one
+    At alpha = 1 (every classical kind) it is block diagonals of shape
+    (3, n-1, d, d): row block i holds ``bands[:, i]`` in the columns of
+    unknown nodes i-1, i and i+1 (``bands[0, 0]`` and ``bands[2, -1]`` are
+    zero).  With v_k = -sigma (Q_k - Q_{k+sigma})/h, row i of each such
+    residual reads lx_m - sigma (lv_k - lv_{k-sigma})/h at k = i + 1: m = k
+    for the coherent kinds, m = k - sigma for the direct classical one
     (whose outer stencil +sigma (lv_m - lv_{m+sigma})/h is the same term).
     J = P^T (Hxx P + Hxv V) + A (Hvx P + Hvv V) puts each term on a fixed
     band: six slice-adds, no per-node loop.
@@ -274,15 +254,15 @@ def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
 def _jacobian_core(kind: SchemeKind, grid: Grid):
     """Array core of :func:`jacobian` for one kind and grid:
     ``core(lag, values)``, node values (n+1, d) in, the Jacobian out,
-    nothing checked.  A classical core is the kind and grid bound to
-    :func:`_classical_bands`.  A fractional core holds what its
-    Jacobians read but never change: the velocity kernel's interior
+    nothing checked.  At alpha = 1 (``None`` included) the core is the kind
+    and grid bound to :func:`_classical_bands`.  Any other core holds what
+    its Jacobians read but never change: the velocity kernel's interior
     columns K[:, 1:n] (a view of the cached kernel, unscaled), the window
     rows of the interior nodes and their columns, and ``gram()``, the Gram
     matrix G = A K[:, 1:n], formed by one product at its first call and
     kept; A = K[:, 1:n]^T, for both families, is the cached adjoint.  A
     solve makes one core."""
-    if not kind.is_fractional:
+    if kind.alpha in (None, 1.0):
         return functools.partial(_classical_bands, kind, grid)
     sigma, alpha, n, h = kind.sigma, kind.alpha, grid.n, grid.h
     inner = _kernel(alpha, n, sigma)[:, 1:n]
@@ -328,8 +308,8 @@ def _uniform_kinetic(hvx: Vec, hvv: Vec) -> Vec | None:
 
 
 def _classical_bands(kind: SchemeKind, grid: Grid, lag: Lagrangian, values: Vec) -> Vec:
-    """The classical core, with the kind and grid bound: node values
-    (n+1, d) in, the bands out."""
+    """The banded core of alpha = 1, with the kind and grid bound: node
+    values (n+1, d) in, the bands out."""
     sigma, n, h = kind.sigma, grid.n, grid.h
     s = sigma / h
     window = _rows(sigma, n)

@@ -1,0 +1,159 @@
+"""Bit comparison of the package's outcomes over a fixed matrix of cases.
+
+Run it from a checkout, once per tree to compare:
+
+    PYTHONPATH=<checkout>/src python tests/bitcheck.py [max_n]
+
+It prints one line per group of cases: the group, its case count and one
+sha256 over the bytes of every outcome in it.  Two trees whose lines agree
+give the same bytes on every case of those groups.  ``max_n`` drops the
+cases with a larger n (the smallest, 4, is the tier-1 smoke test); pytest
+does not collect this file.
+
+A boundary-value case hashes the solve (the trajectory, or the failure
+message and the last iterate; the history; the converged flag and the
+three counters) and, at a seeded random trajectory on the same grid, the
+public residual, the Jacobian, the functional gradient, the discrete
+functional and the velocity.  Groups:
+
+- classical: the three classical families x sigma x harmonic, pendulum
+  (omega 1.5 for both) and the coupled test Lagrangian of ``oracles.py``
+  x d 1-2 x n 4, 5, 16, 64, 257, 1025 x tol 1e-7 and 1e-11, 432 cases;
+- fractional: both fractional families x sigma x alpha 0.3 and 0.8 x the
+  same problems x d 1-2 x n 4, 16, 64, 130, 256 x the same tolerances;
+- fractional-alpha-1: the same at alpha = 1;
+- march: ``march_direct_classical`` on the same problems x d 1-2 x n 64,
+  256, 1024, 2048 x the same tolerances, from seeded first two nodes.
+
+One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
+may order its sums differently from run to run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import sys
+import zlib
+
+import numpy as np
+
+import fracvi as fv
+from fracvi.schemes import SchemeFamily, SchemeKind, jacobian
+from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError
+from fracvi.solver import march_direct_classical, solve_bvp_newton
+from oracles import coupled_lagrangian
+
+SIGMAS = (fv.MINUS, fv.PLUS)
+PROBLEMS = ("harmonic", "pendulum", "coupled")
+DIMS = (1, 2)
+TOLS = (1e-7, 1e-11)
+CLASSICAL = (
+    SchemeFamily.DIRECT_CLASSICAL,
+    SchemeFamily.VARIATIONAL_CLASSICAL,
+    SchemeFamily.ASYMMETRIC_DIRECT,
+)
+FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
+PUBLIC_RESIDUAL = {
+    SchemeFamily.DIRECT_CLASSICAL: fv.residual_direct_classical,
+    SchemeFamily.VARIATIONAL_CLASSICAL: fv.residual_vi_classical,
+    SchemeFamily.ASYMMETRIC_DIRECT: fv.residual_asymmetric_direct,
+    SchemeFamily.DIRECT_FRACTIONAL: fv.residual_direct_fractional,
+    SchemeFamily.VARIATIONAL_FRACTIONAL: fv.residual_vi_fractional,
+}
+
+#: group -> the cases' tuples (family or "march", sigma, alpha, problem, d, n, tol)
+GROUPS = {
+    "classical": list(itertools.product(
+        CLASSICAL, SIGMAS, [None], PROBLEMS, DIMS, (4, 5, 16, 64, 257, 1025), TOLS)),
+    "fractional": list(itertools.product(
+        FRACTIONAL, SIGMAS, (0.3, 0.8), PROBLEMS, DIMS, (4, 16, 64, 130, 256), TOLS)),
+    "fractional-alpha-1": list(itertools.product(
+        FRACTIONAL, SIGMAS, [1.0], PROBLEMS, DIMS, (4, 16, 64, 130, 256), TOLS)),
+    "march": list(itertools.product(
+        ["march"], [fv.MINUS], [None], PROBLEMS, DIMS, (64, 256, 1024, 2048), TOLS)),
+}
+
+
+def _rng(case) -> np.random.Generator:
+    name = case[0] if case[0] == "march" else case[0].value
+    return np.random.default_rng(zlib.crc32(repr((name,) + case[1:]).encode()))
+
+
+def _solved(run) -> list:
+    """A solve's outcome: trajectory or failure message and last iterate,
+    history, converged flag and counters."""
+    try:
+        traj, diag = run()
+        last, message = traj.values, ""
+    except NewtonConvergenceError as exc:
+        last, message, diag = exc.last, str(exc), exc.diagnostics
+        last = getattr(last, "values", last)
+    history = np.array(diag.records, dtype=float).reshape(-1, 3)
+    counters = (diag.converged, diag.residual_evals, diag.jacobian_builds, diag.backtracks)
+    return [np.asarray(last), message, history, repr(counters)]
+
+
+def outcome(case) -> list:
+    """The outcome of one case: a list of arrays and strings."""
+    family, sigma, alpha, problem, d, n, tol = case
+    rng = _rng(case)
+    if problem == "coupled":
+        lag = coupled_lagrangian(d)
+    else:
+        lag = fv.builtin_problem(problem, omega=1.5, dim=d)
+    grid = fv.make_grid(0.0, 1.0, n)
+    qa, qb = rng.uniform(-1.0, 1.0, (2, d))
+    config = NewtonConfig(tol=tol)
+    if family == "march":
+        return _solved(lambda: march_direct_classical(lag, grid, qa, qa + grid.h * qb, config))
+    kind = SchemeKind(family, sigma, alpha)
+    parts = _solved(lambda: solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=config))
+    q = fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d)))
+    order = () if alpha is None else (alpha,)
+    if alpha is None:
+        velocity = fv.discrete_velocity(q, sigma)
+    else:
+        velocity = fv.discrete_velocity_alpha(q, sigma, alpha)
+    return parts + [
+        PUBLIC_RESIDUAL[family](lag, q, sigma, *order).values,
+        jacobian(kind, lag, q),
+        fv.functional_gradient(lag, q, sigma, alpha).values,
+        np.float64(fv.discrete_functional(lag, q, sigma, alpha)),
+        velocity.values,
+    ]
+
+
+def _bytes(part) -> bytes:
+    if isinstance(part, str):
+        return part.encode()
+    part = np.asarray(part)
+    return repr((part.dtype.str, part.shape)).encode() + part.tobytes()
+
+
+def digests(max_n: int | None = None) -> dict[str, tuple[int, str]]:
+    """group -> (case count, sha256 hex) over the cases with n <= max_n."""
+    out = {}
+    for group, cases in GROUPS.items():
+        digest = hashlib.sha256()
+        count = 0
+        for case in cases:
+            if max_n is not None and case[5] > max_n:
+                continue
+            count += 1
+            digest.update(repr(case).encode())
+            for part in outcome(case):
+                digest.update(_bytes(part))
+        out[group] = (count, digest.hexdigest())
+    return out
+
+
+def main(argv: list[str]) -> int:
+    max_n = int(argv[0]) if argv else None
+    for group, (count, hexdigest) in digests(max_n).items():
+        print(f"{group} {count} cases sha256 {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -134,6 +134,11 @@ def test_convergence_rejects_bad_n_list(capsys):
      "self-reference requires every n to divide n_ref=20"),
     (["--omega", "3.141592653589793"],
      "harmonic reference undefined: sin(omega (b-a)) ~ 0"),
+    (["--a", "-inf"], "harmonic phase omega (b - a) must be finite, got omega = 1.0, a = -inf, b = 1.0"),
+    (["--b", "inf"], "harmonic phase omega (b - a) must be finite, got omega = 1.0, a = 0.0, b = inf"),
+    (["--omega", "1e100", "--b", "1e300"],
+     "harmonic phase omega (b - a) must be finite, got omega = 1e+100, a = 0.0, b = 1e+300"),
+    (["--alpha", "0.5", "--n-list", "0,1"], "n-list values must be at least 2, got 0"),
 ])
 def test_convergence_usage_refusals(capsys, argv, message):
     assert main(["convergence"] + argv) == EXIT_USAGE
@@ -428,6 +433,13 @@ def test_counts_must_be_positive(capsys, argv):
     assert f"positive integer, got {argv[-1]!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ibp", "coherence"])
+def test_seed_must_be_non_negative(capsys, command):
+    assert main([command, "--seed", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: argument --seed: expected a non-negative integer, got '-1'" in err
+
+
 def test_convergence_rejects_a_non_integer_n_list(capsys):
     assert main(["convergence", "--n-list", "8,x"]) == EXIT_USAGE
     assert "argument --n-list: bad integer list '8,x'" in capsys.readouterr().err
@@ -459,6 +471,7 @@ GRID_RANGE = "must be finite with finite reciprocals"
     (["ibp", "--b", "1e-307"], f"grid span b - a = 1e-307 and step h = 1.5625e-309 {GRID_RANGE}"),
     (["glcheck", "--a", "-1e308", "--b", "1e308"], f"grid span b - a = inf and step h = inf {GRID_RANGE}"),
     (["ibp", "--a", "-1e308", "--b", "1e308"], f"grid span b - a = inf and step h = inf {GRID_RANGE}"),
+    (["ibp", "--b", "64", "--alpha", "1e300"], "GL weights overflow a float at alpha = 1e+300, n = 64"),
 ])
 def test_grid_or_gl_scale_outside_the_float_range_is_a_usage_error(capsys, argv, message):
     assert main(argv) == EXIT_USAGE

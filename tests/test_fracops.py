@@ -7,6 +7,7 @@ import pytest
 import fracvi as fv
 from fracvi import fracops
 from fracvi.fracops import _adjoint, _kernel
+from fracvi.solver import BVPProblem, solve_bvp_newton
 
 
 def test_weights_alpha_one_truncate():
@@ -153,6 +154,50 @@ def test_adjoint_is_the_opposite_side_kernel(side):
     for n in (2, 3, 17, 64):
         for alpha in (0.05, 0.37, 1.0):
             assert np.array_equal(_adjoint(alpha, n, side), _kernel(alpha, n - 1, -side))
+
+
+@pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
+def test_alpha_one_is_the_two_point_difference(side, monkeypatch):
+    # alpha = 1 builds no kernel: the products are the two-point
+    # differences, equal to the dense ones for finite values
+    rng = np.random.default_rng(64)
+    for d in (1, 2, 3):
+        for n in (2, 3, 17, 64):
+            y = rng.uniform(-2.0, 2.0, (n + 1, d))
+            monkeypatch.setattr(fracops, "_cache", OrderedDict())
+            applied = fracops.gl_apply(1.0, side, y)
+            adjoint = fracops.gl_adjoint_apply(1.0, side, y[1:])
+            assert not fracops._cache
+            assert np.array_equal(applied, _kernel(1.0, n, side) @ y)
+            assert np.array_equal(adjoint, _adjoint(1.0, n, side) @ y[1:])
+
+
+def test_classical_and_alpha_one_solves_leave_no_cache_entry(monkeypatch):
+    monkeypatch.setattr(fracops, "_cache", OrderedDict())
+    grid = fv.make_grid(0.0, 1.0, 64)
+    lag = fv.pendulum(1.0)
+    for family in fv.SchemeFamily:
+        alpha = 1.0 if family.value.endswith("fractional") else None
+        kind = fv.SchemeKind(family, fv.MINUS, alpha)
+        solve_bvp_newton(BVPProblem(grid, lag, kind, [0.0], [1.0]))
+    q = fv.sample(lambda t: t * t, grid)
+    fv.discrete_functional(lag, q, fv.PLUS)
+    fv.functional_gradient(lag, q, fv.PLUS)
+    assert not fracops._cache
+
+
+def test_overflowing_weights_refused():
+    # C(alpha, r) of such an order overflows within a few terms
+    q = fv.Trajectory(fv.make_grid(0.0, 64.0, 64), np.zeros(65))  # h = 1: a finite scale
+    calls = (
+        lambda: fv.gl_coefficients(1e300, 64),
+        lambda: fv.delta_alpha_minus(q, 1e300),
+        lambda: fv.delta_alpha_plus(q, 1e300),
+    )
+    for call in calls:
+        with pytest.raises(fv.DomainError) as info:
+            call()
+        assert str(info.value) == "GL weights overflow a float at alpha = 1e+300, n = 64"
 
 
 def _traj_0123():

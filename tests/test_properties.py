@@ -1,12 +1,14 @@
 """Property tests of the identities the schemes rest on, over random
 (n, d, alpha, sigma): discrete integration by parts, direct-vs-variational
 coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
-fractional functional and gradient to the classical ones.  Three more
-properties check every family's Newton Jacobian against finite
-differences, the solver's array path against the public assemblers, and
-the Gram-matrix kinetic block of a mechanical fractional Jacobian against
-the per-node product.  The last one solves each coherent embedding by
-both of its routes and asks for the same bytes.
+fractional functional and gradient to the classical ones.  The coherent
+classical residuals equal the asymmetric stencil of ``oracles.py`` bit
+for bit.  Three more properties check every family's Newton Jacobian
+against finite differences, the solver's array path against the public
+assemblers, and the Gram-matrix kinetic block of a mechanical fractional
+Jacobian against the per-node product.  The last two solve each coherent
+embedding by both of its routes, and each fractional family at alpha = 1
+as its classical twin, and ask for the same bytes.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -21,7 +23,8 @@ from fracvi import schemes
 from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError, _bvp_functions
 from fracvi.solver import solve_bvp_newton
-from oracles import column_fd_jacobian, coupled_lagrangian, dense_from_bands, interior_residual
+from oracles import asymmetric_residual, column_fd_jacobian, coupled_lagrangian, dense_from_bands
+from oracles import interior_residual
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -106,6 +109,17 @@ def test_alpha_one_reduces_to_classical(qs, sigma, name):
 
 
 @PROPERTY
+@given(trajectories(), sigmas, lagrangians)
+def test_coherent_classical_residuals_are_the_asymmetric_stencil(qs, sigma, name):
+    # both coherent classical kinds are assembled as the GL ones at alpha = 1
+    [q] = qs
+    lag = lagrangian(name, q.dim)
+    stencil = asymmetric_residual(lag, q, sigma).tobytes()
+    for family in (SchemeFamily.ASYMMETRIC_DIRECT, SchemeFamily.VARIATIONAL_CLASSICAL):
+        assert assemble_residual(SchemeKind(family, sigma), lag, q).values.tobytes() == stencil
+
+
+@PROPERTY
 @given(st.data(), families, sigmas, alphas)
 def test_jacobian_matches_finite_differences(data, family, sigma, alpha):
     # a fractional residual couples every node, so each of the oracle's
@@ -120,7 +134,7 @@ def test_jacobian_matches_finite_differences(data, family, sigma, alpha):
     x = q.values[1:-1].ravel()
     fd = column_fd_jacobian(fun, x, fun(x))
     jac = jacobian(kind, lag, q)
-    if not fractional:
+    if jac.ndim == 4:  # bands at alpha = 1, classical or fractional
         assert not jac[0, 0].any() and not jac[2, -1].any()
         jac = dense_from_bands(jac)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -145,6 +159,7 @@ def test_solver_array_path_is_the_public_assembly(qs, family, sigma, alpha, name
 @PROPERTY
 @given(trajectories(max_n=130), fractional_families, sigmas, alphas, mechanical)
 def test_mechanical_kinetic_block_is_the_gram_product(qs, family, sigma, alpha, name):
+    assume(alpha < 1.0)  # alpha = 1 takes bands, with no Gram matrix
     [q] = qs
     kind = SchemeKind(family, sigma, alpha)
     lag = lagrangian(name, q.dim)
@@ -202,3 +217,24 @@ def test_coherent_embeddings_solve_identically(data, name, sigma, alpha):
             for family in (variational, direct)
         ]
         assert outcomes[0] == outcomes[1], (variational.value, n, d)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pendulum", "coupled"])
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+def test_alpha_one_solves_as_the_classical_scheme(sigma, name):
+    # the GL embedding at alpha = 1 is the asymmetric one: each fractional
+    # family solves as its classical twin, bit for bit
+    pairs = (
+        (SchemeFamily.VARIATIONAL_FRACTIONAL, SchemeFamily.VARIATIONAL_CLASSICAL),
+        (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.ASYMMETRIC_DIRECT),
+    )
+    rng = np.random.default_rng(65)
+    for d in (1, 2):
+        lag = lagrangian(name, d)
+        for n in (2, 3, 64, 1024):
+            grid = fv.make_grid(-0.2, 1.1, n)
+            qa, qb = rng.uniform(-1.0, 1.0, (2, d))
+            for fractional, classical in pairs:
+                kinds = (SchemeKind(fractional, sigma, 1.0), SchemeKind(classical, sigma))
+                outcomes = [solve_outcome(BVPProblem(grid, lag, kind, qa, qb)) for kind in kinds]
+                assert outcomes[0] == outcomes[1], (fractional.value, d, n)

@@ -225,7 +225,7 @@ def test_scheme_kind_validation():
     with pytest.raises(fv.DomainError):
         SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, 0)
     kind = SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, fv.PLUS, 0.3)
-    assert kind.is_fractional
+    assert kind.alpha == 0.3
 
 
 def test_assemble_residual_dispatch():
