@@ -22,18 +22,17 @@ from .grids import (
 )
 
 
-def _delta(v: np.ndarray, h: float, side: int) -> np.ndarray:
-    """Array core of the one-sided differences: (v_k - v_{k+1})/h for
-    ``side=PLUS``, (v_k - v_{k-1})/h for MINUS, one row fewer than ``v``."""
-    hinv = 1.0 / h
+def _difference(v: np.ndarray, side: int) -> np.ndarray:
+    """The unscaled one-sided difference: v_k - v_{k+1} for ``side=PLUS``,
+    v_k - v_{k-1} for MINUS, one row fewer than ``v``."""
     if side == PLUS:
-        return (v[:-1] - v[1:]) * hinv
-    return (v[1:] - v[:-1]) * hinv
+        return v[:-1] - v[1:]
+    return v[1:] - v[:-1]
 
 
-def _velocity(values: np.ndarray, h: float, sigma: int) -> np.ndarray:
-    """Array core of :func:`discrete_velocity`: (n+1, d) in, (n, d) out."""
-    return (-sigma) * _delta(values, h, sigma)
+def _delta(v: np.ndarray, h: float, side: int) -> np.ndarray:
+    """Array core of the one-sided differences: :func:`_difference` over h."""
+    return _difference(v, side) * (1.0 / h)
 
 
 def delta_plus(q: Trajectory) -> ShiftedSequence:
@@ -49,7 +48,7 @@ def delta_minus(q: Trajectory) -> ShiftedSequence:
 def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
     """The derivative analogue (-sigma * delta_sigma Q) on I_sigma."""
     check_sigma(sigma)
-    return ShiftedSequence(q.grid, sigma, _velocity(q.values, q.grid.h, sigma))
+    return ShiftedSequence(q.grid, sigma, -sigma * _delta(q.values, q.grid.h, sigma))
 
 
 def seq_delta(s: ShiftedSequence, side: int) -> ResidualField:

@@ -13,8 +13,8 @@ the package goes through one pair keyed by (alpha, side):
 :func:`gl_apply` (the kernel) and :func:`gl_adjoint_apply` (the transpose
 of its interior columns, held as one contiguous copy, which the
 variational gradient and its Jacobian both scatter through).  At alpha = 1
-the weights are 1, -1, 0, ..., and both answer with the two-point
-difference, the classical operator: O(n), no kernel and no cache entry.
+the weights are 1, -1, 0, ..., and both answer with the unscaled two-point
+difference ``diffops._difference``: O(n), no kernel and no cache entry.
 Kernels and adjoints share one cache bounded by bytes: 256 MiB, exactly
 one kernel and its adjoint at n = 4096 (README "Numerical notes" says
 what no longer fits above that).  No fast convolution is attempted at
@@ -30,7 +30,7 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .diffops import _delta
+from .diffops import _difference
 from .grids import (
     MINUS,
     PLUS,
@@ -111,10 +111,10 @@ def _adjoint(alpha: float, n: int, side: int) -> np.ndarray:
 
 def gl_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
     """``K @ y`` for the GL kernel K of ``side`` over positions
-    0..len(y)-1, unscaled: len(y) - 1 rows out; at alpha = 1 the two-point
-    difference of ``side``."""
+    0..len(y)-1, unscaled: len(y) - 1 rows out; at alpha = 1 the unscaled
+    two-point difference of ``side``."""
     if alpha == 1:
-        return _delta(y, 1.0, side)
+        return _difference(y, side)
     return _kernel(alpha, len(y) - 1, side) @ y
 
 
@@ -123,9 +123,9 @@ def gl_adjoint_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
     0..n, n = len(y), unscaled: n - 1 rows out, one per interior node.
     The product is taken with the cached contiguous adjoint, for the
     variational gradient and its dense Jacobian alike; at alpha = 1 the
-    two-point difference of the opposite side."""
+    unscaled two-point difference of the opposite side."""
     if alpha == 1:
-        return _delta(y, 1.0, -side)
+        return _difference(y, -side)
     return _adjoint(alpha, len(y), side) @ y
 
 

@@ -51,6 +51,11 @@ def _rows(sigma: int, n: int) -> slice:
     return slice(0, n) if sigma == PLUS else slice(1, n + 1)
 
 
+def _outer_rows(side: int, n: int) -> slice:
+    """Rows of I_sigma (n rows) that an outer operator of ``side`` lands on."""
+    return slice(1, n) if side == MINUS else slice(0, n - 1)
+
+
 def check_endpoints(first, last, dim=None, what="boundary", names=("qa", "qb")):
     """Two endpoint values as (dim,) float arrays, refused unless both have
     that shape (``dim=None``: the first one's length) and are finite."""

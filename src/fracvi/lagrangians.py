@@ -35,12 +35,12 @@ from .fracops import _scale, _unit_order, _velocity_alpha, discrete_velocity_alp
 from .fracops import gl_adjoint_apply
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
-    MINUS,
     DomainError,
     Grid,
     ResidualField,
     ShiftedSequence,
     Trajectory,
+    _outer_rows,
     _rows,
     check_integer,
     check_sigma,
@@ -239,5 +239,4 @@ def _gradient(lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float
     # interior columns, transposed
     adj_lv = _scale(h, alpha) * gl_adjoint_apply(alpha, sigma, lv)
     # rows of I_sigma corresponding to interior nodes 1..n-1
-    interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)
-    return lx[interior] - sigma * adj_lv
+    return lx[_outer_rows(-sigma, n)] - sigma * adj_lv

@@ -7,8 +7,8 @@ equation, while the variational route differentiates the discrete
 functional.  The comparator reports where (and by how much) the two routes
 disagree; for the symmetric classical embedding they differ by a one-index
 shift of the second-difference stencil, while the asymmetric and
-Grunwald-Letnikov embeddings yield identical schemes.  The asymmetric
-embedding is the GL one at alpha = 1 and is assembled as such.
+Grunwald-Letnikov embeddings yield identical schemes.  They differ only
+in the outer operator: sigma-sided for the symmetric one, else -sigma.
 Newton Jacobians come from the chain rule through pointwise Hessian
 blocks, never from a residual.  Their layout follows the kernel's reach:
 three block diagonals at alpha = 1 (every classical kind), else dense.
@@ -22,13 +22,12 @@ Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
 sigma and order when built, and :func:`_check_layout` is the one layout
 check, made by :func:`assemble_residual`, :func:`jacobian` and the Newton
 solver.  Behind them are array-level cores: node values in, an array out,
-nothing checked.  ``_assemble_values`` dispatches three residual cores:
-``_direct_classical`` (the symmetric scheme), ``_direct_fractional``
-(direct substitution) and ``lagrangians._gradient`` (the functional
-gradient), the last two at alpha = 1 for the asymmetric and vi-classical
-kinds.  ``_jacobian_core(kind, grid)`` makes the Jacobian core of one
-grid, which holds that grid's constants.  The direct and variational
-cores stay two independent assemblies; they share only the operators.
+nothing checked.  ``_assemble_values`` dispatches two residual cores,
+``_direct`` (direct substitution, its outer side from ``SchemeKind.outer``)
+and ``lagrangians._gradient`` (the functional gradient), at alpha = 1 for
+the classical kinds.  ``_jacobian_core(kind, grid)`` makes the Jacobian
+core of one grid, which holds that grid's constants.  The two cores stay
+independent assemblies; they share only the operators and window rules.
 """
 
 from __future__ import annotations
@@ -39,11 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import _delta, _velocity
 from .fracops import _check_unit_alpha, _kernel, _scale, _unit_order, _velocity_alpha
 from .fracops import gl_adjoint_apply, gl_apply
 from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
-from .grids import _fmt, _rows, sigma_label
+from .grids import _fmt, _outer_rows, _rows, sigma_label
 from .lagrangians import FD_NOISE, Lagrangian, Vec, functional_gradient, _check_dims
 from .lagrangians import _hessian_blocks
 from .lagrangians import _gradient, _lagrangian_values
@@ -83,6 +81,16 @@ class SchemeKind:
         elif self.alpha is not None:
             raise DomainError(f"{self.family.value} does not take alpha")
 
+    @property
+    def outer(self) -> int:
+        """Side of the outer operator: sigma for direct-classical, else -sigma."""
+        return self.sigma if self.family is SchemeFamily.DIRECT_CLASSICAL else -self.sigma
+
+    @property
+    def k_start(self) -> int:
+        """The residual's first node: how many of sigma and ``outer`` are MINUS."""
+        return (self.sigma == MINUS) + (self.outer == MINUS)
+
 
 def residual_direct_classical(
     lag: Lagrangian, q: Trajectory, sigma: int
@@ -93,20 +101,10 @@ def residual_direct_classical(
         v = -sigma * delta_sigma Q.
 
     Window: {2, .., n} for sigma = -1, {0, .., n-2} for sigma = +1 (the
-    maximal set where the outer same-side difference exists).
+    maximal set where the outer same-side difference exists): the direct
+    core at alpha = 1 with a same-side outer operator.
     """
     return assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, sigma), lag, q)
-
-
-def _direct_classical(lag: Lagrangian, values: Vec, grid: Grid, sigma: int) -> Vec:
-    """Array core of :func:`residual_direct_classical`: node values
-    (n+1, d) in, the residual over its window (n-1, d) out."""
-    h = grid.h
-    rows = _rows(sigma, grid.n)
-    v = _velocity(values, h, sigma)
-    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
-    lx_win = lx[1:] if sigma == MINUS else lx[:-1]
-    return lx_win + sigma * _delta(lv, h, sigma)
 
 
 def newton_friction_direct(q: Trajectory) -> ResidualField:
@@ -142,9 +140,9 @@ def residual_asymmetric_direct(
 
     Substitutes delta_plus for the forward derivative and delta_minus for
     the backward derivative in the one-sided continuous formula: the direct
-    fractional embedding at alpha = 1, assembled by its direct substitution,
-    so agreement with :func:`residual_vi_classical` (the functional
-    gradient) stays a two-path check.
+    core at alpha = 1, outer operator on -sigma, so agreement with
+    :func:`residual_vi_classical` (the functional gradient) stays a two-path
+    check.
     """
     return assemble_residual(SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma), lag, q)
 
@@ -165,21 +163,18 @@ def residual_direct_fractional(
     return assemble_residual(kind, lag, q)
 
 
-def _direct_fractional(
-    lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float
+def _direct(
+    lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float, side: int
 ) -> Vec:
-    """Array core of :func:`residual_direct_fractional`, and at alpha = 1
-    of :func:`residual_asymmetric_direct`: node values (n+1, d) in, the
-    residual at the interior nodes (n-1, d) out."""
+    """Array core of every direct embedding: node values (n+1, d) in, the
+    residual over its window (n-1, d) out; the outer GL operator on the Lv
+    sequence acts on ``side``."""
     n, h = grid.n, grid.h
     rows = _rows(sigma, n)
     v = _velocity_alpha(values, h, sigma, alpha)
     lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
-    # the opposite-side GL operator on the Lv sequence (frac_seq_plus for
-    # sigma = -1, frac_seq_minus for sigma = +1), over the interior nodes
-    outer = gl_apply(alpha, -sigma, np.ascontiguousarray(lv)) * _scale(h, alpha)
-    interior = slice(0, n - 1) if sigma == MINUS else slice(1, n)
-    return lx[interior] - sigma * outer
+    outer = gl_apply(alpha, side, np.ascontiguousarray(lv)) * _scale(h, alpha)
+    return lx[_outer_rows(side, n)] + side * outer
 
 
 def residual_vi_fractional(
@@ -200,23 +195,17 @@ def _check_layout(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> None:
 def assemble_residual(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> ResidualField:
     """The residual of a scheme kind on q, checked once, over its window."""
     _check_layout(kind, lag, q)
-    k_start = 1
-    if kind.family is SchemeFamily.DIRECT_CLASSICAL:
-        k_start = 2 if kind.sigma == MINUS else 0
-    return ResidualField(q.grid, k_start, _assemble_values(kind, lag, q.values, q.grid))
+    return ResidualField(q.grid, kind.k_start, _assemble_values(kind, lag, q.values, q.grid))
 
 
 def _assemble_values(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid) -> Vec:
     """Array core of :func:`assemble_residual`: node values (n+1, d) in,
     the residual field's values (n-1, d) out.  Nothing is checked: the
     caller checks the layout once (:func:`_check_layout`)."""
-    fam = kind.family
-    if fam is SchemeFamily.DIRECT_CLASSICAL:
-        return _direct_classical(lag, values, grid, kind.sigma)
     alpha = _unit_order(kind.alpha)
-    if fam in (SchemeFamily.ASYMMETRIC_DIRECT, SchemeFamily.DIRECT_FRACTIONAL):
-        return _direct_fractional(lag, values, grid, kind.sigma, alpha)
-    return _gradient(lag, values, grid, kind.sigma, alpha)
+    if kind.family in (SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.VARIATIONAL_FRACTIONAL):
+        return _gradient(lag, values, grid, kind.sigma, alpha)
+    return _direct(lag, values, grid, kind.sigma, alpha, kind.outer)
 
 
 def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
@@ -241,9 +230,9 @@ def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
     (3, n-1, d, d): row block i holds ``bands[:, i]`` in the columns of
     unknown nodes i-1, i and i+1 (``bands[0, 0]`` and ``bands[2, -1]`` are
     zero).  With v_k = -sigma (Q_k - Q_{k+sigma})/h, row i of each such
-    residual reads lx_m - sigma (lv_k - lv_{k-sigma})/h at k = i + 1: m = k
-    for the coherent kinds, m = k - sigma for the direct classical one
-    (whose outer stencil +sigma (lv_m - lv_{m+sigma})/h is the same term).
+    residual reads lx_m - sigma (lv_k - lv_{k-sigma})/h at k = i + 1 and
+    m = i + k_start: m = k - sigma for the direct classical kind (whose
+    same-side stencil +sigma (lv_m - lv_{m+sigma})/h is that term), else k.
     J = P^T (Hxx P + Hxv V) + A (Hvx P + Hvv V) puts each term on a fixed
     band: six slice-adds, no per-node loop.
     """
@@ -267,7 +256,7 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
     sigma, alpha, n, h = kind.sigma, kind.alpha, grid.n, grid.h
     inner = _kernel(alpha, n, sigma)[:, 1:n]
     cols = np.arange(n - 1)
-    rows = cols if sigma == MINUS else cols + 1
+    rows = np.arange(n)[_outer_rows(-sigma, n)]  # the interior nodes' window rows
     adjoint = functools.partial(gl_adjoint_apply, alpha, sigma)  # A, unscaled
     gram = functools.cache(lambda: adjoint(inner))
     window = _rows(sigma, n)
@@ -313,12 +302,12 @@ def _classical_bands(kind: SchemeKind, grid: Grid, lag: Lagrangian, values: Vec)
     sigma, n, h = kind.sigma, grid.n, grid.h
     s = sigma / h
     window = _rows(sigma, n)
-    v = _velocity(values, h, sigma)
+    v = _velocity_alpha(values, h, sigma, 1.0)
     hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
     # d lx_k and d lv_k by Q_k and by Q_{k+sigma}, over the velocity's window
     moves = ((hxx - s * hxv, s * hxv), (hvx - s * hvv, s * hvv))
-    m = 1 - sigma if kind.family is SchemeFamily.DIRECT_CLASSICAL else 1
-    first = 1 if sigma == MINUS else 0  # node of the window's first entry
+    m = kind.k_start  # row i reads lx at node m + i
+    first = window.start  # node of the window's first entry
     bands = np.zeros((3, n - 1) + hxx.shape[1:])
     for which, node, factor in ((0, m, 1.0), (1, 1, -s), (1, 1 - sigma, s)):
         # row i reads node k = i + node, whose Q_k lies on band ``node``

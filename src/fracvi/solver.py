@@ -11,12 +11,13 @@ hold the boundary values, and the array-level cores behind
 ``schemes.assemble_residual`` and ``schemes.jacobian`` run on it, with
 one Jacobian core per solve holding the grid's constants.  No
 boundary-value solve differentiates its residual: the Jacobian comes by
-the chain rule from pointwise Hessian blocks (4*d + 2 callback calls).  A
-fractional one is dense and solved by LAPACK; a classical one has three
-block diagonals, which odd-even block cyclic reduction solves in
-O(n*d^3) time and O(n*d^2) memory, ending in one small LAPACK solve.  A
-reduction level with 1x1 blocks (d = 1) is one reciprocal and elementwise
-products; with d > 1 it is one batched LAPACK solve and stacked matmuls.
+the chain rule from pointwise Hessian blocks (4*d + 2 callback calls).
+Below alpha = 1 it is dense and solved by LAPACK; at alpha = 1, whatever
+the family, it has three block diagonals, which odd-even block cyclic
+reduction solves in O(n*d^3) time and O(n*d^2) memory, ending in one
+small LAPACK solve.  A reduction level with 1x1 blocks (d = 1) is one
+reciprocal and elementwise products; with d > 1 it is one batched LAPACK
+solve and stacked matmuls.
 
 The Newton kernel owns its step: handed a Jacobian builder and maybe a
 held Jacobian, it solves with the held one at its first iteration, builds

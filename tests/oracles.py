@@ -130,20 +130,38 @@ def colored_fd_jacobian(fun, x, r, dim, rel_step=1e-6):
     return jac
 
 
-def asymmetric_residual(lag, traj, sigma):
-    """The asymmetric classical residual lx - sigma * delta_{-sigma} Lv at
-    the interior nodes, with v = -sigma * delta_sigma Q: the package's
-    former classical transcription, operation for operation, which every
-    coherent classical residual must equal bit for bit."""
+def _classical_partials(lag, traj, sigma):
+    """Lx and Lv over I_sigma at v = -sigma * delta_sigma Q, and 1/h."""
     q, t, hinv = traj.values, traj.grid.nodes, 1.0 / traj.grid.h
     rows = slice(1, None) if sigma == fv.MINUS else slice(None, -1)  # I_sigma
     diff = (q[1:] - q[:-1]) if sigma == fv.MINUS else (q[:-1] - q[1:])
     v = -sigma * (diff * hinv)
     lx = np.asarray(lag.Lx(q[rows], v, t[rows]), dtype=float)
     lv = np.asarray(lag.Lv(q[rows], v, t[rows]), dtype=float)
+    return lx, lv, hinv
+
+
+def asymmetric_residual(lag, traj, sigma):
+    """The asymmetric classical residual lx - sigma * delta_{-sigma} Lv at
+    the interior nodes, with v = -sigma * delta_sigma Q: the package's
+    former classical transcription, operation for operation, which every
+    coherent classical residual must equal bit for bit."""
+    lx, lv, hinv = _classical_partials(lag, traj, sigma)
     if sigma == fv.MINUS:
         return lx[:-1] - sigma * ((lv[:-1] - lv[1:]) * hinv)  # delta_plus Lv
     return lx[1:] - sigma * ((lv[1:] - lv[:-1]) * hinv)  # delta_minus Lv
+
+
+def symmetric_residual(lag, traj, sigma):
+    """The symmetric classical residual lx + sigma * delta_sigma Lv over its
+    window ({2, .., n} for sigma = -1, {0, .., n-2} for +1), with
+    v = -sigma * delta_sigma Q: the package's former transcription of the
+    direct classical scheme, operation for operation, which
+    ``direct-classical`` must equal bit for bit."""
+    lx, lv, hinv = _classical_partials(lag, traj, sigma)
+    if sigma == fv.MINUS:
+        return lx[1:] + sigma * ((lv[1:] - lv[:-1]) * hinv)  # delta_minus Lv
+    return lx[:-1] + sigma * ((lv[:-1] - lv[1:]) * hinv)  # delta_plus Lv
 
 
 def dense_from_bands(bands):

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import inspect
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fracvi as fv
 from fracvi import cli
@@ -598,3 +603,112 @@ def test_python_m_fracvi(tmp_path):
     usage = subprocess.run(argv[:3] + ["ibp", "--n", "1"], cwd=tmp_path, env=env,
                            capture_output=True, text=True)
     assert usage.returncode == EXIT_USAGE
+
+
+# --------------------------------------------------------------------------
+# fuzz: no argv ends in a traceback
+
+#: Edge values of the fuzz: signed zeros, a negative one, floats at the
+#: ends of the range (1e154 squares to about 1e308), non-finite and
+#: malformed ones.
+FUZZ_EDGES = ["0", "-0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "1e154",
+              "inf", "-inf", "nan", "x", ""]
+#: Counts (n, n-list entries, trials, dim, max-iter) stay at or below 64: a
+#: fractional study solves densely at n_ref = 4 * max(n-list), so larger
+#: counts cost run time, not new code paths.
+FUZZ_MAX_COUNT = 64
+
+
+def _fuzz_values(action):
+    """The strategy of values for one flag of the parser's table: a plain
+    value three times in four (for a float flag, its default or 0.5), else
+    an edge one.  A flag of a type the fuzz does not know fails here, so no
+    new flag goes unfuzzed."""
+    edges = st.sampled_from(FUZZ_EDGES)
+    counts = st.integers(-2, FUZZ_MAX_COUNT).map(str)
+    if action.choices is not None:
+        plain, edge = st.sampled_from(action.choices), st.just("bogus")
+    elif action.type is float:
+        near = ["0.5", "1"] if action.default is None else [str(action.default), "0.5"]
+        plain, edge = st.sampled_from(near), edges
+    elif action.type in (int, cli._count, cli._seed):
+        plain, edge = st.integers(2, 16).map(str), st.one_of(counts, edges)
+    elif action.type is cli._int_list:
+        increasing = st.lists(st.integers(2, FUZZ_MAX_COUNT), min_size=2, max_size=4,
+                              unique=True).map(sorted)
+        plain = increasing.map(lambda ns: ",".join(map(str, ns)))
+        edge = st.one_of(st.lists(counts, min_size=1, max_size=4).map(",".join), edges)
+    elif action.type is cli._vector:
+        plain = st.lists(st.sampled_from(["0", "0.5", "1"]), min_size=1, max_size=2).map(",".join)
+        edge = st.one_of(st.lists(edges, min_size=1, max_size=2).map(",".join), edges)
+    elif action.type is cli._sigma:
+        plain, edge = st.sampled_from(["+", "-"]), st.just("0")
+    elif action.type is None:  # a path
+        plain, edge = st.sampled_from(["out.csv", "out"]), st.sampled_from([".", "no/out.csv"])
+    else:
+        raise AssertionError(f"no fuzz values for {action.option_strings} of type {action.type}")
+    return st.one_of(plain, plain, plain, edge)
+
+
+#: Each subcommand's flags (long name, value strategy), read from the parser
+#: itself; --help exits at once and --config is drawn apart.
+FUZZ_FLAGS = {
+    name: [
+        (action.option_strings[-1], _fuzz_values(action))
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+    for name, sub in cli._build_parsers()[1].items()
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand, up to three of its flags with drawn values, maybe an
+    unknown flag, and maybe a --config file (drawn key=value lines, maybe a
+    comment or a malformed line) or a --config path that is no file.
+    Returns the argv and the config file's lines."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    picks = st.integers(0, len(flags) - 1)
+    argv = [command]
+    for i in draw(st.lists(picks, max_size=3)):
+        flag, values = flags[i]
+        argv += [flag, draw(values)]
+    if draw(st.sampled_from([False] * 19 + [True])):
+        argv.append("--bogus")
+    config = draw(st.sampled_from(["none"] * 5 + ["file"] * 4 + ["path"]))
+    lines = []
+    if config == "file":
+        for i in draw(st.lists(picks, min_size=1, max_size=2)):
+            flag, values = flags[i]
+            key = flag[2:] if draw(st.booleans()) else flag[2:].replace("-", "_")
+            lines.append(f"{key} = {draw(values)}")
+        lines += draw(st.lists(st.sampled_from(["# note", "not a pair", "other = 1"]), max_size=1))
+        argv += ["--config", "run.cfg"]
+    elif config == "path":
+        argv += ["--config", draw(st.sampled_from(["missing.cfg", "."]))]
+    return argv, lines
+
+
+def test_no_argv_escapes_the_exit_codes(tmp_path, monkeypatch):
+    # derandomized: every run checks the same 400 draws, in about 2 s
+    monkeypatch.chdir(tmp_path)  # solve writes its CSVs to the working directory
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fuzz_argv())
+    def check(drawn):
+        argv, lines = drawn
+        (tmp_path / "run.cfg").write_text("".join(line + "\n" for line in lines))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would reach stderr
+                code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == EXIT_USAGE:
+            text = err.getvalue()
+            assert text.startswith("error: ") or "usage: fracvi" in text, (argv, text)
+
+    check()

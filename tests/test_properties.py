@@ -1,9 +1,10 @@
 """Property tests of the identities the schemes rest on, over random
 (n, d, alpha, sigma): discrete integration by parts, direct-vs-variational
 coherence of the asymmetric and GL embeddings, and alpha = 1 reducing the
-fractional functional and gradient to the classical ones.  The coherent
-classical residuals equal the asymmetric stencil of ``oracles.py`` bit
-for bit.  Three more properties check every family's Newton Jacobian
+fractional functional and gradient to the classical ones.  The classical
+residuals equal the former stencils of ``oracles.py`` bit for bit: the
+direct classical one the symmetric stencil, the coherent ones the
+asymmetric stencil.  Three more properties check every family's Newton Jacobian
 against finite differences, the solver's array path against the public
 assemblers, and the Gram-matrix kinetic block of a mechanical fractional
 Jacobian against the per-node product.  The last two solve each coherent
@@ -24,7 +25,7 @@ from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError, _bvp_functions
 from fracvi.solver import solve_bvp_newton
 from oracles import asymmetric_residual, column_fd_jacobian, coupled_lagrangian, dense_from_bands
-from oracles import interior_residual
+from oracles import interior_residual, symmetric_residual
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -35,6 +36,11 @@ mechanical = st.sampled_from(["free", "harmonic", "pendulum"])
 FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
 fractional_families = st.sampled_from(FRACTIONAL)
 families = st.sampled_from(list(SchemeFamily))
+#: (former classical stencil, the families that must equal it bit for bit)
+classical_stencils = st.sampled_from([
+    (symmetric_residual, (SchemeFamily.DIRECT_CLASSICAL,)),
+    (asymmetric_residual, (SchemeFamily.ASYMMETRIC_DIRECT, SchemeFamily.VARIATIONAL_CLASSICAL)),
+])
 
 
 @st.composite
@@ -109,14 +115,17 @@ def test_alpha_one_reduces_to_classical(qs, sigma, name):
 
 
 @PROPERTY
-@given(trajectories(), sigmas, lagrangians)
-def test_coherent_classical_residuals_are_the_asymmetric_stencil(qs, sigma, name):
-    # both coherent classical kinds are assembled as the GL ones at alpha = 1
+@given(trajectories(), sigmas, lagrangians, classical_stencils)
+def test_coherent_classical_residuals_are_the_asymmetric_stencil(qs, sigma, name, pair):
+    # every classical kind is assembled by one of the two cores at alpha = 1;
+    # the symmetric scheme is the direct core with a same-side outer operator
     [q] = qs
+    stencil, families = pair
+    assume(SchemeFamily.DIRECT_CLASSICAL not in families or q.grid.n >= 3)
     lag = lagrangian(name, q.dim)
-    stencil = asymmetric_residual(lag, q, sigma).tobytes()
-    for family in (SchemeFamily.ASYMMETRIC_DIRECT, SchemeFamily.VARIATIONAL_CLASSICAL):
-        assert assemble_residual(SchemeKind(family, sigma), lag, q).values.tobytes() == stencil
+    expected = stencil(lag, q, sigma).tobytes()
+    for family in families:
+        assert assemble_residual(SchemeKind(family, sigma), lag, q).values.tobytes() == expected
 
 
 @PROPERTY
