@@ -22,17 +22,18 @@ solve and stacked matmuls.
 The Newton kernel owns its step: handed a Jacobian builder and maybe a
 held Jacobian, it solves with the held one at its first iteration, builds
 one at every other, and returns the last one it used.  The Jacobian's
-layout picks the linear solve: :func:`lu_solve` for a matrix, cyclic
-reduction for three block bands.
+layout picks the linear solve: one division for a float, :func:`lu_solve`
+for a matrix, cyclic reduction for three block bands.
 A boundary-value solve holds none: plain Newton.  Marching threads the
 held Jacobian from step to step, a chord iteration whose rebuilds
 difference the step's d unknowns one at a time; a step reuses the previous
-step's last Lv value.  Each iteration makes one linear solve (:func:`lu_solve`
-answers a 1x1 system by a division), and the line search stops as soon as
-a rejected trial rounds to the iterate.  A one-unknown step makes no numpy
-reduction and copies neither its guess nor a whole step: a harmonic chord
-step costs about 14 us on a 2-core x86_64 host, 3 us in callbacks, 6 us in
-numpy arithmetic on (1,) arrays and the rest in Newton bookkeeping.
+step's last Lv value.  Each iteration makes one linear solve, and the line
+search stops as soon as a rejected trial rounds to the iterate.  A
+one-unknown march (d = 1) runs in the scalar layout: its unknown,
+residuals, held Jacobian and Lv values are Python floats, wrapped as (1,)
+arrays only for the Lx and Lv calls, so it calls no :func:`lu_solve`.  A
+harmonic chord step then costs about 8 us on a 2-core x86_64 host, 4-5 us
+of it in the callbacks (about 15 us in the array layout).
 """
 
 from __future__ import annotations
@@ -172,14 +173,18 @@ _MAX_BACKTRACKS = 40
 _DAMPING = 0.5
 
 
-def _inf_norm(v: np.ndarray) -> float:
-    """``max |v_i|`` (NaN if any entry is); one entry is read without a reduction."""
-    return abs(float(v[0])) if v.size == 1 else float(abs(v).max())
+def _inf_norm(v: np.ndarray | float) -> float:
+    """``max |v_i|`` (NaN if any entry is); a float is its one entry."""
+    return abs(v) if isinstance(v, float) else float(abs(v).max())
 
 
-def _fd_jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _fd_jacobian(fun, x: np.ndarray | float, r: np.ndarray | float) -> np.ndarray | float:
     """Forward-difference Jacobian of ``fun`` at ``x``, where ``r = fun(x)``:
-    one residual call per column, with the step ``FD_STEP * (1 + |x_j|)``."""
+    one residual call per column, with the step ``FD_STEP * (1 + |x_j|)``.
+    A float ``x`` (the scalar layout) gives a float."""
+    if isinstance(x, float):
+        step = FD_STEP * (1.0 + abs(x))
+        return (fun(x + step) - r) / step
     steps = FD_STEP * (1.0 + np.abs(x))
     jac = np.empty((r.size, x.size))
     for j in range(x.size):
@@ -288,17 +293,21 @@ def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _newton(
     fun,
-    x0: np.ndarray,
+    x0: np.ndarray | float,
     cfg: NewtonConfig,
     jacobian,
-    held: np.ndarray | None = None,
+    held: np.ndarray | float | None = None,
     label: str = "",
-) -> tuple[np.ndarray, NewtonDiagnostics, np.ndarray | None]:
-    """Damped Newton for fun(x) = 0 from x0.
+) -> tuple[np.ndarray | float, NewtonDiagnostics, np.ndarray | float | None]:
+    """Damped Newton for fun(x) = 0 from x0, a float array or, in the
+    scalar layout of a one-unknown system, a Python float; ``fun`` and
+    ``jacobian`` then take and return floats too.
 
     Each iteration solves a Jacobian against ``-r`` (``r = fun(x)``) by the
-    linear solve its layout picks: :func:`lu_solve` for a matrix,
-    :func:`_block_tridiagonal_solve` for (3, nodes, d, d) bands.  The first
+    linear solve its layout picks: one division for a float,
+    :func:`lu_solve` for a matrix, :func:`_block_tridiagonal_solve` for
+    (3, nodes, d, d) bands.  A zero float raises
+    :class:`SingularMatrixError` as :func:`lu_solve` does.  The first
     iteration solves with ``held`` when one is given; every other iteration
     builds ``jacobian(fun, x, r)`` at its iterate and counts the build
     (``fun`` counts the residual calls the build makes).  Returns the
@@ -312,7 +321,7 @@ def _newton(
     its message prefixed by ``label``, if the target is not met, and at
     once if the residual is not finite.
     """
-    x = np.asarray(x0, dtype=float)  # never written: a step makes a new iterate
+    x = x0  # never written: a step makes a new iterate
     diag = NewtonDiagnostics()
 
     def counted(y: np.ndarray) -> np.ndarray:
@@ -339,7 +348,12 @@ def _newton(
         if held is None or it > 1:
             held = jacobian(counted, x, r)
             diag.jacobian_builds += 1
-        delta = (lu_solve if held.ndim == 2 else _block_tridiagonal_solve)(held, -r)
+        if isinstance(held, float):
+            if held == 0.0:
+                raise SingularMatrixError("singular matrix")
+            delta = -r / held
+        else:
+            delta = (lu_solve if held.ndim == 2 else _block_tridiagonal_solve)(held, -r)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             step = delta if t == 1.0 else t * delta  # 1.0 * delta is delta
@@ -349,7 +363,8 @@ def _newton(
             if rn_trial < rnorm:
                 break
             diag.backtracks += 1
-            if trial.tobytes() == x.tobytes():
+            # bit for bit: a float compares as its 8 bytes, so -0.0 is not 0.0
+            if np.asarray(trial).tobytes() == np.asarray(x).tobytes():
                 break
             t *= _DAMPING
         if not rn_trial < rnorm:
@@ -454,53 +469,63 @@ def march_direct_classical(
     first iteration uses it; any later iteration rebuilds the Jacobian by
     dense forward differences at its iterate, and the solve returns the
     last one.  A linear problem thus builds one Jacobian for the whole
-    march.
+    march.  With d = 1 the step's unknown, residuals, Jacobian and Lv
+    values are Python floats, and x and v reach ``Lx`` and ``Lv`` as (1,)
+    arrays; the outcome is bit for bit that of the (d,) array layout.
 
     Returns the trajectory and diagnostics whose counters are summed over
     every step and whose history is that of the step that ended with the
     largest residual.  A failing step raises
-    :class:`NewtonConvergenceError` carrying that step's iterate and
-    history, with its counters summed over every step.
+    :class:`NewtonConvergenceError` carrying that step's iterate (a (d,)
+    array) and history, with its counters summed over every step.
     """
     cfg = config or NewtonConfig()
     d = lag.dim
     q0, q1 = check_endpoints(q0, q1, d, "initial", ("q0", "q1"))
     hinv = 1.0 / grid.h
     nodes = grid.nodes.tolist()
-    vals = np.empty((grid.n + 1, d))
-    vals[0] = q0
-    vals[1] = q1
     spent = NewtonDiagnostics(converged=True)
     worst = math.nan  # spent.final_residual, as a float
     held = None  # the last Jacobian built during the march
+    scalar = d == 1  # the scalar layout: Q_k, residuals and Lv as floats
     Lx, Lv, shape = lag.Lx, lag.Lv, (d,)
 
     # step k's residual at Q_k = x, with prev = Q_{k-1}, t_k and
-    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last.  Lx is
-    # refused at a wrong shape, as Lv is by its first call, at node 1
-    def step_residual(x: np.ndarray) -> np.ndarray:
+    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last.  The
+    # callbacks see (d,) arrays, and a result of the wrong shape is refused
+    def step_residual(x):
         nonlocal lv_last
         v = (x - prev) * hinv
-        lx = np.asarray(Lx(x, v, t_k), dtype=float)
+        xs, vs = (np.array([x]), np.array([v])) if scalar else (x, v)
+        lx = np.asarray(Lx(xs, vs, t_k), dtype=float)
         if lx.shape != shape:
             raise _shape_error("Lx", lx.shape, shape)
-        lv_last = Lv(x, v, t_k)
+        lv_last = np.asarray(Lv(xs, vs, t_k), dtype=float)
+        if lv_last.shape != shape:
+            raise _shape_error("Lv", lv_last.shape, shape)
+        if scalar:
+            lx, lv_last = lx.item(), lv_last.item()
         return lx - (lv_last - lv_prev) * hinv
 
     lv_last = _call(Lv, "Lv", shape, q1, (q1 - q0) * hinv, nodes[1])
+    q = [q0, q1]  # Q_0 .. Q_k
+    if scalar:
+        q, lv_last = [q0.item(), q1.item()], lv_last.item()
     for k in range(2, grid.n + 1):
         # a converged step's last residual call was at the Q_{k-1} it
         # returned, so its Lv is the one at node k-1, bit for bit
-        prev, t_k, lv_prev = vals[k - 1], nodes[k], lv_last
-        guess = 2.0 * prev - vals[k - 2]
+        prev, t_k, lv_prev = q[k - 1], nodes[k], lv_last
+        guess = 2.0 * prev - q[k - 2]
         try:
-            vals[k], step, held = _newton(
+            x, step, held = _newton(
                 step_residual, guess, cfg, _fd_jacobian, held, f"march step k={k}: "
             )
         except NewtonConvergenceError as exc:
+            exc.last = np.reshape(exc.last, shape)
             exc.diagnostics.add_counts(spent)
             raise
+        q.append(x)
         spent.add_counts(step)
         if not step.records[-1][1] <= worst:
             spent.records, worst = step.records, step.records[-1][1]
-    return Trajectory(grid, vals), spent
+    return Trajectory(grid, np.reshape(q, (grid.n + 1, d))), spent

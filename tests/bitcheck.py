@@ -23,7 +23,13 @@ functional and the velocity.  Groups:
   same problems x d 1-2 x n 4, 16, 64, 130, 256 x the same tolerances;
 - fractional-alpha-1: the same at alpha = 1;
 - march: ``march_direct_classical`` on the same problems x d 1-2 x n 64,
-  256, 1024, 2048 x the same tolerances, from seeded first two nodes.
+  256, 1024, 2048 x the same tolerances, from seeded first two nodes;
+- march-failures: the same marches with ``max_iter`` 1, and with ``Lx``
+  NaN past t = 0.5 (the "-nan" problems), x d 1-2 x n 64 and 1024 x the
+  same tolerances; and at n 4096, tol 1e-9, where the step residual's
+  rounding floor nears the target, the same problems and the harmonic one
+  from the start ``fracvi convergence --scheme direct`` takes ("-cli":
+  Q_0 = 1, Q_1 = cos(omega h) + sin(omega h)/2), which stalls on it.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.
@@ -31,8 +37,10 @@ may order its sums differently from run to run.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
+import math
 import sys
 import zlib
 
@@ -62,7 +70,8 @@ PUBLIC_RESIDUAL = {
     SchemeFamily.VARIATIONAL_FRACTIONAL: fv.residual_vi_fractional,
 }
 
-#: group -> the cases' tuples (family or "march", sigma, alpha, problem, d, n, tol)
+#: group -> the cases' tuples (family or "march", sigma, alpha, problem, d, n,
+#: tol), march-failures' with max_iter last
 GROUPS = {
     "classical": list(itertools.product(
         CLASSICAL, SIGMAS, [None], PROBLEMS, DIMS, (4, 5, 16, 64, 257, 1025), TOLS)),
@@ -72,6 +81,14 @@ GROUPS = {
         FRACTIONAL, SIGMAS, [1.0], PROBLEMS, DIMS, (4, 16, 64, 130, 256), TOLS)),
     "march": list(itertools.product(
         ["march"], [fv.MINUS], [None], PROBLEMS, DIMS, (64, 256, 1024, 2048), TOLS)),
+    "march-failures": list(itertools.product(
+        ["march"], [fv.MINUS], [None], PROBLEMS, DIMS, (64, 1024), TOLS, [1]))
+    + list(itertools.product(
+        ["march"], [fv.MINUS], [None], [p + "-nan" for p in PROBLEMS], DIMS, (64, 1024), TOLS,
+        [50]))
+    + list(itertools.product(
+        ["march"], [fv.MINUS], [None], PROBLEMS + ("harmonic-cli",), DIMS, [4096], [1e-9],
+        [50])),
 }
 
 
@@ -94,19 +111,34 @@ def _solved(run) -> list:
     return [np.asarray(last), message, history, repr(counters)]
 
 
+def _nan_past_half(lag: fv.Lagrangian) -> fv.Lagrangian:
+    """``lag`` with ``Lx`` NaN at every t > 0.5."""
+
+    def Lx(x, v, t):
+        return np.where(np.asarray(t)[..., None] > 0.5, np.nan, lag.Lx(x, v, t))
+
+    return dataclasses.replace(lag, Lx=Lx)
+
+
 def outcome(case) -> list:
     """The outcome of one case: a list of arrays and strings."""
-    family, sigma, alpha, problem, d, n, tol = case
+    family, sigma, alpha, problem, d, n, tol, *max_iter = case
     rng = _rng(case)
-    if problem == "coupled":
+    name = problem.removesuffix("-nan").removesuffix("-cli")
+    if name == "coupled":
         lag = coupled_lagrangian(d)
     else:
-        lag = fv.builtin_problem(problem, omega=1.5, dim=d)
+        lag = fv.builtin_problem(name, omega=1.5, dim=d)
+    if problem.endswith("-nan"):
+        lag = _nan_past_half(lag)
     grid = fv.make_grid(0.0, 1.0, n)
     qa, qb = rng.uniform(-1.0, 1.0, (2, d))
-    config = NewtonConfig(tol=tol)
+    config = NewtonConfig(tol, *max_iter)
     if family == "march":
-        return _solved(lambda: march_direct_classical(lag, grid, qa, qa + grid.h * qb, config))
+        q0, q1 = qa, qa + grid.h * qb
+        if problem.endswith("-cli"):
+            q0, q1 = np.ones(d), np.full(d, math.cos(1.5 * grid.h) + 0.5 * math.sin(1.5 * grid.h))
+        return _solved(lambda: march_direct_classical(lag, grid, q0, q1, config))
     kind = SchemeKind(family, sigma, alpha)
     parts = _solved(lambda: solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=config))
     q = fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d)))

@@ -489,6 +489,54 @@ def test_march_edge_case_matches_frozen_chord_march_bytes(case):
     assert got == _march_outcome(chord_march, lag, grid, q0, q1, 1e-11, max_iter)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_takes_an_lv_that_returns_a_list(dim):
+    # as every assembly does, each march step converts a callback's list
+    lag = fv.harmonic_oscillator(1.0, dim=dim)
+    listed = dataclasses.replace(lag, Lv=lambda x, v, t: np.asarray(v).tolist())
+    grid = fv.make_grid(0.0, 1.0, 16)
+    q0 = np.linspace(0.1, 0.2, dim)
+    q1 = q0 + 0.05
+    got = _march_outcome(_library_march, listed, grid, q0, q1, 1e-11)
+    assert got[0] is None
+    assert got == _march_outcome(_library_march, lag, grid, q0, q1, 1e-11)
+
+
+def test_one_unknown_march_hands_callbacks_float_arrays():
+    # a d = 1 march steps on floats, but every Lx and Lv call, the Jacobian
+    # columns and the line search's trials included, gets (1,) float arrays
+    lag, n, start, slope, max_iter, _ = _MARCH_EDGE_CASES["backtrack"]
+    args = []
+
+    def recording(fn):
+        def call(x, v, t):
+            args.extend([x, v])
+            return fn(x, v, t)
+
+        return call
+
+    recorded = dataclasses.replace(lag, Lx=recording(lag.Lx), Lv=recording(lag.Lv))
+    grid = fv.make_grid(0.0, 1.0, n)
+    _, diag = march_direct_classical(
+        recorded, grid, [start], [start + slope * grid.h], NewtonConfig(1e-11, max_iter)
+    )
+    assert diag.jacobian_builds >= 1 and diag.backtracks >= 1
+    assert len(args) == 2 * (2 * diag.residual_evals + 1)
+    assert all(type(a) is np.ndarray and a.shape == (1,) and a.dtype == np.float64 for a in args)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_zero_jacobian_is_singular(dim):
+    # a step residual that Q_k does not move has a zero Jacobian
+    lag = dataclasses.replace(
+        fv.free_particle(dim),
+        Lx=lambda x, v, t: np.ones_like(x),
+        Lv=lambda x, v, t: np.zeros_like(v),
+    )
+    with pytest.raises(SingularMatrixError, match="singular matrix"):
+        march_direct_classical(lag, fv.make_grid(0.0, 1.0, 8), np.zeros(dim), np.zeros(dim))
+
+
 @pytest.mark.parametrize("q0, q1", [([math.nan], [0.0]), ([0.0], [math.inf])])
 def test_march_refuses_non_finite_initial_values(q0, q1):
     grid = fv.make_grid(0.0, 1.0, 16)
@@ -506,6 +554,8 @@ def test_march_failure_carries_step_diagnostics():
     assert not err.value.diagnostics.converged
     assert str(err.value).startswith("march step k=")
     assert "target 1.000e-12" in str(err.value)
+    last = err.value.last
+    assert type(last) is np.ndarray and last.shape == (1,) and last.dtype == np.float64
 
 
 def test_march_first_order_convergence():
