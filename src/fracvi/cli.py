@@ -38,6 +38,7 @@ from .grids import (
     _fmt,
     _write_csv,
     check_endpoints,
+    check_size,
     make_grid,
     sample,
     sigma_label,
@@ -161,6 +162,7 @@ def run_ibp(
     dim: int,
 ) -> tuple[int, list[str]]:
     """Randomized two-sided evaluation of the integration-by-parts identity."""
+    check_size(n, dim)
     rng = np.random.default_rng(seed)
     grid = make_grid(a, b, n)
     rtol = CLASSICAL_IBP_RTOL if alpha is None else FRACTIONAL_IBP_RTOL
@@ -213,6 +215,7 @@ def run_coherence(
     where the direct and variational stencils differ by a constant 6; the
     asymmetric and fractional rows use a seeded random trajectory.
     """
+    check_size(n, dim)
     lag = builtin_problem(problem, omega=omega, dim=dim)
     rng = np.random.default_rng(seed)
     reports = []
@@ -289,6 +292,7 @@ def _check_n_list(n_list: list[int]) -> None:
         raise DomainError("n-list must be at least two strictly increasing values")
     if n_list[0] < 2:  # a grid's fewest subintervals
         raise DomainError(f"n-list values must be at least 2, got {n_list[0]}")
+    check_size(n_list[-1])
 
 
 def _observed_orders(ns: list[int], errors: list[float]) -> list[float | None]:

@@ -37,6 +37,15 @@ def check_integer(value, name: str) -> int:
     return operator.index(value)
 
 
+def check_size(n: int, dim: int = 1) -> None:
+    """Refuse, before any allocation, a grid of ``n`` subintervals whose
+    (n + 1, dim) node values no float array holds: numpy cannot index them,
+    or their byte count overflows its index type."""
+    if (n + 1) * dim > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"n={n} with dim={dim} needs {n + 1} x {dim} node values, "
+                          "more than a float array can hold")
+
+
 def check_sigma(sigma) -> int:
     """``sigma`` as the int PLUS or MINUS; True and -1.0 are refused, as
     :func:`check_integer` refuses them."""
@@ -105,6 +114,7 @@ class Grid:
             raise DomainError(f"grid requires b > a, got a={self.a}, b={self.b}")
         if self.n < 2:
             raise DomainError(f"grid requires n >= 2 subintervals, got n={self.n}")
+        check_size(self.n)
         span, h = self.b - self.a, self.h
         # h <= span/2, so a finite span and 1/h bound 1/span and h as well
         if not (math.isfinite(span) and h > 0 and math.isfinite(1.0 / h)):

@@ -15,7 +15,8 @@ is assembled analytically from the chain rule, its adjoint by
 a two-point difference at alpha = 1); ``functional_gradient`` checks its
 arguments and wraps the array-level core ``_gradient``, which the Newton
 solver calls directly.  The callback helpers take the window's x, v and t
-as arrays.
+as arrays.  Every callback result, a march step's too, goes through
+``_call``, which converts and shape-checks it; no library code writes to one.
 The Newton Jacobian's pointwise Hessian blocks are forward differences of
 Lx and Lv with the relative step FD_STEP, the one the solver uses;
 finite-difference gradients of the functional are a test oracle only and
@@ -84,16 +85,17 @@ def mechanical(
     name: str = "mechanical",
 ) -> Lagrangian:
     """L(x, v, t) = |v|^2 / 2 - U(x), with Lv = v and Lx = -grad U exactly;
-    U maps x of shape (..., d) to shape (...), grad U to shape (..., d)."""
+    U maps x of shape (..., d) to shape (...), grad U to shape (..., d).
+    Lv returns v itself; only ``_call`` converts, so grad U may return a list."""
 
     def L(x: Vec, v: Vec, t: Vec) -> Vec:
         return 0.5 * np.sum(v * v, axis=-1) - potential(x)
 
     def Lx(x: Vec, v: Vec, t: Vec) -> Vec:
-        return -np.asarray(grad_potential(x), dtype=float)
+        return np.negative(grad_potential(x))
 
     def Lv(x: Vec, v: Vec, t: Vec) -> Vec:
-        return np.array(v, dtype=float)
+        return v
 
     return Lagrangian(L=L, Lx=Lx, Lv=Lv, dim=dim, name=name)
 
@@ -102,7 +104,7 @@ def free_particle(dim: int = 1) -> Lagrangian:
     """U identically zero."""
     return mechanical(
         lambda x: 0.0,
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        np.zeros_like,
         dim=dim,
         name="free",
     )
@@ -113,7 +115,7 @@ def harmonic_oscillator(omega: float = 1.0, dim: int = 1) -> Lagrangian:
     w2 = float(omega) ** 2
     return mechanical(
         lambda x: 0.5 * w2 * np.sum(x * x, axis=-1),
-        lambda x: w2 * np.asarray(x, dtype=float),
+        lambda x: w2 * x,
         dim=dim,
         name="harmonic",
     )
@@ -124,7 +126,7 @@ def pendulum(omega: float = 1.0, dim: int = 1) -> Lagrangian:
     w2 = float(omega) ** 2
     return mechanical(
         lambda x: w2 * np.sum(1.0 - np.cos(x), axis=-1),
-        lambda x: w2 * np.sin(np.asarray(x, dtype=float)),
+        lambda x: w2 * np.sin(x),
         dim=dim,
         name="pendulum",
     )
@@ -154,19 +156,15 @@ def _check_dims(lag: Lagrangian, q: Trajectory) -> None:
 
 
 def _call(fn, name: str, shape: tuple, x: Vec, v: Vec, t: Vec) -> Vec:
-    """One batched callback call; a result of the wrong shape is refused."""
+    """One batched callback call: the one place that makes a callback's
+    result a float array (a float array as it is) and refuses a wrong shape."""
     out = np.asarray(fn(x, v, t), dtype=float)
     if out.shape != shape:
-        raise _shape_error(name, out.shape, shape)
+        raise DomainError(
+            f"Lagrangian callback {name} returned shape {out.shape}, expected "
+            f"{shape}: callbacks take x, v of shape (..., d) and t of shape (...)"
+        )
     return out
-
-
-def _shape_error(name: str, got: tuple, shape: tuple) -> DomainError:
-    """The refusal of a callback result of shape ``got`` where ``shape`` is due."""
-    return DomainError(
-        f"Lagrangian callback {name} returned shape {got}, expected "
-        f"{shape}: callbacks take x, v of shape (..., d) and t of shape (...)"
-    )
 
 
 def _lagrangian_values(lag: Lagrangian, x: Vec, v: Vec, t: Vec):

@@ -27,13 +27,14 @@ for a matrix, cyclic reduction for three block bands.
 A boundary-value solve holds none: plain Newton.  Marching threads the
 held Jacobian from step to step, a chord iteration whose rebuilds
 difference the step's d unknowns one at a time; a step reuses the previous
-step's last Lv value.  Each iteration makes one linear solve, and the line
-search stops as soon as a rejected trial rounds to the iterate.  A
+step's last Lv value and, as every assembly, calls Lx and Lv through
+``lagrangians._call``.  Each iteration makes one linear solve, and the
+line search stops as soon as a rejected trial rounds to the iterate.  A
 one-unknown march (d = 1) runs in the scalar layout: its unknown,
 residuals, held Jacobian and Lv values are Python floats, wrapped as (1,)
 arrays only for the Lx and Lv calls, so it calls no :func:`lu_solve`.  A
-harmonic chord step then costs about 8 us on a 2-core x86_64 host, 4-5 us
-of it in the callbacks (about 15 us in the array layout).
+harmonic chord step then costs about 7 us on a 2-core x86_64 host, 3.5-4
+us of it in the callbacks (about 15 us in the array layout).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .grids import DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
 from .grids import check_integer
-from .lagrangians import FD_STEP, Lagrangian, _call, _shape_error
+from .lagrangians import FD_STEP, Lagrangian, _call, _lagrangian_values
 from .schemes import SchemeKind, _assemble_values, _check_layout, _jacobian_core
 from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
 
@@ -134,12 +135,8 @@ class NewtonDiagnostics:
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a dense square system by LAPACK's partial-pivoting LU.
-
-    A 1x1 system with one right-hand side is answered by the one division
-    LAPACK does, in Python floats, without its call overhead; a zero pivot
-    raises :class:`SingularMatrixError` as LAPACK's does.
-    """
+    """Solve a dense square system by LAPACK's partial-pivoting LU; an
+    exactly zero pivot raises :class:`SingularMatrixError`."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m = a.shape[0]
@@ -147,11 +144,6 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DomainError(f"matrix must be square, got {a.shape}")
     if b.shape[0] != m:
         raise DomainError(f"right-hand side length {b.shape[0]} != {m}")
-    if b.shape == (1,):
-        pivot = float(a[0, 0])
-        if pivot == 0.0:
-            raise SingularMatrixError("singular matrix")
-        return np.array([float(b[0]) / pivot])
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -471,7 +463,8 @@ def march_direct_classical(
     last one.  A linear problem thus builds one Jacobian for the whole
     march.  With d = 1 the step's unknown, residuals, Jacobian and Lv
     values are Python floats, and x and v reach ``Lx`` and ``Lv`` as (1,)
-    arrays; the outcome is bit for bit that of the (d,) array layout.
+    arrays; the outcome is bit for bit that of the (d,) array layout.  Each
+    step's callback results are converted and shape-checked as an assembly's.
 
     Returns the trajectory and diagnostics whose counters are summed over
     every step and whose history is that of the step that ended with the
@@ -488,26 +481,19 @@ def march_direct_classical(
     worst = math.nan  # spent.final_residual, as a float
     held = None  # the last Jacobian built during the march
     scalar = d == 1  # the scalar layout: Q_k, residuals and Lv as floats
-    Lx, Lv, shape = lag.Lx, lag.Lv, (d,)
 
     # step k's residual at Q_k = x, with prev = Q_{k-1}, t_k and
-    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last.  The
-    # callbacks see (d,) arrays, and a result of the wrong shape is refused
+    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last
     def step_residual(x):
         nonlocal lv_last
         v = (x - prev) * hinv
         xs, vs = (np.array([x]), np.array([v])) if scalar else (x, v)
-        lx = np.asarray(Lx(xs, vs, t_k), dtype=float)
-        if lx.shape != shape:
-            raise _shape_error("Lx", lx.shape, shape)
-        lv_last = np.asarray(Lv(xs, vs, t_k), dtype=float)
-        if lv_last.shape != shape:
-            raise _shape_error("Lv", lv_last.shape, shape)
+        lx, lv_last = _lagrangian_values(lag, xs, vs, t_k)
         if scalar:
             lx, lv_last = lx.item(), lv_last.item()
         return lx - (lv_last - lv_prev) * hinv
 
-    lv_last = _call(Lv, "Lv", shape, q1, (q1 - q0) * hinv, nodes[1])
+    lv_last = _call(lag.Lv, "Lv", (d,), q1, (q1 - q0) * hinv, nodes[1])
     q = [q0, q1]  # Q_0 .. Q_k
     if scalar:
         q, lv_last = [q0.item(), q1.item()], lv_last.item()
@@ -521,7 +507,7 @@ def march_direct_classical(
                 step_residual, guess, cfg, _fd_jacobian, held, f"march step k={k}: "
             )
         except NewtonConvergenceError as exc:
-            exc.last = np.reshape(exc.last, shape)
+            exc.last = np.reshape(exc.last, (d,))
             exc.diagnostics.add_counts(spent)
             raise
         q.append(x)

