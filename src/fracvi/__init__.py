@@ -16,21 +16,19 @@ from .grids import (
     sample,
     write_trajectory_csv,
 )
-from .diffops import (
+from .fracops import (
+    check_discrete_frac_ibp,
     check_discrete_ibp,
+    delta_alpha_minus,
+    delta_alpha_plus,
     delta_minus,
     delta_plus,
     discrete_velocity,
-    gauss_quadrature,
-    seq_delta,
-)
-from .fracops import (
-    check_discrete_frac_ibp,
-    delta_alpha_minus,
-    delta_alpha_plus,
     discrete_velocity_alpha,
+    gauss_quadrature,
     gl_coefficients,
     rl_monomial_derivative,
+    seq_delta,
 )
 from .lagrangians import (
     Lagrangian,

@@ -8,28 +8,28 @@ derivative of monomials against the closed form).
 
 Every flag's name, type and default is stated once, in :func:`build_parser`;
 ``fracvi <cmd> --help`` lists them with their defaults.  Each subcommand's
-handler is its ``run_*`` function, called with the parsed values it takes.
+handler is its ``run_*`` function; it takes its flags' values, ``--config`` aside.
 A plain ``key=value`` file can be supplied with ``--config``: keys are flag
 names (with ``-`` or ``_``), values are parsed exactly like flags, keys the
 subcommand does not take are ignored, and explicit flags win.
 
 Exit codes: 0 all checks pass, 1 check violation, 2 usage error, 3 solver
-failure.  Every command is deterministic given ``--seed``.
+failure.  Every command is deterministic; ``ibp`` and ``coherence`` draw
+random trajectories, from ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import math
 import re
 import sys
 
 import numpy as np
 
-from .diffops import check_discrete_ibp
-from .fracops import check_discrete_frac_ibp, delta_alpha_minus, rl_monomial_derivative
+from .fracops import check_discrete_frac_ibp, check_discrete_ibp, delta_alpha_minus
+from .fracops import rl_monomial_derivative
 from .grids import (
     MINUS,
     PLUS,
@@ -551,7 +551,6 @@ def _build_parsers():
         p.set_defaults(handler=handler)
         p.add_argument("--a", type=float, default=0.0, help="interval start")
         p.add_argument("--b", type=float, default=1.0, help="interval end")
-        p.add_argument("--seed", type=_seed, default=0, help="random seed")
         p.add_argument("--config", help="key=value file of flag values")
         return p
 
@@ -569,12 +568,14 @@ def _build_parsers():
                        help="Newton iteration limit")
 
     p = command("ibp", run_ibp, "integration-by-parts identity checks")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--n", type=int, default=64, help="subintervals")
     p.add_argument("--trials", type=_count, default=100, help="random trials")
     p.add_argument("--alpha", type=float, help="fractional order; unset: classical")
     p.add_argument("--dim", type=_count, default=1, help="curve dimension")
 
     p = command("coherence", run_coherence, "dual-path residual comparison")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed")
     mechanics(p)
     p.add_argument("--n", type=int, default=32, help="subintervals")
     p.add_argument("--dim", type=_count, default=1, help="curve dimension")
@@ -614,6 +615,9 @@ def _build_parsers():
     return parser, commands
 
 
+_NOT_ARGUMENTS = {"handler", "command", "config"}  # parsed, but no handler takes them
+
+
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser that every call of :func:`main` without ``--config``
@@ -630,13 +634,12 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults of a parser of
             # this call's own: argparse then converts and checks them like
             # flags, explicit flags win, and no later call sees them
-            flags = vars(args).keys() - {"handler", "command", "config"}
+            flags = vars(args).keys() - _NOT_ARGUMENTS
             cfg = {k: v for k, v in load_config(args.config).items() if k in flags}
             parser, commands = _build_parsers()
             commands[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
-        takes = inspect.signature(args.handler).parameters
-        kwargs = {k: v for k, v in vars(args).items() if k in takes}
+        kwargs = {k: v for k, v in vars(args).items() if k not in _NOT_ARGUMENTS}
         with np.errstate(all="ignore"):  # the checks refuse or report non-finite values
             code, lines = args.handler(**kwargs)
     except SystemExit as exc:

@@ -1,20 +1,23 @@
-"""Grunwald-Letnikov weights, discrete fractional derivative operators, the
-discrete fractional integration-by-parts identity, and a closed-form
+"""Grunwald-Letnikov (GL) weights and one-sided operators, the classical
+pair among them as the order alpha = 1, the one-sided rectangle rule,
+both discrete integration-by-parts identities, and a closed-form
 Riemann-Liouville oracle on monomials.
 
 The signed binomial weights are w_r = (-1)^r C(alpha, r), generated by the
 multiplicative recurrence w_r = w_{r-1} * (r - 1 - alpha) / r.  For
 0 < alpha < 1 they satisfy w_0 = 1, w_r < 0 for r >= 1, and positive,
-strictly decreasing partial sums.  Operators are dense O(n^2) Toeplitz
-kernels from one builder, ``_kernel(alpha, n, side)``, which copies the
-rows out of strided windows over one zero-padded weight vector: the left
-operator reads w_{k-j}, the right one w_{j-k}.  Every kernel product in
-the package goes through one pair keyed by (alpha, side):
-:func:`gl_apply` (the kernel) and :func:`gl_adjoint_apply` (the transpose
-of its interior columns, held as one contiguous copy, which the
-variational gradient and its Jacobian both scatter through).  At alpha = 1
-the weights are 1, -1, 0, ..., and both answer with the unscaled two-point
-difference ``diffops._difference``: O(n), no kernel and no cache entry.
+strictly decreasing partial sums; at alpha = 1 they are 1, -1, 0, ..., so
+``delta_plus``, ``delta_minus``, ``discrete_velocity`` and ``seq_delta``
+are the GL entries at alpha = 1, and -sigma * delta_sigma is the discrete
+d/dt.  Operators are dense O(n^2) Toeplitz kernels from one builder,
+``_kernel(alpha, n, side)``, which copies the rows out of strided windows
+over one zero-padded weight vector: the left operator reads w_{k-j}, the
+right one w_{j-k}.  Every kernel product in the package goes through one
+pair keyed by (alpha, side): :func:`gl_apply` (the kernel) and
+:func:`gl_adjoint_apply` (the transpose of its interior columns, held as
+one contiguous copy, which the variational gradient and its Jacobian both
+scatter through).  At alpha = 1 both answer with :func:`_difference`, the
+package's one one-sided difference: O(n), no kernel and no cache entry.
 Kernels and adjoints share one cache bounded by bytes: 256 MiB, exactly
 one kernel and its adjoint at n = 4096 (README "Numerical notes" says
 what no longer fits above that).  No fast convolution is attempted at
@@ -30,7 +33,6 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .diffops import _difference
 from .grids import (
     MINUS,
     PLUS,
@@ -38,7 +40,6 @@ from .grids import (
     ResidualField,
     ShiftedSequence,
     Trajectory,
-    _check_ibp_pair,
     _freeze,
     check_integer,
     check_sigma,
@@ -107,6 +108,14 @@ def _adjoint(alpha: float, n: int, side: int) -> np.ndarray:
     """``_kernel(alpha, n, side)[:, 1:n].T`` as a contiguous, read-only,
     cached copy: the adjoint of the velocity map onto the interior nodes."""
     return _cached((alpha, n, side, "adjoint"), lambda: _kernel(alpha, n, side)[:, 1:n].T)
+
+
+def _difference(v: np.ndarray, side: int) -> np.ndarray:
+    """The unscaled one-sided difference: v_k - v_{k+1} for ``side=PLUS``,
+    v_k - v_{k-1} for MINUS, one row fewer than ``v``."""
+    if side == PLUS:
+        return v[:-1] - v[1:]
+    return v[1:] - v[:-1]
 
 
 def gl_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
@@ -179,6 +188,16 @@ def delta_alpha_plus(q: Trajectory, alpha: float) -> ShiftedSequence:
     return ShiftedSequence(q.grid, PLUS, vals)
 
 
+def delta_minus(q: Trajectory) -> ShiftedSequence:
+    """Backward difference (Q_k - Q_{k-1})/h on {1, .., n}: left GL at alpha = 1."""
+    return delta_alpha_minus(q, 1.0)
+
+
+def delta_plus(q: Trajectory) -> ShiftedSequence:
+    """Forward difference (Q_k - Q_{k+1})/h on {0, .., n-1}: right GL at alpha = 1."""
+    return delta_alpha_plus(q, 1.0)
+
+
 def discrete_velocity_alpha(q: Trajectory, sigma: int, alpha: float) -> ShiftedSequence:
     """The fractional derivative analogue (-sigma * delta^alpha_sigma Q)."""
     check_sigma(sigma)
@@ -186,9 +205,28 @@ def discrete_velocity_alpha(q: Trajectory, sigma: int, alpha: float) -> ShiftedS
     return ShiftedSequence(q.grid, sigma, _velocity_alpha(q.values, q.grid.h, sigma, alpha))
 
 
+def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
+    """The derivative analogue (-sigma * delta_sigma Q): the GL one at alpha = 1."""
+    return discrete_velocity_alpha(q, sigma, 1.0)
+
+
 def _velocity_alpha(values: np.ndarray, h: float, sigma: int, alpha: float) -> np.ndarray:
     """Array core of :func:`discrete_velocity_alpha`: (n+1, d) in, (n, d) out."""
     return (-sigma) * (gl_apply(alpha, sigma, values) * _scale(h, alpha))
+
+
+def _windowed(s: ShiftedSequence, side: int, alpha: float) -> ResidualField:
+    """The GL operator of ``side`` applied to a windowed sequence, on the
+    indices where its sum has every term: PLUS (entries k, k+1, ...) drops
+    the window's last index, MINUS (entries k, k-1, ...) its first."""
+    vals = gl_apply(alpha, side, s.values) * _scale(s.grid.h, alpha)
+    return ResidualField(s.grid, s.k_start + (side == MINUS), vals)
+
+
+def seq_delta(s: ShiftedSequence, side: int) -> ResidualField:
+    """Apply delta_side, the GL operator of ``side`` at alpha = 1, to a
+    windowed sequence."""
+    return _windowed(s, check_sigma(side), 1.0)
 
 
 def frac_seq_minus(s: ShiftedSequence, alpha: float) -> ResidualField:
@@ -200,8 +238,7 @@ def frac_seq_minus(s: ShiftedSequence, alpha: float) -> ResidualField:
     alpha = _check_alpha(alpha)
     if s.side != PLUS:
         raise DomainError("left GL application needs a forward-window sequence")
-    vals = gl_apply(alpha, MINUS, s.values) * _scale(s.grid.h, alpha)
-    return ResidualField(s.grid, 1, vals)
+    return _windowed(s, MINUS, alpha)
 
 
 def frac_seq_plus(s: ShiftedSequence, alpha: float) -> ResidualField:
@@ -213,13 +250,63 @@ def frac_seq_plus(s: ShiftedSequence, alpha: float) -> ResidualField:
     alpha = _check_alpha(alpha)
     if s.side != MINUS:
         raise DomainError("right GL application needs a backward-window sequence")
-    vals = gl_apply(alpha, PLUS, s.values) * _scale(s.grid.h, alpha)
-    return ResidualField(s.grid, 1, vals)
+    return _windowed(s, PLUS, alpha)
 
 
-def check_discrete_frac_ibp(
-    f: Trajectory, g: Trajectory, alpha: float
-) -> tuple[float, float]:
+def gauss_quadrature(s: ShiftedSequence):
+    """One-sided rectangle rule: h times the sum of entries over I_sigma.
+
+    Returns a float for dim-1 sequences, a (d,) array otherwise.
+    """
+    total = np.array([math.fsum(s.values[:, c]) for c in range(s.dim)])
+    out = s.grid.h * total
+    return float(out[0]) if s.dim == 1 else out
+
+
+def _check_ibp_pair(f: Trajectory, g: Trajectory) -> None:
+    """The refusals of an integration-by-parts pair: one grid, one dimension."""
+    if f.grid != g.grid:
+        raise DomainError("integration by parts requires a common grid")
+    if f.dim != g.dim:
+        raise DomainError(f"dimension mismatch: {f.dim} vs {g.dim}")
+
+
+def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float, float]:
+    """Both sides of :func:`check_discrete_frac_ibp`, each one exactly rounded
+    sum; ``alpha=None`` is :func:`check_discrete_ibp`, alpha = 1 and the
+    boundary term.  Refused unless both are finite: at a tiny h a term or a
+    partial sum overflows."""
+    order = 1.0 if alpha is None else alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (delta_alpha_minus(f, order).values * g.values[1:]).ravel()
+        rhs = [(f.values[:-1] * delta_alpha_plus(g, order).values).ravel()]
+        if alpha is None:
+            hinv = 1.0 / f.grid.h
+            rhs.append([float(np.dot(f.values[-1], g.values[-1])) * hinv,
+                        -float(np.dot(f.values[0], g.values[0])) * hinv])
+    try:
+        sides = math.fsum(lhs), math.fsum(np.concatenate(rhs))
+        if all(map(math.isfinite, sides)):
+            return sides
+    except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
+        pass
+    at = f"h = {f.grid.h!r}" + ("" if alpha is None else f", alpha = {alpha!r}")
+    raise DomainError(f"integration-by-parts sums are not finite floats at {at}")
+
+
+def check_discrete_ibp(f: Trajectory, g: Trajectory) -> tuple[float, float]:
+    """Evaluate both sides of the discrete integration-by-parts identity.
+
+    lhs = sum_{k=1..n} (delta_minus F)_k . G_k
+    rhs = sum_{k=0..n-1} F_k . (delta_plus G)_k + (F_n.G_n - F_0.G_0)/h
+
+    Both sides are returned so callers can report the gap magnitude.
+    """
+    _check_ibp_pair(f, g)
+    return _ibp_sides(f, g, None)
+
+
+def check_discrete_frac_ibp(f: Trajectory, g: Trajectory, alpha: float) -> tuple[float, float]:
     """Evaluate both sides of the discrete fractional integration by parts.
 
     lhs = sum_{k=1..n} (delta^alpha_minus F)_k . G_k
@@ -232,12 +319,8 @@ def check_discrete_frac_ibp(
     f_zero = not (f.values[0].any() or f.values[-1].any())
     g_zero = not (g.values[0].any() or g.values[-1].any())
     if not (f_zero or g_zero):
-        raise DomainError(
-            "hypothesis violated: need F_0 = F_n = 0 or G_0 = G_n = 0"
-        )
-    lhs = math.fsum((delta_alpha_minus(f, alpha).values * g.values[1:]).ravel())
-    rhs = math.fsum((f.values[:-1] * delta_alpha_plus(g, alpha).values).ravel())
-    return lhs, rhs
+        raise DomainError("hypothesis violated: need F_0 = F_n = 0 or G_0 = G_n = 0")
+    return _ibp_sides(f, g, alpha)
 
 
 def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:

@@ -30,10 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .diffops import gauss_quadrature
-from .diffops import discrete_velocity  # noqa: F401  perfbench/tracer.py patches it here
 from .fracops import _scale, _unit_order, _velocity_alpha, discrete_velocity_alpha
-from .fracops import gl_adjoint_apply
+from .fracops import gauss_quadrature, gl_adjoint_apply
+from .fracops import discrete_velocity  # noqa: F401  perfbench/tracer.py patches it here
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
     DomainError,

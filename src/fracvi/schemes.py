@@ -48,8 +48,8 @@ from .lagrangians import _gradient, _lagrangian_values
 
 # perfbench/tracer.py times these names here; the assemblies call the array
 # cores they wrap
-from .diffops import discrete_velocity, seq_delta  # noqa: F401
-from .fracops import discrete_velocity_alpha, frac_seq_minus, frac_seq_plus  # noqa: F401
+from .fracops import discrete_velocity, discrete_velocity_alpha, seq_delta  # noqa: F401
+from .fracops import frac_seq_minus, frac_seq_plus  # noqa: F401
 
 #: Relative tolerance for declaring two residual paths coherent.
 COHERENCE_RTOL = 1e-10

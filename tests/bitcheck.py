@@ -30,7 +30,16 @@ functional and the velocity.  Groups:
   same tolerances; and at n 4096, tol 1e-9, where the step residual's
   rounding floor nears the target, the same problems and the harmonic one
   from the start ``fracvi convergence --scheme direct`` takes ("-cli":
-  Q_0 = 1, Q_1 = cos(omega h) + sin(omega h)/2), which stalls on it.
+  Q_0 = 1, Q_1 = cos(omega h) + sin(omega h)/2), which stalls on it;
+- operators: the public operators on seeded trajectories, x sigma (the
+  velocity's side and the window of the windowed operators) x classical
+  and alpha 0.3, 0.8 and 1 x d 1-2 x n 4, 5, 16, 64, 257.  Classical:
+  ``delta_plus``, ``delta_minus``, ``discrete_velocity``, ``seq_delta``
+  of both sides on the window, ``gauss_quadrature`` and
+  ``check_discrete_ibp``; else ``delta_alpha_plus``, ``delta_alpha_minus``,
+  ``discrete_velocity_alpha``, ``frac_seq_minus`` (plus window) or
+  ``frac_seq_plus`` (minus window), ``gauss_quadrature`` and
+  ``check_discrete_frac_ibp``.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.
@@ -48,6 +57,7 @@ import zlib
 import numpy as np
 
 import fracvi as fv
+from fracvi.fracops import frac_seq_minus, frac_seq_plus
 from fracvi.schemes import SchemeFamily, SchemeKind, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError
 from fracvi.solver import march_direct_classical, solve_bvp_newton
@@ -71,8 +81,8 @@ PUBLIC_RESIDUAL = {
     SchemeFamily.VARIATIONAL_FRACTIONAL: fv.residual_vi_fractional,
 }
 
-#: group -> the cases' tuples (family or "march", sigma, alpha, problem, d, n,
-#: tol), march-failures' with max_iter last
+#: group -> the cases' tuples (family, "march" or "operators", sigma, alpha,
+#: problem, d, n, tol), march-failures' with max_iter last
 GROUPS = {
     "classical": list(itertools.product(
         CLASSICAL, SIGMAS, [None], PROBLEMS, DIMS, (4, 5, 16, 64, 257, 1025), TOLS)),
@@ -90,11 +100,13 @@ GROUPS = {
     + list(itertools.product(
         ["march"], [fv.MINUS], [None], PROBLEMS + ("harmonic-cli",), DIMS, [4096], [1e-9],
         [50])),
+    "operators": list(itertools.product(
+        ["operators"], SIGMAS, (None, 0.3, 0.8, 1.0), [None], DIMS, (4, 5, 16, 64, 257), [None])),
 }
 
 
 def _rng(case) -> np.random.Generator:
-    name = case[0] if case[0] == "march" else case[0].value
+    name = case[0] if isinstance(case[0], str) else case[0].value
     return np.random.default_rng(zlib.crc32(repr((name,) + case[1:]).encode()))
 
 
@@ -121,10 +133,36 @@ def _nan_past_half(lag: fv.Lagrangian) -> fv.Lagrangian:
     return dataclasses.replace(lag, Lx=Lx)
 
 
+def _operators(rng, sigma, alpha, d, n) -> list:
+    """The operators' values and window starts on one seeded trajectory,
+    the rectangle rule of its velocity, and both sides of the integration
+    by parts on two more (F zero at the ends if alpha)."""
+    grid = fv.make_grid(0.0, 1.0, n)
+    values = rng.uniform(-2.0, 2.0, (3, n + 1, d))
+    if alpha is not None:
+        values[1, [0, -1]] = 0.0  # the fractional identity has no boundary term
+    q, f, g = (fv.Trajectory(grid, v) for v in values)
+    window = fv.restrict(q, sigma)
+    if alpha is None:
+        seqs = [fv.delta_plus(q), fv.delta_minus(q), fv.discrete_velocity(q, sigma),
+                fv.seq_delta(window, fv.PLUS), fv.seq_delta(window, fv.MINUS)]
+        sides = fv.check_discrete_ibp(f, g)
+    else:
+        windowed = frac_seq_minus if sigma == fv.PLUS else frac_seq_plus
+        seqs = [fv.delta_alpha_plus(q, alpha), fv.delta_alpha_minus(q, alpha),
+                fv.discrete_velocity_alpha(q, sigma, alpha), windowed(window, alpha)]
+        sides = fv.check_discrete_frac_ibp(f, g, alpha)
+    starts = np.array([s.k_start for s in seqs])
+    return [s.values for s in seqs] + [starts, np.asarray(fv.gauss_quadrature(seqs[2])),
+                                       np.array(sides)]
+
+
 def outcome(case) -> list:
     """The outcome of one case: a list of arrays and strings."""
     family, sigma, alpha, problem, d, n, tol, *max_iter = case
     rng = _rng(case)
+    if family == "operators":
+        return _operators(rng, sigma, alpha, d, n)
     name = problem.removesuffix("-nan").removesuffix("-cli")
     if name == "coupled":
         lag = coupled_lagrangian(d)

@@ -20,6 +20,23 @@ def random_trajectory(rng, grid, dim=1, scale=1.0):
     return fv.Trajectory(grid, scale * rng.standard_normal((grid.n + 1, dim)))
 
 
+def gl_sum(q, alpha, side):
+    """The GL operator of ``side`` written out term by term, with
+    w = gl_coefficients(alpha, n): h^-alpha sum_r w_r Q_{k-r} at
+    k = 1..n for MINUS, h^-alpha sum_r w_r Q_{k+r} at k = 0..n-1 for PLUS,
+    each component one exactly rounded sum."""
+    n, values = q.grid.n, q.values
+    w = fv.gl_coefficients(alpha, n)
+    scale = 1.0 / q.grid.h ** alpha
+    rows = range(1, n + 1) if side == fv.MINUS else range(n)
+    return np.array([
+        [scale * math.fsum(w[r] * values[k + side * r, c]
+                           for r in range(k + 1 if side == fv.MINUS else n - k + 1))
+         for c in range(q.dim)]
+        for k in rows
+    ])
+
+
 def coupled_lagrangian(dim=1):
     """Non-mechanical test Lagrangian with x-v coupling and explicit time.
 

@@ -237,7 +237,7 @@ def test_solve_singular_jacobian_exit_code(tmp_path, monkeypatch, capsys):
 def test_solve_deterministic_output(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
-    args = ["solve", "--problem", "harmonic", "--n", "32", "--seed", "9"]
+    args = ["solve", "--problem", "harmonic", "--n", "32"]
     main(args + ["--out", str(out1)])
     main(args + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
@@ -411,7 +411,14 @@ def test_parser_defaults(command):
     got = {k: v for k, v in vars(args).items() if k in takes}
     got = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in got.items()}
     assert got == expected
-    assert args.seed == 0  # accepted by every subcommand
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_each_subcommand_declares_exactly_its_handlers_arguments(command):
+    # --seed only where a handler draws with it; --config is main's own
+    handler, _ = DEFAULTS[command]
+    dests = {action.dest for action in cli._build_parsers()[1][command]._actions}
+    assert dests - {"help"} == set(inspect.signature(handler).parameters) | {"config"}
 
 
 def test_help_shows_defaults(capsys):
@@ -441,7 +448,7 @@ def test_config_flag_wins_over_bad_value(tmp_path, capsys):
 
 def test_config_ignores_other_and_internal_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n-list = 8,16\nbeta = x\nhandler = x\ncommand = x\nconfig = x\n")
+    cfg.write_text("n-list = 8,16\nbeta = x\nseed = x\nhandler = x\ncommand = x\nconfig = x\n")
     assert main(["convergence", "--problem", "free", "--config", str(cfg)]) == EXIT_OK
     assert "N=    8" in capsys.readouterr().out
 
@@ -483,6 +490,19 @@ def test_self_referenced_classical_verdict(capsys):
 
 
 GRID_RANGE = "must be finite with finite reciprocals"
+
+
+@pytest.mark.parametrize("argv,at", [
+    (["ibp", "--b", "1e-305"], "h = 1.5625e-307"),
+    (["ibp", "--alpha", "1", "--b", "1e-306"], "h = 1.5625e-308, alpha = 1.0"),
+    (["ibp", "--b", "1e-307", "--n", "16", "--alpha", "0.999"], "h = 6.25e-309, alpha = 0.999"),
+])
+def test_ibp_sums_outside_the_float_range_are_a_usage_error(capsys, argv, at):
+    # a partial sum overflows, or single terms are +-inf
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"error: integration-by-parts sums are not finite floats at {at}\n" == captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -104,6 +104,17 @@ def test_ibp_random_identity():
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
+@pytest.mark.parametrize("n,b", [(64, 1e-306), (16, 1e-307)])
+def test_ibp_refuses_sums_outside_the_float_range(n, b):
+    # 1/h is finite, but fsum overflows (n = 64) or meets inf - inf (n = 16);
+    # the refusal names h
+    rng = np.random.default_rng(7)
+    grid = _grid(n, 0.0, b)
+    f, g = (fv.Trajectory(grid, rng.standard_normal((n + 1, 2))) for _ in range(2))
+    with pytest.raises(fv.DomainError, match=f"not finite floats at h = {grid.h!r}$"):
+        fv.check_discrete_ibp(f, g)
+
+
 def test_ibp_rejects_grid_mismatch():
     f = fv.sample(lambda t: t, _grid(4))
     g = fv.sample(lambda t: t, _grid(5))

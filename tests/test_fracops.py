@@ -8,6 +8,7 @@ import fracvi as fv
 from fracvi import fracops
 from fracvi.fracops import _adjoint, _kernel
 from fracvi.solver import BVPProblem, solve_bvp_newton
+from oracles import gl_sum
 
 
 def test_weights_alpha_one_truncate():
@@ -213,14 +214,14 @@ def test_delta_alpha_minus_hand_case():
 def test_delta_alpha_minus_alpha_one_is_classical():
     q = fv.Trajectory(fv.make_grid(0.0, 3.0, 3), [0.0, 1.0, 4.0, 9.0])
     np.testing.assert_array_equal(
-        fv.delta_alpha_minus(q, 1.0).values, fv.delta_minus(q).values
+        fv.delta_alpha_minus(q, 1.0).values, gl_sum(q, 1.0, fv.MINUS)
     )
 
 
 def test_delta_alpha_plus_alpha_one_is_classical():
     q = fv.Trajectory(fv.make_grid(0.0, 3.0, 3), [0.0, 1.0, 4.0, 9.0])
     np.testing.assert_array_equal(
-        fv.delta_alpha_plus(q, 1.0).values, fv.delta_plus(q).values
+        fv.delta_alpha_plus(q, 1.0).values, gl_sum(q, 1.0, fv.PLUS)
     )
 
 
@@ -317,6 +318,19 @@ def test_frac_ibp_accepts_zero_endpoint_g():
     g_vals[-1] = 0.0
     lhs, rhs = fv.check_discrete_frac_ibp(f, fv.Trajectory(grid, g_vals), 0.4)
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+@pytest.mark.parametrize("n,b,alpha", [(64, 1e-306, 0.999), (64, 1e-306, 1.0), (16, 1e-307, 0.999)])
+def test_frac_ibp_refuses_sums_outside_the_float_range(n, b, alpha):
+    # h^-alpha is finite, but a partial sum or single terms overflow; the
+    # refusal names h and alpha
+    rng = np.random.default_rng(41)
+    grid = fv.make_grid(0.0, b, n)
+    f_vals = rng.standard_normal((n + 1, 2))
+    f_vals[[0, -1]] = 0.0
+    g = fv.Trajectory(grid, rng.standard_normal((n + 1, 2)))
+    with pytest.raises(fv.DomainError, match=f"at h = {grid.h!r}, alpha = {alpha!r}$"):
+        fv.check_discrete_frac_ibp(fv.Trajectory(grid, f_vals), g, alpha)
 
 
 def test_frac_ibp_rejects_hypothesis_violation():
