@@ -61,6 +61,7 @@ from .solver import (
     SingularMatrixError,
     linear_initial_guess,
     lu_solve,
+    march,
     march_direct_classical,
     solve_bvp_newton,
 )

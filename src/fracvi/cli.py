@@ -327,8 +327,8 @@ def run_convergence(
     ``free`` and ``harmonic`` classical runs are measured against the exact
     solution; everything else self-references a solve on a grid four times
     finer than the largest requested n.  The classical ``direct`` scheme is
-    marched from two exact initial nodes; all other schemes solve the
-    boundary-value problem.
+    marched on its sigma from two exact initial nodes; all other schemes
+    solve the boundary-value problem.
     """
     _check_n_list(n_list)
     lag = builtin_problem(problem, omega=omega, dim=1)
@@ -370,7 +370,7 @@ def run_convergence(
         else:
             ref_vals = ref_traj.values[:: n_ref // n]
         if marching:
-            traj, _ = march_direct_classical(lag, grid, ref_vals[0], ref_vals[1], config=cfg)
+            traj, _ = march_direct_classical(lag, grid, *ref_vals[:2], config=cfg, sigma=sigma)
         else:
             traj, _ = solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=cfg)
         errors.append(float(np.max(np.abs(traj.values - ref_vals))))

@@ -1,5 +1,5 @@
 """Newton solver for discrete Euler-Lagrange boundary-value systems and a
-marching solver for the direct classical scheme, both driven by one damped
+marching solver for every alpha = 1 scheme kind, both driven by one damped
 Newton kernel.
 
 Boundary values are never unknowns: the interior nodes Q_1 .. Q_{n-1} are
@@ -23,18 +23,19 @@ The Newton kernel owns its step: handed a Jacobian builder and maybe a
 held Jacobian, it solves with the held one at its first iteration, builds
 one at every other, and returns the last one it used.  The Jacobian's
 layout picks the linear solve: one division for a float, :func:`lu_solve`
-for a matrix, cyclic reduction for three block bands.
-A boundary-value solve holds none: plain Newton.  Marching threads the
-held Jacobian from step to step, a chord iteration whose rebuilds
-difference the step's d unknowns one at a time; a step reuses the previous
-step's last Lv value and, as every assembly, calls Lx and Lv through
-``lagrangians._call``.  Each iteration makes one linear solve, and the
-line search stops as soon as a rejected trial rounds to the iterate.  A
-one-unknown march (d = 1) runs in the scalar layout: its unknown,
-residuals, held Jacobian and Lv values are Python floats, wrapped as (1,)
-arrays only for the Lx and Lv calls, so it calls no :func:`lu_solve`.  A
-harmonic chord step then costs about 7 us on a 2-core x86_64 host, 3.5-4
-us of it in the callbacks (about 15 us in the array layout).
+for a matrix, cyclic reduction for three block bands.  A boundary-value
+solve holds none: plain Newton.  :func:`march` threads the held Jacobian
+from step to step, a chord iteration whose rebuilds difference the step's
+d unknowns one at a time.  Its one step rule reads the kind's sigma and
+outer side, reuses the previous step's last Lx and Lv values and, as
+every assembly, calls Lx and Lv through ``lagrangians._call``.  Each
+iteration makes one linear solve, and the line search stops as soon as a
+rejected trial rounds to the iterate.  A one-unknown march (d = 1) runs
+in the scalar layout: its unknown, residuals, held Jacobian and Lx, Lv
+values are Python floats, wrapped as (1,) arrays only for the callbacks,
+so it calls no :func:`lu_solve`.  A harmonic chord step then costs about
+7 us on a 2-core x86_64 host, 3.5-4 us of it in the callbacks (about 15
+us in the array layout).
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
+from .grids import MINUS, DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
 from .grids import check_integer
 from .lagrangians import FD_STEP, Lagrangian, _call, _lagrangian_values
-from .schemes import SchemeKind, _assemble_values, _check_layout, _jacobian_core
+from .schemes import SchemeFamily, SchemeKind, _assemble_values, _check_layout, _jacobian_core
 from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
 
 
@@ -439,32 +440,27 @@ def solve_bvp_newton(
     return build(x), diag
 
 
-def march_direct_classical(
-    lag: Lagrangian,
-    grid: Grid,
-    q0,
-    q1,
-    config: NewtonConfig | None = None,
+def march(
+    kind: SchemeKind, lag: Lagrangian, grid: Grid, q0, q1, config: NewtonConfig | None = None
 ) -> tuple[Trajectory, NewtonDiagnostics]:
-    """March the backward direct scheme forward from (Q_0, Q_1).
+    """March an alpha = 1 kind forward from (Q_0, Q_1); a lower order is
+    refused.
 
-    For k = 2 .. n the k-th direct residual is solved for its newest
-    unknown Q_k by a per-step Newton iteration; for the mechanical
-    Lagrangian this is the implicit step
+    Step k = 2 .. n solves the kind's three-node row for its newest unknown
+    Q_k.  With v = (Q_k - Q_{k-1})/h at node j = k (sigma MINUS) or k - 1
+    (PLUS), it calls Lx and Lv at (Q_j, v, t_j), and its residual is
+    lx + (lv_{j-1} - lv_j)/h, lx at node j if ``kind.outer`` is MINUS, else
+    at node j - 1.  Direct classical MINUS, for a mechanical Lagrangian, is
+    (Q_k - 2 Q_{k-1} + Q_{k-2})/h^2 + grad U(Q_k) = 0.
 
-        (Q_k - 2 Q_{k-1} + Q_{k-2})/h^2 + grad U(Q_k) = 0.
-
-    Each step is a chord iteration (Kelley 2003, section 5.4): the march
-    hands every step's Newton solve the last Jacobian built so far as its
-    held Jacobian, which is close because the step Jacobian is about
-    ``1/h^2`` plus a term that moves by O(h) from step to step.  The solve's
-    first iteration uses it; any later iteration rebuilds the Jacobian by
-    dense forward differences at its iterate, and the solve returns the
-    last one.  A linear problem thus builds one Jacobian for the whole
-    march.  With d = 1 the step's unknown, residuals, Jacobian and Lv
-    values are Python floats, and x and v reach ``Lx`` and ``Lv`` as (1,)
-    arrays; the outcome is bit for bit that of the (d,) array layout.  Each
-    step's callback results are converted and shape-checked as an assembly's.
+    Each step is a chord iteration (Kelley 2003, section 5.4): its Newton
+    solve starts from the last Jacobian built so far, close because the
+    step Jacobian is about ``1/h^2`` plus a term that moves by O(h) from
+    step to step, and rebuilds it by forward differences at any later
+    iteration.  A linear problem thus builds one Jacobian for the whole
+    march.  With d = 1 the step works on Python floats (the scalar
+    layout), bit for bit as the (d,) array layout.  Each step's callback
+    results are converted and shape-checked as an assembly's.
 
     Returns the trajectory and diagnostics whose counters are summed over
     every step and whose history is that of the step that ended with the
@@ -472,35 +468,44 @@ def march_direct_classical(
     :class:`NewtonConvergenceError` carrying that step's iterate (a (d,)
     array) and history, with its counters summed over every step.
     """
+    if kind.alpha not in (None, 1.0):
+        raise DomainError(f"only alpha = 1 kinds march, got alpha = {kind.alpha}")
     cfg = config or NewtonConfig()
     d = lag.dim
     q0, q1 = check_endpoints(q0, q1, d, "initial", ("q0", "q1"))
     hinv = 1.0 / grid.h
     nodes = grid.nodes.tolist()
+    back = 0 if kind.sigma == MINUS else 1  # step k reads node j = k - back
+    own = kind.outer == MINUS  # the row's lx is node j's, else node j-1's
     spent = NewtonDiagnostics(converged=True)
     worst = math.nan  # spent.final_residual, as a float
     held = None  # the last Jacobian built during the march
-    scalar = d == 1  # the scalar layout: Q_k, residuals and Lv as floats
+    scalar = d == 1  # the scalar layout: Q_k, residuals, Lx and Lv as floats
 
-    # step k's residual at Q_k = x, with prev = Q_{k-1}, t_k and
-    # lv_prev = Lv at node k-1; it keeps its own Lv in lv_last
+    # step k's residual at Q_k = x, with prev = Q_{k-1}, t_j, and lx_prev,
+    # lv_prev at node j-1; it keeps node j's own in lx_last, lv_last
     def step_residual(x):
-        nonlocal lv_last
+        nonlocal lx_last, lv_last
         v = (x - prev) * hinv
-        xs, vs = (np.array([x]), np.array([v])) if scalar else (x, v)
-        lx, lv_last = _lagrangian_values(lag, xs, vs, t_k)
+        xj = prev if back else x
+        xs, vs = (np.array([xj]), np.array([v])) if scalar else (xj, v)
+        lx_last, lv_last = _lagrangian_values(lag, xs, vs, t_j)
         if scalar:
-            lx, lv_last = lx.item(), lv_last.item()
-        return lx - (lv_last - lv_prev) * hinv
+            lx_last, lv_last = lx_last.item(), lv_last.item()
+        return (lx_last if own else lx_prev) - (lv_last - lv_prev) * hinv
 
-    lv_last = _call(lag.Lv, "Lv", (d,), q1, (q1 - q0) * hinv, nodes[1])
+    # node j-1 of step k = 2; Lx there only when the row reads it
+    first = (q0 if back else q1, (q1 - q0) * hinv, nodes[1 - back])
+    lx_last = None if own else _call(lag.Lx, "Lx", (d,), *first)
+    lv_last = _call(lag.Lv, "Lv", (d,), *first)
     q = [q0, q1]  # Q_0 .. Q_k
     if scalar:
         q, lv_last = [q0.item(), q1.item()], lv_last.item()
+        lx_last = None if own else lx_last.item()
     for k in range(2, grid.n + 1):
         # a converged step's last residual call was at the Q_{k-1} it
-        # returned, so its Lv is the one at node k-1, bit for bit
-        prev, t_k, lv_prev = q[k - 1], nodes[k], lv_last
+        # returned, so its Lx and Lv are node j-1's, bit for bit
+        prev, t_j, lx_prev, lv_prev = q[k - 1], nodes[k - back], lx_last, lv_last
         guess = 2.0 * prev - q[k - 2]
         try:
             x, step, held = _newton(
@@ -515,3 +520,10 @@ def march_direct_classical(
         if not step.records[-1][1] <= worst:
             spent.records, worst = step.records, step.records[-1][1]
     return Trajectory(grid, np.reshape(q, (grid.n + 1, d))), spent
+
+
+def march_direct_classical(
+    lag: Lagrangian, grid: Grid, q0, q1, config: NewtonConfig | None = None, sigma: int = MINUS
+) -> tuple[Trajectory, NewtonDiagnostics]:
+    """:func:`march` of the direct classical kind on ``sigma``."""
+    return march(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, sigma), lag, grid, q0, q1, config)

@@ -25,6 +25,8 @@ functional and the velocity.  Groups:
 - fractional-alpha-1: the same at alpha = 1;
 - march: ``march_direct_classical`` on the same problems x d 1-2 x n 64,
   256, 1024, 2048 x the same tolerances, from seeded first two nodes;
+- march-kinds: ``march`` of the other five classical (family, sigma)
+  pairs on the same matrix;
 - march-failures: the same marches with ``max_iter`` 1, and with ``Lx``
   NaN past t = 0.5 (the "-nan" problems), x d 1-2 x n 64 and 1024 x the
   same tolerances; and at n 4096, tol 1e-9, where the step residual's
@@ -60,7 +62,7 @@ import fracvi as fv
 from fracvi.fracops import frac_seq_minus, frac_seq_plus
 from fracvi.schemes import SchemeFamily, SchemeKind, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError
-from fracvi.solver import march_direct_classical, solve_bvp_newton
+from fracvi.solver import march, march_direct_classical, solve_bvp_newton
 from oracles import coupled_lagrangian
 
 SIGMAS = (fv.MINUS, fv.PLUS)
@@ -82,7 +84,8 @@ PUBLIC_RESIDUAL = {
 }
 
 #: group -> the cases' tuples (family, "march" or "operators", sigma, alpha,
-#: problem, d, n, tol), march-failures' with max_iter last
+#: problem, d, n, tol), march-failures' with max_iter last; a march case
+#: holds its family in the alpha slot, None for the direct classical one
 GROUPS = {
     "classical": list(itertools.product(
         CLASSICAL, SIGMAS, [None], PROBLEMS, DIMS, (4, 5, 16, 64, 257, 1025), TOLS)),
@@ -92,6 +95,12 @@ GROUPS = {
         FRACTIONAL, SIGMAS, [1.0], PROBLEMS, DIMS, (4, 16, 64, 130, 256), TOLS)),
     "march": list(itertools.product(
         ["march"], [fv.MINUS], [None], PROBLEMS, DIMS, (64, 256, 1024, 2048), TOLS)),
+    "march-kinds": [
+        ("march", sigma, family, *rest)
+        for family, sigma in itertools.product(CLASSICAL, SIGMAS)
+        if (family, sigma) != (SchemeFamily.DIRECT_CLASSICAL, fv.MINUS)
+        for rest in itertools.product(PROBLEMS, DIMS, (64, 256, 1024, 2048), TOLS)
+    ],
     "march-failures": list(itertools.product(
         ["march"], [fv.MINUS], [None], PROBLEMS, DIMS, (64, 1024), TOLS, [1]))
     + list(itertools.product(
@@ -177,7 +186,9 @@ def outcome(case) -> list:
         q0, q1 = qa, qa + grid.h * qb
         if problem.endswith("-cli"):
             q0, q1 = np.ones(d), np.full(d, math.cos(1.5 * grid.h) + 0.5 * math.sin(1.5 * grid.h))
-        return _solved(lambda: march_direct_classical(lag, grid, q0, q1, config))
+        if alpha is None:
+            return _solved(lambda: march_direct_classical(lag, grid, q0, q1, config))
+        return _solved(lambda: march(SchemeKind(alpha, sigma), lag, grid, q0, q1, config))
     kind = SchemeKind(family, sigma, alpha)
     parts = _solved(lambda: solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=config))
     q = fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d)))

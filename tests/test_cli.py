@@ -112,6 +112,20 @@ def test_convergence_direct_marching_order_one(capsys):
     assert "orders in [0.7, 1.3]" in capsys.readouterr().out
 
 
+def test_convergence_direct_marches_the_sigma_it_is_given(tmp_path, capsys):
+    # sigma + and sigma - are different direct schemes, so their studies differ
+    errors = {}
+    for sigma in "+-":
+        out = tmp_path / f"orders{sigma}.csv"
+        code = main(["convergence", "--problem", "harmonic", "--scheme", "direct",
+                     "--sigma", sigma, "--n-list", "64,128,256", "--out", str(out)])
+        assert code == EXIT_OK
+        assert f"sigma={sigma}: orders in [0.7, 1.3] -> PASS" in capsys.readouterr().out
+        errors[sigma] = [float(row[2]) for row in read_csv(out)[1:]]
+    np.testing.assert_allclose(errors["+"], [1.007636e-03, 5.041586e-04, 2.521745e-04], rtol=1e-6)
+    np.testing.assert_allclose(errors["-"], [9.196795e-04, 4.818848e-04, 2.465582e-04], rtol=1e-6)
+
+
 def test_convergence_free_exact(capsys):
     code = main(["convergence", "--problem", "free", "--scheme", "vi",
                  "--n-list", "8,16,32"])

@@ -9,7 +9,10 @@ against finite differences, the solver's array path against the public
 assemblers, and the Gram-matrix kinetic block of a mechanical fractional
 Jacobian against the per-node product.  The last two solve each coherent
 embedding by both of its routes, and each fractional family at alpha = 1
-as its classical twin, and ask for the same bytes.
+as its classical twin, and ask for the same bytes.  The march takes the
+claim to trajectories: each alpha = 1 kind, marched from the first two
+nodes of its boundary-value solution, retraces it, and the coherent kinds
+march bit for bit alike.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -23,7 +26,7 @@ import fracvi as fv
 from fracvi import schemes
 from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError, _bvp_functions
-from fracvi.solver import solve_bvp_newton
+from fracvi.solver import march, solve_bvp_newton
 from oracles import asymmetric_residual, column_fd_jacobian, coupled_lagrangian, dense_from_bands
 from oracles import interior_residual, symmetric_residual
 
@@ -34,6 +37,11 @@ alphas = st.floats(0.05, 1.0)
 lagrangians = st.sampled_from(["harmonic", "pendulum", "coupled"])
 mechanical = st.sampled_from(["free", "harmonic", "pendulum"])
 FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
+CLASSICAL = (
+    SchemeFamily.DIRECT_CLASSICAL,
+    SchemeFamily.VARIATIONAL_CLASSICAL,
+    SchemeFamily.ASYMMETRIC_DIRECT,
+)
 fractional_families = st.sampled_from(FRACTIONAL)
 families = st.sampled_from(list(SchemeFamily))
 #: (former classical stencil, the families that must equal it bit for bit)
@@ -247,3 +255,58 @@ def test_alpha_one_solves_as_the_classical_scheme(sigma, name):
                 kinds = (SchemeKind(fractional, sigma, 1.0), SchemeKind(classical, sigma))
                 outcomes = [solve_outcome(BVPProblem(grid, lag, kind, qa, qb)) for kind in kinds]
                 assert outcomes[0] == outcomes[1], (fractional.value, d, n)
+
+
+def march_outcome(kind, lag, grid, q0, q1, config):
+    """A march's trajectory, and its values, history and counters as bytes
+    and a tuple: two marches give equal ones iff they agree bit for bit."""
+    traj, diag = march(kind, lag, grid, q0, q1, config)
+    counters = (diag.converged, diag.residual_evals, diag.jacobian_builds, diag.backtracks)
+    return traj, (traj.values.tobytes(), np.array(diag.records).tobytes(), counters)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pendulum", "coupled"])
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+def test_marches_reproduce_their_kinds_solves(sigma, name):
+    # every alpha = 1 kind marches: started from the first two nodes of its
+    # boundary-value solution, a march retraces that solution, so the step
+    # rule reads each kind's row at the nodes the residual core does; the
+    # coherent kinds are one scheme, so their marches agree bit for bit
+    config = NewtonConfig(tol=1e-11)
+    grid = fv.make_grid(0.0, 1.0, 64)
+    rng = np.random.default_rng(26)
+    for d in (1, 2):
+        lag = lagrangian(name, d)
+        qa, qb = rng.uniform(-1.0, 1.0, (2, d))
+        outcomes = []
+        for family in CLASSICAL:
+            kind = SchemeKind(family, sigma)
+            solved, _ = solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=config)
+            marched, outcome = march_outcome(kind, lag, grid, *solved.values[:2], config)
+            assert np.max(np.abs(marched.values - solved.values)) <= 1e-10, (family.value, d)
+            outcomes.append(outcome)
+        assert outcomes[1] == outcomes[2], d  # vi-classical, asymmetric-direct
+
+
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+def test_alpha_one_marches_as_the_classical_scheme(sigma):
+    # each fractional family at alpha = 1 marches as its classical twin, bit
+    # for bit; below 1 a row reaches every earlier node, and march refuses it
+    pairs = (
+        (SchemeFamily.VARIATIONAL_FRACTIONAL, SchemeFamily.VARIATIONAL_CLASSICAL),
+        (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.ASYMMETRIC_DIRECT),
+    )
+    grid = fv.make_grid(-0.2, 1.1, 64)
+    config = NewtonConfig(tol=1e-11)
+    for d in (1, 2):
+        lag = lagrangian("coupled", d)
+        q0, q1 = np.full(d, 0.3), np.full(d, 0.32)
+        for fractional, classical in pairs:
+            outcomes = [
+                march_outcome(kind, lag, grid, q0, q1, config)[1]
+                for kind in (SchemeKind(fractional, sigma, 1.0), SchemeKind(classical, sigma))
+            ]
+            assert outcomes[0] == outcomes[1], (fractional.value, d)
+        kind = SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, sigma, 0.5)
+        with pytest.raises(fv.DomainError, match=r"only alpha = 1 kinds march, got alpha = 0\.5"):
+            march(kind, lag, grid, q0, q1, config)

@@ -312,7 +312,9 @@ def count_fd_jacobians(monkeypatch) -> list:
     return builds
 
 
-def test_march_reports_summed_counters(monkeypatch):
+def check_summed_counters(monkeypatch, sigma, lx_before):
+    """A direct classical march on ``sigma`` reports counters summed over
+    its steps, and makes ``lx_before`` Lx calls before its first step."""
     steps = []
     newton = solver._newton
 
@@ -332,16 +334,29 @@ def test_march_reports_summed_counters(monkeypatch):
         return lag.Lx(x, v, t)
 
     counted = dataclasses.replace(lag, Lx=Lx)
-    traj, diag = march_direct_classical(counted, grid, [0.1], [0.15], config=NewtonConfig(tol=1e-11))
+    traj, diag = march_direct_classical(
+        counted, grid, [0.1], [0.15], config=NewtonConfig(tol=1e-11), sigma=sigma
+    )
     assert diag.converged and traj.grid.n == 16 and len(steps) == 15
     # every step residual makes one Lx call
-    assert diag.residual_evals == len(lx_calls) == sum(s.residual_evals for s in steps)
+    assert diag.residual_evals + lx_before == len(lx_calls)
+    assert diag.residual_evals == sum(s.residual_evals for s in steps)
     assert diag.jacobian_builds == len(builds) == sum(s.jacobian_builds for s in steps)
     # the first iteration of every step after k = 2 reuses the held Jacobian
     assert all(s.iterations >= 1 for s in steps)
     assert diag.jacobian_builds == 1 + sum(s.iterations - 1 for s in steps)
     assert diag.backtracks == sum(s.backtracks for s in steps)
     assert diag.records == max(steps, key=lambda s: s.final_residual).records
+
+
+def test_march_reports_summed_counters(monkeypatch):
+    check_summed_counters(monkeypatch, fv.MINUS, 0)
+
+
+def test_plus_march_reads_lx_once_before_its_first_step(monkeypatch):
+    # the sigma + direct row reads the previous node's Lx, so the march
+    # calls Lx once at node 0 before step k = 2; sigma - reads its own
+    check_summed_counters(monkeypatch, fv.PLUS, 1)
 
 
 def test_march_reuses_each_steps_last_lv():
@@ -569,6 +584,51 @@ def test_march_first_order_convergence():
         errors.append(float(np.max(np.abs(traj.values - ref))))
     for i in range(3):
         assert 0.7 <= math.log2(errors[i] / errors[i + 1]) <= 1.3
+
+
+def harmonic_march(family, sigma, n, dim=1, h=0.01):
+    """A march of the omega = 1 harmonic oscillator with step h from
+    Q_0 = (1, 0, ..), Q_1 = (cos h, sin(h)/2, ..)."""
+    q0, q1 = np.zeros(dim), np.zeros(dim)
+    q0[0], q1[0] = 1.0, math.cos(h)
+    q1[1:] = 0.5 * math.sin(h)
+    grid = fv.make_grid(0.0, n * h, n)
+    assert grid.h == h
+    lag = fv.harmonic_oscillator(1.0, dim=dim)
+    traj, _ = solver.march(SchemeKind(family, sigma), lag, grid, q0, q1, NewtonConfig(1e-9))
+    return traj.values
+
+
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+def test_march_energy_and_momentum_separate_the_routes(sigma):
+    # the claim in the dynamics (Marsden & West, Acta Numerica 2001; Hairer,
+    # Lubich & Wanner 2006, ch. VI and IX): the direct symmetric scheme
+    # scales the energy E_k = v_k^2/2 + Q_k^2/2 by (1 + h^2)^sigma a step,
+    # while the variational one, by either route, keeps its energy error
+    # bounded and its discrete angular momentum Q_{k-1} x Q_k / h
+    h, n = 0.01, 10_000  # T = 100, and T/10 is 1000 steps
+
+    def energy(q):
+        return 0.5 * (np.diff(q[:, 0]) / h) ** 2 + 0.5 * q[1:, 0] ** 2
+
+    e = energy(harmonic_march(SchemeFamily.DIRECT_CLASSICAL, sigma, n))
+    # measured 0.36793 against 0.36790 (sigma -), 2.7422 against 2.7181 (+)
+    assert e[-1] / e[0] == pytest.approx((1.0 + h * h) ** (sigma * n), rel=0.01)
+    for family in (SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.ASYMMETRIC_DIRECT):
+        e = energy(harmonic_march(family, sigma, n))
+        deviation = np.abs(e / e[0] - 1.0)
+        # about 5.075e-3 = O(h) by T/10, and no more by T
+        assert deviation[:1000].max() < 0.01
+        assert deviation.max() <= 1.01 * deviation[:1000].max()
+
+    def momentum(family):
+        q = harmonic_march(family, sigma, 1000, dim=2)
+        moment = (q[:-1, 0] * q[1:, 1] - q[:-1, 1] * q[1:, 0]) / h
+        return np.max(np.abs(moment / moment[0] - 1.0))
+
+    assert momentum(SchemeFamily.VARIATIONAL_CLASSICAL) <= 1e-10  # measured 1.7e-12
+    # 1 - (1 + h^2)^-1000 = 0.095 lost (sigma -), 0.105 gained (sigma +)
+    assert momentum(SchemeFamily.DIRECT_CLASSICAL) >= 0.09
 
 
 def test_fractional_solve_budget():
