@@ -30,12 +30,13 @@ d unknowns one at a time.  Its one step rule reads the kind's sigma and
 outer side, reuses the previous step's last Lx and Lv values and, as
 every assembly, calls Lx and Lv through ``lagrangians._call``.  Each
 iteration makes one linear solve, and the line search stops as soon as a
-rejected trial rounds to the iterate.  A one-unknown march (d = 1) runs
-in the scalar layout: its unknown, residuals, held Jacobian and Lx, Lv
-values are Python floats, wrapped as (1,) arrays only for the callbacks,
-so it calls no :func:`lu_solve`.  A harmonic chord step then costs about
-7 us on a 2-core x86_64 host, 3.5-4 us of it in the callbacks (about 15
-us in the array layout).
+rejected trial rounds to the iterate.  The kernel fails through one raise,
+and :func:`march` names the failing step itself.  A one-unknown march
+(d = 1) runs in the scalar layout: its unknown, residuals, held Jacobian
+and Lx, Lv values are Python floats, wrapped as (1,) arrays only for the
+callbacks, so it calls no :func:`lu_solve`.  A harmonic chord step then
+costs about 7 us on a 2-core x86_64 host, 3.5-4 us of it in the
+callbacks (about 15 us in the array layout).
 """
 
 from __future__ import annotations
@@ -290,7 +291,6 @@ def _newton(
     cfg: NewtonConfig,
     jacobian,
     held: np.ndarray | float | None = None,
-    label: str = "",
 ) -> tuple[np.ndarray | float, NewtonDiagnostics, np.ndarray | float | None]:
     """Damped Newton for fun(x) = 0 from x0, a float array or, in the
     scalar layout of a one-unknown system, a Python float; ``fun`` and
@@ -309,10 +309,10 @@ def _newton(
     the residual inf-norm decreases.  A rejected trial that rounds to ``x``
     bit for bit ends the search at once: every shorter step rounds to ``x``
     too, so no trial can decrease the residual.  The last residual call of
-    a successful solve is at the iterate it returns.  Raises
-    :class:`NewtonConvergenceError` with the last iterate and the history,
-    its message prefixed by ``label``, if the target is not met, and at
-    once if the residual is not finite.
+    a successful solve is at the iterate it returns.  Each failure (a
+    non-finite initial residual, ``max_iter`` passed, a stalled line
+    search) names itself and leaves through one raise of
+    :class:`NewtonConvergenceError` with the last iterate and the history.
     """
     x = x0  # never written: a step makes a new iterate
     diag = NewtonDiagnostics()
@@ -324,20 +324,15 @@ def _newton(
     r = counted(x)
     rnorm = _inf_norm(r)
     diag.records.append((0, rnorm, 0.0))
+    failure = None  # the message of the one raise below
     if not math.isfinite(rnorm):
-        raise NewtonConvergenceError(
-            f"{label}non-finite residual ({rnorm}) at the initial iterate", x, diag
-        )
+        failure = f"non-finite residual ({rnorm}) at the initial iterate"
     it = 0
-    while not rnorm <= cfg.tol:
+    while failure is None and not rnorm <= cfg.tol:
         it += 1
         if it > cfg.max_iter:
-            raise NewtonConvergenceError(
-                f"{label}no convergence after {cfg.max_iter} iterations "
-                f"(residual {rnorm:.3e}, target {cfg.tol:.3e})",
-                x,
-                diag,
-            )
+            failure = f"no convergence after {cfg.max_iter} iterations"
+            break
         if held is None or it > 1:
             held = jacobian(counted, x, r)
             diag.jacobian_builds += 1
@@ -362,14 +357,14 @@ def _newton(
             t *= _DAMPING
         if not rn_trial < rnorm:
             diag.records.append((it, rnorm, 0.0))
-            raise NewtonConvergenceError(
-                f"{label}line search stalled at iteration {it} "
-                f"(residual {rnorm:.3e}, target {cfg.tol:.3e})",
-                x,
-                diag,
-            )
+            failure = f"line search stalled at iteration {it}"
+            break
         x, r, rnorm = trial, r_trial, rn_trial
         diag.records.append((it, rnorm, _inf_norm(step)))
+    if failure is not None:
+        if it:  # a stop inside the loop reports the residual it reached
+            failure += f" (residual {rnorm:.3e}, target {cfg.tol:.3e})"
+        raise NewtonConvergenceError(failure, x, diag)
     diag.converged = True
     return x, diag, held
 
@@ -466,7 +461,8 @@ def march(
     every step and whose history is that of the step that ended with the
     largest residual.  A failing step raises
     :class:`NewtonConvergenceError` carrying that step's iterate (a (d,)
-    array) and history, with its counters summed over every step.
+    array) and history, with its counters summed over every step; its
+    message, as a singular step's, starts ``march step k=K: ``.
     """
     if kind.alpha not in (None, 1.0):
         raise DomainError(f"only alpha = 1 kinds march, got alpha = {kind.alpha}")
@@ -508,12 +504,12 @@ def march(
         prev, t_j, lx_prev, lv_prev = q[k - 1], nodes[k - back], lx_last, lv_last
         guess = 2.0 * prev - q[k - 2]
         try:
-            x, step, held = _newton(
-                step_residual, guess, cfg, _fd_jacobian, held, f"march step k={k}: "
-            )
-        except NewtonConvergenceError as exc:
-            exc.last = np.reshape(exc.last, (d,))
-            exc.diagnostics.add_counts(spent)
+            x, step, held = _newton(step_residual, guess, cfg, _fd_jacobian, held)
+        except (NewtonConvergenceError, SingularMatrixError) as exc:
+            exc.args = (f"march step k={k}: {exc}",)
+            if isinstance(exc, NewtonConvergenceError):
+                exc.last = np.reshape(exc.last, (d,))
+                exc.diagnostics.add_counts(spent)
             raise
         q.append(x)
         spent.add_counts(step)

@@ -41,7 +41,11 @@ functional and the velocity.  Groups:
   ``check_discrete_ibp``; else ``delta_alpha_plus``, ``delta_alpha_minus``,
   ``discrete_velocity_alpha``, ``frac_seq_minus`` (plus window) or
   ``frac_seq_plus`` (minus window), ``gauss_quadrature`` and
-  ``check_discrete_frac_ibp``.
+  ``check_discrete_frac_ibp``;
+- bvp-failures: boundary-value solves of the five families (the
+  fractional ones at alpha 0.3 and 0.8) x sigma x the same problems x d
+  1-2 x n 4, 16, 64 x the same tolerances, with ``max_iter`` 1, and on
+  the "-nan" problems, whose initial residual is not finite.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.
@@ -84,7 +88,7 @@ PUBLIC_RESIDUAL = {
 }
 
 #: group -> the cases' tuples (family, "march" or "operators", sigma, alpha,
-#: problem, d, n, tol), march-failures' with max_iter last; a march case
+#: problem, d, n, tol), the failure groups' with max_iter last; a march case
 #: holds its family in the alpha slot, None for the direct classical one
 GROUPS = {
     "classical": list(itertools.product(
@@ -111,6 +115,14 @@ GROUPS = {
         [50])),
     "operators": list(itertools.product(
         ["operators"], SIGMAS, (None, 0.3, 0.8, 1.0), [None], DIMS, (4, 5, 16, 64, 257), [None])),
+    "bvp-failures": [
+        (family, sigma, alpha, problem + suffix, d, n, tol, max_iter)
+        for family, alpha in [*itertools.product(CLASSICAL, [None]),
+                              *itertools.product(FRACTIONAL, (0.3, 0.8))]
+        for suffix, max_iter in (("", 1), ("-nan", 50))
+        for sigma, problem, d, n, tol in itertools.product(
+            SIGMAS, PROBLEMS, DIMS, (4, 16, 64), TOLS)
+    ],
 }
 
 

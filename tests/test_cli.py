@@ -56,6 +56,12 @@ def test_ibp_rejects_non_finite_alpha(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_ibp_failing_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_discrete_ibp", lambda f, g: (1.0, 2.0))  # gap 0.5
+    assert main(["ibp", "--n", "8", "--trials", "3"]) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.endswith("-> FAIL (3/3)\n")
+
+
 def test_ibp_deterministic(capsys):
     main(["ibp", "--n", "32", "--seed", "11"])
     first = capsys.readouterr().out
@@ -177,6 +183,23 @@ def test_run_convergence_api_rows():
     )
     assert code == EXIT_OK
     assert any("PASS" in line for line in lines)
+
+
+def test_run_convergence_api_refuses_an_unknown_scheme():
+    with pytest.raises(fv.DomainError, match="scheme must be one of .*, got 'bogus'"):
+        run_convergence(
+            problem="harmonic", scheme="bogus", sigma=fv.MINUS, n_list=[16, 32],
+            alpha=None, omega=1.0, a=0.0, b=1.0, qa=None, qb=None, tol=1e-9,
+            max_iter=50, out=None,
+        )
+
+
+def test_convergence_without_an_observable_order_fails(monkeypatch, capsys):
+    # an order needs two nonzero errors in a row; without one the study fails
+    monkeypatch.setattr(cli, "_observed_orders", lambda ns, errors: [None] * len(ns))
+    code = main(["convergence", "--problem", "harmonic", "--scheme", "vi", "--n-list", "8,16"])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.endswith(": no observable order -> FAIL\n")
 
 
 def test_solve_writes_trajectory_and_diagnostics(tmp_path, capsys):

@@ -363,6 +363,18 @@ def test_rl_monomial_rejects_bad_input():
         fv.rl_monomial_derivative(1.0, 1.5, 1.0)
     with pytest.raises(fv.DomainError):
         fv.rl_monomial_derivative(1.0, 0.5, 0.0)
+    with pytest.raises(fv.DomainError, match="beta \\+ 1 - alpha = .* < 0"):
+        fv.rl_monomial_derivative(-0.9, 0.5, 1.0)  # a tail beta + 1 - alpha of -0.4
+
+
+@pytest.mark.parametrize("apply, side, message", [
+    (fracops.frac_seq_minus, fv.MINUS, "left GL application needs a forward-window sequence"),
+    (fracops.frac_seq_plus, fv.PLUS, "right GL application needs a backward-window sequence"),
+])
+def test_windowed_gl_refuses_a_window_on_the_wrong_side(apply, side, message):
+    q = fv.Trajectory(fv.make_grid(0.0, 1.0, 8), np.ones((9, 1)))
+    with pytest.raises(fv.DomainError, match=message):
+        apply(fv.restrict(q, side), 0.5)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 1.0), (0.5, 2.0), (0.9, 2.0)])

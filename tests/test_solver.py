@@ -544,8 +544,9 @@ def test_march_zero_jacobian_is_singular(dim):
         Lx=lambda x, v, t: np.ones_like(x),
         Lv=lambda x, v, t: np.zeros_like(v),
     )
-    with pytest.raises(SingularMatrixError, match="singular matrix"):
+    with pytest.raises(SingularMatrixError, match="singular matrix") as err:
         march_direct_classical(lag, fv.make_grid(0.0, 1.0, 8), np.zeros(dim), np.zeros(dim))
+    assert str(err.value) == "march step k=2: singular matrix"
 
 
 @pytest.mark.parametrize("q0, q1", [([math.nan], [0.0]), ([0.0], [math.inf])])
