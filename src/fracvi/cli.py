@@ -656,7 +656,3 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

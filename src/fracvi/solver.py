@@ -34,9 +34,7 @@ rejected trial rounds to the iterate.  The kernel fails through one raise,
 and :func:`march` names the failing step itself.  A one-unknown march
 (d = 1) runs in the scalar layout: its unknown, residuals, held Jacobian
 and Lx, Lv values are Python floats, wrapped as (1,) arrays only for the
-callbacks, so it calls no :func:`lu_solve`.  A harmonic chord step then
-costs about 7 us on a 2-core x86_64 host, 3.5-4 us of it in the
-callbacks (about 15 us in the array layout).
+callbacks, so it calls no :func:`lu_solve`.
 """
 
 from __future__ import annotations
@@ -215,13 +213,6 @@ def _block_solve(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np
     return np.split(solved, [d, 2 * d], axis=2)
 
 
-def _block_product(diag: np.ndarray):
-    """The product of stacks laid out like ``diag``: ``np.matmul`` of
-    blocks, or the elementwise ``np.multiply`` of scalars, the same numbers
-    without a stacked matmul."""
-    return np.multiply if diag.ndim == 1 else np.matmul
-
-
 def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the block-tridiagonal system ``bands`` (laid out as
     :func:`~fracvi.schemes.jacobian` returns classical ones) for the
@@ -234,21 +225,22 @@ def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`lu_solve`: O(nodes*d^3) work, O(nodes*d^2) memory.  1x1 blocks
     travel as scalars, (3, nodes) bands and a (nodes,) right-hand side, so
     that with d = 1 a level is one reciprocal and elementwise products;
-    with d > 1 it is one batched LAPACK solve and stacked matmuls
-    (:func:`_block_solve`, :func:`_block_product`).  No pivoting crosses
-    blocks, so a singular diagonal block of an eliminated row raises
-    :class:`SingularMatrixError`, as a singular reduced system does.
+    with d > 1 it is one batched LAPACK solve (:func:`_block_solve`) and
+    stacked matmuls.  The product is picked here once, for the recursion.
+    No pivoting crosses blocks, so a singular diagonal block of an
+    eliminated row raises :class:`SingularMatrixError`, as a singular
+    reduced system does.
     """
     nodes, d = bands.shape[1:3]
     if d == 1:
-        return _cyclic_reduction(bands.reshape(3, nodes), b)
-    return _cyclic_reduction(bands, b.reshape(nodes, d, 1)).ravel()
+        return _cyclic_reduction(bands.reshape(3, nodes), b, np.multiply)
+    return _cyclic_reduction(bands, b.reshape(nodes, d, 1), np.matmul).ravel()
 
 
-def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray, mul) -> np.ndarray:
     """:func:`_block_tridiagonal_solve` on stacks: ``bands`` (3, nodes) of
-    scalars or (3, nodes, d, d) of blocks, ``rhs`` (nodes,) or (nodes, d,
-    1); the solution is laid out as ``rhs``."""
+    scalars or (3, nodes, d, d) of blocks, ``rhs`` (nodes,) or (nodes, d, 1)
+    and their product ``mul``; the solution is laid out as ``rhs``."""
     nodes = len(rhs)
     if nodes == 1 or rhs.size <= _DENSE_UNKNOWNS:
         d = rhs.size // nodes
@@ -262,7 +254,6 @@ def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     even, odd = bands[:, 0::2], bands[:, 1::2]
     evens, odds = even.shape[1], odd.shape[1]
     m = evens - 1
-    mul = _block_product(odd[1])
     # per odd block k: D^-1 L, D^-1 U and D^-1 b of its row block
     left, right, inner = _block_solve(odd[1], odd[0], odd[2], rhs[1::2])
     # even block k couples to odd block k-1 (k > 0) and odd block k (k < odds)
@@ -276,7 +267,7 @@ def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     reduced_rhs = rhs[0::2].copy()
     reduced_rhs[1:] -= mul(lower, inner[:m])
     reduced_rhs[:odds] -= mul(upper, inner)
-    x_even = _cyclic_reduction(reduced, reduced_rhs)
+    x_even = _cyclic_reduction(reduced, reduced_rhs, mul)
     x_odd = inner - mul(left, x_even[:odds])
     x_odd[:m] -= mul(right[:m], x_even[1:])
     x = np.empty(rhs.shape)
@@ -372,10 +363,11 @@ def _newton(
 def _bvp_functions(problem: BVPProblem):
     """The solver's array path: ``residual(x)`` and ``jacobian(fun, x, r)``
     (``fun``, ``r`` unread) of the flattened interior nodes ``x``, bit for
-    bit the public assemblers' on the trajectory with the ends pinned.
-    Each writes ``x`` into one (n+1, d) array that holds the boundary
-    values in its end rows, and calls the array-level cores on it; nothing
-    is checked."""
+    bit the public assemblers' on the trajectory with the ends pinned, and
+    ``trajectory(x)``, that trajectory.  Each writes ``x`` into one (n+1,
+    d) array that holds the boundary values in its end rows, then calls the
+    array-level cores on it or wraps it as a (copying) :class:`Trajectory`;
+    nothing is checked."""
     grid, lag, kind = problem.grid, problem.lagrangian, problem.scheme
     n, d = grid.n, lag.dim
     buf = np.empty((n + 1, d))
@@ -392,7 +384,11 @@ def _bvp_functions(problem: BVPProblem):
         buf[1:-1] = x.reshape(n - 1, d)
         return core(lag, values)
 
-    return residual, jacobian
+    def trajectory(x: np.ndarray) -> Trajectory:
+        buf[1:-1] = x.reshape(n - 1, d)
+        return Trajectory(grid, buf)
+
+    return residual, jacobian, trajectory
 
 
 def solve_bvp_newton(
@@ -419,20 +415,13 @@ def solve_bvp_newton(
     ):
         raise DomainError("initial guess must satisfy the boundary values")
     _check_layout(kind, problem.lagrangian, init)
-    residual, jacobian = _bvp_functions(problem)
-
-    def build(x: np.ndarray) -> Trajectory:
-        vals = np.vstack(
-            [problem.qa[None, :], x.reshape(grid.n - 1, d), problem.qb[None, :]]
-        )
-        return Trajectory(grid, vals)
-
+    residual, jacobian, trajectory = _bvp_functions(problem)
     try:
         x, diag, _ = _newton(residual, init.values[1:-1].ravel(), cfg, jacobian)
     except NewtonConvergenceError as exc:
-        exc.last = build(exc.last)
+        exc.last = trajectory(exc.last)
         raise
-    return build(x), diag
+    return trajectory(x), diag
 
 
 def march(

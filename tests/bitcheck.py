@@ -1,14 +1,17 @@
 """Bit comparison of the package's outcomes over a fixed matrix of cases.
 
-Run it from a checkout, once per tree to compare:
+Run it from a checkout:
 
-    PYTHONPATH=<checkout>/src python tests/bitcheck.py [max_n]
+    PYTHONPATH=<checkout>/src python tests/bitcheck.py [max_n] [--against OTHER]
 
 It prints one line per group of cases: the group, its case count and one
 sha256 over the bytes of every outcome in it.  Two trees whose lines agree
 give the same bytes on every case of those groups.  ``max_n`` drops the
 cases with a larger n (the smallest, 4, is the tier-1 smoke test); pytest
-does not collect this file.
+does not collect this file.  ``--against OTHER`` also runs this same
+script, in a subprocess, on the package of the checkout OTHER
+(``PYTHONPATH=OTHER/src``), then prints each group whose line differs
+there, and exits 1 if any group does.
 
 A boundary-value case hashes the solve (the trajectory, or the failure
 message and the last iterate; the history; the converged flag and the
@@ -53,10 +56,13 @@ may order its sums differently from run to run.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import subprocess
 import sys
 import zlib
 
@@ -243,10 +249,29 @@ def digests(max_n: int | None = None) -> dict[str, tuple[int, str]]:
 
 
 def main(argv: list[str]) -> int:
-    max_n = int(argv[0]) if argv else None
-    for group, (count, hexdigest) in digests(max_n).items():
-        print(f"{group} {count} cases sha256 {hexdigest}")
-    return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("max_n", type=int, nargs="?", help="drop the cases with a larger n")
+    parser.add_argument("--against", metavar="OTHER", help="a checkout to compare with")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        # the other tree's run overlaps this one's
+        command = [sys.executable, __file__] + ([] if args.max_n is None else [str(args.max_n)])
+        env = dict(os.environ, PYTHONPATH=os.path.join(args.against, "src"))
+        other = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env)
+    lines = [f"{group} {count} cases sha256 {hexdigest}"
+             for group, (count, hexdigest) in digests(args.max_n).items()]
+    print("\n".join(lines))
+    if args.against is None:
+        return 0
+    theirs = other.communicate()[0].splitlines()
+    if other.returncode:
+        print(f"bitcheck on {args.against} exited {other.returncode}")
+        return 2
+    differing = [their for mine, their in zip(lines, theirs) if mine != their]
+    for line in differing:
+        print(f"differs from {args.against}: {line}")
+    print(f"{len(lines) - len(differing)} of {len(lines)} groups agree with {args.against}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

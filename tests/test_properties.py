@@ -9,13 +9,20 @@ against finite differences, the solver's array path against the public
 assemblers, and the Gram-matrix kinetic block of a mechanical fractional
 Jacobian against the per-node product.  The last two solve each coherent
 embedding by both of its routes, and each fractional family at alpha = 1
-as its classical twin, and ask for the same bytes.  The march takes the
-claim to trajectories: each alpha = 1 kind, marched from the first two
-nodes of its boundary-value solution, retraces it, and the coherent kinds
-march bit for bit alike.
+as its classical twin, and ask for the same bytes.  Fractional coherence
+rests on prefix-consistent weights: the routes stay one scheme for the GL
+weights times any fixed positive sequence, and part for weights drawn
+afresh per kernel size.  The symmetric routes' solutions differ at first
+order in h.  The march takes the claim to trajectories: each alpha = 1
+kind, marched from the first two nodes of its boundary-value solution,
+retraces it, and the coherent kinds march bit for bit alike.
 
 Examples are derandomized, so every run checks the same cases.
 """
+
+import contextlib
+import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -23,8 +30,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fracvi as fv
-from fracvi import schemes
-from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
+from fracvi import fracops, schemes
+from fracvi.schemes import VERDICT_NOT_COHERENT, SchemeFamily, SchemeKind, assemble_residual
+from fracvi.schemes import jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError, _bvp_functions
 from fracvi.solver import march, solve_bvp_newton
 from oracles import asymmetric_residual, column_fd_jacobian, coupled_lagrangian, dense_from_bands
@@ -164,7 +172,7 @@ def test_solver_array_path_is_the_public_assembly(qs, family, sigma, alpha, name
     assume(family is not SchemeFamily.DIRECT_CLASSICAL or q.grid.n >= 3)
     kind = SchemeKind(family, sigma, alpha if family in FRACTIONAL else None)
     lag = lagrangian(name, q.dim)
-    residual, array_jacobian = _bvp_functions(
+    residual, array_jacobian, _ = _bvp_functions(
         BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1])
     )
     x = q.values[1:-1].ravel()
@@ -234,6 +242,78 @@ def test_coherent_embeddings_solve_identically(data, name, sigma, alpha):
             for family in (variational, direct)
         ]
         assert outcomes[0] == outcomes[1], (variational.value, n, d)
+
+
+@contextlib.contextmanager
+def gl_weights(weights):
+    """Every GL kernel built from ``weights(m)``, the m + 1 weights of a
+    kernel over positions 0..m, in a kernel cache of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fracops, "_weights", lambda alpha, m: weights(m))
+        patch.setattr(fracops, "_cache", OrderedDict())
+        yield
+
+
+#: the weight draws: an order below 1, a seed and the grid size
+weight_draws = (st.floats(0.05, 0.95), st.integers(0, 2**32 - 1), st.integers(4, 32))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(*weight_draws, st.integers(1, 2), lagrangians)
+def test_coherence_rests_on_prefix_consistent_weights(alpha, seed, n, d, name):
+    # the direct route builds its outer kernel over n - 1 positions and the
+    # variational one the velocity kernel over n: they read one weight
+    # sequence because a shorter kernel's weights are a prefix of a longer
+    # one's, so the GL weights times any fixed positive sequence keep the
+    # two routes one scheme, bit for bit
+    rng = np.random.default_rng(seed)
+    weights = fracops._weights(alpha, n) * rng.uniform(0.5, 1.5, n + 1)
+    grid = fv.make_grid(0.0, 1.0, n)
+    q = fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d)))
+    qa, qb = rng.uniform(-1.0, 1.0, (2, d))
+    harmonic = lagrangian("harmonic", d)
+    with gl_weights(lambda m: weights[: m + 1]):
+        for sigma in (fv.MINUS, fv.PLUS):
+            assert fv.coherence_report(lagrangian(name, d), q, sigma, alpha).gap == 0.0
+            kinds = [SchemeKind(family, sigma, alpha) for family in FRACTIONAL]
+            outcomes = [solve_outcome(BVPProblem(grid, harmonic, kind, qa, qb)) for kind in kinds]
+            assert outcomes[0] == outcomes[1], sigma
+
+
+@settings(PROPERTY, max_examples=25)
+@given(*weight_draws)
+def test_weights_drawn_per_size_are_not_coherent(alpha, seed, n):
+    # the mutation the property above must catch: a fresh perturbation for
+    # every kernel size gives the two routes different weights
+    gl = fracops._weights
+
+    def weights(m):
+        return gl(alpha, m) * np.random.default_rng((seed, m)).uniform(0.5, 1.5, m + 1)
+
+    values = np.random.default_rng(seed).uniform(-2.0, 2.0, n + 1)
+    q = fv.Trajectory(fv.make_grid(0.0, 1.0, n), values)
+    with gl_weights(weights):
+        for sigma in (fv.MINUS, fv.PLUS):
+            report = fv.coherence_report(lagrangian("harmonic", 1), q, sigma, alpha)
+            assert report.verdict == VERDICT_NOT_COHERENT, (sigma, report.gap)
+
+
+def test_symmetric_routes_differ_at_first_order():
+    # the direct classical scheme is another scheme than the variational
+    # one: their solutions differ by O(h), the direct scheme's order
+    lag = fv.builtin_problem("harmonic", omega=1.5)
+    config = NewtonConfig(tol=1e-9)
+    gaps = []
+    kinds = [SchemeKind(family, fv.MINUS)
+             for family in (SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.DIRECT_CLASSICAL)]
+    for n in (64, 256, 1024):
+        grid = fv.make_grid(0.0, 1.0, n)
+        vi, direct = [solve_bvp_newton(BVPProblem(grid, lag, kind, [0.0], [1.0]), config=config)[0]
+                      for kind in kinds]
+        gaps.append(float(np.max(np.abs(vi.values - direct.values))))
+    orders = [math.log(coarse / fine) / math.log(4.0) for coarse, fine in zip(gaps, gaps[1:])]
+    print(f"vi- vs direct-classical gaps {gaps}, orders {orders}")
+    assert all(abs(order - 1.0) <= 0.1 for order in orders), (gaps, orders)
 
 
 @pytest.mark.parametrize("name", ["harmonic", "pendulum", "coupled"])
