@@ -10,33 +10,36 @@ strictly decreasing partial sums; at alpha = 1 they are 1, -1, 0, ..., so
 ``delta_plus``, ``delta_minus``, ``discrete_velocity`` and ``seq_delta``
 are the GL entries at alpha = 1, and -sigma * delta_sigma is the discrete
 d/dt.  Operators are dense O(n^2) Toeplitz kernels from one builder,
-``_kernel(alpha, n, side)``, which copies the rows out of strided windows
-over one zero-padded weight vector: the left operator reads w_{k-j}, the
-right one w_{j-k}.  Every kernel product in the package goes through one
-pair keyed by (alpha, side): :func:`gl_apply` (the kernel) and
-:func:`gl_adjoint_apply` (the transpose of its interior columns, held as
-one contiguous copy, which the variational gradient and its Jacobian both
-scatter through).  At alpha = 1 both answer with :func:`_difference`, the
-package's one one-sided difference: O(n), no kernel and no cache entry.
-Kernels and adjoints share one cache bounded by bytes: 256 MiB, exactly
-one kernel and its adjoint at n = 4096 (README "Numerical notes" says
-what no longer fits above that).  No fast convolution is attempted at
-desk scale.  Fractional orders must be finite and positive, their weights
-finite, and the scale h^-alpha a finite positive float.
+``_kernel(alpha, n, side)``, which takes one C-order copy of a strided
+view over one zero-padded weight vector: the left operator reads w_{k-j},
+the right one w_{j-k}.  The variational gradient and its Jacobian scatter
+through ``_adjoint(alpha, n, side)``, the transpose of a kernel's interior
+columns held as one contiguous copy.  Every kernel product goes through
+:func:`_operator`, which binds one of them; at alpha = 1 it binds
+:func:`_difference`, the package's one one-sided difference: O(n), no
+kernel built.  Lifetime: a solve or an assembly binds the operators it
+reads when it starts and holds them until it ends, so nothing it reads is
+rebuilt while it runs; past that, each builder keeps only its two most
+recently built arrays.  So retained memory is at most two kernels and two
+adjoints, and a kernel of any size is built once per assembly (at
+n = 4200 the first of three vi-fractional residuals in a row takes
+0.24-0.46 s, building both, and the next two 0.027 s each).  No fast convolution is attempted at desk scale.  Fractional
+orders must be finite and positive, their weights finite, and the scale
+h^-alpha a finite positive float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import (
     MINUS,
     PLUS,
     DomainError,
+    Grid,
     ResidualField,
     ShiftedSequence,
     Trajectory,
@@ -66,48 +69,26 @@ def _weights(alpha: float, n: int) -> np.ndarray:
     return _freeze(w)
 
 
-#: Bytes the cache of kernels and adjoints holds at most: one n = 4096
-#: kernel and its adjoint, exactly.
-_CACHE_BYTES = 256 * 2**20
-_cache: OrderedDict = OrderedDict()
-
-
-def _cached(key, build) -> np.ndarray:
-    """``build()`` frozen (a C-contiguous, read-only copy), kept under
-    ``key``.  The most recently used arrays are kept, up to
-    ``_CACHE_BYTES`` in all; a larger one is rebuilt at every use."""
-    if key in _cache:
-        _cache.move_to_end(key)
-        return _cache[key]
-    held = _freeze(build())
-    if held.nbytes <= _CACHE_BYTES:
-        _cache[key] = held
-        while sum(array.nbytes for array in _cache.values()) > _CACHE_BYTES:
-            _cache.popitem(last=False)
-    return held
-
-
+@functools.lru_cache(maxsize=2)
 def _kernel(alpha: float, n: int, side: int) -> np.ndarray:
-    """The GL kernel of one side over positions 0..n, read-only and cached.
+    """The GL kernel of one side over positions 0..n, read-only.
 
     MINUS: rows k = 1..n, entry w_{k-j}.  PLUS: rows k = 0..n-1, entry
     w_{j-k}.  Entries with a negative weight index are zero.
     """
-
-    def build():
-        # windows[s] = [0]*(n-s) + w_0..w_s: the PLUS row k is window n - k,
-        # and the MINUS kernel is the PLUS one read backwards on both axes
-        padded = np.concatenate([np.zeros(n), _weights(alpha, n)])
-        plus = sliding_window_view(padded, n + 1)[n:0:-1]
-        return plus if side == PLUS else plus[::-1, ::-1]
-
-    return _cached((alpha, n, side), build)
+    # over [0]*n + w_0..w_n, PLUS row k starts at w_{-k} and steps forwards,
+    # MINUS row k at w_k and steps backwards
+    padded = np.concatenate([np.zeros(n), _weights(alpha, n)])
+    step = side * padded.itemsize
+    start = (n + (side == MINUS)) * padded.itemsize
+    return _freeze(np.ndarray((n, n + 1), float, padded, start, (-step, step)))
 
 
+@functools.lru_cache(maxsize=2)
 def _adjoint(alpha: float, n: int, side: int) -> np.ndarray:
-    """``_kernel(alpha, n, side)[:, 1:n].T`` as a contiguous, read-only,
-    cached copy: the adjoint of the velocity map onto the interior nodes."""
-    return _cached((alpha, n, side, "adjoint"), lambda: _kernel(alpha, n, side)[:, 1:n].T)
+    """``_kernel(alpha, n, side)[:, 1:n].T`` as a contiguous, read-only
+    copy: the adjoint of the velocity map onto the interior nodes."""
+    return _freeze(_kernel(alpha, n, side)[:, 1:n].T)
 
 
 def _difference(v: np.ndarray, side: int) -> np.ndarray:
@@ -118,24 +99,22 @@ def _difference(v: np.ndarray, side: int) -> np.ndarray:
     return v[1:] - v[:-1]
 
 
+def _operator(alpha: float, n: int, side: int, adjoint: bool = False):
+    """The unscaled GL product of ``side`` over positions 0..n with its
+    array bound: ``y -> K @ y`` (n + 1 rows in, n out), or with ``adjoint``
+    ``y -> K[:, 1:n].T @ y`` (n rows in, n - 1 out) by the contiguous
+    adjoint, for the variational gradient and its dense Jacobian alike.  At
+    alpha = 1 it is the two-point difference of ``side`` (adjoint: of
+    ``-side``), and builds nothing."""
+    if alpha == 1:
+        return functools.partial(_difference, side=-side if adjoint else side)
+    return (_adjoint if adjoint else _kernel)(alpha, n, side).__matmul__
+
+
 def gl_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
     """``K @ y`` for the GL kernel K of ``side`` over positions
-    0..len(y)-1, unscaled: len(y) - 1 rows out; at alpha = 1 the unscaled
-    two-point difference of ``side``."""
-    if alpha == 1:
-        return _difference(y, side)
-    return _kernel(alpha, len(y) - 1, side) @ y
-
-
-def gl_adjoint_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
-    """``K[:, 1:n].T @ y`` for the GL kernel K of ``side`` over positions
-    0..n, n = len(y), unscaled: n - 1 rows out, one per interior node.
-    The product is taken with the cached contiguous adjoint, for the
-    variational gradient and its dense Jacobian alike; at alpha = 1 the
-    unscaled two-point difference of the opposite side."""
-    if alpha == 1:
-        return _difference(y, -side)
-    return _adjoint(alpha, len(y), side) @ y
+    0..len(y)-1, unscaled: len(y) - 1 rows out."""
+    return _operator(alpha, len(y) - 1, side)(y)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -202,7 +181,7 @@ def discrete_velocity_alpha(q: Trajectory, sigma: int, alpha: float) -> ShiftedS
     """The fractional derivative analogue (-sigma * delta^alpha_sigma Q)."""
     check_sigma(sigma)
     alpha = _check_alpha(alpha)
-    return ShiftedSequence(q.grid, sigma, _velocity_alpha(q.values, q.grid.h, sigma, alpha))
+    return ShiftedSequence(q.grid, sigma, _velocity(alpha, sigma, q.grid)(q.values))
 
 
 def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
@@ -210,9 +189,11 @@ def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
     return discrete_velocity_alpha(q, sigma, 1.0)
 
 
-def _velocity_alpha(values: np.ndarray, h: float, sigma: int, alpha: float) -> np.ndarray:
-    """Array core of :func:`discrete_velocity_alpha`: (n+1, d) in, (n, d) out."""
-    return (-sigma) * (gl_apply(alpha, sigma, values) * _scale(h, alpha))
+def _velocity(alpha: float, sigma: int, grid: Grid):
+    """Array core of :func:`discrete_velocity_alpha` on ``grid``, its
+    kernel and scale bound: (n+1, d) in, (n, d) out."""
+    apply, scale = _operator(alpha, grid.n, sigma), _scale(grid.h, alpha)
+    return lambda values: (-sigma) * (apply(values) * scale)
 
 
 def _windowed(s: ShiftedSequence, side: int, alpha: float) -> ResidualField:

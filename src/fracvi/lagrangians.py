@@ -11,11 +11,11 @@ assembly below makes one Lx and one Lv call.  The discrete functional
 and its gradient each serve both embeddings with the GL velocity of an
 order in (0, 1]; ``alpha=None`` is the classical alpha = 1.  The gradient
 is assembled analytically from the chain rule, its adjoint by
-``fracops.gl_adjoint_apply`` (the transpose of the velocity's GL kernel,
-a two-point difference at alpha = 1); ``functional_gradient`` checks its
-arguments and wraps the array-level core ``_gradient``, which the Newton
-solver calls directly.  The callback helpers take the window's x, v and t
-as arrays.  Every callback result, a march step's too, goes through
+``fracops._operator`` (the transpose of the velocity's GL kernel, a
+two-point difference at alpha = 1); ``functional_gradient`` checks its
+arguments and calls the array-level core that ``_gradient`` makes for one
+grid, which holds its operators; a Newton solve makes one such core.  The
+callback helpers take the window's x, v and t as arrays.  Every callback result, a march step's too, goes through
 ``_call``, which converts and shape-checks it; no library code writes to one.
 The Newton Jacobian's pointwise Hessian blocks are forward differences of
 Lx and Lv with the relative step FD_STEP, the one the solver uses;
@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fracops import _scale, _unit_order, _velocity_alpha, discrete_velocity_alpha
-from .fracops import gauss_quadrature, gl_adjoint_apply
+from .fracops import _operator, _scale, _unit_order, _velocity, discrete_velocity_alpha
+from .fracops import gauss_quadrature
 from .fracops import discrete_velocity  # noqa: F401  perfbench/tracer.py patches it here
 from .fracops import gl_coefficients  # noqa: F401  perfbench/tracer.py patches it here
 from .grids import (
@@ -222,18 +222,25 @@ def functional_gradient(
     """
     check_sigma(sigma)
     _check_dims(lag, q)
-    return ResidualField(q.grid, 1, _gradient(lag, q.values, q.grid, sigma, _unit_order(alpha)))
+    gradient = _gradient(q.grid, sigma, _unit_order(alpha))
+    return ResidualField(q.grid, 1, gradient(lag, q.values))
 
 
-def _gradient(lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float) -> Vec:
-    """Array core of :func:`functional_gradient`: node values (n+1, d) in,
-    the gradient at the interior nodes (n-1, d) out; arguments unchecked."""
-    n, h = grid.n, grid.h
-    rows = _rows(sigma, n)
-    v = _velocity_alpha(values, h, sigma, alpha)
-    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
+def _gradient(grid: Grid, sigma: int, alpha: float):
+    """Array core of :func:`functional_gradient` for one grid:
+    ``gradient(lag, values)``, node values (n+1, d) in, the gradient at the
+    interior nodes (n-1, d) out, arguments unchecked.  It holds the
+    velocity, the adjoint, the scale h^-alpha and the window rows."""
+    n = grid.n
+    rows, inner = _rows(sigma, n), _outer_rows(-sigma, n)  # inner: interior nodes' rows
+    nodes = grid.nodes[rows]
+    velocity = _velocity(alpha, sigma, grid)
     # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
     # interior columns, transposed
-    adj_lv = _scale(h, alpha) * gl_adjoint_apply(alpha, sigma, lv)
-    # rows of I_sigma corresponding to interior nodes 1..n-1
-    return lx[_outer_rows(-sigma, n)] - sigma * adj_lv
+    adjoint, scale = _operator(alpha, n, sigma, adjoint=True), _scale(grid.h, alpha)
+
+    def gradient(lag: Lagrangian, values: Vec) -> Vec:
+        lx, lv = _lagrangian_values(lag, values[rows], velocity(values), nodes)
+        return lx[inner] - sigma * (scale * adjoint(lv))
+
+    return gradient

@@ -21,13 +21,16 @@ solve, any other Lagrangian's from a per-node product.
 Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
 sigma and order when built, and :func:`_check_layout` is the one layout
 check, made by :func:`assemble_residual`, :func:`jacobian` and the Newton
-solver.  Behind them are array-level cores: node values in, an array out,
-nothing checked.  ``_assemble_values`` dispatches two residual cores,
-``_direct`` (direct substitution, its outer side from ``SchemeKind.outer``)
-and ``lagrangians._gradient`` (the functional gradient), at alpha = 1 for
-the classical kinds.  ``_jacobian_core(kind, grid)`` makes the Jacobian
-core of one grid, which holds that grid's constants.  The two cores stay
-independent assemblies; they share only the operators and window rules.
+solver.  Behind them are array-level cores of one kind and grid: node
+values in, an array out, nothing checked.  ``_residual_core(kind, grid)``
+makes one of two residual cores, ``_direct`` (direct substitution, its
+outer side from ``SchemeKind.outer``) or ``lagrangians._gradient`` (the
+functional gradient), at alpha = 1 for the classical kinds;
+``_jacobian_core(kind, grid)`` makes the Jacobian core.  Each holds the GL
+operators, the scale h^-alpha and the window rows it reads from when it is
+made; a solve makes one of each, the public assemblers one per call.  The
+two residual cores stay independent assemblies; they share only the
+operators and window rules.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import _check_unit_alpha, _kernel, _scale, _unit_order, _velocity_alpha
-from .fracops import gl_adjoint_apply, gl_apply
+from .fracops import _check_unit_alpha, _kernel, _operator, _scale, _unit_order, _velocity
 from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
 from .grids import _fmt, _outer_rows, _rows, sigma_label
 from .lagrangians import FD_NOISE, Lagrangian, Vec, functional_gradient, _check_dims
@@ -163,18 +165,22 @@ def residual_direct_fractional(
     return assemble_residual(kind, lag, q)
 
 
-def _direct(
-    lag: Lagrangian, values: Vec, grid: Grid, sigma: int, alpha: float, side: int
-) -> Vec:
-    """Array core of every direct embedding: node values (n+1, d) in, the
-    residual over its window (n-1, d) out; the outer GL operator on the Lv
-    sequence acts on ``side``."""
-    n, h = grid.n, grid.h
-    rows = _rows(sigma, n)
-    v = _velocity_alpha(values, h, sigma, alpha)
-    lx, lv = _lagrangian_values(lag, values[rows], v, grid.nodes[rows])
-    outer = gl_apply(alpha, side, np.ascontiguousarray(lv)) * _scale(h, alpha)
-    return lx[_outer_rows(side, n)] + side * outer
+def _direct(grid: Grid, sigma: int, alpha: float, side: int):
+    """Array core of every direct embedding for one grid:
+    ``direct(lag, values)``, node values (n+1, d) in, the residual over its
+    window (n-1, d) out; the outer GL operator on the Lv sequence acts on
+    ``side``.  It holds both operators, the scale and the window rows."""
+    n = grid.n
+    rows, landing = _rows(sigma, n), _outer_rows(side, n)
+    nodes = grid.nodes[rows]
+    velocity = _velocity(alpha, sigma, grid)
+    outer, scale = _operator(alpha, n - 1, side), _scale(grid.h, alpha)
+
+    def direct(lag: Lagrangian, values: Vec) -> Vec:
+        lx, lv = _lagrangian_values(lag, values[rows], velocity(values), nodes)
+        return lx[landing] + side * (outer(np.ascontiguousarray(lv)) * scale)
+
+    return direct
 
 
 def residual_vi_fractional(
@@ -195,17 +201,18 @@ def _check_layout(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> None:
 def assemble_residual(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> ResidualField:
     """The residual of a scheme kind on q, checked once, over its window."""
     _check_layout(kind, lag, q)
-    return ResidualField(q.grid, kind.k_start, _assemble_values(kind, lag, q.values, q.grid))
+    return ResidualField(q.grid, kind.k_start, _residual_core(kind, q.grid)(lag, q.values))
 
 
-def _assemble_values(kind: SchemeKind, lag: Lagrangian, values: Vec, grid: Grid) -> Vec:
-    """Array core of :func:`assemble_residual`: node values (n+1, d) in,
-    the residual field's values (n-1, d) out.  Nothing is checked: the
-    caller checks the layout once (:func:`_check_layout`)."""
+def _residual_core(kind: SchemeKind, grid: Grid):
+    """Array core of :func:`assemble_residual` for one kind and grid:
+    ``core(lag, values)``, node values (n+1, d) in, the residual field's
+    values (n-1, d) out.  Nothing is checked: the caller checks the layout
+    once (:func:`_check_layout`)."""
     alpha = _unit_order(kind.alpha)
     if kind.family in (SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.VARIATIONAL_FRACTIONAL):
-        return _gradient(lag, values, grid, kind.sigma, alpha)
-    return _direct(lag, values, grid, kind.sigma, alpha, kind.outer)
+        return _gradient(grid, kind.sigma, alpha)
+    return _direct(grid, kind.sigma, alpha, kind.outer)
 
 
 def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:
@@ -245,27 +252,28 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
     ``core(lag, values)``, node values (n+1, d) in, the Jacobian out,
     nothing checked.  At alpha = 1 (``None`` included) the core is the kind
     and grid bound to :func:`_classical_bands`.  Any other core holds what
-    its Jacobians read but never change: the velocity kernel's interior
-    columns K[:, 1:n] (a view of the cached kernel, unscaled), the window
-    rows of the interior nodes and their columns, and ``gram()``, the Gram
-    matrix G = A K[:, 1:n], formed by one product at its first call and
-    kept; A = K[:, 1:n]^T, for both families, is the cached adjoint.  A
-    solve makes one core."""
+    its Jacobians read but never change: the velocity, the velocity
+    kernel's interior columns K[:, 1:n] (a view of the kernel it holds,
+    unscaled), the adjoint A = K[:, 1:n]^T of both families, bound, the
+    window rows of the interior nodes and their columns, and ``gram()``,
+    the Gram matrix G = A K[:, 1:n], formed by one product at its first
+    call and kept.  A solve makes one core."""
     if kind.alpha in (None, 1.0):
         return functools.partial(_classical_bands, kind, grid)
     sigma, alpha, n, h = kind.sigma, kind.alpha, grid.n, grid.h
     inner = _kernel(alpha, n, sigma)[:, 1:n]
     cols = np.arange(n - 1)
     rows = np.arange(n)[_outer_rows(-sigma, n)]  # the interior nodes' window rows
-    adjoint = functools.partial(gl_adjoint_apply, alpha, sigma)  # A, unscaled
+    adjoint = _operator(alpha, n, sigma, adjoint=True)  # A, unscaled
     gram = functools.cache(lambda: adjoint(inner))
     window = _rows(sigma, n)
     s = _scale(h, alpha)
     vs = -sigma * s  # V = vs K[:, 1:n]
+    velocity = _velocity(alpha, sigma, grid)
 
     def core(lag: Lagrangian, values: Vec) -> Vec:
         d = values.shape[1]
-        v = _velocity_alpha(values, h, sigma, alpha)
+        v = velocity(values)
         hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
         kinetic = _uniform_kinetic(hvx, hvv)
         if kinetic is None:
@@ -302,7 +310,7 @@ def _classical_bands(kind: SchemeKind, grid: Grid, lag: Lagrangian, values: Vec)
     sigma, n, h = kind.sigma, grid.n, grid.h
     s = sigma / h
     window = _rows(sigma, n)
-    v = _velocity_alpha(values, h, sigma, 1.0)
+    v = _velocity(1.0, sigma, grid)(values)
     hxx, hxv, hvx, hvv = _hessian_blocks(lag, values[window], v, grid.nodes[window])
     # d lx_k and d lv_k by Q_k and by Q_{k+sigma}, over the velocity's window
     moves = ((hxx - s * hxv, s * hxv), (hvx - s * hvv, s * hvv))

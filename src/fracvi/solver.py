@@ -8,8 +8,9 @@ both ends.  A boundary-value solve validates its problem once, by the
 layout check that ``schemes.assemble_residual`` makes, then works on raw
 arrays: each iterate is written into one (n+1, d) array whose end rows
 hold the boundary values, and the array-level cores behind
-``schemes.assemble_residual`` and ``schemes.jacobian`` run on it, with
-one Jacobian core per solve holding the grid's constants.  No
+``schemes.assemble_residual`` and ``schemes.jacobian`` run on it: one of
+each per solve, made when it starts, holding the grid's constants and the
+GL operators the solve reads until it ends.  No
 boundary-value solve differentiates its residual: the Jacobian comes by
 the chain rule from pointwise Hessian blocks (4*d + 2 callback calls).
 Below alpha = 1 it is dense and solved by LAPACK; at alpha = 1, whatever
@@ -47,7 +48,7 @@ import numpy as np
 from .grids import MINUS, DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
 from .grids import check_integer
 from .lagrangians import FD_STEP, Lagrangian, _call, _lagrangian_values
-from .schemes import SchemeFamily, SchemeKind, _assemble_values, _check_layout, _jacobian_core
+from .schemes import SchemeFamily, SchemeKind, _check_layout, _jacobian_core, _residual_core
 from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
 
 
@@ -374,11 +375,12 @@ def _bvp_functions(problem: BVPProblem):
     buf[0], buf[-1] = problem.qa, problem.qb
     values = buf.view()
     values.flags.writeable = False  # callbacks see read-only node values
-    core = _jacobian_core(kind, grid)  # the per-grid constants, once per solve
+    # the per-grid constants and operators, once per solve
+    assemble, core = _residual_core(kind, grid), _jacobian_core(kind, grid)
 
     def residual(x: np.ndarray) -> np.ndarray:
         buf[1:-1] = x.reshape(n - 1, d)
-        return _assemble_values(kind, lag, values, grid).ravel()
+        return assemble(lag, values).ravel()
 
     def jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         buf[1:-1] = x.reshape(n - 1, d)

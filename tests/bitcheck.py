@@ -48,7 +48,13 @@ functional and the velocity.  Groups:
 - bvp-failures: boundary-value solves of the five families (the
   fractional ones at alpha 0.3 and 0.8) x sigma x the same problems x d
   1-2 x n 4, 16, 64 x the same tolerances, with ``max_iter`` 1, and on
-  the "-nan" problems, whose initial residual is not finite.
+  the "-nan" problems, whose initial residual is not finite;
+- fractional-evicting: the fractional group's cases on harmonic and
+  pendulum at n 4, 16, 64, 130, with public GL operators of another
+  order and size (both sides, kernels and adjoints) applied before each
+  solve and at every ``Lx`` call ("-evict"), so that the package's memory
+  of recent operators holds none of the case's own when it next reads
+  one: no outcome may depend on what that memory holds.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.
@@ -129,6 +135,9 @@ GROUPS = {
         for sigma, problem, d, n, tol in itertools.product(
             SIGMAS, PROBLEMS, DIMS, (4, 16, 64), TOLS)
     ],
+    "fractional-evicting": list(itertools.product(
+        FRACTIONAL, SIGMAS, (0.3, 0.8), ("harmonic-evict", "pendulum-evict"), DIMS,
+        (4, 16, 64, 130), TOLS)),
 }
 
 
@@ -158,6 +167,27 @@ def _nan_past_half(lag: fv.Lagrangian) -> fv.Lagrangian:
         return np.where(np.asarray(t)[..., None] > 0.5, np.nan, lag.Lx(x, v, t))
 
     return dataclasses.replace(lag, Lx=Lx)
+
+
+def _evicting(lag: fv.Lagrangian, n: int):
+    """``lag`` with each ``Lx`` call preceded by ``evict()``, and
+    ``evict``, which applies the public GL operators of order 0.55 over
+    n + 1 positions: both kernels, by the left and right operators, and
+    both adjoints, by the functional gradients of both sides."""
+    other = fv.sample(np.sin, fv.make_grid(0.0, 1.0, n + 1))
+    free = fv.free_particle(1)
+
+    def evict():
+        fv.delta_alpha_minus(other, 0.55)
+        fv.delta_alpha_plus(other, 0.55)
+        for side in SIGMAS:
+            fv.functional_gradient(free, other, side, 0.55)
+
+    def Lx(x, v, t):
+        evict()
+        return lag.Lx(x, v, t)
+
+    return dataclasses.replace(lag, Lx=Lx), evict
 
 
 def _operators(rng, sigma, alpha, d, n) -> list:
@@ -190,13 +220,16 @@ def outcome(case) -> list:
     rng = _rng(case)
     if family == "operators":
         return _operators(rng, sigma, alpha, d, n)
-    name = problem.removesuffix("-nan").removesuffix("-cli")
+    name = problem.removesuffix("-nan").removesuffix("-cli").removesuffix("-evict")
     if name == "coupled":
         lag = coupled_lagrangian(d)
     else:
         lag = fv.builtin_problem(name, omega=1.5, dim=d)
     if problem.endswith("-nan"):
         lag = _nan_past_half(lag)
+    if problem.endswith("-evict"):
+        lag, evict = _evicting(lag, n)
+        evict()
     grid = fv.make_grid(0.0, 1.0, n)
     qa, qb = rng.uniform(-1.0, 1.0, (2, d))
     config = NewtonConfig(tol, *max_iter)

@@ -1,5 +1,6 @@
+import gc
 import math
-from collections import OrderedDict
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import fracvi as fv
 from fracvi import fracops
 from fracvi.fracops import _adjoint, _kernel
-from fracvi.solver import BVPProblem, solve_bvp_newton
+from fracvi.solver import BVPProblem, NewtonConfig, solve_bvp_newton
 from oracles import gl_sum
 
 
@@ -93,58 +94,105 @@ def _fresh_kernel(alpha, n, side):
     return np.array([[w[offset(k, j)] if offset(k, j) >= 0 else 0.0 for j in range(n + 1)] for k in rows])
 
 
-def test_kernel_cache_is_bounded_by_bytes(monkeypatch):
-    nbytes = lambda n: 8 * n * (n + 1)
-    bound = nbytes(40) + nbytes(30)
-    monkeypatch.setattr(fracops, "_cache", OrderedDict())
-    monkeypatch.setattr(fracops, "_CACHE_BYTES", bound)
-    calls = [  # (alpha, n, side), then the keys held afterwards, oldest first
-        ((0.5, 30, fv.MINUS), [30]),
-        ((0.5, 20, fv.MINUS), [30, 20]),
-        ((0.5, 30, fv.MINUS), [20, 30]),  # a hit becomes the most recent
-        ((0.5, 40, fv.MINUS), [30, 40]),  # the least recent goes first
-        ((0.3, 10, fv.PLUS), [40, 10]),
-        ((0.3, 60, fv.PLUS), [40, 10]),  # larger than the bound: not kept
-        ((0.3, 10, fv.PLUS), [40, 10]),
+def clear_operators():
+    # empty the builders' memory of recent kernels and adjoints, and their counts
+    _kernel.cache_clear()
+    _adjoint.cache_clear()
+
+
+def builds():
+    """(kernels, adjoints) built since the last :func:`clear_operators`."""
+    return _kernel.cache_info().misses, _adjoint.cache_info().misses
+
+
+@pytest.fixture
+def fresh():
+    # each test counts its own builds, and leaves no large array held
+    clear_operators()
+    yield
+    clear_operators()
+
+
+def test_kernel_builder_keeps_its_two_most_recent_kernels(fresh):
+    calls = [  # (alpha, n, side), then whether it builds
+        ((0.5, 30, fv.MINUS), True),
+        ((0.5, 20, fv.MINUS), True),
+        ((0.5, 30, fv.MINUS), False),  # a hit becomes the most recent
+        ((0.5, 40, fv.MINUS), True),  # the least recent, n = 20, goes
+        ((0.5, 30, fv.MINUS), False),
+        ((0.5, 20, fv.MINUS), True),
+        ((0.3, 60, fv.PLUS), True),
+        ((0.5, 20, fv.MINUS), False),
     ]
-    for key, held in calls:
+    held = {}
+    for count, (key, built) in enumerate(calls):
+        before = builds()[0]
         kernel = _kernel(*key)
-        assert not kernel.flags.writeable
+        assert builds()[0] - before == built, count
+        assert (held.get(key) is kernel) == (not built), count
+        held[key] = kernel
+        assert kernel.flags.c_contiguous and not kernel.flags.writeable
         assert np.array_equal(kernel, _fresh_kernel(*key))
-        assert [n for _, n, _ in fracops._cache] == held
-        assert sum(k.nbytes for k in fracops._cache.values()) <= bound
-    assert _kernel(0.3, 10, fv.PLUS) is fracops._cache[(0.3, 10, fv.PLUS)]
+        assert _kernel.cache_info().currsize <= 2
 
 
-def test_adjoints_are_cached_within_the_same_bound(monkeypatch):
-    # an adjoint of size n holds 8 n (n - 1) bytes and caches its kernel,
-    # 8 n (n + 1) bytes, first
-    nbytes = lambda n: 8 * n * (n + 1)
-    bound = nbytes(40) + nbytes(30)
-    monkeypatch.setattr(fracops, "_cache", OrderedDict())
-    monkeypatch.setattr(fracops, "_CACHE_BYTES", bound)
-    K, A = "kernel", "adjoint"
-    calls = [  # (what, n), then the entries held afterwards, oldest first
-        ((A, 30), [(K, 30), (A, 30)]),
-        ((K, 20), [(K, 30), (A, 30), (K, 20)]),
-        ((A, 30), [(K, 30), (K, 20), (A, 30)]),  # a hit becomes the most recent
-        ((A, 40), [(A, 40)]),  # its kernel, then itself, push the rest out
-        ((K, 40), [(K, 40)]),
-        ((A, 60), [(K, 40)]),  # larger than the bound, as its kernel: not kept
+def test_adjoint_builder_keeps_its_two_most_recent_adjoints(fresh):
+    # an adjoint is built from its kernel, which the kernel builder keeps
+    # apart: a held adjoint asks for no kernel
+    calls = [  # n, then the (kernels, adjoints) built by the call
+        (30, (1, 1)),
+        (20, (1, 1)),
+        (30, (0, 0)),  # a hit becomes the most recent
+        (40, (1, 1)),  # the adjoint of n = 20 and the kernel of n = 30 go
+        (30, (0, 0)),
+        (20, (0, 1)),  # its kernel is still held
+        (40, (0, 1)),
     ]
-    for (what, n), held in calls:
-        fresh = _fresh_kernel(0.5, n, fv.MINUS)
-        if what == A:
-            array = _adjoint(0.5, n, fv.MINUS)
-            assert array.flags.c_contiguous
-            assert np.array_equal(array, fresh[:, 1:n].T)
-        else:
-            array = _kernel(0.5, n, fv.MINUS)
-            assert np.array_equal(array, fresh)
-        assert not array.flags.writeable
-        assert [(A if len(key) == 4 else K, key[1]) for key in fracops._cache] == held
-        assert sum(a.nbytes for a in fracops._cache.values()) <= bound
-    assert _adjoint(0.5, 8, fv.PLUS) is fracops._cache[(0.5, 8, fv.PLUS, "adjoint")]
+    for n, built in calls:
+        before = builds()
+        adjoint = _adjoint(0.5, n, fv.MINUS)
+        assert tuple(np.subtract(builds(), before)) == built, n
+        assert adjoint.flags.c_contiguous and not adjoint.flags.writeable
+        assert np.array_equal(adjoint, _fresh_kernel(0.5, n, fv.MINUS)[:, 1:n].T)
+        assert _adjoint.cache_info().currsize <= 2
+
+
+def test_large_residuals_build_their_operators_once(fresh):
+    # n = 4200: the kernel and its adjoint take 141 MB each, more than a
+    # byte-bounded memory of 256 MiB held together, which rebuilt both at
+    # every residual; three residuals in a row build each once
+    grid = fv.make_grid(0.0, 1.0, 4200)
+    q = fv.sample(np.sin, grid)
+    kind = fv.SchemeKind(fv.SchemeFamily.VARIATIONAL_FRACTIONAL, fv.MINUS, 0.5)
+    fields = [fv.assemble_residual(kind, fv.free_particle(), q) for _ in range(3)]
+    assert builds() == (1, 1)
+    assert all(np.array_equal(f.values, fields[0].values) for f in fields)
+
+
+def test_retained_operators_are_two_kernels_and_two_adjoints(fresh):
+    # every (alpha, sigma) pair of both fractional families at n = 256, then
+    # the public operators up to n = 512: what stays held afterwards is the
+    # last two kernels (n = 512) and the last two adjoints (n = 256)
+    tracemalloc.start()
+    try:
+        grid = fv.make_grid(0.0, 1.0, 256)
+        for alpha in (0.3, 0.5, 0.8):
+            for sigma in (fv.MINUS, fv.PLUS):
+                for family in (fv.SchemeFamily.VARIATIONAL_FRACTIONAL, fv.SchemeFamily.DIRECT_FRACTIONAL):
+                    kind = fv.SchemeKind(family, sigma, alpha)
+                    problem = BVPProblem(grid, fv.harmonic_oscillator(), kind, [0.0], [1.0])
+                    solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+        for n in (64, 128, 256, 512):
+            q = fv.sample(np.sin, fv.make_grid(0.0, 1.0, n))
+            fv.delta_alpha_minus(q, 0.4)
+            fv.delta_alpha_plus(q, 0.6)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _kernel.cache_info().currsize == _adjoint.cache_info().currsize == 2
+    kernels, adjoints = 2 * 8 * 512 * 513, 2 * 8 * 256 * 255
+    assert held <= kernels + adjoints + 2**16
 
 
 @pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
@@ -158,23 +206,22 @@ def test_adjoint_is_the_opposite_side_kernel(side):
 
 
 @pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
-def test_alpha_one_is_the_two_point_difference(side, monkeypatch):
+def test_alpha_one_is_the_two_point_difference(side, fresh):
     # alpha = 1 builds no kernel: the products are the two-point
     # differences, equal to the dense ones for finite values
     rng = np.random.default_rng(64)
     for d in (1, 2, 3):
         for n in (2, 3, 17, 64):
             y = rng.uniform(-2.0, 2.0, (n + 1, d))
-            monkeypatch.setattr(fracops, "_cache", OrderedDict())
+            clear_operators()
             applied = fracops.gl_apply(1.0, side, y)
-            adjoint = fracops.gl_adjoint_apply(1.0, side, y[1:])
-            assert not fracops._cache
+            adjoint = fracops._operator(1.0, n, side, adjoint=True)(y[1:])
+            assert builds() == (0, 0)
             assert np.array_equal(applied, _kernel(1.0, n, side) @ y)
             assert np.array_equal(adjoint, _adjoint(1.0, n, side) @ y[1:])
 
 
-def test_classical_and_alpha_one_solves_leave_no_cache_entry(monkeypatch):
-    monkeypatch.setattr(fracops, "_cache", OrderedDict())
+def test_classical_and_alpha_one_solves_leave_no_cache_entry(fresh):
     grid = fv.make_grid(0.0, 1.0, 64)
     lag = fv.pendulum(1.0)
     for family in fv.SchemeFamily:
@@ -184,7 +231,7 @@ def test_classical_and_alpha_one_solves_leave_no_cache_entry(monkeypatch):
     q = fv.sample(lambda t: t * t, grid)
     fv.discrete_functional(lag, q, fv.PLUS)
     fv.functional_gradient(lag, q, fv.PLUS)
-    assert not fracops._cache
+    assert builds() == (0, 0)
 
 
 def test_overflowing_weights_refused():

@@ -22,7 +22,6 @@ Examples are derandomized, so every run checks the same cases.
 
 import contextlib
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -247,11 +246,17 @@ def test_coherent_embeddings_solve_identically(data, name, sigma, alpha):
 @contextlib.contextmanager
 def gl_weights(weights):
     """Every GL kernel built from ``weights(m)``, the m + 1 weights of a
-    kernel over positions 0..m, in a kernel cache of its own."""
+    kernel over positions 0..m; no kernel or adjoint is held from before
+    or kept for after."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fracops, "_weights", lambda alpha, m: weights(m))
-        patch.setattr(fracops, "_cache", OrderedDict())
-        yield
+        fracops._kernel.cache_clear()
+        fracops._adjoint.cache_clear()
+        try:
+            yield
+        finally:
+            fracops._kernel.cache_clear()
+            fracops._adjoint.cache_clear()
 
 
 #: the weight draws: an order below 1, a seed and the grid size

@@ -849,16 +849,21 @@ def test_fractional_solve_at_alpha_one_takes_no_dense_matrix():
 
 
 def count_residual_calls(monkeypatch):
-    # the solver's residual seam: one call of the array-level assembler per
-    # residual evaluation
+    # the solver's residual seam: one call of the residual core, which a
+    # solve makes once, per residual evaluation
     calls = []
-    assemble = solver._assemble_values
+    make = solver._residual_core
 
-    def counted(*args):
-        calls.append(1)
-        return assemble(*args)
+    def counted_core(kind, grid):
+        core = make(kind, grid)
 
-    monkeypatch.setattr(solver, "_assemble_values", counted)
+        def counted(*args):
+            calls.append(1)
+            return core(*args)
+
+        return counted
+
+    monkeypatch.setattr(solver, "_residual_core", counted_core)
     return calls
 
 
@@ -936,6 +941,44 @@ def test_fractional_newton_step_uses_structured_jacobian(monkeypatch):
     assert per_jacobian <= 4 * lag.dim + 2
 
 
+def forgetting(fn):
+    # ``fn``, emptying the GL builders' memory before every call
+    def wrapped(x, v, t):
+        fracops._kernel.cache_clear()
+        fracops._adjoint.cache_clear()
+        return fn(x, v, t)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
+def test_fractional_solve_builds_each_operator_once(family, sigma, monkeypatch):
+    # every callback call empties the builders' memory, so an operator the
+    # solve read from it after it started would be built again.  A kernel
+    # build reads its weights once, and an adjoint build its kernel, so the
+    # weight reads count every build
+    built = []
+    weights = fracops._weights
+
+    def recorded(alpha, m):
+        built.append(m)
+        return weights(alpha, m)
+
+    monkeypatch.setattr(fracops, "_weights", recorded)
+    lag = fv.pendulum(2.0)
+    lag = dataclasses.replace(lag, Lx=forgetting(lag.Lx), Lv=forgetting(lag.Lv))
+    grid = fv.make_grid(0.0, 1.0, 32)
+    problem = BVPProblem(grid, lag, SchemeKind(family, sigma, 0.5), [0.0], [1.0])
+    fracops._kernel.cache_clear()
+    fracops._adjoint.cache_clear()
+    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
+    assert diag.converged and diag.jacobian_builds >= 5
+    # the velocity kernel, and the direct embedding's outer one over n - 1
+    direct = family is SchemeFamily.DIRECT_FRACTIONAL
+    assert built == ([grid.n, grid.n - 1] if direct else [grid.n])
+
+
 def record_kinetic_branch(monkeypatch):
     # the kinetic block each fractional Jacobian used: the node mean of Hvv
     # (the Gram branch), or None (the per-node product)
@@ -952,18 +995,21 @@ def record_kinetic_branch(monkeypatch):
 
 @pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
 def test_mechanical_solve_makes_one_kernel_matrix_product(family, monkeypatch):
-    # every GL kernel product, wherever it is called from; a residual's
+    # every GL kernel product, wherever its operator is bound; a residual's
     # operand has one column per component, the Gram matrix's one per node
     products = []
     for module in (fracops, lagrangians, schemes):
-        for name in ("gl_apply", "gl_adjoint_apply"):
-            if hasattr(module, name):
-                def counted(alpha, side, y, apply=getattr(module, name)):
-                    if y.shape[1] > 1:
-                        products.append(y.shape)
-                    return apply(alpha, side, y)
+        def counted_operator(alpha, n, side, adjoint=False, make=module._operator):
+            apply = make(alpha, n, side, adjoint)
 
-                monkeypatch.setattr(module, name, counted)
+            def counted(y):
+                if y.shape[1] > 1:
+                    products.append(y.shape)
+                return apply(y)
+
+            return counted
+
+        monkeypatch.setattr(module, "_operator", counted_operator)
     taken = record_kinetic_branch(monkeypatch)
     grid = fv.make_grid(0.0, 1.0, 64)
     kind = SchemeKind(family, fv.PLUS, 0.5)
