@@ -9,23 +9,24 @@ multiplicative recurrence w_r = w_{r-1} * (r - 1 - alpha) / r.  For
 strictly decreasing partial sums; at alpha = 1 they are 1, -1, 0, ..., so
 ``delta_plus``, ``delta_minus``, ``discrete_velocity`` and ``seq_delta``
 are the GL entries at alpha = 1, and -sigma * delta_sigma is the discrete
-d/dt.  Operators are dense O(n^2) Toeplitz kernels from one builder,
-``_kernel(alpha, n, side)``, which takes one C-order copy of a strided
-view over one zero-padded weight vector: the left operator reads w_{k-j},
-the right one w_{j-k}.  The variational gradient and its Jacobian scatter
-through ``_adjoint(alpha, n, side)``, the transpose of a kernel's interior
-columns held as one contiguous copy.  Every kernel product goes through
+d/dt.  Operators are dense O(n^2) Toeplitz arrays from one builder,
+``_kernel(alpha, n, side, adjoint)``, which takes one C-order copy of a
+strided view over one zero-padded weight vector: the kernel K, where the
+left operator reads w_{k-j} and the right one w_{j-k}, or, for the
+variational gradient and its Jacobian, the adjoint K[:, 1:n]^T, whose
+weights it reads back from K.  Every kernel product goes through
 :func:`_operator`, which binds one of them; at alpha = 1 it binds
 :func:`_difference`, the package's one one-sided difference: O(n), no
 kernel built.  Lifetime: a solve or an assembly binds the operators it
 reads when it starts and holds them until it ends, so nothing it reads is
-rebuilt while it runs; past that, each builder keeps only its two most
-recently built arrays.  So retained memory is at most two kernels and two
-adjoints, and a kernel of any size is built once per assembly (at
-n = 4200 the first of three vi-fractional residuals in a row takes
-0.24-0.46 s, building both, and the next two 0.027 s each).  No fast convolution is attempted at desk scale.  Fractional
-orders must be finite and positive, their weights finite, and the scale
-h^-alpha a finite positive float.
+rebuilt while it runs; past that, the builder keeps only its two most
+recently built arrays, kernels and adjoints alike.  So retained memory is
+at most two arrays, and an array of any size is built once per assembly.
+At n = 4200 the first of three vi-fractional residuals in a row takes
+0.11-0.12 s, building both, and the next two 0.027-0.032 s each.  No fast
+convolution is attempted at desk scale.  Fractional orders must be finite
+and positive, their weights finite, and the scale h^-alpha a finite
+positive float.
 """
 
 from __future__ import annotations
@@ -70,25 +71,26 @@ def _weights(alpha: float, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _kernel(alpha: float, n: int, side: int) -> np.ndarray:
-    """The GL kernel of one side over positions 0..n, read-only.
-
-    MINUS: rows k = 1..n, entry w_{k-j}.  PLUS: rows k = 0..n-1, entry
-    w_{j-k}.  Entries with a negative weight index are zero.
-    """
+def _kernel(alpha: float, n: int, side: int, adjoint: bool) -> np.ndarray:
+    """The GL kernel K of one side over positions 0..n, or with ``adjoint``
+    the contiguous K[:, 1:n].T, (n - 1, n), the velocity map's adjoint onto
+    the interior nodes; read-only.  MINUS: rows k = 1..n, entry w_{k-j}.
+    PLUS: rows k = 0..n-1, entry w_{j-k}.  Entries with a negative weight
+    index are zero.  The adjoint reads w_0..w_n from the K of its key: its
+    first row for PLUS, its last row reversed for MINUS."""
+    if adjoint:
+        w = _kernel(alpha, n, side, False)[0 if side == PLUS else -1, ::side]
+    else:
+        w = _weights(alpha, n)
     # over [0]*n + w_0..w_n, PLUS row k starts at w_{-k} and steps forwards,
-    # MINUS row k at w_k and steps backwards
-    padded = np.concatenate([np.zeros(n), _weights(alpha, n)])
+    # MINUS row k at w_k and steps backwards; adjoint row i, the kernel's
+    # column i + 1, starts one step further and steps the other way
+    padded = np.concatenate([np.zeros(n), w])
     step = side * padded.itemsize
     start = (n + (side == MINUS)) * padded.itemsize
+    if adjoint:
+        return _freeze(np.ndarray((n - 1, n), float, padded, start + step, (step, -step)))
     return _freeze(np.ndarray((n, n + 1), float, padded, start, (-step, step)))
-
-
-@functools.lru_cache(maxsize=2)
-def _adjoint(alpha: float, n: int, side: int) -> np.ndarray:
-    """``_kernel(alpha, n, side)[:, 1:n].T`` as a contiguous, read-only
-    copy: the adjoint of the velocity map onto the interior nodes."""
-    return _freeze(_kernel(alpha, n, side)[:, 1:n].T)
 
 
 def _difference(v: np.ndarray, side: int) -> np.ndarray:
@@ -99,7 +101,7 @@ def _difference(v: np.ndarray, side: int) -> np.ndarray:
     return v[1:] - v[:-1]
 
 
-def _operator(alpha: float, n: int, side: int, adjoint: bool = False):
+def _operator(alpha: float, n: int, side: int, adjoint: bool):
     """The unscaled GL product of ``side`` over positions 0..n with its
     array bound: ``y -> K @ y`` (n + 1 rows in, n out), or with ``adjoint``
     ``y -> K[:, 1:n].T @ y`` (n rows in, n - 1 out) by the contiguous
@@ -108,13 +110,7 @@ def _operator(alpha: float, n: int, side: int, adjoint: bool = False):
     ``-side``), and builds nothing."""
     if alpha == 1:
         return functools.partial(_difference, side=-side if adjoint else side)
-    return (_adjoint if adjoint else _kernel)(alpha, n, side).__matmul__
-
-
-def gl_apply(alpha: float, side: int, y: np.ndarray) -> np.ndarray:
-    """``K @ y`` for the GL kernel K of ``side`` over positions
-    0..len(y)-1, unscaled: len(y) - 1 rows out."""
-    return _operator(alpha, len(y) - 1, side)(y)
+    return _kernel(alpha, n, side, adjoint).__matmul__
 
 
 def _check_alpha(alpha: float) -> float:
@@ -156,14 +152,14 @@ def delta_alpha_minus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Left GL operator: h^-alpha sum_{r=0..k} w_r Q_{k-r}, k in {1, .., n}."""
     alpha = _check_alpha(alpha)
     # the scale first: an order that overflows it refuses there, naming h
-    vals = _scale(q.grid.h, alpha) * gl_apply(alpha, MINUS, q.values)
+    vals = _scale(q.grid.h, alpha) * _operator(alpha, q.grid.n, MINUS, False)(q.values)
     return ShiftedSequence(q.grid, MINUS, vals)
 
 
 def delta_alpha_plus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Right GL operator: h^-alpha sum_{r=0..n-k} w_r Q_{k+r}, k in {0, .., n-1}."""
     alpha = _check_alpha(alpha)
-    vals = _scale(q.grid.h, alpha) * gl_apply(alpha, PLUS, q.values)
+    vals = _scale(q.grid.h, alpha) * _operator(alpha, q.grid.n, PLUS, False)(q.values)
     return ShiftedSequence(q.grid, PLUS, vals)
 
 
@@ -192,7 +188,7 @@ def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
 def _velocity(alpha: float, sigma: int, grid: Grid):
     """Array core of :func:`discrete_velocity_alpha` on ``grid``, its
     kernel and scale bound: (n+1, d) in, (n, d) out."""
-    apply, scale = _operator(alpha, grid.n, sigma), _scale(grid.h, alpha)
+    apply, scale = _operator(alpha, grid.n, sigma, False), _scale(grid.h, alpha)
     return lambda values: (-sigma) * (apply(values) * scale)
 
 
@@ -200,7 +196,7 @@ def _windowed(s: ShiftedSequence, side: int, alpha: float) -> ResidualField:
     """The GL operator of ``side`` applied to a windowed sequence, on the
     indices where its sum has every term: PLUS (entries k, k+1, ...) drops
     the window's last index, MINUS (entries k, k-1, ...) its first."""
-    vals = gl_apply(alpha, side, s.values) * _scale(s.grid.h, alpha)
+    vals = _operator(alpha, len(s.values) - 1, side, False)(s.values) * _scale(s.grid.h, alpha)
     return ResidualField(s.grid, s.k_start + (side == MINUS), vals)
 
 

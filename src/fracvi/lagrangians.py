@@ -15,8 +15,9 @@ is assembled analytically from the chain rule, its adjoint by
 two-point difference at alpha = 1); ``functional_gradient`` checks its
 arguments and calls the array-level core that ``_gradient`` makes for one
 grid, which holds its operators; a Newton solve makes one such core.  The
-callback helpers take the window's x, v and t as arrays.  Every callback result, a march step's too, goes through
-``_call``, which converts and shape-checks it; no library code writes to one.
+callback helpers take the window's x, v and t as arrays.  Every callback
+result, a march step's too, goes through ``_call``, which converts and
+shape-checks it; no library code writes to one.
 The Newton Jacobian's pointwise Hessian blocks are forward differences of
 Lx and Lv with the relative step FD_STEP, the one the solver uses;
 finite-difference gradients of the functional are a test oracle only and
@@ -237,7 +238,7 @@ def _gradient(grid: Grid, sigma: int, alpha: float):
     velocity = _velocity(alpha, sigma, grid)
     # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
     # interior columns, transposed
-    adjoint, scale = _operator(alpha, n, sigma, adjoint=True), _scale(grid.h, alpha)
+    adjoint, scale = _operator(alpha, n, sigma, True), _scale(grid.h, alpha)
 
     def gradient(lag: Lagrangian, values: Vec) -> Vec:
         lx, lv = _lagrangian_values(lag, values[rows], velocity(values), nodes)

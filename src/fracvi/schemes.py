@@ -174,7 +174,7 @@ def _direct(grid: Grid, sigma: int, alpha: float, side: int):
     rows, landing = _rows(sigma, n), _outer_rows(side, n)
     nodes = grid.nodes[rows]
     velocity = _velocity(alpha, sigma, grid)
-    outer, scale = _operator(alpha, n - 1, side), _scale(grid.h, alpha)
+    outer, scale = _operator(alpha, n - 1, side, False), _scale(grid.h, alpha)
 
     def direct(lag: Lagrangian, values: Vec) -> Vec:
         lx, lv = _lagrangian_values(lag, values[rows], velocity(values), nodes)
@@ -254,17 +254,18 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
     and grid bound to :func:`_classical_bands`.  Any other core holds what
     its Jacobians read but never change: the velocity, the velocity
     kernel's interior columns K[:, 1:n] (a view of the kernel it holds,
-    unscaled), the adjoint A = K[:, 1:n]^T of both families, bound, the
+    unscaled), the adjoint A = K[:, 1:n]^T of both families, bound (one
+    contiguous array, which the kernel builder makes from K's weights), the
     window rows of the interior nodes and their columns, and ``gram()``,
     the Gram matrix G = A K[:, 1:n], formed by one product at its first
     call and kept.  A solve makes one core."""
     if kind.alpha in (None, 1.0):
         return functools.partial(_classical_bands, kind, grid)
     sigma, alpha, n, h = kind.sigma, kind.alpha, grid.n, grid.h
-    inner = _kernel(alpha, n, sigma)[:, 1:n]
+    inner = _kernel(alpha, n, sigma, False)[:, 1:n]
     cols = np.arange(n - 1)
     rows = np.arange(n)[_outer_rows(-sigma, n)]  # the interior nodes' window rows
-    adjoint = _operator(alpha, n, sigma, adjoint=True)  # A, unscaled
+    adjoint = _operator(alpha, n, sigma, True)  # A, unscaled
     gram = functools.cache(lambda: adjoint(inner))
     window = _rows(sigma, n)
     s = _scale(h, alpha)

@@ -44,7 +44,9 @@ functional and the velocity.  Groups:
   ``check_discrete_ibp``; else ``delta_alpha_plus``, ``delta_alpha_minus``,
   ``discrete_velocity_alpha``, ``frac_seq_minus`` (plus window) or
   ``frac_seq_plus`` (minus window), ``gauss_quadrature`` and
-  ``check_discrete_frac_ibp``;
+  ``check_discrete_frac_ibp``.  And, to reach the adjoint at large n,
+  ``functional_gradient`` of the harmonic problem on a seeded trajectory
+  ("gradient") x sigma x alpha 0.3 and 0.8 x d 1 x n 1025 and 2049;
 - bvp-failures: boundary-value solves of the five families (the
   fractional ones at alpha 0.3 and 0.8) x sigma x the same problems x d
   1-2 x n 4, 16, 64 x the same tolerances, with ``max_iter`` 1, and on
@@ -126,7 +128,9 @@ GROUPS = {
         ["march"], [fv.MINUS], [None], PROBLEMS + ("harmonic-cli",), DIMS, [4096], [1e-9],
         [50])),
     "operators": list(itertools.product(
-        ["operators"], SIGMAS, (None, 0.3, 0.8, 1.0), [None], DIMS, (4, 5, 16, 64, 257), [None])),
+        ["operators"], SIGMAS, (None, 0.3, 0.8, 1.0), [None], DIMS, (4, 5, 16, 64, 257), [None]))
+    + list(itertools.product(
+        ["operators"], SIGMAS, (0.3, 0.8), ["gradient"], [1], (1025, 2049), [None])),
     "bvp-failures": [
         (family, sigma, alpha, problem + suffix, d, n, tol, max_iter)
         for family, alpha in [*itertools.product(CLASSICAL, [None]),
@@ -218,6 +222,9 @@ def outcome(case) -> list:
     """The outcome of one case: a list of arrays and strings."""
     family, sigma, alpha, problem, d, n, tol, *max_iter = case
     rng = _rng(case)
+    if family == "operators" and problem == "gradient":
+        q = fv.Trajectory(fv.make_grid(0.0, 1.0, n), rng.uniform(-2.0, 2.0, (n + 1, d)))
+        return [fv.functional_gradient(fv.harmonic_oscillator(1.5), q, sigma, alpha).values]
     if family == "operators":
         return _operators(rng, sigma, alpha, d, n)
     name = problem.removesuffix("-nan").removesuffix("-cli").removesuffix("-evict")

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracvi as fv
 from fracvi import fracops
-from fracvi.fracops import _adjoint, _kernel
+from fracvi.fracops import _kernel
 from fracvi.solver import BVPProblem, NewtonConfig, solve_bvp_newton
 from oracles import gl_sum
 
@@ -76,7 +78,7 @@ def test_kernel_entries_follow_the_definition(alpha, side):
     # n = 0 is the empty kernel of one column
     for n in (0, 1, 2, 6, 65):
         w = fv.gl_coefficients(alpha, n)
-        kernel = _kernel(alpha, n, side)
+        kernel = _kernel(alpha, n, side, False)
         assert kernel.shape == (n, n + 1), n
         assert kernel.flags.c_contiguous and not kernel.flags.writeable
         for row in range(n):
@@ -95,14 +97,13 @@ def _fresh_kernel(alpha, n, side):
 
 
 def clear_operators():
-    # empty the builders' memory of recent kernels and adjoints, and their counts
+    # empty the builder's memory of recent kernels and adjoints, and its counts
     _kernel.cache_clear()
-    _adjoint.cache_clear()
 
 
 def builds():
-    """(kernels, adjoints) built since the last :func:`clear_operators`."""
-    return _kernel.cache_info().misses, _adjoint.cache_info().misses
+    """Kernels and adjoints built since the last :func:`clear_operators`."""
+    return _kernel.cache_info().misses
 
 
 @pytest.fixture
@@ -113,48 +114,57 @@ def fresh():
     clear_operators()
 
 
-def test_kernel_builder_keeps_its_two_most_recent_kernels(fresh):
-    calls = [  # (alpha, n, side), then whether it builds
-        ((0.5, 30, fv.MINUS), True),
-        ((0.5, 20, fv.MINUS), True),
-        ((0.5, 30, fv.MINUS), False),  # a hit becomes the most recent
-        ((0.5, 40, fv.MINUS), True),  # the least recent, n = 20, goes
-        ((0.5, 30, fv.MINUS), False),
-        ((0.5, 20, fv.MINUS), True),
-        ((0.3, 60, fv.PLUS), True),
-        ((0.5, 20, fv.MINUS), False),
+def test_operator_builder_keeps_its_two_most_recent_arrays(fresh):
+    # kernels and adjoints share one memory of two; an adjoint is built from
+    # its own kernel, which it asks for first: a held adjoint asks for none
+    minus = lambda n, adjoint: (0.5, n, fv.MINUS, adjoint)
+    calls = [  # (alpha, n, side, adjoint), then the arrays built by the call
+        (minus(30, False), 1),
+        (minus(20, False), 1),
+        (minus(30, False), 0),  # a hit becomes the most recent
+        (minus(40, False), 1),  # the least recent, n = 20, goes
+        (minus(30, False), 0),
+        (minus(20, False), 1),
+        ((0.3, 60, fv.PLUS, False), 1),
+        (minus(20, False), 0),
+        (minus(20, True), 1),  # its kernel is held; the PLUS kernel goes
+        (minus(30, True), 2),  # the kernel, then the adjoint: both n = 20 go
+        (minus(20, False), 1),
+        (minus(30, True), 0),
+        (minus(40, True), 2),
+        ((0.3, 60, fv.PLUS, True), 2),
     ]
     held = {}
     for count, (key, built) in enumerate(calls):
-        before = builds()[0]
-        kernel = _kernel(*key)
-        assert builds()[0] - before == built, count
-        assert (held.get(key) is kernel) == (not built), count
-        held[key] = kernel
-        assert kernel.flags.c_contiguous and not kernel.flags.writeable
-        assert np.array_equal(kernel, _fresh_kernel(*key))
+        before = builds()
+        array = _kernel(*key)
+        assert builds() - before == built, count
+        assert (held.get(key) is array) == (not built), count
+        held[key] = array
+        assert array.flags.c_contiguous and not array.flags.writeable
+        alpha, n, side, adjoint = key
+        kernel = _fresh_kernel(alpha, n, side)
+        assert np.array_equal(array, kernel[:, 1:n].T if adjoint else kernel), count
         assert _kernel.cache_info().currsize <= 2
 
 
-def test_adjoint_builder_keeps_its_two_most_recent_adjoints(fresh):
-    # an adjoint is built from its kernel, which the kernel builder keeps
-    # apart: a held adjoint asks for no kernel
-    calls = [  # n, then the (kernels, adjoints) built by the call
-        (30, (1, 1)),
-        (20, (1, 1)),
-        (30, (0, 0)),  # a hit becomes the most recent
-        (40, (1, 1)),  # the adjoint of n = 20 and the kernel of n = 30 go
-        (30, (0, 0)),
-        (20, (0, 1)),  # its kernel is still held
-        (40, (0, 1)),
-    ]
-    for n, built in calls:
-        before = builds()
-        adjoint = _adjoint(0.5, n, fv.MINUS)
-        assert tuple(np.subtract(builds(), before)) == built, n
-        assert adjoint.flags.c_contiguous and not adjoint.flags.writeable
-        assert np.array_equal(adjoint, _fresh_kernel(0.5, n, fv.MINUS)[:, 1:n].T)
-        assert _adjoint.cache_info().currsize <= 2
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), st.integers(1, 600),
+       st.sampled_from([fv.MINUS, fv.PLUS]))
+def test_adjoint_is_a_strided_copy_of_its_kernel(alpha, n, side):
+    # with the memory empty, one adjoint request builds the kernel of its
+    # key, then the adjoint from that kernel's row: both stay held
+    clear_operators()
+    try:
+        adjoint = _kernel(alpha, n, side, True)
+        assert builds() == 2
+        kernel = _kernel(alpha, n, side, False)
+        assert builds() == 2
+    finally:
+        clear_operators()
+    assert adjoint.shape == (n - 1, n)
+    assert adjoint.flags.c_contiguous and not adjoint.flags.writeable
+    assert adjoint.tobytes() == np.ascontiguousarray(kernel[:, 1:n].T).tobytes()
 
 
 def test_large_residuals_build_their_operators_once(fresh):
@@ -165,14 +175,14 @@ def test_large_residuals_build_their_operators_once(fresh):
     q = fv.sample(np.sin, grid)
     kind = fv.SchemeKind(fv.SchemeFamily.VARIATIONAL_FRACTIONAL, fv.MINUS, 0.5)
     fields = [fv.assemble_residual(kind, fv.free_particle(), q) for _ in range(3)]
-    assert builds() == (1, 1)
+    assert builds() == 2
     assert all(np.array_equal(f.values, fields[0].values) for f in fields)
 
 
-def test_retained_operators_are_two_kernels_and_two_adjoints(fresh):
+def test_retained_operators_are_two_arrays(fresh):
     # every (alpha, sigma) pair of both fractional families at n = 256, then
     # the public operators up to n = 512: what stays held afterwards is the
-    # last two kernels (n = 512) and the last two adjoints (n = 256)
+    # last two arrays built, the two kernels of n = 512
     tracemalloc.start()
     try:
         grid = fv.make_grid(0.0, 1.0, 256)
@@ -190,9 +200,8 @@ def test_retained_operators_are_two_kernels_and_two_adjoints(fresh):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _kernel.cache_info().currsize == _adjoint.cache_info().currsize == 2
-    kernels, adjoints = 2 * 8 * 512 * 513, 2 * 8 * 256 * 255
-    assert held <= kernels + adjoints + 2**16
+    assert _kernel.cache_info().currsize == 2
+    assert held <= 2 * 8 * 512 * 513 + 2**16
 
 
 @pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
@@ -202,7 +211,7 @@ def test_adjoint_is_the_opposite_side_kernel(side):
     # A K[:, 1:n] are one matrix
     for n in (2, 3, 17, 64):
         for alpha in (0.05, 0.37, 1.0):
-            assert np.array_equal(_adjoint(alpha, n, side), _kernel(alpha, n - 1, -side))
+            assert np.array_equal(_kernel(alpha, n, side, True), _kernel(alpha, n - 1, -side, False))
 
 
 @pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
@@ -214,11 +223,11 @@ def test_alpha_one_is_the_two_point_difference(side, fresh):
         for n in (2, 3, 17, 64):
             y = rng.uniform(-2.0, 2.0, (n + 1, d))
             clear_operators()
-            applied = fracops.gl_apply(1.0, side, y)
-            adjoint = fracops._operator(1.0, n, side, adjoint=True)(y[1:])
-            assert builds() == (0, 0)
-            assert np.array_equal(applied, _kernel(1.0, n, side) @ y)
-            assert np.array_equal(adjoint, _adjoint(1.0, n, side) @ y[1:])
+            applied = fracops._operator(1.0, n, side, False)(y)
+            adjoint = fracops._operator(1.0, n, side, True)(y[1:])
+            assert builds() == 0
+            assert np.array_equal(applied, _kernel(1.0, n, side, False) @ y)
+            assert np.array_equal(adjoint, _kernel(1.0, n, side, True) @ y[1:])
 
 
 def test_classical_and_alpha_one_solves_leave_no_cache_entry(fresh):
@@ -231,7 +240,7 @@ def test_classical_and_alpha_one_solves_leave_no_cache_entry(fresh):
     q = fv.sample(lambda t: t * t, grid)
     fv.discrete_functional(lag, q, fv.PLUS)
     fv.functional_gradient(lag, q, fv.PLUS)
-    assert builds() == (0, 0)
+    assert builds() == 0
 
 
 def test_overflowing_weights_refused():

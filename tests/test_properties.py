@@ -251,12 +251,10 @@ def gl_weights(weights):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fracops, "_weights", lambda alpha, m: weights(m))
         fracops._kernel.cache_clear()
-        fracops._adjoint.cache_clear()
         try:
             yield
         finally:
             fracops._kernel.cache_clear()
-            fracops._adjoint.cache_clear()
 
 
 #: the weight draws: an order below 1, a seed and the grid size

@@ -942,10 +942,9 @@ def test_fractional_newton_step_uses_structured_jacobian(monkeypatch):
 
 
 def forgetting(fn):
-    # ``fn``, emptying the GL builders' memory before every call
+    # ``fn``, emptying the GL builder's memory before every call
     def wrapped(x, v, t):
         fracops._kernel.cache_clear()
-        fracops._adjoint.cache_clear()
         return fn(x, v, t)
 
     return wrapped
@@ -954,7 +953,7 @@ def forgetting(fn):
 @pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
 @pytest.mark.parametrize("family", FRACTIONAL_FAMILIES, ids=lambda f: f.value)
 def test_fractional_solve_builds_each_operator_once(family, sigma, monkeypatch):
-    # every callback call empties the builders' memory, so an operator the
+    # every callback call empties the builder's memory, so an operator the
     # solve read from it after it started would be built again.  A kernel
     # build reads its weights once, and an adjoint build its kernel, so the
     # weight reads count every build
@@ -971,7 +970,6 @@ def test_fractional_solve_builds_each_operator_once(family, sigma, monkeypatch):
     grid = fv.make_grid(0.0, 1.0, 32)
     problem = BVPProblem(grid, lag, SchemeKind(family, sigma, 0.5), [0.0], [1.0])
     fracops._kernel.cache_clear()
-    fracops._adjoint.cache_clear()
     _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-10))
     assert diag.converged and diag.jacobian_builds >= 5
     # the velocity kernel, and the direct embedding's outer one over n - 1
