@@ -114,38 +114,55 @@ def fresh():
     clear_operators()
 
 
-def test_operator_builder_keeps_its_two_most_recent_arrays(fresh):
-    # kernels and adjoints share one memory of two; an adjoint is built from
-    # its own kernel, which it asks for first: a held adjoint asks for none
-    minus = lambda n, adjoint: (0.5, n, fv.MINUS, adjoint)
-    calls = [  # (alpha, n, side, adjoint), then the arrays built by the call
-        (minus(30, False), 1),
-        (minus(20, False), 1),
-        (minus(30, False), 0),  # a hit becomes the most recent
-        (minus(40, False), 1),  # the least recent, n = 20, goes
-        (minus(30, False), 0),
-        (minus(20, False), 1),
-        ((0.3, 60, fv.PLUS, False), 1),
-        (minus(20, False), 0),
-        (minus(20, True), 1),  # its kernel is held; the PLUS kernel goes
-        (minus(30, True), 2),  # the kernel, then the adjoint: both n = 20 go
-        (minus(20, False), 1),
-        (minus(30, True), 0),
-        (minus(40, True), 2),
-        ((0.3, 60, fv.PLUS, True), 2),
-    ]
+def _check_builder(calls):
+    # each call: (alpha, n, side, adjoint), then the arrays it builds; a
+    # key asked for before comes back as the same array exactly when the
+    # call builds nothing
     held = {}
     for count, (key, built) in enumerate(calls):
         before = builds()
         array = _kernel(*key)
         assert builds() - before == built, count
-        assert (held.get(key) is array) == (not built), count
+        if key in held:
+            assert (held[key] is array) == (not built), count
         held[key] = array
         assert array.flags.c_contiguous and not array.flags.writeable
         alpha, n, side, adjoint = key
         kernel = _fresh_kernel(alpha, n, side)
         assert np.array_equal(array, kernel[:, 1:n].T if adjoint else kernel), count
         assert _kernel.cache_info().currsize <= 2
+
+
+def _minus(n, adjoint):
+    return (0.5, n, fv.MINUS, adjoint)
+
+
+def test_kernel_builder_keeps_its_two_most_recent_kernels(fresh):
+    _check_builder([
+        (_minus(30, False), 1),
+        (_minus(20, False), 1),
+        (_minus(30, False), 0),  # a hit becomes the most recent
+        (_minus(40, False), 1),  # the least recent, n = 20, goes
+        (_minus(30, False), 0),
+        (_minus(20, False), 1),
+        ((0.3, 60, fv.PLUS, False), 1),
+        (_minus(20, False), 0),
+    ])
+
+
+def test_adjoint_builder_keeps_its_two_most_recent_adjoints(fresh):
+    # kernels and adjoints share one memory of two; an adjoint is built from
+    # its own kernel, which it asks for first: a held adjoint asks for none
+    _check_builder([
+        (_minus(30, True), 2),  # the kernel, then the adjoint
+        (_minus(30, False), 0),  # its kernel stays held
+        (_minus(20, True), 2),  # both n = 30 go
+        (_minus(20, True), 0),  # a hit becomes the most recent
+        (_minus(30, False), 1),  # the least recent, the kernel of n = 20, goes
+        (_minus(30, True), 1),  # its kernel is held; the adjoint of n = 20 goes
+        (_minus(20, True), 2),
+        ((0.3, 60, fv.PLUS, True), 2),
+    ])
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
