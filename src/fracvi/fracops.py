@@ -22,11 +22,9 @@ reads when it starts and holds them until it ends, so nothing it reads is
 rebuilt while it runs; past that, the builder keeps only its two most
 recently built arrays, kernels and adjoints alike.  So retained memory is
 at most two arrays, and an array of any size is built once per assembly.
-At n = 4200 the first of three vi-fractional residuals in a row takes
-0.11-0.12 s, building both, and the next two 0.027-0.032 s each.  No fast
-convolution is attempted at desk scale.  Fractional orders must be finite
-and positive, their weights finite, and the scale h^-alpha a finite
-positive float.
+No fast convolution is attempted at desk scale.  Fractional orders must
+be finite and positive, their weights finite, and the scale h^-alpha a
+finite positive float.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ functional gradient), at alpha = 1 for the classical kinds;
 operators, the scale h^-alpha and the window rows it reads from when it is
 made; a solve makes one of each, the public assemblers one per call.  The
 two residual cores stay independent assemblies; they share only the
-operators and window rules.
+window rows, the velocity, the GL product, the scale and the callback call.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def _direct(grid: Grid, sigma: int, alpha: float, side: int):
     """Array core of every direct embedding for one grid:
     ``direct(lag, values)``, node values (n+1, d) in, the residual over its
     window (n-1, d) out; the outer GL operator on the Lv sequence acts on
-    ``side``.  It holds both operators, the scale and the window rows."""
+    ``side``.  It holds both operators, the scale and the window rows, and
+    passes ``lv`` to the outer operator as ``_call`` returned it."""
     n = grid.n
     rows, landing = _rows(sigma, n), _outer_rows(side, n)
     nodes = grid.nodes[rows]
@@ -178,7 +179,7 @@ def _direct(grid: Grid, sigma: int, alpha: float, side: int):
 
     def direct(lag: Lagrangian, values: Vec) -> Vec:
         lx, lv = _lagrangian_values(lag, values[rows], velocity(values), nodes)
-        return lx[landing] + side * (outer(np.ascontiguousarray(lv)) * scale)
+        return lx[landing] + side * (outer(lv) * scale)
 
     return direct
 

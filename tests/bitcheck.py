@@ -56,7 +56,13 @@ functional and the velocity.  Groups:
   order and size (both sides, kernels and adjoints) applied before each
   solve and at every ``Lx`` call ("-evict"), so that the package's memory
   of recent operators holds none of the case's own when it next reads
-  one: no outcome may depend on what that memory holds.
+  one: no outcome may depend on what that memory holds;
+- layouts: harmonic (omega 1.5) and the coupled Lagrangian with ``Lv``
+  returned Fortran-ordered, flipped (negative strides) and broadcast (zero
+  strides), as ``oracles.relaid`` makes them, x sigma x alpha 0.3 and 0.8
+  x d 1-3: the fractional ``coherence_report`` on a seeded trajectory
+  (its gap and text) at n 17, 64, 200, 513, and the fractional cases'
+  outcomes above, both families at tol 1e-9, at n 17, 64, 160.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.
@@ -81,7 +87,7 @@ from fracvi.fracops import frac_seq_minus, frac_seq_plus
 from fracvi.schemes import SchemeFamily, SchemeKind, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError
 from fracvi.solver import march, march_direct_classical, solve_bvp_newton
-from oracles import coupled_lagrangian
+from oracles import LAYOUTS, coupled_lagrangian, relaid
 
 SIGMAS = (fv.MINUS, fv.PLUS)
 PROBLEMS = ("free", "harmonic", "pendulum", "coupled")
@@ -93,6 +99,7 @@ CLASSICAL = (
     SchemeFamily.ASYMMETRIC_DIRECT,
 )
 FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
+RELAID = [f"{problem}/{layout}" for problem in ("harmonic", "coupled") for layout in LAYOUTS]
 PUBLIC_RESIDUAL = {
     SchemeFamily.DIRECT_CLASSICAL: fv.residual_direct_classical,
     SchemeFamily.VARIATIONAL_CLASSICAL: fv.residual_vi_classical,
@@ -101,9 +108,10 @@ PUBLIC_RESIDUAL = {
     SchemeFamily.VARIATIONAL_FRACTIONAL: fv.residual_vi_fractional,
 }
 
-#: group -> the cases' tuples (family, "march" or "operators", sigma, alpha,
-#: problem, d, n, tol), the failure groups' with max_iter last; a march case
-#: holds its family in the alpha slot, None for the direct classical one
+#: group -> the cases' tuples (family, "march", "operators" or "coherence",
+#: sigma, alpha, problem, d, n, tol), the failure groups' with max_iter last;
+#: a march case holds its family in the alpha slot, None for the direct
+#: classical one
 GROUPS = {
     "classical": list(itertools.product(
         CLASSICAL, SIGMAS, [None], PROBLEMS, DIMS, (4, 5, 16, 64, 257, 1025), TOLS)),
@@ -142,6 +150,10 @@ GROUPS = {
     "fractional-evicting": list(itertools.product(
         FRACTIONAL, SIGMAS, (0.3, 0.8), ("harmonic-evict", "pendulum-evict"), DIMS,
         (4, 16, 64, 130), TOLS)),
+    "layouts": list(itertools.product(
+        ["coherence"], SIGMAS, (0.3, 0.8), RELAID, (1, 2, 3), (17, 64, 200, 513), [None]))
+    + list(itertools.product(FRACTIONAL, SIGMAS, (0.3, 0.8), RELAID, (1, 2, 3), (17, 64, 160),
+                             [1e-9])),
 }
 
 
@@ -227,17 +239,24 @@ def outcome(case) -> list:
         return [fv.functional_gradient(fv.harmonic_oscillator(1.5), q, sigma, alpha).values]
     if family == "operators":
         return _operators(rng, sigma, alpha, d, n)
-    name = problem.removesuffix("-nan").removesuffix("-cli").removesuffix("-evict")
+    name, _, layout = problem.partition("/")
+    name = name.removesuffix("-nan").removesuffix("-cli").removesuffix("-evict")
     if name == "coupled":
         lag = coupled_lagrangian(d)
     else:
         lag = fv.builtin_problem(name, omega=1.5, dim=d)
+    if layout:
+        lag = relaid(lag, layout)
     if problem.endswith("-nan"):
         lag = _nan_past_half(lag)
     if problem.endswith("-evict"):
         lag, evict = _evicting(lag, n)
         evict()
     grid = fv.make_grid(0.0, 1.0, n)
+    if family == "coherence":
+        report = fv.coherence_report(lag, fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d))),
+                                     sigma, alpha)
+        return [np.float64(report.gap), report.text()]
     qa, qb = rng.uniform(-1.0, 1.0, (2, d))
     config = NewtonConfig(tol, *max_iter)
     if family == "march":

@@ -9,6 +9,7 @@ bindings, and exact solutions are closed forms.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,23 @@ def coupled_lagrangian(dim=1):
         return v + np.sin(t)[..., None] * x
 
     return fv.Lagrangian(L=L, Lx=Lx, Lv=Lv, dim=dim, name="coupled")
+
+
+#: Memory layouts a callback may return its result in, by name
+LAYOUTS = {
+    "F": np.asfortranarray,
+    "flipped": lambda a: np.flip(np.flip(a).copy()),  # negative strides
+    "broadcast": lambda a: np.broadcast_to(a[..., :1], a.shape),  # zero strides
+}
+
+
+def relaid(lag, layout):
+    """``lag`` with its ``Lv`` results in ``layout``: the same values in
+    Fortran order ("F") or with negative strides ("flipped"), or the first
+    component in every column, a zero-stride view ("broadcast", another
+    ``Lv`` at d > 1)."""
+    wrap = LAYOUTS[layout]
+    return dataclasses.replace(lag, Lv=lambda x, v, t: wrap(lag.Lv(x, v, t)))
 
 
 def fd_functional_gradient(lag, traj, sigma, alpha=None, rel_step=1e-6):
