@@ -24,7 +24,9 @@ recently built arrays, kernels and adjoints alike.  So retained memory is
 at most two arrays, and an array of any size is built once per assembly.
 No fast convolution is attempted at desk scale.  Fractional orders must
 be finite and positive, their weights finite, and the scale h^-alpha a
-finite positive float.
+finite positive float.  Every core binds its GL operator with its signed
+scale, the scale first, so an order that overflows both is refused for
+the scale, naming h; each product is multiplied by that scale once.
 """
 
 from __future__ import annotations
@@ -149,7 +151,6 @@ def _scale(h: float, alpha: float) -> float:
 def delta_alpha_minus(q: Trajectory, alpha: float) -> ShiftedSequence:
     """Left GL operator: h^-alpha sum_{r=0..k} w_r Q_{k-r}, k in {1, .., n}."""
     alpha = _check_alpha(alpha)
-    # the scale first: an order that overflows it refuses there, naming h
     vals = _scale(q.grid.h, alpha) * _operator(alpha, q.grid.n, MINUS, False)(q.values)
     return ShiftedSequence(q.grid, MINUS, vals)
 
@@ -185,16 +186,17 @@ def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
 
 def _velocity(alpha: float, sigma: int, grid: Grid):
     """Array core of :func:`discrete_velocity_alpha` on ``grid``, its
-    kernel and scale bound: (n+1, d) in, (n, d) out."""
-    apply, scale = _operator(alpha, grid.n, sigma, False), _scale(grid.h, alpha)
-    return lambda values: (-sigma) * (apply(values) * scale)
+    signed scale -sigma h^-alpha and its kernel bound: (n+1, d) in, (n, d)
+    out."""
+    factor, apply = -sigma * _scale(grid.h, alpha), _operator(alpha, grid.n, sigma, False)
+    return lambda values: apply(values) * factor
 
 
 def _windowed(s: ShiftedSequence, side: int, alpha: float) -> ResidualField:
     """The GL operator of ``side`` applied to a windowed sequence, on the
     indices where its sum has every term: PLUS (entries k, k+1, ...) drops
     the window's last index, MINUS (entries k, k-1, ...) its first."""
-    vals = _operator(alpha, len(s.values) - 1, side, False)(s.values) * _scale(s.grid.h, alpha)
+    vals = _scale(s.grid.h, alpha) * _operator(alpha, len(s.values) - 1, side, False)(s.values)
     return ResidualField(s.grid, s.k_start + (side == MINUS), vals)
 
 

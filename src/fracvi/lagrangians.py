@@ -231,17 +231,18 @@ def _gradient(grid: Grid, sigma: int, alpha: float):
     """Array core of :func:`functional_gradient` for one grid:
     ``gradient(lag, values)``, node values (n+1, d) in, the gradient at the
     interior nodes (n-1, d) out, arguments unchecked.  It holds the
-    velocity, the adjoint, the scale h^-alpha and the window rows."""
+    velocity, the signed scale -sigma h^-alpha, the adjoint and the window
+    rows."""
     n = grid.n
     rows, inner = _rows(sigma, n), _outer_rows(-sigma, n)  # inner: interior nodes' rows
     nodes = grid.nodes[rows]
     velocity = _velocity(alpha, sigma, grid)
     # d v_k / d Q_j = -sigma * h^-alpha * K[k, j], so the adjoint is K's
     # interior columns, transposed
-    adjoint, scale = _operator(alpha, n, sigma, True), _scale(grid.h, alpha)
+    factor, adjoint = -sigma * _scale(grid.h, alpha), _operator(alpha, n, sigma, True)
 
     def gradient(lag: Lagrangian, values: Vec) -> Vec:
         lx, lv = _lagrangian_values(lag, values[rows], velocity(values), nodes)
-        return lx[inner] - sigma * (scale * adjoint(lv))
+        return lx[inner] + adjoint(lv) * factor
 
     return gradient

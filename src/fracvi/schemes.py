@@ -169,17 +169,18 @@ def _direct(grid: Grid, sigma: int, alpha: float, side: int):
     """Array core of every direct embedding for one grid:
     ``direct(lag, values)``, node values (n+1, d) in, the residual over its
     window (n-1, d) out; the outer GL operator on the Lv sequence acts on
-    ``side``.  It holds both operators, the scale and the window rows, and
-    passes ``lv`` to the outer operator as ``_call`` returned it."""
+    ``side``.  It holds the velocity, the signed scale side h^-alpha, the
+    outer operator and the window rows, and passes ``lv`` to the outer
+    operator as ``_call`` returned it."""
     n = grid.n
     rows, landing = _rows(sigma, n), _outer_rows(side, n)
     nodes = grid.nodes[rows]
     velocity = _velocity(alpha, sigma, grid)
-    outer, scale = _operator(alpha, n - 1, side, False), _scale(grid.h, alpha)
+    factor, outer = side * _scale(grid.h, alpha), _operator(alpha, n - 1, side, False)
 
     def direct(lag: Lagrangian, values: Vec) -> Vec:
         lx, lv = _lagrangian_values(lag, values[rows], velocity(values), nodes)
-        return lx[landing] + side * (outer(lv) * scale)
+        return lx[landing] + outer(lv) * factor
 
     return direct
 
@@ -253,7 +254,8 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
     ``core(lag, values)``, node values (n+1, d) in, the Jacobian out,
     nothing checked.  At alpha = 1 (``None`` included) the core is the kind
     and grid bound to :func:`_classical_bands`.  Any other core holds what
-    its Jacobians read but never change: the velocity, the velocity
+    its Jacobians read but never change: the scale s = h^-alpha and the
+    velocity's factor -sigma s, bound first, the velocity, the velocity
     kernel's interior columns K[:, 1:n] (a view of the kernel it holds,
     unscaled), the adjoint A = K[:, 1:n]^T of both families, bound (one
     contiguous array, which the kernel builder makes from K's weights), the
@@ -262,15 +264,15 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
     call and kept.  A solve makes one core."""
     if kind.alpha in (None, 1.0):
         return functools.partial(_classical_bands, kind, grid)
-    sigma, alpha, n, h = kind.sigma, kind.alpha, grid.n, grid.h
+    sigma, alpha, n = kind.sigma, kind.alpha, grid.n
+    s = _scale(grid.h, alpha)
+    vs = -sigma * s  # V = vs K[:, 1:n]
     inner = _kernel(alpha, n, sigma, False)[:, 1:n]
     cols = np.arange(n - 1)
     rows = np.arange(n)[_outer_rows(-sigma, n)]  # the interior nodes' window rows
     adjoint = _operator(alpha, n, sigma, True)  # A, unscaled
     gram = functools.cache(lambda: adjoint(inner))
     window = _rows(sigma, n)
-    s = _scale(h, alpha)
-    vs = -sigma * s  # V = vs K[:, 1:n]
     velocity = _velocity(alpha, sigma, grid)
 
     def core(lag: Lagrangian, values: Vec) -> Vec:

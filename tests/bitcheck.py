@@ -38,7 +38,8 @@ functional and the velocity.  Groups:
   Q_0 = 1, Q_1 = cos(omega h) + sin(omega h)/2), which stalls on it;
 - operators: the public operators on seeded trajectories, x sigma (the
   velocity's side and the window of the windowed operators) x classical
-  and alpha 0.3, 0.8 and 1 x d 1-2 x n 4, 5, 16, 64, 257.  Classical:
+  and alpha 0.3, 0.8, 1 and 1.7 (the GL entries take any positive order)
+  x d 1-2 x n 4, 5, 16, 64, 257.  Classical:
   ``delta_plus``, ``delta_minus``, ``discrete_velocity``, ``seq_delta``
   of both sides on the window, ``gauss_quadrature`` and
   ``check_discrete_ibp``; else ``delta_alpha_plus``, ``delta_alpha_minus``,
@@ -136,7 +137,8 @@ GROUPS = {
         ["march"], [fv.MINUS], [None], PROBLEMS + ("harmonic-cli",), DIMS, [4096], [1e-9],
         [50])),
     "operators": list(itertools.product(
-        ["operators"], SIGMAS, (None, 0.3, 0.8, 1.0), [None], DIMS, (4, 5, 16, 64, 257), [None]))
+        ["operators"], SIGMAS, (None, 0.3, 0.8, 1.0, 1.7), [None], DIMS, (4, 5, 16, 64, 257),
+        [None]))
     + list(itertools.product(
         ["operators"], SIGMAS, (0.3, 0.8), ["gradient"], [1], (1025, 2049), [None])),
     "bvp-failures": [

@@ -15,7 +15,7 @@ def test_bitcheck_runs_on_its_smallest_size(capsys):
     assert [line[:4] for line in lines] == [
         [group, str(count), "cases", "sha256"] for group, count in counts.items()
     ]
-    assert counts["classical"] == 96 and counts["operators"] == 16
+    assert counts["classical"] == 96 and counts["operators"] == 20
     assert counts["bvp-failures"] == 448
     assert counts["march"] == counts["march-kinds"] == 0
     assert all(len(line) == 5 and len(bytes.fromhex(line[4])) == 32 for line in lines)

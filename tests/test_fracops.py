@@ -340,6 +340,28 @@ def test_gl_scale_outside_the_float_range_refused(b, n, alpha, h):
         assert str(info.value) == message
 
 
+def test_every_gl_entry_refuses_the_scale_before_the_weights():
+    # at h = 1/64 an order of 1e300 overflows both the scale and the
+    # weights: every entry takes the scale first, so all name h
+    q = fv.Trajectory(fv.make_grid(0.0, 1.0, 64), np.zeros(65))
+    calls = {
+        "delta_alpha_minus": lambda: fv.delta_alpha_minus(q, 1e300),
+        "delta_alpha_plus": lambda: fv.delta_alpha_plus(q, 1e300),
+        "velocity MINUS": lambda: fv.discrete_velocity_alpha(q, fv.MINUS, 1e300),
+        "velocity PLUS": lambda: fv.discrete_velocity_alpha(q, fv.PLUS, 1e300),
+        "frac_seq_minus": lambda: fracops.frac_seq_minus(fv.restrict(q, fv.PLUS), 1e300),
+        "frac_seq_plus": lambda: fracops.frac_seq_plus(fv.restrict(q, fv.MINUS), 1e300),
+        "check_discrete_frac_ibp": lambda: fv.check_discrete_frac_ibp(q, q, 1e300),
+    }
+    refused = {}
+    for name, call in calls.items():
+        with pytest.raises(fv.DomainError) as info:
+            call()
+        refused[name] = str(info.value)
+    message = "GL scale h^-alpha leaves the float range at h = 0.015625, alpha = 1e+300"
+    assert refused == dict.fromkeys(calls, message)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
 def test_mirror_symmetry(alpha):
     rng = np.random.default_rng(23)

@@ -19,7 +19,12 @@ retraces it, and the coherent kinds march bit for bit alike.  The drawn
 Lagrangians include ones whose Lv returns a Fortran-ordered, flipped or
 broadcast array, and the coherent routes must still agree bit for bit.
 
-Examples are derandomized, so every run checks the same cases.
+Examples are derandomized, yet a test does not draw the same cases in
+every pytest run: Hypothesis draws some of its numbers from literals it
+finds in every imported module of the project, so which test modules
+pytest has imported changes what it draws.  Counterexamples that once failed are
+therefore pinned, with ``@example`` or, for a test that draws with
+``st.data()``, as a parametrized case.
 """
 
 import contextlib
@@ -27,7 +32,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fracvi as fv
@@ -64,15 +69,21 @@ classical_stencils = st.sampled_from([
 ])
 
 
+def seeded(n, d, a, length, seed, count=1):
+    """``count`` trajectories on the grid of n steps over [a, a + length],
+    values in [-2, 2] from the generator of ``seed``."""
+    grid = fv.make_grid(a, a + length, n)
+    rng = np.random.default_rng(seed)
+    return [fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d))) for _ in range(count)]
+
+
 @st.composite
 def trajectories(draw, count=1, min_n=2, max_n=40):
     """``count`` trajectories on one random grid, values in [-2, 2]."""
     n = draw(st.integers(min_n, max_n))
     d = draw(st.integers(1, 3))
     a = draw(st.floats(-1.0, 1.0))
-    grid = fv.make_grid(a, a + draw(st.floats(0.5, 3.0)), n)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return [fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d))) for _ in range(count)]
+    return seeded(n, d, a, draw(st.floats(0.5, 3.0)), draw(st.integers(0, 2**32 - 1)), count)
 
 
 def lagrangian(name, dim):
@@ -120,6 +131,8 @@ def test_asymmetric_embedding_is_coherent(qs, sigma, name):
 
 @PROPERTY
 @given(trajectories(min_n=3), sigmas, alphas, lagrangians)
+# gap 4.4e-16 when the direct route copied Lv to C order
+@example(seeded(4, 1, 0.0, 1.0, 0), fv.PLUS, 0.5, "coupled/flipped")
 def test_gl_embedding_is_coherent(qs, sigma, alpha, name):
     [q] = qs
     report = fv.coherence_report(lagrangian(name, q.dim), q, sigma, alpha=alpha)
@@ -228,16 +241,11 @@ def solve_outcome(problem):
     return last.tobytes(), message, history, counters
 
 
-@settings(PROPERTY, max_examples=50)  # each example makes four solves, n up to 256
-@given(st.data(), lagrangians, sigmas, alphas)
-def test_coherent_embeddings_solve_identically(data, name, sigma, alpha):
+def check_routes_solve_identically(name, sigma, alpha, n, d, seed, a, length):
     # the direct and variational routes of the asymmetric and GL embeddings
     # are one scheme, so Newton takes the same steps on both, bit for bit
-    n = data.draw(st.integers(3, 256))
-    d = data.draw(st.integers(1, 2))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    a = data.draw(st.floats(-1.0, 1.0))
-    grid = fv.make_grid(a, a + data.draw(st.floats(0.5, 3.0)), n)
+    rng = np.random.default_rng(seed)
+    grid = fv.make_grid(a, a + length, n)
     lag = lagrangian(name, d)
     qa, qb = rng.uniform(-1.0, 1.0, (2, d))
     pairs = (
@@ -250,6 +258,26 @@ def test_coherent_embeddings_solve_identically(data, name, sigma, alpha):
             for family in (variational, direct)
         ]
         assert outcomes[0] == outcomes[1], (variational.value, n, d)
+
+
+@settings(PROPERTY, max_examples=50)  # each example makes four solves, n up to 256
+@given(st.data(), lagrangians, sigmas, alphas)
+def test_coherent_embeddings_solve_identically(data, name, sigma, alpha):
+    n = data.draw(st.integers(3, 256))
+    d = data.draw(st.integers(1, 2))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    a = data.draw(st.floats(-1.0, 1.0))
+    length = data.draw(st.floats(0.5, 3.0))
+    check_routes_solve_identically(name, sigma, alpha, n, d, seed, a, length)
+
+
+# the solves parted when the direct route copied Lv to C order
+@pytest.mark.parametrize("name,sigma,alpha,n,d,seed,a,length", [
+    ("harmonic/flipped", fv.PLUS, 0.875, 3, 1, 0, 0.0, 1.0),
+])
+def test_coherent_embeddings_solve_identically_on_pinned_cases(name, sigma, alpha, n, d, seed,
+                                                                a, length):
+    check_routes_solve_identically(name, sigma, alpha, n, d, seed, a, length)
 
 
 @contextlib.contextmanager
@@ -272,6 +300,7 @@ weight_draws = (st.floats(0.05, 0.95), st.integers(0, 2**32 - 1), st.integers(4,
 
 @settings(PROPERTY, max_examples=100)
 @given(*weight_draws, st.integers(1, 2), lagrangians)
+@example(0.5, 0, 4, 1, "harmonic/flipped")  # gap 4.4e-16, as above
 def test_coherence_rests_on_prefix_consistent_weights(alpha, seed, n, d, name):
     # the direct route builds its outer kernel over n - 1 positions and the
     # variational one the velocity kernel over n: they read one weight
