@@ -64,7 +64,13 @@ FD_NOISE = np.finfo(float).eps / FD_STEP
 @dataclass(frozen=True, kw_only=True)
 class Lagrangian:
     """L(x, v, t) with its partial derivatives Lx = dL/dx and Lv = dL/dv,
-    each evaluated row by row on x, v of shape (..., d) and t of shape (...)."""
+    each evaluated row by row on x, v of shape (..., d) and t of shape (...).
+
+    A callback must not write to its arguments, which are valid only
+    during the call: a boundary-value solve passes views of its read-only
+    node values, and a one-unknown march a read-only pair of (1,) arrays
+    that it rewrites for every call.  A callback that keeps an argument
+    must copy it."""
 
     L: ScalarFn
     Lx: VectorFn

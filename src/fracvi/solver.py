@@ -34,8 +34,10 @@ iteration makes one linear solve, and the line search stops as soon as a
 rejected trial rounds to the iterate.  The kernel fails through one raise,
 and :func:`march` names the failing step itself.  A one-unknown march
 (d = 1) runs in the scalar layout: its unknown, residuals, held Jacobian
-and Lx, Lv values are Python floats, wrapped as (1,) arrays only for the
-callbacks, so it calls no :func:`lu_solve`.
+and Lx, Lv values are Python floats, so it calls no :func:`lu_solve`.
+Each callback call writes Q_j and v into one pair of read-only (1,)
+arrays, made once per march, and reads both results as floats before the
+next write.
 """
 
 from __future__ import annotations
@@ -164,11 +166,13 @@ def linear_initial_guess(grid: Grid, qa, qb) -> Trajectory:
 _MAX_BACKTRACKS = 40
 #: Line-search step shrink factor per rejected trial.
 _DAMPING = 0.5
+#: The line search's step factors 1, _DAMPING, _DAMPING^2, ..., exact powers of two.
+_TRIAL_FACTORS = tuple(_DAMPING**i for i in range(_MAX_BACKTRACKS))
 
 
-def _inf_norm(v: np.ndarray | float) -> float:
-    """``max |v_i|`` (NaN if any entry is); a float is its one entry."""
-    return abs(v) if isinstance(v, float) else float(abs(v).max())
+def _inf_norm(v: np.ndarray) -> float:
+    """``max |v_i|`` (NaN if any entry is)."""
+    return float(abs(v).max())
 
 
 def _fd_jacobian(fun, x: np.ndarray | float, r: np.ndarray | float) -> np.ndarray | float:
@@ -294,8 +298,10 @@ def _newton(
     (3, nodes, d, d) bands.  A zero float raises
     :class:`SingularMatrixError` as :func:`lu_solve` does.  The first
     iteration solves with ``held`` when one is given; every other iteration
-    builds ``jacobian(fun, x, r)`` at its iterate and counts the build
-    (``fun`` counts the residual calls the build makes).  Returns the
+    builds ``jacobian(counted, x, r)`` at its iterate and counts the build;
+    ``counted`` is ``fun`` counting the residual calls the build makes.
+    The layout of ``x0`` picks the norm, and for a float the division,
+    once per call.  Returns the
     solution, the diagnostics and the last Jacobian used, which a chord
     iteration hands to its next solve as ``held``.  Steps backtrack until
     the residual inf-norm decreases.  A rejected trial that rounds to ``x``
@@ -308,13 +314,16 @@ def _newton(
     """
     x = x0  # never written: a step makes a new iterate
     diag = NewtonDiagnostics()
+    scalar = isinstance(x0, float)
+    norm = abs if scalar else _inf_norm  # a float is its one entry
 
-    def counted(y: np.ndarray) -> np.ndarray:
+    def counted(y: np.ndarray) -> np.ndarray:  # the Jacobian builder's calls
         diag.residual_evals += 1
         return fun(y)
 
-    r = counted(x)
-    rnorm = _inf_norm(r)
+    r = fun(x)
+    diag.residual_evals += 1
+    rnorm = norm(r)
     diag.records.append((0, rnorm, 0.0))
     failure = None  # the message of the one raise below
     if not math.isfinite(rnorm):
@@ -328,31 +337,30 @@ def _newton(
         if held is None or it > 1:
             held = jacobian(counted, x, r)
             diag.jacobian_builds += 1
-        if isinstance(held, float):
+        if scalar:
             if held == 0.0:
                 raise SingularMatrixError("singular matrix")
             delta = -r / held
         else:
             delta = (lu_solve if held.ndim == 2 else _block_tridiagonal_solve)(held, -r)
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
+        for t in _TRIAL_FACTORS:
             step = delta if t == 1.0 else t * delta  # 1.0 * delta is delta
             trial = x + step
-            r_trial = counted(trial)
-            rn_trial = _inf_norm(r_trial)
+            r_trial = fun(trial)
+            diag.residual_evals += 1
+            rn_trial = norm(r_trial)
             if rn_trial < rnorm:
                 break
             diag.backtracks += 1
             # bit for bit: a float compares as its 8 bytes, so -0.0 is not 0.0
             if np.asarray(trial).tobytes() == np.asarray(x).tobytes():
                 break
-            t *= _DAMPING
         if not rn_trial < rnorm:
             diag.records.append((it, rnorm, 0.0))
             failure = f"line search stalled at iteration {it}"
             break
         x, r, rnorm = trial, r_trial, rn_trial
-        diag.records.append((it, rnorm, _inf_norm(step)))
+        diag.records.append((it, rnorm, norm(step)))
     if failure is not None:
         if it:  # a stop inside the loop reports the residual it reached
             failure += f" (residual {rnorm:.3e}, target {cfg.tol:.3e})"
@@ -445,8 +453,11 @@ def march(
     step to step, and rebuilds it by forward differences at any later
     iteration.  A linear problem thus builds one Jacobian for the whole
     march.  With d = 1 the step works on Python floats (the scalar
-    layout), bit for bit as the (d,) array layout.  Each step's callback
-    results are converted and shape-checked as an assembly's.
+    layout), bit for bit as the (d,) array layout: each Lx and Lv call
+    gets Q_j and v written into one pair of read-only (1,) arrays, made
+    once per march, so a callback must copy an argument it keeps.  Each
+    step's callback results are converted and shape-checked as an
+    assembly's, and read before the next write.
 
     Returns the trajectory and diagnostics whose counters are summed over
     every step and whose history is that of the step that ended with the
@@ -468,27 +479,36 @@ def march(
     worst = math.nan  # spent.final_residual, as a float
     held = None  # the last Jacobian built during the march
     scalar = d == 1  # the scalar layout: Q_k, residuals, Lx and Lv as floats
+    # its callback arguments: read-only (1,) views of one pair of arrays,
+    # into which each call writes Q_j and v
+    xw, vw = np.empty(1), np.empty(1)
+    xs, vs = xw.view(), vw.view()
+    xs.flags.writeable = vs.flags.writeable = False
+    Lx, Lv = lag.Lx, lag.Lv
 
     # step k's residual at Q_k = x, with prev = Q_{k-1}, t_j, and lx_prev,
     # lv_prev at node j-1; it keeps node j's own in lx_last, lv_last
     def step_residual(x):
         nonlocal lx_last, lv_last
         v = (x - prev) * hinv
-        xj = prev if back else x
-        xs, vs = (np.array([xj]), np.array([v])) if scalar else (xj, v)
-        lx_last, lv_last = _lagrangian_values(lag, xs, vs, t_j)
-        if scalar:
-            lx_last, lv_last = lx_last.item(), lv_last.item()
+        if scalar:  # both results are read before the next write
+            xw[0], vw[0] = prev if back else x, v
+            lx_last = _call(Lx, "Lx", (1,), xs, vs, t_j).item()
+            lv_last = _call(Lv, "Lv", (1,), xs, vs, t_j).item()
+        else:
+            lx_last, lv_last = _lagrangian_values(lag, prev if back else x, v, t_j)
         return (lx_last if own else lx_prev) - (lv_last - lv_prev) * hinv
 
-    # node j-1 of step k = 2; Lx there only when the row reads it
-    first = (q0 if back else q1, (q1 - q0) * hinv, nodes[1 - back])
-    lx_last = None if own else _call(lag.Lx, "Lx", (d,), *first)
-    lv_last = _call(lag.Lv, "Lv", (d,), *first)
-    q = [q0, q1]  # Q_0 .. Q_k
+    q = [q0.item(), q1.item()] if scalar else [q0, q1]  # Q_0 .. Q_k
+    xj, v, t = q[1 - back], (q[1] - q[0]) * hinv, nodes[1 - back]  # node j-1 of step k = 2
     if scalar:
-        q, lv_last = [q0.item(), q1.item()], lv_last.item()
-        lx_last = None if own else lx_last.item()
+        xw[0], vw[0] = xj, v
+        xj, v = xs, vs
+    # Lx there only when the row reads it
+    lx_last = None if own else _call(Lx, "Lx", (d,), xj, v, t)
+    lv_last = _call(Lv, "Lv", (d,), xj, v, t)
+    if scalar:
+        lx_last, lv_last = None if own else lx_last.item(), lv_last.item()
     for k in range(2, grid.n + 1):
         # a converged step's last residual call was at the Q_{k-1} it
         # returned, so its Lx and Lv are node j-1's, bit for bit

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import time
 import tracemalloc
@@ -448,8 +449,8 @@ def _march_outcome(march, lag, grid, q0, q1, tol, max_iter=50):
     return failure, np.asarray(values).tobytes(), np.array(diag.records).tobytes(), counters
 
 
-def _library_march(lag, grid, q0, q1, tol, max_iter):
-    traj, diag = march_direct_classical(lag, grid, q0, q1, NewtonConfig(tol, max_iter))
+def _library_march(lag, grid, q0, q1, tol, max_iter, sigma=fv.MINUS):
+    traj, diag = march_direct_classical(lag, grid, q0, q1, NewtonConfig(tol, max_iter), sigma)
     return traj.values, diag
 
 
@@ -513,20 +514,25 @@ def test_march_takes_an_lv_that_returns_a_list(dim):
     assert got == _march_outcome(_library_march, lag, grid, q0, q1, 1e-11)
 
 
-def test_one_unknown_march_hands_callbacks_float_arrays():
-    # a d = 1 march steps on floats, but every Lx and Lv call, the Jacobian
-    # columns and the line search's trials included, gets (1,) float arrays
-    lag, n, start, slope, max_iter, _ = _MARCH_EDGE_CASES["backtrack"]
-    args = []
+def recording(lag, args):
+    """``lag`` with Lx and Lv appending their x and v arguments to ``args``."""
 
-    def recording(fn):
+    def wrap(fn):
         def call(x, v, t):
             args.extend([x, v])
             return fn(x, v, t)
 
         return call
 
-    recorded = dataclasses.replace(lag, Lx=recording(lag.Lx), Lv=recording(lag.Lv))
+    return dataclasses.replace(lag, Lx=wrap(lag.Lx), Lv=wrap(lag.Lv))
+
+
+def test_one_unknown_march_hands_callbacks_float_arrays():
+    # a d = 1 march steps on floats, but every Lx and Lv call, the Jacobian
+    # columns and the line search's trials included, gets (1,) float arrays
+    lag, n, start, slope, max_iter, _ = _MARCH_EDGE_CASES["backtrack"]
+    args = []
+    recorded = recording(lag, args)
     grid = fv.make_grid(0.0, 1.0, n)
     _, diag = march_direct_classical(
         recorded, grid, [start], [start + slope * grid.h], NewtonConfig(1e-11, max_iter)
@@ -534,6 +540,56 @@ def test_one_unknown_march_hands_callbacks_float_arrays():
     assert diag.jacobian_builds >= 1 and diag.backtracks >= 1
     assert len(args) == 2 * (2 * diag.residual_evals + 1)
     assert all(type(a) is np.ndarray and a.shape == (1,) and a.dtype == np.float64 for a in args)
+
+
+def inverted_oscillator(itself=""):
+    """d = 1, U = -x^2/2, so Lx = x and Lv = v: the callback named by
+    ``itself`` returns its argument itself, the other returns a copy."""
+
+    def returning(name, pick):
+        if name == itself:
+            return lambda x, v, t: pick(x, v)
+        return lambda x, v, t: pick(x, v).copy()
+
+    return fv.Lagrangian(
+        L=lambda x, v, t: 0.5 * np.sum(v * v + x * x, axis=-1),
+        Lx=returning("Lx", lambda x, v: x),
+        Lv=returning("Lv", lambda x, v: v),
+        dim=1,
+    )
+
+
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("itself", ["Lx", "Lv"])
+def test_march_argument_pair_never_leaks_into_a_result(itself, sigma):
+    # a one-unknown march writes Q_j and v into one read-only pair of (1,)
+    # arrays for every callback call, so a callback that returns its
+    # argument itself must march as one that returns a copy
+    args = []
+    recorded = recording(inverted_oscillator(itself), args)
+    grid = fv.make_grid(0.0, 1.0, 64)
+    march = functools.partial(_library_march, sigma=sigma)
+    got = _march_outcome(march, recorded, grid, np.array([0.3]), np.array([0.32]), 1e-11)
+    assert got[0] is None
+    assert got == _march_outcome(march, inverted_oscillator(), grid, [0.3], [0.32], 1e-11)
+    assert len(args) >= 4 * 63
+    for a in args:
+        assert type(a) is np.ndarray and a.shape == (1,) and a.dtype == np.float64
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("name", ["Lx", "Lv"])
+def test_one_unknown_march_refuses_a_callback_that_writes_its_x(name, sigma):
+    def writing(x, v, t):
+        x[0] = 0.0
+        return np.zeros(1)
+
+    lag = dataclasses.replace(inverted_oscillator(), **{name: writing})
+    q0, q1 = np.array([0.3]), np.array([0.32])
+    with pytest.raises(ValueError, match="read-only"):
+        march_direct_classical(lag, fv.make_grid(0.0, 1.0, 64), q0, q1, sigma=sigma)
+    assert q0[0] == 0.3 and q1[0] == 0.32  # the caller's start values are never handed over
 
 
 @pytest.mark.parametrize("dim", [1, 2])
