@@ -14,8 +14,10 @@ names (with ``-`` or ``_``), values are parsed exactly like flags, keys the
 subcommand does not take are ignored, and explicit flags win.
 
 Exit codes: 0 all checks pass, 1 check violation, 2 usage error, 3 solver
-failure.  Every command is deterministic; ``ibp`` and ``coherence`` draw
-random trajectories, from ``--seed``.
+failure, 141 stdout closed before the report was written (128 + SIGPIPE,
+the code a shell gives a process that signal ends).  Every command is
+deterministic; ``ibp`` and ``coherence`` draw random trajectories, from
+``--seed``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -65,6 +68,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
+EXIT_CLOSED_STDOUT = 141
 
 CLASSICAL_IBP_RTOL = 1e-12
 FRACTIONAL_IBP_RTOL = 1e-10
@@ -653,6 +657,14 @@ def main(argv=None) -> int:
     except (NewtonConvergenceError, SingularMatrixError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # as Python's signal docs advise ("Note on SIGPIPE"): point stdout
+        # at devnull, so that the interpreter's last flush cannot raise
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     return code

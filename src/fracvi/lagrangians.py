@@ -68,7 +68,7 @@ class Lagrangian:
 
     A callback must not write to its arguments, which are valid only
     during the call: a boundary-value solve passes views of its read-only
-    node values, and a one-unknown march a read-only pair of (1,) arrays
+    node values, and a march, at any d, a read-only pair of (d,) arrays
     that it rewrites for every call.  A callback that keeps an argument
     must copy it."""
 

@@ -32,12 +32,13 @@ outer side, reuses the previous step's last Lx and Lv values and, as
 every assembly, calls Lx and Lv through ``lagrangians._call``.  Each
 iteration makes one linear solve, and the line search stops as soon as a
 rejected trial rounds to the iterate.  The kernel fails through one raise,
-and :func:`march` names the failing step itself.  A one-unknown march
-(d = 1) runs in the scalar layout: its unknown, residuals, held Jacobian
-and Lx, Lv values are Python floats, so it calls no :func:`lu_solve`.
-Each callback call writes Q_j and v into one pair of read-only (1,)
-arrays, made once per march, and reads both results as floats before the
-next write.
+and :func:`march` names the failing step itself.  Every Lx and Lv call
+of a march, at any d, writes Q_j and v into one pair of (d,) arrays, made
+once per march, and hands the callback read-only views of them; both
+results are read off before the next write.  A one-unknown march (d = 1)
+runs in the scalar layout: its unknown, residuals, held Jacobian and Lx,
+Lv values are Python floats, so it calls no :func:`lu_solve`, and it
+reads each result as a float; a wider march reads a copy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .grids import MINUS, DomainError, Grid, Trajectory, _fmt, _write_csv, check_endpoints
 from .grids import check_integer
-from .lagrangians import FD_STEP, Lagrangian, _call, _lagrangian_values
+from .lagrangians import FD_STEP, Lagrangian, _call
 from .schemes import SchemeFamily, SchemeKind, _check_layout, _jacobian_core, _residual_core
 from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patches it here
 
@@ -452,12 +453,13 @@ def march(
     step Jacobian is about ``1/h^2`` plus a term that moves by O(h) from
     step to step, and rebuilds it by forward differences at any later
     iteration.  A linear problem thus builds one Jacobian for the whole
-    march.  With d = 1 the step works on Python floats (the scalar
-    layout), bit for bit as the (d,) array layout: each Lx and Lv call
-    gets Q_j and v written into one pair of read-only (1,) arrays, made
-    once per march, so a callback must copy an argument it keeps.  Each
-    step's callback results are converted and shape-checked as an
-    assembly's, and read before the next write.
+    march.  Each Lx and Lv call, at any d, gets Q_j and v written into
+    one pair of read-only (d,) arrays, made once per march, so a callback
+    must copy an argument it keeps and cannot write to one.  Each
+    callback result is converted and shape-checked as an assembly's, and
+    read off before the next write: as a float with d = 1, where the step
+    works on Python floats (the scalar layout), bit for bit as the (d,)
+    array layout, and as a copy with d > 1.
 
     Returns the trajectory and diagnostics whose counters are summed over
     every step and whose history is that of the step that ended with the
@@ -478,10 +480,12 @@ def march(
     spent = NewtonDiagnostics(converged=True)
     worst = math.nan  # spent.final_residual, as a float
     held = None  # the last Jacobian built during the march
-    scalar = d == 1  # the scalar layout: Q_k, residuals, Lx and Lv as floats
-    # its callback arguments: read-only (1,) views of one pair of arrays,
-    # into which each call writes Q_j and v
-    xw, vw = np.empty(1), np.empty(1)
+    # the callback arguments: read-only views of one pair of (d,) arrays,
+    # into which each call writes Q_j and v; each result is read off before
+    # the next write, as a float in the scalar layout (d = 1: Q_k,
+    # residuals, Lx and Lv as floats), else as a copy
+    at, read = (0, np.ndarray.item) if d == 1 else (..., np.ndarray.copy)
+    xw, vw = np.empty(d), np.empty(d)
     xs, vs = xw.view(), vw.view()
     xs.flags.writeable = vs.flags.writeable = False
     Lx, Lv = lag.Lx, lag.Lv
@@ -491,24 +495,16 @@ def march(
     def step_residual(x):
         nonlocal lx_last, lv_last
         v = (x - prev) * hinv
-        if scalar:  # both results are read before the next write
-            xw[0], vw[0] = prev if back else x, v
-            lx_last = _call(Lx, "Lx", (1,), xs, vs, t_j).item()
-            lv_last = _call(Lv, "Lv", (1,), xs, vs, t_j).item()
-        else:
-            lx_last, lv_last = _lagrangian_values(lag, prev if back else x, v, t_j)
+        xw[at], vw[at] = prev if back else x, v
+        lx_last = read(_call(Lx, "Lx", (d,), xs, vs, t_j))
+        lv_last = read(_call(Lv, "Lv", (d,), xs, vs, t_j))
         return (lx_last if own else lx_prev) - (lv_last - lv_prev) * hinv
 
-    q = [q0.item(), q1.item()] if scalar else [q0, q1]  # Q_0 .. Q_k
-    xj, v, t = q[1 - back], (q[1] - q[0]) * hinv, nodes[1 - back]  # node j-1 of step k = 2
-    if scalar:
-        xw[0], vw[0] = xj, v
-        xj, v = xs, vs
-    # Lx there only when the row reads it
-    lx_last = None if own else _call(Lx, "Lx", (d,), xj, v, t)
-    lv_last = _call(Lv, "Lv", (d,), xj, v, t)
-    if scalar:
-        lx_last, lv_last = None if own else lx_last.item(), lv_last.item()
+    q = [read(q0), read(q1)]  # Q_0 .. Q_k
+    # node j-1 of step k = 2, with Lx there only when the row reads it
+    t_j, xw[at], vw[at] = nodes[1 - back], q[1 - back], (q[1] - q[0]) * hinv
+    lx_last = None if own else read(_call(Lx, "Lx", (d,), xs, vs, t_j))
+    lv_last = read(_call(Lv, "Lv", (d,), xs, vs, t_j))
     for k in range(2, grid.n + 1):
         # a converged step's last residual call was at the Q_{k-1} it
         # returned, so its Lx and Lv are node j-1's, bit for bit

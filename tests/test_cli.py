@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import fracvi as fv
 from fracvi import cli
 from fracvi.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_USAGE,
@@ -667,11 +668,16 @@ def test_malformed_negative_value_is_refused_by_its_converter(tmp_path, capsys, 
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_python_m_fracvi(tmp_path):
+def _package_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def test_python_m_fracvi(tmp_path):
+    env = _package_env()
     argv = [sys.executable, "-m", "fracvi", "ibp", "--n", "16", "--trials", "5"]
     done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == EXIT_OK, done.stderr
@@ -679,6 +685,44 @@ def test_python_m_fracvi(tmp_path):
     usage = subprocess.run(argv[:3] + ["ibp", "--n", "1"], cwd=tmp_path, env=env,
                            capture_output=True, text=True)
     assert usage.returncode == EXIT_USAGE
+
+
+def test_closed_stdout_ends_main_with_its_own_exit_code(monkeypatch):
+    # a stdout whose reader has gone: print raises BrokenPipeError; its
+    # descriptor is the write end of a pipe of this test's own
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_end
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    try:
+        assert main(["ibp", "--n", "16", "--trials", "5"]) == EXIT_CLOSED_STDOUT
+        # the descriptor now writes to devnull, and the pipe has no writer
+        os.write(write_end, b"x")
+        assert os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert EXIT_CLOSED_STDOUT not in (EXIT_OK, cli.EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_SOLVER)
+
+
+def test_python_m_fracvi_into_a_closed_pipe(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails
+    argv = [sys.executable, "-m", "fracvi", "coherence", "--alpha", "0.5"]
+    try:
+        done = subprocess.run(argv, cwd=tmp_path, env=_package_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_CLOSED_STDOUT
+    assert done.stderr == ""  # no traceback, not even from the last flush
 
 
 # --------------------------------------------------------------------------

@@ -542,9 +542,10 @@ def test_one_unknown_march_hands_callbacks_float_arrays():
     assert all(type(a) is np.ndarray and a.shape == (1,) and a.dtype == np.float64 for a in args)
 
 
-def inverted_oscillator(itself=""):
-    """d = 1, U = -x^2/2, so Lx = x and Lv = v: the callback named by
-    ``itself`` returns its argument itself, the other returns a copy."""
+def inverted_oscillator(itself="", dim=1):
+    """U = -|x|^2/2 in ``dim`` dimensions, so Lx = x and Lv = v: the
+    callback named by ``itself`` returns its argument itself, the other
+    returns a copy."""
 
     def returning(name, pick):
         if name == itself:
@@ -555,7 +556,7 @@ def inverted_oscillator(itself=""):
         L=lambda x, v, t: 0.5 * np.sum(v * v + x * x, axis=-1),
         Lx=returning("Lx", lambda x, v: x),
         Lv=returning("Lv", lambda x, v: v),
-        dim=1,
+        dim=dim,
     )
 
 
@@ -590,6 +591,47 @@ def test_one_unknown_march_refuses_a_callback_that_writes_its_x(name, sigma):
     with pytest.raises(ValueError, match="read-only"):
         march_direct_classical(lag, fv.make_grid(0.0, 1.0, 64), q0, q1, sigma=sigma)
     assert q0[0] == 0.3 and q1[0] == 0.32  # the caller's start values are never handed over
+
+
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("itself", ["Lx", "Lv"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_wide_march_argument_pair_never_leaks_into_a_result(dim, itself, sigma):
+    # a march of any d writes Q_j and v into one read-only pair of (d,)
+    # arrays and copies each result off it before the next write
+    args = []
+    recorded = recording(inverted_oscillator(itself, dim), args)
+    grid = fv.make_grid(0.0, 1.0, 64)
+    march = functools.partial(_library_march, sigma=sigma)
+    q0 = np.linspace(0.3, 0.5, dim)
+    q1 = q0 + np.linspace(0.02, -0.01, dim)
+    got = _march_outcome(march, recorded, grid, q0, q1, 1e-11)
+    assert got[0] is None
+    copying = inverted_oscillator(dim=dim)
+    assert got == _march_outcome(march, copying, grid, q0.tolist(), q1.tolist(), 1e-11)
+    assert len(args) >= 4 * 63
+    for a in args:
+        assert type(a) is np.ndarray and a.shape == (dim,) and a.dtype == np.float64
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("sigma", [fv.MINUS, fv.PLUS])
+@pytest.mark.parametrize("arg", ["x", "v"])
+@pytest.mark.parametrize("name", ["Lx", "Lv"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_wide_march_refuses_a_callback_that_writes_an_argument(dim, name, arg, sigma):
+    def writing(x, v, t):
+        {"x": x, "v": v}[arg][0] = 99.0
+        return np.zeros(dim)
+
+    lag = dataclasses.replace(inverted_oscillator(dim=dim), **{name: writing})
+    q0 = np.linspace(0.3, 0.5, dim)
+    q1 = q0 + 0.02
+    kept0, kept1 = q0.copy(), q1.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        march_direct_classical(lag, fv.make_grid(0.0, 1.0, 16), q0, q1, sigma=sigma)
+    # the caller's start values are never handed over
+    assert q0.tobytes() == kept0.tobytes() and q1.tobytes() == kept1.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
