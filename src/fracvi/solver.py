@@ -16,9 +16,11 @@ the chain rule from pointwise Hessian blocks (4*d + 2 callback calls).
 Below alpha = 1 it is dense and solved by LAPACK; at alpha = 1, whatever
 the family, it has three block diagonals, which odd-even block cyclic
 reduction solves in O(n*d^3) time and O(n*d^2) memory, ending in one
-small LAPACK solve.  A reduction level with 1x1 blocks (d = 1) is one
-reciprocal and elementwise products; with d > 1 it is one batched LAPACK
-solve and stacked matmuls.
+small system solved directly.  With 1x1 blocks (d = 1) a reduction level
+is one reciprocal and elementwise products, and the small system a sweep
+over Python floats that pivots as LAPACK's dgtsv, so a d = 1 solve makes
+no LAPACK call.  With d > 1 a level is one batched LAPACK solve and
+stacked matmuls, and the small system one dense LAPACK solve.
 
 The Newton kernel owns its step: handed a Jacobian builder and maybe a
 held Jacobian, it solves with the held one at its first iteration, builds
@@ -57,8 +59,9 @@ from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patche
 
 class SingularMatrixError(RuntimeError):
     """A Newton system is singular: the LU factorization of a dense system,
-    or of a diagonal block that block cyclic reduction eliminates, hit an
-    exactly zero pivot."""
+    of a diagonal block that block cyclic reduction eliminates, or of the
+    tridiagonal system that ends a d = 1 reduction hit an exactly zero
+    pivot."""
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -192,9 +195,10 @@ def _fd_jacobian(fun, x: np.ndarray | float, r: np.ndarray | float) -> np.ndarra
     return jac
 
 
-#: Unknown count at or below which cyclic reduction hands the reduced
-#: system to one dense LAPACK solve: below it a reduction level costs more
-#: than the O((nodes*d)^3) work it saves (cutoff table in CHANGES.md).
+#: Unknown count at or below which cyclic reduction solves the reduced
+#: system directly: by the tridiagonal sweep for d = 1, by one dense LAPACK
+#: solve for d > 1.  Below it a reduction level costs more than the direct
+#: solve it saves (cutoff tables in CHANGES.md and BENCH_37.json).
 _DENSE_UNKNOWNS = 64
 
 
@@ -227,15 +231,17 @@ def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970; Golub & Van
     Loan section 4.5): each level eliminates the odd-numbered blocks
     against their diagonal blocks, which halves the system, until at most
-    ``_DENSE_UNKNOWNS`` unknowns (or one block) are left for one
-    :func:`lu_solve`: O(nodes*d^3) work, O(nodes*d^2) memory.  1x1 blocks
-    travel as scalars, (3, nodes) bands and a (nodes,) right-hand side, so
-    that with d = 1 a level is one reciprocal and elementwise products;
-    with d > 1 it is one batched LAPACK solve (:func:`_block_solve`) and
-    stacked matmuls.  The product is picked here once, for the recursion.
-    No pivoting crosses blocks, so a singular diagonal block of an
+    ``_DENSE_UNKNOWNS`` unknowns (or one block) are left for a direct
+    solve: O(nodes*d^3) work, O(nodes*d^2) memory.  1x1 blocks travel as
+    scalars, (3, nodes) bands and a (nodes,) right-hand side, so that with
+    d = 1 a level is one reciprocal and elementwise products, and the
+    direct solve :func:`_tridiagonal_sweep`, with no LAPACK call at all;
+    with d > 1 a level is one batched LAPACK solve (:func:`_block_solve`)
+    and stacked matmuls, and the direct solve one :func:`lu_solve`.  The
+    product is picked here once, for the recursion.  A reduction level
+    pivots only inside blocks, so a singular diagonal block of an
     eliminated row raises :class:`SingularMatrixError`, as a singular
-    reduced system does.
+    reduced system does; the direct solves pivot across rows.
     """
     nodes, d = bands.shape[1:3]
     if d == 1:
@@ -248,14 +254,15 @@ def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray, mul) -> np.ndarray:
     scalars or (3, nodes, d, d) of blocks, ``rhs`` (nodes,) or (nodes, d, 1)
     and their product ``mul``; the solution is laid out as ``rhs``."""
     nodes = len(rhs)
-    if nodes == 1 or rhs.size <= _DENSE_UNKNOWNS:
-        d = rhs.size // nodes
-        blocks = bands.reshape(3, nodes, d, d)
+    if rhs.ndim == 1 and nodes <= _DENSE_UNKNOWNS:
+        return _tridiagonal_sweep(bands, rhs)
+    if nodes == 1 or rhs.size <= _DENSE_UNKNOWNS:  # blocks, d > 1
+        d = rhs.shape[1]
         dense = np.zeros((nodes, d, nodes, d))
         i = np.arange(nodes)
-        dense[i[1:], :, i[:-1]] = blocks[0, 1:]
-        dense[i, :, i] = blocks[1]
-        dense[i[:-1], :, i[1:]] = blocks[2, :-1]
+        dense[i[1:], :, i[:-1]] = bands[0, 1:]
+        dense[i, :, i] = bands[1]
+        dense[i[:-1], :, i[1:]] = bands[2, :-1]
         return lu_solve(dense.reshape(rhs.size, rhs.size), rhs.ravel()).reshape(rhs.shape)
     even, odd = bands[:, 0::2], bands[:, 1::2]
     evens, odds = even.shape[1], odd.shape[1]
@@ -280,6 +287,43 @@ def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray, mul) -> np.ndarray:
     x[0::2] = x_even
     x[1::2] = x_odd
     return x
+
+
+def _tridiagonal_sweep(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the scalar tridiagonal system ``bands`` (3, nodes) for ``rhs``
+    (nodes,) over Python floats, by the steps of LAPACK's dgtsv: a forward
+    elimination that interchanges two adjacent rows where the lower one
+    holds the larger entry of the column (partial pivoting, so U gains one
+    fill-in diagonal), then one back substitution (Golub & Van Loan,
+    section 4.3).  O(nodes) work and no LAPACK call.  An exactly zero pivot
+    raises :class:`SingularMatrixError` before any division by it.  Only a
+    nonzero pivot or the larger of two entries divides, so nothing else
+    raises: a NaN entry gives NaN."""
+    lower, diag, upper = bands.tolist()
+    b = rhs.tolist()
+    upper[-1] = 0.0  # the last row has no right neighbour, as lower[0] no left one
+    rows = []  # U's rows: pivot, upper entry, fill-in, right-hand side
+    d, u, y = diag[0], upper[0], b[0]  # the row being eliminated, as updated
+    for low, dia, up, nxt in zip(lower[1:], diag[1:], upper[1:], b[1:]):
+        if abs(d) < abs(low):  # interchange: the next row becomes U's row
+            fact = d / low
+            rows.append((low, dia, up, nxt))
+            d, u, y = u - fact * dia, -fact * up, y - fact * nxt
+        else:  # also when either entry is NaN
+            if d == 0.0:
+                raise SingularMatrixError("zero pivot in the tridiagonal sweep")
+            fact = low / d
+            rows.append((d, u, 0.0, y))
+            d, u, y = dia - fact * u, up, nxt - fact * y
+    if d == 0.0:
+        raise SingularMatrixError("zero pivot in the tridiagonal sweep")
+    x, after = y / d, 0.0
+    solution = [x]
+    for d, u, fill, y in reversed(rows):
+        x, after = (y - u * x - fill * after) / d, x
+        solution.append(x)
+    solution.reverse()
+    return np.array(solution)
 
 
 def _newton(

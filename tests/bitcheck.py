@@ -11,7 +11,11 @@ cases with a larger n (the smallest, 4, is the tier-1 smoke test); pytest
 does not collect this file.  ``--against OTHER`` also runs this same
 script, in a subprocess, on the package of the checkout OTHER
 (``PYTHONPATH=OTHER/src``), then prints each group whose line differs
-there, and exits 1 if any group does.
+there, and exits 1 if any group does.  For each differing group it then
+runs that group again on both trees and says how far it moved: how many
+of its cases differ, every case whose outcome kind flips (converged, or
+its failure message with the numbers masked), and the largest absolute
+and relative change of a solution that converged on both trees.
 
 A boundary-value case hashes the solve (the trajectory, or the failure
 message and the last iterate; the history; the converged flag and the
@@ -75,8 +79,11 @@ import argparse
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import os
+import pickle
+import re
 import subprocess
 import sys
 import zlib
@@ -309,6 +316,59 @@ def digests(max_n: int | None = None) -> dict[str, tuple[int, str]]:
     return out
 
 
+def _kind(message: str) -> str:
+    """A solve's kind of outcome: "converged", or its failure message with
+    every number masked as "#"."""
+    return re.sub(r"\d+(\.\d+)?(e[-+]?\d+)?", "#", message) if message else "converged"
+
+
+def _label(case) -> str:
+    return " ".join(getattr(field, "value", str(field)) for field in case)
+
+
+def case_records(groups, max_n: int | None = None) -> dict[str, list]:
+    """group -> one record per case with n <= max_n: its label, the sha256
+    of its outcome, its kind (None for a case that solves nothing) and its
+    solution (None unless it converged)."""
+    out = {}
+    for group in groups:
+        records = out[group] = []
+        for case in GROUPS[group]:
+            if max_n is not None and case[5] > max_n:
+                continue
+            parts = outcome(case)
+            digest = hashlib.sha256(b"".join(map(_bytes, parts))).hexdigest()
+            kind = None if case[0] in ("operators", "coherence") else _kind(parts[1])
+            records.append((_label(case), digest, kind, parts[0] if kind == "converged" else None))
+    return out
+
+
+def movement(group: str, mine: list, theirs: list) -> list[str]:
+    """Lines on how the records ``theirs`` of one group moved to ``mine``:
+    none if no case differs."""
+    differ, largest, relative, flips = 0, 0.0, 0.0, []
+    for (label, digest, kind, x), (_, their_digest, their_kind, y) in zip(mine, theirs):
+        differ += digest != their_digest
+        if kind != their_kind:
+            flips.append(f"  {group}: {label}: {their_kind} -> {kind}")
+        elif x is not None and y is not None:
+            change = float(np.max(np.abs(x - y)))
+            largest = max(largest, change)
+            relative = max(relative, change / max(float(np.max(np.abs(y))), 1e-300))
+    if not differ:
+        return []
+    return [f"  {group}: {differ} of {len(mine)} cases differ, {len(flips)} flip their kind; "
+            f"a solution converged on both moves by at most {largest:.2e} ({relative:.2e} relative)",
+            *flips]
+
+
+def _against(other: str, args: list[str]) -> tuple[list[str], dict[str, str]]:
+    """The command and environment that run ``python ARGS`` on the package
+    of the checkout ``other``, with this script importable."""
+    path = os.pathsep.join([os.path.join(other, "src"), os.path.dirname(os.path.abspath(__file__))])
+    return [sys.executable, *args], dict(os.environ, PYTHONPATH=path)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("max_n", type=int, nargs="?", help="drop the cases with a larger n")
@@ -316,8 +376,8 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.against is not None:
         # the other tree's run overlaps this one's
-        command = [sys.executable, __file__] + ([] if args.max_n is None else [str(args.max_n)])
-        env = dict(os.environ, PYTHONPATH=os.path.join(args.against, "src"))
+        command, env = _against(args.against, [__file__] + ([] if args.max_n is None
+                                                            else [str(args.max_n)]))
         other = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env)
     lines = [f"{group} {count} cases sha256 {hexdigest}"
              for group, (count, hexdigest) in digests(args.max_n).items()]
@@ -329,8 +389,23 @@ def main(argv: list[str]) -> int:
         print(f"bitcheck on {args.against} exited {other.returncode}")
         return 2
     differing = [their for mine, their in zip(lines, theirs) if mine != their]
-    for line in differing:
+    groups = [line.split()[0] for line in differing]
+    if groups:
+        command, env = _against(args.against, [
+            "-c", "import bitcheck, json, pickle, sys; pickle.dump(bitcheck.case_records("
+                  "sys.argv[2:], json.loads(sys.argv[1])), sys.stdout.buffer)",
+            json.dumps(args.max_n), *groups])
+        other = subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
+        my_records = case_records(groups, args.max_n)
+        their_records = other.communicate()[0]
+        if other.returncode:
+            print(f"bitcheck's case records on {args.against} exited {other.returncode}")
+            return 2
+        their_records = pickle.loads(their_records)
+    for group, line in zip(groups, differing):
         print(f"differs from {args.against}: {line}")
+        for detail in movement(group, my_records[group], their_records[group]):
+            print(detail)
     print(f"{len(lines) - len(differing)} of {len(lines)} groups agree with {args.against}")
     return 1 if differing else 0
 

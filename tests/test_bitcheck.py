@@ -1,9 +1,12 @@
 """Smoke test of ``tests/bitcheck.py``, the bit-comparison tool, on its
 smallest size: every group runs and prints its count and hash; and its
-comparison with another checkout, here the tree itself."""
+comparison with another checkout, here the tree itself, with how far a
+group moved when it differs."""
 
 import hashlib
 from pathlib import Path
+
+import numpy as np
 
 import bitcheck
 
@@ -50,3 +53,38 @@ def test_bitcheck_against_names_each_differing_group(capsys, monkeypatch):
         f"differs from {ROOT}: march 0 cases sha256 {empty}",
         f"{len(bitcheck.GROUPS) - 1} of {len(bitcheck.GROUPS)} groups agree with {ROOT}",
     ]
+
+
+def test_bitcheck_against_says_how_far_a_differing_group_moved(capsys, monkeypatch):
+    # on this side only, three classical cases that converge change: one
+    # solution moves, one solve fails instead, one changes only its counters
+    outcome = bitcheck.outcome
+    cases = [case for case in bitcheck.GROUPS["classical"] if case[5] <= 4]
+    moved, failed, counted = [case for case in cases if outcome(case)[1] == ""][:3]
+    stall = "line search stalled at iteration 2 (residual 1.000e-11, target 1.000e-12)"
+
+    def changed(case):
+        parts = outcome(case)
+        if case == moved:
+            parts[0] = parts[0] + 1e-13
+        elif case == failed:
+            parts[1] = stall
+        elif case == counted:
+            parts[3] += " "
+        return parts
+
+    monkeypatch.setattr(bitcheck, "outcome", changed)
+    assert bitcheck.main(["4", "--against", str(ROOT)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    solution = outcome(moved)[0]
+    largest = np.max(np.abs(solution + 1e-13 - solution))
+    relative = largest / np.max(np.abs(solution))
+    assert out[-4:] == [
+        out[-4],
+        f"  classical: 3 of {len(cases)} cases differ, 1 flip their kind; a solution converged on"
+        f" both moves by at most {largest:.2e} ({relative:.2e} relative)",
+        f"  classical: {bitcheck._label(failed)}: converged -> line search stalled at iteration #"
+        " (residual #, target #)",
+        f"{len(bitcheck.GROUPS) - 1} of {len(bitcheck.GROUPS)} groups agree with {ROOT}",
+    ]
+    assert out[-4].startswith(f"differs from {ROOT}: classical {len(cases)} cases sha256 ")

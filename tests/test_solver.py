@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracvi as fv
 from fracvi.schemes import (
@@ -876,18 +878,19 @@ def test_cyclic_reduction_on_an_indefinite_jacobian(omega, d):
     assert backward <= 1e-14 * scale, backward / scale
 
 
-@pytest.mark.parametrize("nodes", [5, 100, 101])
+@pytest.mark.parametrize("nodes", [1, 5, 64, 100, 101])
 @pytest.mark.parametrize("where", ["first", "odd", "even", "last"])
 def test_block_solve_singular_block_raises(nodes, where):
     # a zero row block: eliminated at the first level (odd), carried into
-    # the reduced systems (even), or left to the final dense solve; a zero
-    # 1x1 block is refused before any division, so no RuntimeWarning
+    # the reduced systems (even), or left to the bottom solve, which is the
+    # whole system at 1 and 64 nodes with d = 1 (one node has only row 0);
+    # a zero 1x1 block is refused before any division, so no RuntimeWarning
     rng = np.random.default_rng(65)
     for d in (1, 2):
         bands = 0.1 * rng.standard_normal((3, nodes, d, d))
         bands[1] += 4.0 * np.eye(d)
         bands[0, 0] = bands[2, -1] = 0.0
-        row = {"first": 0, "odd": 1, "even": nodes // 2 * 2 - 2, "last": nodes - 1}[where]
+        row = {"first": 0, "odd": 1, "even": nodes // 2 * 2 - 2, "last": nodes - 1}[where] % nodes
         bands[:, row] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -895,19 +898,61 @@ def test_block_solve_singular_block_raises(nodes, where):
                 solver._block_tridiagonal_solve(bands, np.ones(nodes * d))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(1, 64), st.floats(0.0, 100.0), st.integers(0, 2**32 - 1))
+@example(24, 44.09606404269513, 0)
+def test_scalar_sweep_is_backward_stable_and_refuses_a_zero_pivot(nodes, omega, seed):
+    # the d = 1 bottom, which is the whole system at up to 64 unknowns, on
+    # diagonally dominant bands and on harmonic ones, which are indefinite
+    # once omega passes pi; without its row interchanges the backward error
+    # reached 2e-11 on the harmonic bands (24 nodes, omega 44.1)
+    rng = np.random.default_rng(seed)
+    dominant = rng.uniform(-1.0, 1.0, (3, nodes, 1, 1))
+    dominant[1] = rng.choice([-1.0, 1.0], (nodes, 1, 1)) * rng.uniform(2.5, 4.0, (nodes, 1, 1))
+    q = linear_initial_guess(fv.make_grid(0.0, 1.0, nodes + 1), [0.0], [1.0])
+    harmonic = jacobian(vi_classical(), fv.harmonic_oscillator(omega), q)
+    b = rng.standard_normal(nodes)
+    middle = int(rng.integers(nodes))
+    for bands in (dominant, harmonic):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = solver._block_tridiagonal_solve(bands, b)
+            dense = dense_from_bands(bands)
+            backward = np.max(np.abs(dense @ x - b))
+            scale = np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(x))
+            assert backward <= 1e-14 * scale, backward / scale
+            # a zero column leaves no nonzero pivot for it
+            for column in (0, middle, nodes - 1):
+                zero = bands.copy()
+                for band, row in ((2, column - 1), (1, column), (0, column + 1)):
+                    if 0 <= row < nodes:
+                        zero[band, row] = 0.0
+                with pytest.raises(SingularMatrixError):
+                    solver._block_tridiagonal_solve(zero, b)
+            # a NaN entry spreads to every unknown, and nothing raises, also
+            # where a NaN pivot meets a zero entry below it
+            nan = bands.copy()
+            nan[1, middle] = np.nan
+            assert np.isnan(solver._block_tridiagonal_solve(nan, b)).all()
+            nan[0, middle + 1 :] = 0.0
+            assert np.isnan(solver._block_tridiagonal_solve(nan, b)).all()
+
+
 def test_scalar_block_reduction_makes_no_batched_lapack_call(monkeypatch):
-    # d = 1: each level is elementwise, and each Newton iteration makes one
-    # 2-D LAPACK call, for the dense bottom (511 nodes reduce to 64)
+    # d = 1: each level is elementwise and the bottom is a scalar sweep, so
+    # no Newton iteration calls LAPACK: one node, a 64-unknown bottom, and
+    # 511 nodes reduced to 64
     dims = []  # the matrix dimension of every np.linalg.solve call
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: dims.append(np.ndim(a)) or solve(a, b))
+    for n in (2, 65, 512):
+        grid = fv.make_grid(0.0, 1.0, n)
+        problem = BVPProblem(grid, fv.pendulum(1.0), vi_classical(), [0.0], [1.0])
+        _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-9))
+        assert diag.converged and diag.iterations >= 2, n
+        assert dims == [], n
+    # d = 2 keeps one batched LAPACK solve per level and a dense bottom
     grid = fv.make_grid(0.0, 1.0, 512)
-    problem = BVPProblem(grid, fv.pendulum(1.0), vi_classical(), [0.0], [1.0])
-    _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-9))
-    assert diag.converged and diag.iterations >= 2
-    assert dims == [2] * diag.iterations
-    # d = 2 keeps one batched LAPACK solve per level
-    dims.clear()
     problem = BVPProblem(grid, fv.pendulum(1.0, dim=2), vi_classical(), [0.0, 0.5], [1.0, 0.0])
     _, diag = solve_bvp_newton(problem, config=NewtonConfig(tol=1e-9))
     assert diag.converged
