@@ -47,11 +47,6 @@ from .schemes import (
     assemble_residual,
     coherence_report,
     newton_friction_direct,
-    residual_asymmetric_direct,
-    residual_direct_classical,
-    residual_direct_fractional,
-    residual_vi_classical,
-    residual_vi_fractional,
 )
 from .solver import (
     BVPProblem,

@@ -51,8 +51,6 @@ from .lagrangians import BUILTIN_PROBLEMS, builtin_problem
 from .schemes import (
     SchemeFamily,
     SchemeKind,
-    VERDICT_COHERENT,
-    VERDICT_NOT_COHERENT,
     coherence_report,
 )
 from .solver import (
@@ -236,9 +234,9 @@ def run_coherence(
         reports.append(coherence_report(lag, random_q, sigma, alpha=alpha))
 
     ok = (
-        reports[0].verdict == VERDICT_NOT_COHERENT
+        not reports[0].coherent
         and reports[0].gap > 0.1
-        and all(rep.verdict == VERDICT_COHERENT for rep in reports[1:])
+        and all(rep.coherent for rep in reports[1:])
     )
     lines = [rep.text() for rep in reports]
     lines.append("coherence: PASS" if ok else "coherence: FAIL")

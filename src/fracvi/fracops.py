@@ -240,19 +240,19 @@ def gauss_quadrature(s: ShiftedSequence):
     return float(out[0]) if s.dim == 1 else out
 
 
-def _check_ibp_pair(f: Trajectory, g: Trajectory) -> None:
-    """The refusals of an integration-by-parts pair: one grid, one dimension."""
+def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float, float]:
+    """Both sides of :func:`check_discrete_frac_ibp`, each one exactly rounded
+    sum; ``alpha=None`` is :func:`check_discrete_ibp`, alpha = 1 and the
+    boundary term.  Refused, in this order, unless F and G share one grid
+    and one dimension, unless (alpha given) F or G is zero at both ends, and
+    unless both sides are finite: at a tiny h a term or a partial sum
+    overflows."""
     if f.grid != g.grid:
         raise DomainError("integration by parts requires a common grid")
     if f.dim != g.dim:
         raise DomainError(f"dimension mismatch: {f.dim} vs {g.dim}")
-
-
-def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float, float]:
-    """Both sides of :func:`check_discrete_frac_ibp`, each one exactly rounded
-    sum; ``alpha=None`` is :func:`check_discrete_ibp`, alpha = 1 and the
-    boundary term.  Refused unless both are finite: at a tiny h a term or a
-    partial sum overflows."""
+    if alpha is not None and f.values[[0, -1]].any() and g.values[[0, -1]].any():
+        raise DomainError("hypothesis violated: need F_0 = F_n = 0 or G_0 = G_n = 0")
     order = 1.0 if alpha is None else alpha
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = (delta_alpha_minus(f, order).values * g.values[1:]).ravel()
@@ -279,7 +279,6 @@ def check_discrete_ibp(f: Trajectory, g: Trajectory) -> tuple[float, float]:
 
     Both sides are returned so callers can report the gap magnitude.
     """
-    _check_ibp_pair(f, g)
     return _ibp_sides(f, g, None)
 
 
@@ -291,13 +290,7 @@ def check_discrete_frac_ibp(f: Trajectory, g: Trajectory, alpha: float) -> tuple
 
     Requires F_0 = F_n = 0 or G_0 = G_n = 0 (no boundary term exists).
     """
-    alpha = _check_alpha(alpha)
-    _check_ibp_pair(f, g)
-    f_zero = not (f.values[0].any() or f.values[-1].any())
-    g_zero = not (g.values[0].any() or g.values[-1].any())
-    if not (f_zero or g_zero):
-        raise DomainError("hypothesis violated: need F_0 = F_n = 0 or G_0 = G_n = 0")
-    return _ibp_sides(f, g, alpha)
+    return _ibp_sides(f, g, _check_alpha(alpha))
 
 
 def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:

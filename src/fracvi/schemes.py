@@ -18,7 +18,9 @@ opposite-side GL kernel by discrete fractional integration by parts.  A
 mechanical Lagrangian's kinetic block comes from one Gram matrix per
 solve, any other Lagrangian's from a per-node product.
 
-Each scheme-family rule is stated once: a :class:`SchemeKind` checks its
+:class:`SchemeFamily` tabulates the five residuals and their windows,
+and :func:`assemble_residual` is their one public entry.  Each
+scheme-family rule is stated once: a :class:`SchemeKind` checks its
 sigma and order when built, and :func:`_check_layout` is the one layout
 check, made by :func:`assemble_residual`, :func:`jacobian` and the Newton
 solver.  Behind them are array-level cores of one kind and grid: node
@@ -58,6 +60,32 @@ COHERENCE_RTOL = 1e-10
 
 
 class SchemeFamily(enum.Enum):
+    """The five schemes.  Each embeds the Euler-Lagrange equation (the
+    direct families, by substituting discrete operators into it) or the
+    action (the variational ones, by differentiating the discrete
+    functional), by Gauss differences or, for the fractional families, by
+    Grunwald-Letnikov (GL) differences of order alpha in (0, 1].  With the
+    velocity v = -sigma delta^alpha_sigma Q (delta_sigma Q at alpha = 1,
+    the classical case) and Lx, Lv taken at (Q_k, v_k, t_k), the residual
+    of each family over its window of k is:
+
+        family             R_k                                        k in
+        direct-classical   Lx + sigma (delta_sigma [Lv])_k            {2, .., n} (sigma -1),
+                                                                      {0, .., n-2} (sigma +1)
+        vi-classical       Lx - sigma (delta_{-sigma} [Lv])_k         {1, .., n-1}
+        asymmetric-direct  Lx - sigma (delta_{-sigma} [Lv])_k         {1, .., n-1}
+        direct-fractional  Lx - sigma (delta^alpha_{-sigma} [Lv])_k   {1, .., n-1}
+        vi-fractional      Lx - sigma (delta^alpha_{-sigma} [Lv])_k   {1, .., n-1}
+
+    The direct-classical window is the maximal set where its same-side
+    outer difference exists.  The asymmetric-direct scheme substitutes
+    delta_plus for the forward derivative and delta_minus for the backward
+    one in the one-sided continuous equation.  So asymmetric-direct and
+    direct-fractional give the residuals of vi-classical and vi-fractional,
+    each assembled independently of its variational twin, while
+    direct-classical's row k - sigma is vi-classical's row k with Lx read
+    one node over.  :func:`assemble_residual` assembles every family."""
+
     DIRECT_CLASSICAL = "direct-classical"
     VARIATIONAL_CLASSICAL = "vi-classical"
     ASYMMETRIC_DIRECT = "asymmetric-direct"
@@ -94,21 +122,6 @@ class SchemeKind:
         return (self.sigma == MINUS) + (self.outer == MINUS)
 
 
-def residual_direct_classical(
-    lag: Lagrangian, q: Trajectory, sigma: int
-) -> ResidualField:
-    """Direct embedding of the Euler-Lagrange equation:
-
-        R_k = Lx(Q_k, v_k, t_k) + sigma * (delta_sigma [Lv])_k,
-        v = -sigma * delta_sigma Q.
-
-    Window: {2, .., n} for sigma = -1, {0, .., n-2} for sigma = +1 (the
-    maximal set where the outer same-side difference exists): the direct
-    core at alpha = 1 with a same-side outer operator.
-    """
-    return assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, sigma), lag, q)
-
-
 def newton_friction_direct(q: Trajectory) -> ResidualField:
     """Standalone stencil for the forward-embedded damped oscillator:
 
@@ -120,49 +133,6 @@ def newton_friction_direct(q: Trajectory) -> ResidualField:
     acc = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
     vel = (v[1:-1] - v[:-2]) / h
     return ResidualField(q.grid, 0, acc + vel + v[:-2])
-
-
-def residual_vi_classical(
-    lag: Lagrangian, q: Trajectory, sigma: int
-) -> ResidualField:
-    """Variational integrator scheme, assembled by operator application:
-
-        R_k = Lx(Q_k, v_k, t_k) - sigma * (delta_{-sigma} [Lv])_k,
-        k in {1, .., n-1}.
-
-    Coincides with the discrete-functional gradient, which assembles it.
-    """
-    return functional_gradient(lag, q, sigma)
-
-
-def residual_asymmetric_direct(
-    lag: Lagrangian, q: Trajectory, sigma: int
-) -> ResidualField:
-    """Direct embedding of the asymmetric Euler-Lagrange equation.
-
-    Substitutes delta_plus for the forward derivative and delta_minus for
-    the backward derivative in the one-sided continuous formula: the direct
-    core at alpha = 1, outer operator on -sigma, so agreement with
-    :func:`residual_vi_classical` (the functional gradient) stays a two-path
-    check.
-    """
-    return assemble_residual(SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma), lag, q)
-
-
-def residual_direct_fractional(
-    lag: Lagrangian, q: Trajectory, sigma: int, alpha: float
-) -> ResidualField:
-    """Direct embedding of the fractional Euler-Lagrange equation:
-
-        R_k = Lx(Q_k, v_k, t_k) - sigma * (delta^alpha_{-sigma} [Lv])_k,
-        v = -sigma * delta^alpha_sigma Q,  k in {1, .., n-1}.
-
-    Assembled by operator substitution; the variational path lives in
-    :func:`fracvi.lagrangians.functional_gradient` and never shares this
-    assembly.
-    """
-    kind = SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, sigma, alpha)
-    return assemble_residual(kind, lag, q)
 
 
 def _direct(grid: Grid, sigma: int, alpha: float, side: int):
@@ -183,13 +153,6 @@ def _direct(grid: Grid, sigma: int, alpha: float, side: int):
         return lx[landing] + outer(lv) * factor
 
     return direct
-
-
-def residual_vi_fractional(
-    lag: Lagrangian, q: Trajectory, sigma: int, alpha: float
-) -> ResidualField:
-    """Fractional variational integrator: the discrete-functional gradient."""
-    return functional_gradient(lag, q, sigma, alpha)
 
 
 def _check_layout(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> None:
@@ -215,6 +178,32 @@ def _residual_core(kind: SchemeKind, grid: Grid):
     if kind.family in (SchemeFamily.VARIATIONAL_CLASSICAL, SchemeFamily.VARIATIONAL_FRACTIONAL):
         return _gradient(grid, kind.sigma, alpha)
     return _direct(grid, kind.sigma, alpha, kind.outer)
+
+
+# perfbench/workloads.py imports these three per-family wrappers for its
+# untimed checks, and nothing else calls them; the benchmark change of
+# ROADMAP.md item 1 deletes them.  Every other caller assembles a residual
+# by assemble_residual(SchemeKind(family, sigma, alpha), lag, q).
+def residual_vi_classical(
+    lag: Lagrangian, q: Trajectory, sigma: int
+) -> ResidualField:
+    """The vi-classical residual (:class:`SchemeFamily`)."""
+    return functional_gradient(lag, q, sigma)
+
+
+def residual_asymmetric_direct(
+    lag: Lagrangian, q: Trajectory, sigma: int
+) -> ResidualField:
+    """The asymmetric-direct residual (:class:`SchemeFamily`)."""
+    return assemble_residual(SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma), lag, q)
+
+
+def residual_direct_fractional(
+    lag: Lagrangian, q: Trajectory, sigma: int, alpha: float
+) -> ResidualField:
+    """The direct-fractional residual (:class:`SchemeFamily`)."""
+    kind = SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, sigma, alpha)
+    return assemble_residual(kind, lag, q)
 
 
 def jacobian(kind: SchemeKind, lag: Lagrangian, q: Trajectory) -> np.ndarray:

@@ -198,7 +198,9 @@ def _fd_jacobian(fun, x: np.ndarray | float, r: np.ndarray | float) -> np.ndarra
 #: Unknown count at or below which cyclic reduction solves the reduced
 #: system directly: by the tridiagonal sweep for d = 1, by one dense LAPACK
 #: solve for d > 1.  Below it a reduction level costs more than the direct
-#: solve it saves (cutoff tables in CHANGES.md and BENCH_37.json).
+#: solve it saves.  Timed against cutoffs 32 and 128 on 63-4095 nodes, it
+#: was the fastest at each size or within the noise of the fastest: for
+#: d = 1 in BENCH_37.json, for d 1-3 in BENCH_38.json.
 _DENSE_UNKNOWNS = 64
 
 

@@ -20,8 +20,8 @@ and relative change of a solution that converged on both trees.
 A boundary-value case hashes the solve (the trajectory, or the failure
 message and the last iterate; the history; the converged flag and the
 three counters) and, at a seeded random trajectory on the same grid, the
-public residual, the Jacobian, the functional gradient, the discrete
-functional and the velocity.  Groups:
+residual (``assemble_residual``), the Jacobian, the functional gradient,
+the discrete functional and the velocity.  Groups:
 
 - classical: the three classical families x sigma x every built-in
   problem (free, and harmonic and pendulum at omega 1.5) and the coupled
@@ -92,7 +92,7 @@ import numpy as np
 
 import fracvi as fv
 from fracvi.fracops import frac_seq_minus, frac_seq_plus
-from fracvi.schemes import SchemeFamily, SchemeKind, jacobian
+from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError
 from fracvi.solver import march, march_direct_classical, solve_bvp_newton
 from oracles import LAYOUTS, coupled_lagrangian, relaid
@@ -108,13 +108,6 @@ CLASSICAL = (
 )
 FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
 RELAID = [f"{problem}/{layout}" for problem in ("harmonic", "coupled") for layout in LAYOUTS]
-PUBLIC_RESIDUAL = {
-    SchemeFamily.DIRECT_CLASSICAL: fv.residual_direct_classical,
-    SchemeFamily.VARIATIONAL_CLASSICAL: fv.residual_vi_classical,
-    SchemeFamily.ASYMMETRIC_DIRECT: fv.residual_asymmetric_direct,
-    SchemeFamily.DIRECT_FRACTIONAL: fv.residual_direct_fractional,
-    SchemeFamily.VARIATIONAL_FRACTIONAL: fv.residual_vi_fractional,
-}
 
 #: group -> the cases' tuples (family, "march", "operators" or "coherence",
 #: sigma, alpha, problem, d, n, tol), the failure groups' with max_iter last;
@@ -278,13 +271,12 @@ def outcome(case) -> list:
     kind = SchemeKind(family, sigma, alpha)
     parts = _solved(lambda: solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=config))
     q = fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d)))
-    order = () if alpha is None else (alpha,)
     if alpha is None:
         velocity = fv.discrete_velocity(q, sigma)
     else:
         velocity = fv.discrete_velocity_alpha(q, sigma, alpha)
     return parts + [
-        PUBLIC_RESIDUAL[family](lag, q, sigma, *order).values,
+        assemble_residual(kind, lag, q).values,
         jacobian(kind, lag, q),
         fv.functional_gradient(lag, q, sigma, alpha).values,
         np.float64(fv.discrete_functional(lag, q, sigma, alpha)),

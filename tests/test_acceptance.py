@@ -64,8 +64,10 @@ def test_criterion_03_fractional_coherence():
         for sigma in (fv.PLUS, fv.MINUS):
             for alpha in (0.3, 0.5, 0.9):
                 q = random_trajectory(rng, fv.make_grid(0.0, 1.0, 32))
-                direct = fv.residual_direct_fractional(lag, q, sigma, alpha)
-                vari = fv.residual_vi_fractional(lag, q, sigma, alpha)
+                direct = assemble_residual(
+                    SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, sigma, alpha), lag, q)
+                vari = assemble_residual(
+                    SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, sigma, alpha), lag, q)
                 gap = float(np.max(np.abs(direct.values - vari.values)))
                 scale = float(np.max(np.abs(direct.values)))
                 ok = ok and gap <= 1e-10 * (1.0 + scale)
@@ -76,8 +78,8 @@ def test_criterion_04_classical_non_coherence_witness():
     grid = fv.make_grid(0.0, 4.0, 4)
     q = fv.Trajectory(grid, np.arange(5.0) ** 3)
     lag = fv.free_particle()
-    direct = fv.residual_direct_classical(lag, q, fv.MINUS)
-    vari = fv.residual_vi_classical(lag, q, fv.MINUS)
+    direct = assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS), lag, q)
+    vari = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, fv.MINUS), lag, q)
     shared = [2, 3]
     ok = all(
         abs(float(direct.value_at(k)[0] - vari.value_at(k)[0]) - 6.0) <= 1e-12
@@ -93,8 +95,8 @@ def test_criterion_05_asymmetric_coherence():
         sigma = fv.PLUS if trial % 2 == 0 else fv.MINUS
         lag = fv.harmonic_oscillator(1.3) if trial % 3 else fv.pendulum(0.8)
         q = random_trajectory(rng, fv.make_grid(0.0, 1.0, 16))
-        asym = fv.residual_asymmetric_direct(lag, q, sigma)
-        vari = fv.residual_vi_classical(lag, q, sigma)
+        asym = assemble_residual(SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma), lag, q)
+        vari = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma), lag, q)
         gap = float(np.max(np.abs(asym.values - vari.values)))
         scale = 1.0 + float(np.max(np.abs(vari.values)))
         ok = ok and gap <= 1e-12 * scale
@@ -111,9 +113,10 @@ def test_criterion_06_vi_gradient_equivalence():
         lag = fv.pendulum(1.1) if case % 3 else fv.harmonic_oscillator(0.9)
         q = random_trajectory(rng, fv.make_grid(0.0, 1.0, 10))
         if alpha is None:
-            res = fv.residual_vi_classical(lag, q, sigma)
+            kind = SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma)
         else:
-            res = fv.residual_vi_fractional(lag, q, sigma, alpha)
+            kind = SchemeKind(SchemeFamily.VARIATIONAL_FRACTIONAL, sigma, alpha)
+        res = assemble_residual(kind, lag, q)
         fd = fd_functional_gradient(lag, q, sigma, alpha)
         scale = 1.0 + float(np.max(np.abs(res.values)))
         ok = ok and float(np.max(np.abs(res.values - fd))) <= 1e-6 * scale
@@ -128,14 +131,14 @@ def test_criterion_07_stencil_reproduction():
     q = random_trajectory(rng, grid)
     v = q.values.ravel()
     h = grid.h
-    direct = fv.residual_direct_classical(lag, q, fv.MINUS)
+    direct = assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS), lag, q)
     expected_direct = np.array(
         [
             -((v[k] - 2 * v[k - 1] + v[k - 2]) / h**2 + omega**2 * v[k])
             for k in range(2, 9)
         ]
     )
-    vari = fv.residual_vi_classical(lag, q, fv.MINUS)
+    vari = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, fv.MINUS), lag, q)
     expected_vi = np.array(
         [
             -((v[k + 1] - 2 * v[k] + v[k - 1]) / h**2 + omega**2 * v[k])
@@ -216,14 +219,12 @@ def test_criterion_10_alpha_one_reduction():
             fa = fv.discrete_functional(lag, q, sigma, 1.0)
             fc = fv.discrete_functional(lag, q, sigma)
             ok = ok and abs(fa - fc) <= 8.0 * np.spacing(max(abs(fa), abs(fc)))
-            ok = ok and close_ulp(
-                fv.residual_direct_fractional(lag, q, sigma, 1.0).values,
-                fv.residual_vi_classical(lag, q, sigma).values,
-            )
-            ok = ok and close_ulp(
-                fv.residual_vi_fractional(lag, q, sigma, 1.0).values,
-                fv.residual_vi_classical(lag, q, sigma).values,
-            )
+            vi = SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma)
+            for family in (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL):
+                ok = ok and close_ulp(
+                    assemble_residual(SchemeKind(family, sigma, 1.0), lag, q).values,
+                    assemble_residual(vi, lag, q).values,
+                )
     report(10, "alpha=1 operators and schemes reduce to classical (8 ulp)", ok)
 
 

@@ -436,6 +436,37 @@ def test_frac_ibp_rejects_hypothesis_violation():
         fv.check_discrete_frac_ibp(f, g, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [None, 0.5], ids=["classical", "fractional"])
+def test_ibp_pair_refusals_come_in_order(alpha):
+    # order, grid, dimension, then (fractional only) the boundary hypothesis;
+    # every pair below but the last is nonzero at both ends, so it breaks the
+    # fractional hypothesis too, and the earlier refusal still names itself
+    def entry(f, g, order=alpha):
+        if order is None:
+            return fv.check_discrete_ibp(f, g)
+        return fv.check_discrete_frac_ibp(f, g, order)
+
+    grid = fv.make_grid(0.0, 1.0, 8)
+    ones = fv.Trajectory(grid, np.ones((9, 1)))
+    finer = fv.Trajectory(fv.make_grid(0.0, 1.0, 9), np.ones((10, 1)))
+    wide = fv.Trajectory(grid, np.ones((9, 2)))
+    with pytest.raises(fv.DomainError, match="^integration by parts requires a common grid$"):
+        entry(ones, finer)
+    with pytest.raises(fv.DomainError, match="^dimension mismatch: 1 vs 2$"):
+        entry(ones, wide)
+    if alpha is None:
+        lhs, rhs = entry(ones, ones)  # no hypothesis: the boundary term is kept
+        assert abs(lhs - rhs) <= 1e-12
+        return
+    with pytest.raises(fv.DomainError, match="^fractional order must be finite and positive"):
+        entry(ones, finer, 0.0)
+    with pytest.raises(fv.DomainError, match="^hypothesis violated"):
+        entry(ones, ones)
+    zero_ends = fv.Trajectory(grid, np.ones((9, 1)) * (np.arange(9) % 8 != 0)[:, None])
+    lhs, rhs = entry(zero_ends, ones)
+    assert abs(lhs - rhs) <= 1e-12
+
+
 def test_rl_monomial_hand_values():
     assert math.isclose(fv.rl_monomial_derivative(1.0, 1.0, 1.0), 1.0, rel_tol=1e-13)
     assert math.isclose(
@@ -491,10 +522,9 @@ def test_gl_converges_to_rl_on_monomials(alpha, beta):
 @pytest.mark.parametrize("caller", [
     lambda lag, q, alpha: fv.discrete_functional(lag, q, fv.MINUS, alpha),
     lambda lag, q, alpha: fv.functional_gradient(lag, q, fv.MINUS, alpha),
-    lambda lag, q, alpha: fv.residual_direct_fractional(lag, q, fv.MINUS, alpha),
     lambda lag, q, alpha: fv.rl_monomial_derivative(1.0, alpha, 1.0),
     lambda lag, q, alpha: fv.SchemeKind(fv.SchemeFamily.DIRECT_FRACTIONAL, fv.MINUS, alpha),
-], ids=["functional", "gradient", "direct", "closed_form", "scheme_kind"])
+], ids=["functional", "gradient", "closed_form", "scheme_kind"])
 def test_order_outside_unit_interval_refused(caller, alpha):
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 8))
     with pytest.raises(fv.DomainError, match=r"must lie in \(0, 1\]"):

@@ -303,7 +303,7 @@ def test_wrong_callback_shape_refused(name):
         if name == "L":
             fv.discrete_functional(lag, q, fv.MINUS, 0.5)
         else:
-            fv.residual_direct_classical(lag, q, fv.PLUS)
+            assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.PLUS), lag, q)
 
 
 @pytest.mark.parametrize("dim,message", [

@@ -13,6 +13,9 @@ from fracvi.schemes import (
 from oracles import random_trajectory
 
 
+FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
+
+
 def cubic_trajectory(n):
     grid = fv.make_grid(0.0, float(n), n)
     return fv.Trajectory(grid, np.arange(n + 1, dtype=float) ** 3)
@@ -21,7 +24,7 @@ def cubic_trajectory(n):
 def test_direct_classical_hand_case():
     lag = fv.free_particle()
     q = fv.Trajectory(fv.make_grid(0.0, 4.0, 4), [0.0, 1.0, 8.0, 27.0, 64.0])
-    res = fv.residual_direct_classical(lag, q, fv.MINUS)
+    res = assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS), lag, q)
     assert list(res.indices) == [2, 3, 4]
     np.testing.assert_array_equal(res.values.ravel(), [-6.0, -12.0, -18.0])
 
@@ -29,7 +32,7 @@ def test_direct_classical_hand_case():
 def test_direct_classical_plus_window():
     lag = fv.free_particle()
     q = fv.Trajectory(fv.make_grid(0.0, 4.0, 4), [0.0, 1.0, 8.0, 27.0, 64.0])
-    res = fv.residual_direct_classical(lag, q, fv.PLUS)
+    res = assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.PLUS), lag, q)
     assert list(res.indices) == [0, 1, 2]
 
 
@@ -37,24 +40,24 @@ def test_direct_classical_zero_on_linear():
     lag = fv.free_particle()
     q = fv.sample(lambda t: 3.0 * t - 1.0, fv.make_grid(0.0, 1.0, 8))
     for sigma in (fv.PLUS, fv.MINUS):
-        assert fv.inf_norm(fv.residual_direct_classical(lag, q, sigma)) <= 1e-12
+        kind = SchemeKind(SchemeFamily.DIRECT_CLASSICAL, sigma)
+        assert fv.inf_norm(assemble_residual(kind, lag, q)) <= 1e-12
 
 
 def test_direct_classical_needs_three_intervals():
     lag = fv.free_particle()
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 2))
     with pytest.raises(fv.DomainError):
-        fv.residual_direct_classical(lag, q, fv.MINUS)
+        assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS), lag, q)
 
 
 @pytest.mark.parametrize("entry", [
-    lambda kind, lag, q: fv.residual_direct_classical(lag, q, kind.sigma),
     assemble_residual,
     jacobian,
     lambda kind, lag, q: fv.solve_bvp_newton(
         fv.BVPProblem(q.grid, lag, kind, q.values[0], q.values[-1]), init=q
     ),
-], ids=["residual", "assemble", "jacobian", "solve"])
+], ids=["assemble", "jacobian", "solve"])
 def test_direct_classical_n2_refused_at_every_entry(entry):
     kind = SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS)
     q = fv.sample(lambda t: t, fv.make_grid(0.0, 1.0, 2))
@@ -79,7 +82,7 @@ def test_direct_classical_mechanical_stencil():
     lag = fv.harmonic_oscillator(omega)
     grid = fv.make_grid(0.0, 1.0, 12)
     q = random_trajectory(rng, grid)
-    res = fv.residual_direct_classical(lag, q, fv.MINUS)
+    res = assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS), lag, q)
     v = q.values.ravel()
     h = grid.h
     expected = np.array(
@@ -116,7 +119,7 @@ def test_newton_friction_matches_operator_composition():
 def test_vi_classical_hand_case():
     lag = fv.free_particle()
     q = fv.Trajectory(fv.make_grid(0.0, 4.0, 4), [0.0, 1.0, 8.0, 27.0, 64.0])
-    res = fv.residual_vi_classical(lag, q, fv.MINUS)
+    res = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, fv.MINUS), lag, q)
     assert list(res.indices) == [1, 2, 3]
     np.testing.assert_array_equal(res.values.ravel(), [-6.0, -12.0, -18.0])
 
@@ -125,7 +128,8 @@ def test_vi_classical_zero_on_linear():
     lag = fv.free_particle(dim=2)
     q = fv.sample(lambda t: np.array([t, 2.0 - t]), fv.make_grid(0.0, 1.0, 6))
     for sigma in (fv.PLUS, fv.MINUS):
-        assert fv.inf_norm(fv.residual_vi_classical(lag, q, sigma)) <= 1e-12
+        kind = SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma)
+        assert fv.inf_norm(assemble_residual(kind, lag, q)) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [fv.PLUS, fv.MINUS])
@@ -137,7 +141,7 @@ def test_vi_classical_mechanical_stencil(sigma):
     lag = fv.harmonic_oscillator(omega)
     grid = fv.make_grid(0.0, 1.0, 9)
     q = random_trajectory(rng, grid)
-    res = fv.residual_vi_classical(lag, q, sigma)
+    res = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma), lag, q)
     v = q.values.ravel()
     h = grid.h
     expected = np.array(
@@ -155,7 +159,7 @@ def test_vi_equals_functional_gradient(sigma):
     rng = np.random.default_rng(25)
     lag = fv.pendulum(1.6, dim=2)
     q = random_trajectory(rng, fv.make_grid(0.3, 1.4, 15), dim=2)
-    res = fv.residual_vi_classical(lag, q, sigma)
+    res = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma), lag, q)
     grad = fv.functional_gradient(lag, q, sigma)
     scale = 1.0 + float(np.max(np.abs(grad.values)))
     assert np.max(np.abs(res.values - grad.values)) <= 1e-12 * scale
@@ -167,8 +171,8 @@ def test_asymmetric_direct_agrees_with_vi(sigma):
     lag = fv.harmonic_oscillator(1.1, dim=2)
     for _ in range(10):
         q = random_trajectory(rng, fv.make_grid(0.0, 1.0, 20), dim=2)
-        asym = fv.residual_asymmetric_direct(lag, q, sigma)
-        vi = fv.residual_vi_classical(lag, q, sigma)
+        asym = assemble_residual(SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, sigma), lag, q)
+        vi = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma), lag, q)
         scale = 1.0 + float(np.max(np.abs(vi.values)))
         assert np.max(np.abs(asym.values - vi.values)) <= 1e-12 * scale
 
@@ -176,13 +180,14 @@ def test_asymmetric_direct_agrees_with_vi(sigma):
 def test_asymmetric_direct_zero_on_linear():
     lag = fv.free_particle()
     q = fv.sample(lambda t: 2.0 * t, fv.make_grid(0.0, 1.0, 5))
-    assert fv.inf_norm(fv.residual_asymmetric_direct(lag, q, fv.MINUS)) <= 1e-12
+    kind = SchemeKind(SchemeFamily.ASYMMETRIC_DIRECT, fv.MINUS)
+    assert fv.inf_norm(assemble_residual(kind, lag, q)) <= 1e-12
 
 
 def test_direct_fractional_hand_case():
     lag = fv.free_particle()
     q = fv.Trajectory(fv.make_grid(0.0, 3.0, 3), [0.0, 1.0, 2.0, 3.0])
-    res = fv.residual_direct_fractional(lag, q, fv.MINUS, 0.5)
+    res = assemble_residual(SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, fv.MINUS, 0.5), lag, q)
     assert list(res.indices) == [1, 2]
     np.testing.assert_array_equal(res.values.ravel(), [0.015625, 0.5625])
 
@@ -190,8 +195,9 @@ def test_direct_fractional_hand_case():
 def test_fractional_zero_trajectory():
     lag = fv.harmonic_oscillator(2.0)
     q = fv.sample(lambda t: 0.0, fv.make_grid(0.0, 1.0, 7))
-    assert fv.inf_norm(fv.residual_direct_fractional(lag, q, fv.PLUS, 0.4)) == 0.0
-    assert fv.inf_norm(fv.residual_vi_fractional(lag, q, fv.PLUS, 0.4)) == 0.0
+    for family in FRACTIONAL:
+        kind = SchemeKind(family, fv.PLUS, 0.4)
+        assert fv.inf_norm(assemble_residual(kind, lag, q)) == 0.0
 
 
 def test_direct_fractional_alpha_one_equals_vi_classical():
@@ -199,9 +205,10 @@ def test_direct_fractional_alpha_one_equals_vi_classical():
     lag = fv.pendulum(0.7, dim=2)
     q = random_trajectory(rng, fv.make_grid(0.1, 1.8, 11), dim=2)
     for sigma in (fv.PLUS, fv.MINUS):
+        direct = SchemeKind(SchemeFamily.DIRECT_FRACTIONAL, sigma, 1.0)
+        vi = SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, sigma)
         np.testing.assert_array_equal(
-            fv.residual_direct_fractional(lag, q, sigma, 1.0).values,
-            fv.residual_vi_classical(lag, q, sigma).values,
+            assemble_residual(direct, lag, q).values, assemble_residual(vi, lag, q).values
         )
 
 
@@ -211,8 +218,8 @@ def test_fractional_coherence(sigma, alpha):
     rng = np.random.default_rng(28)
     for lag in (fv.harmonic_oscillator(1.0), fv.pendulum(1.0)):
         q = random_trajectory(rng, fv.make_grid(0.0, 1.0, 24))
-        direct = fv.residual_direct_fractional(lag, q, sigma, alpha)
-        variational = fv.residual_vi_fractional(lag, q, sigma, alpha)
+        kinds = [SchemeKind(family, sigma, alpha) for family in FRACTIONAL]
+        direct, variational = (assemble_residual(kind, lag, q) for kind in kinds)
         scale = 1.0 + float(np.max(np.abs(direct.values)))
         assert np.max(np.abs(direct.values - variational.values)) <= 1e-10 * scale
 
@@ -251,8 +258,9 @@ def test_coherence_report_cubic_witness():
     rep = fv.coherence_report(lag, cubic_trajectory(4), fv.MINUS, kind="classical")
     assert rep.verdict == VERDICT_NOT_COHERENT
     assert abs(rep.gap - 6.0) <= 1e-12
-    direct = fv.residual_direct_classical(lag, cubic_trajectory(4), fv.MINUS)
-    vi = fv.residual_vi_classical(lag, cubic_trajectory(4), fv.MINUS)
+    q = cubic_trajectory(4)
+    direct = assemble_residual(SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS), lag, q)
+    vi = assemble_residual(SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, fv.MINUS), lag, q)
     for k in (2, 3):
         assert abs((direct.value_at(k) - vi.value_at(k))[0] - 6.0) <= 1e-12
 

@@ -7,8 +7,11 @@ that ``perfbench/tracer.py`` patches in that module, as a
 ``(fracvi.<module>, "<name>", ...)`` tuple: the tracer is parsed, never
 imported.  ``__init__`` re-exports by import and is exempt.  Every name
 the tracer patches must resolve, so that a deletion in the package cannot
-break ``perfbench/run.py --trace 1`` unseen.  Importing the package and
-its CLI loads no third-party package but numpy.
+break ``perfbench/run.py --trace 1`` unseen, and so must every name that
+a ``perfbench`` file takes from the package, by ``from fracvi... import``
+or as a ``fracvi.<attr>`` read: those files are parsed too, never
+imported.  Importing the package and its CLI loads no third-party package
+but numpy.
 """
 
 import ast
@@ -22,7 +25,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fracvi"
-TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK = ROOT / "perfbench"
+TRACER = BENCHMARK / "tracer.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -114,6 +118,48 @@ def test_tracer_patch_points_resolve():
         if not hasattr(obj, name):
             missing.append(f"fracvi.{owner}.{name}")
     assert not missing, "perfbench/tracer.py patches missing names: " + ", ".join(missing)
+
+
+def _resolve(dotted: str) -> bool:
+    """Whether the dotted name is its longest importable prefix followed by
+    attributes that exist."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+            break
+        except ModuleNotFoundError:
+            continue
+    for attr in parts[i:]:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def _package_names(tree: ast.Module) -> set[str]:
+    """Every dotted ``fracvi...`` name a module takes from the package: the
+    modules it imports, each name of a ``from fracvi... import``, and each
+    attribute chain it reads from the name ``fracvi``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names if alias.name.split(".")[0] == "fracvi"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fracvi":
+            out |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Attribute) and _owner(node):
+            out.add(f"fracvi.{_owner(node)}")
+    return out
+
+
+def test_benchmark_names_resolve():
+    names = set()
+    for path in sorted(BENCHMARK.rglob("*.py")):
+        names |= _package_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert "fracvi.solver.BVPProblem" in names  # the parse found the imports
+    assert "fracvi.cli.main" in names  # and the attribute reads
+    missing = sorted(name for name in names if not _resolve(name))
+    assert not missing, "perfbench reads missing names: " + ", ".join(missing)
 
 
 def test_import_loads_no_third_party_package_but_numpy():
