@@ -334,7 +334,9 @@ VERDICT_NOT_COHERENT = "NOT COHERENT"
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Gap between the direct-embedding and variational residual paths."""
+    """Gap between the direct-embedding and variational residual paths.
+    The paths are coherent when the gap is at most ``COHERENCE_RTOL`` times
+    one plus the larger residual's scale; ``verdict`` labels that answer."""
 
     kind: str
     sigma: int
@@ -343,11 +345,14 @@ class CoherenceReport:
     gap: float
     scale: float
     witness_index: int
-    verdict: str
 
     @property
     def coherent(self) -> bool:
-        return self.verdict == VERDICT_COHERENT
+        return self.gap <= COHERENCE_RTOL * (1.0 + self.scale)
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_COHERENT if self.coherent else VERDICT_NOT_COHERENT
 
     def text(self) -> str:
         alpha = "" if self.alpha is None else f" alpha={self.alpha:g}"
@@ -403,11 +408,6 @@ def coherence_report(
     witness = lo + flat // q.dim
     gap = float(diff.ravel()[flat])
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    verdict = (
-        VERDICT_COHERENT
-        if gap <= COHERENCE_RTOL * (1.0 + scale)
-        else VERDICT_NOT_COHERENT
-    )
     return CoherenceReport(
         kind=kind,
         sigma=sigma,
@@ -416,5 +416,4 @@ def coherence_report(
         gap=gap,
         scale=scale,
         witness_index=witness,
-        verdict=verdict,
     )

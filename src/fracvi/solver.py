@@ -59,9 +59,10 @@ from .schemes import assemble_residual  # noqa: F401  perfbench/tracer.py patche
 
 class SingularMatrixError(RuntimeError):
     """A Newton system is singular: the LU factorization of a dense system,
-    of a diagonal block that block cyclic reduction eliminates, or of the
-    tridiagonal system that ends a d = 1 reduction hit an exactly zero
-    pivot."""
+    of a d > 1 diagonal block that block cyclic reduction eliminates, or of
+    the tridiagonal system that a d = 1 reduction hands the pivoting sweep
+    hit an exactly zero pivot.  A d = 1 level never divides by a zero
+    entry: it hands its system to the sweep instead."""
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -210,17 +211,15 @@ def _block_solve(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np
     Scalars take one reciprocal and three products, bit for bit LAPACK's
     answer for several right-hand sides; blocks take one batched LAPACK
     solve of the three side by side.  An exactly singular block raises
-    :class:`SingularMatrixError`, a zero scalar before any division."""
-    message = "singular diagonal block in cyclic reduction"
+    :class:`SingularMatrixError`; scalars are never zero, as
+    :func:`_cyclic_reduction` sends a level with a zero one to the sweep."""
     if diag.ndim == 1:
-        if not diag.all():
-            raise SingularMatrixError(message)
         inverse = 1.0 / diag
         return lower * inverse, upper * inverse, rhs * inverse
     try:
         solved = np.linalg.solve(diag, np.concatenate([lower, upper, rhs], axis=2))
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(message) from None
+        raise SingularMatrixError("singular diagonal block in cyclic reduction") from None
     d = diag.shape[-1]
     return np.split(solved, [d, 2 * d], axis=2)
 
@@ -241,9 +240,11 @@ def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     with d > 1 a level is one batched LAPACK solve (:func:`_block_solve`)
     and stacked matmuls, and the direct solve one :func:`lu_solve`.  The
     product is picked here once, for the recursion.  A reduction level
-    pivots only inside blocks, so a singular diagonal block of an
+    pivots only inside blocks.  So with d = 1 a level that would divide by
+    an exactly zero diagonal entry leaves its system to the sweep, which
+    pivots across rows; with d > 1 a singular diagonal block of an
     eliminated row raises :class:`SingularMatrixError`, as a singular
-    reduced system does; the direct solves pivot across rows.
+    reduced system does.
     """
     nodes, d = bands.shape[1:3]
     if d == 1:
@@ -254,9 +255,12 @@ def _block_tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cyclic_reduction(bands: np.ndarray, rhs: np.ndarray, mul) -> np.ndarray:
     """:func:`_block_tridiagonal_solve` on stacks: ``bands`` (3, nodes) of
     scalars or (3, nodes, d, d) of blocks, ``rhs`` (nodes,) or (nodes, d, 1)
-    and their product ``mul``; the solution is laid out as ``rhs``."""
+    and their product ``mul``; the solution is laid out as ``rhs``.  Scalar
+    bands go to :func:`_tridiagonal_sweep` at ``_DENSE_UNKNOWNS`` nodes or
+    fewer, or where an odd row's diagonal entry, which the level would
+    divide by, is exactly zero."""
     nodes = len(rhs)
-    if rhs.ndim == 1 and nodes <= _DENSE_UNKNOWNS:
+    if rhs.ndim == 1 and (nodes <= _DENSE_UNKNOWNS or not bands[1, 1::2].all()):
         return _tridiagonal_sweep(bands, rhs)
     if nodes == 1 or rhs.size <= _DENSE_UNKNOWNS:  # blocks, d > 1
         d = rhs.shape[1]
@@ -313,12 +317,12 @@ def _tridiagonal_sweep(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             d, u, y = u - fact * dia, -fact * up, y - fact * nxt
         else:  # also when either entry is NaN
             if d == 0.0:
-                raise SingularMatrixError("zero pivot in the tridiagonal sweep")
+                raise SingularMatrixError("singular matrix: zero pivot in the tridiagonal sweep")
             fact = low / d
             rows.append((d, u, 0.0, y))
             d, u, y = dia - fact * u, up, nxt - fact * y
     if d == 0.0:
-        raise SingularMatrixError("zero pivot in the tridiagonal sweep")
+        raise SingularMatrixError("singular matrix: zero pivot in the tridiagonal sweep")
     x, after = y / d, 0.0
     solution = [x]
     for d, u, fill, y in reversed(rows):

@@ -65,9 +65,10 @@ the discrete functional and the velocity.  Groups:
 - layouts: harmonic (omega 1.5) and the coupled Lagrangian with ``Lv``
   returned Fortran-ordered, flipped (negative strides) and broadcast (zero
   strides), as ``oracles.relaid`` makes them, x sigma x alpha 0.3 and 0.8
-  x d 1-3: the fractional ``coherence_report`` on a seeded trajectory
-  (its gap and text) at n 17, 64, 200, 513, and the fractional cases'
-  outcomes above, both families at tol 1e-9, at n 17, 64, 160.
+  x d 1-3: the fractional, classical and asymmetric ``coherence_report``
+  of one seeded trajectory (each one's gap and text) at n 17, 64, 200,
+  513, and the fractional cases' outcomes above, both families at tol
+  1e-9, at n 17, 64, 160.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.
@@ -256,9 +257,11 @@ def outcome(case) -> list:
         evict()
     grid = fv.make_grid(0.0, 1.0, n)
     if family == "coherence":
-        report = fv.coherence_report(lag, fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d))),
-                                     sigma, alpha)
-        return [np.float64(report.gap), report.text()]
+        q = fv.Trajectory(grid, rng.uniform(-2.0, 2.0, (n + 1, d)))
+        reports = [fv.coherence_report(lag, q, sigma, alpha)]
+        reports += [fv.coherence_report(lag, q, sigma, kind=kind)
+                    for kind in ("classical", "asymmetric")]
+        return [part for rep in reports for part in (np.float64(rep.gap), rep.text())]
     qa, qb = rng.uniform(-1.0, 1.0, (2, d))
     config = NewtonConfig(tol, *max_iter)
     if family == "march":

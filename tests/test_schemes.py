@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fracvi as fv
 from fracvi.schemes import (
+    COHERENCE_RTOL,
     SchemeFamily,
     SchemeKind,
     VERDICT_COHERENT,
@@ -280,6 +283,23 @@ def test_coherence_report_fractional_inferred():
     rep = fv.coherence_report(lag, q, fv.MINUS, alpha=0.5)
     assert rep.kind == "fractional"
     assert rep.verdict == VERDICT_COHERENT
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 3.7e5])
+def test_coherence_report_rule_at_its_boundary(scale):
+    # coherent is gap <= COHERENCE_RTOL * (1 + scale), and the verdict its
+    # label: the boundary is coherent, the next float above it is not
+    bound = COHERENCE_RTOL * (1.0 + scale)
+    rep = fv.CoherenceReport("classical", fv.MINUS, None, 8, bound, scale, 2)
+    assert rep.coherent and rep.verdict == VERDICT_COHERENT
+    assert rep.text().endswith("-> COHERENT") and rep.csv_row()[-1] == VERDICT_COHERENT
+    above = dataclasses.replace(rep, gap=np.nextafter(bound, np.inf))
+    assert not above.coherent and above.verdict == VERDICT_NOT_COHERENT
+    assert above.text().endswith("-> NOT COHERENT")
+    assert above.csv_row()[-1] == VERDICT_NOT_COHERENT
+    nan = dataclasses.replace(rep, gap=np.nan)
+    assert not nan.coherent and nan.verdict == VERDICT_NOT_COHERENT
+    assert "verdict" not in {f.name for f in dataclasses.fields(fv.CoherenceReport)}
 
 
 def test_coherence_report_fractional_needs_alpha():

@@ -911,7 +911,8 @@ def test_block_solve_singular_block_raises(nodes, where):
     # a zero row block: eliminated at the first level (odd), carried into
     # the reduced systems (even), or left to the bottom solve, which is the
     # whole system at 1 and 64 nodes with d = 1 (one node has only row 0);
-    # a zero 1x1 block is refused before any division, so no RuntimeWarning
+    # a level with a zero 1x1 block hands its system to the sweep, which
+    # raises at its zero pivot before any division, so no RuntimeWarning
     rng = np.random.default_rng(65)
     for d in (1, 2):
         bands = 0.1 * rng.standard_normal((3, nodes, d, d))
@@ -923,6 +924,64 @@ def test_block_solve_singular_block_raises(nodes, where):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SingularMatrixError):
                 solver._block_tridiagonal_solve(bands, np.ones(nodes * d))
+
+
+def cancelling_bands(nodes, d):
+    """Identity diagonal blocks and -identity off-diagonal ones: a reduced
+    system's end row gets the diagonal ``I - I = 0`` exactly."""
+    bands = np.zeros((3, nodes, d, d))
+    bands[1] = np.eye(d)
+    bands[0, 1:] = bands[2, :-1] = -np.eye(d)
+    return bands
+
+
+@pytest.mark.parametrize("nodes", [128, 254, 255, 510, 511, 1023])
+def test_scalar_reduction_hands_a_zero_pivot_to_the_sweep(nodes, monkeypatch):
+    # d = 1: a reduced system's zero diagonal entry (at the second level at
+    # 255 nodes, the third at 510) would be a level's divisor, so the
+    # reduction hands that system to the pivoting sweep, which solves it
+    # (condition numbers 424-1694) or, where nodes + 1 is a multiple of 3
+    # and the matrix is singular, raises at its zero pivot
+    bands = cancelling_bands(nodes, 1)
+    b = np.random.default_rng(39).standard_normal(nodes)
+    swept = []  # each system the sweep solves, with its solution
+    sweep = solver._tridiagonal_sweep
+
+    def spy(reduced, rhs):
+        x = sweep(reduced, rhs)
+        swept.append((reduced, x))
+        return x
+
+    monkeypatch.setattr(solver, "_tridiagonal_sweep", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if (nodes + 1) % 3 == 0:
+            with pytest.raises(SingularMatrixError, match="singular matrix: zero pivot"):
+                solver._block_tridiagonal_solve(bands, b)
+            return
+        x = solver._block_tridiagonal_solve(bands, b)
+    dense = dense_from_bands(bands)
+    backward = np.max(np.abs(dense @ x - b))
+    scale = np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(x))
+    assert backward <= 1e-14 * scale, backward / scale
+    # the sweep took a system too large for the bottom, for its zero entry,
+    # and its solution is the solve's, byte for byte, at the nodes it kept
+    [(reduced, kept)] = swept
+    assert reduced.shape[1] > solver._DENSE_UNKNOWNS and not reduced[1, 1::2].all()
+    stride = 1
+    while len(x[::stride]) > len(kept):
+        stride *= 2
+    assert x[::stride].tobytes() == kept.tobytes()
+
+
+def test_block_reduction_still_breaks_down_on_cancelling_blocks():
+    # d > 1 levels pivot only inside blocks: the same cancellation at
+    # d = 2, 127 nodes (condition number 211) reaches the second level's
+    # eliminated block and raises, though the system is not singular
+    bands = cancelling_bands(127, 2)
+    assert np.linalg.cond(dense_from_bands(bands)) < 250
+    with pytest.raises(SingularMatrixError, match="singular diagonal block"):
+        solver._block_tridiagonal_solve(bands, np.ones(254))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
