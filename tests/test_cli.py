@@ -258,11 +258,8 @@ def test_solve_at_large_n(tmp_path, capsys):
     assert fv.read_trajectory_csv(out).grid.n == 100000
 
 
-@pytest.mark.parametrize("n", [16, 64, 65, 256])
-def test_solve_singular_jacobian_exit_code(n, tmp_path, monkeypatch, capsys):
-    # a constant force and no kinetic term: every Jacobian block is zero,
-    # and the sweep names the singular matrix at every n, also where the
-    # system is too large for it alone (n 66 and up)
+def _static_problem(monkeypatch):
+    # a constant force and no kinetic term: every Jacobian block is zero
     static = fv.Lagrangian(
         L=lambda x, v, t: np.sum(x, axis=-1),
         Lx=lambda x, v, t: np.ones_like(x),
@@ -270,6 +267,20 @@ def test_solve_singular_jacobian_exit_code(n, tmp_path, monkeypatch, capsys):
         dim=1,
     )
     monkeypatch.setattr("fracvi.cli.builtin_problem", lambda *args, **kwargs: static)
+
+
+def test_solve_singular_jacobian_exit_code(tmp_path, monkeypatch, capsys):
+    _static_problem(monkeypatch)
+    code = main(["solve", "--n", "256", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_SOLVER
+    assert "singular matrix: zero pivot in the tridiagonal sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [16, 64, 65])
+def test_solve_singular_jacobian_exit_code_small_n(n, tmp_path, monkeypatch, capsys):
+    # the sweep names the singular matrix at every n, both where it solves
+    # the system alone and where cyclic reduction hands it over (n 66 and up)
+    _static_problem(monkeypatch)
     code = main(["solve", "--n", str(n), "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_SOLVER
     assert "singular matrix: zero pivot in the tridiagonal sweep" in capsys.readouterr().err
