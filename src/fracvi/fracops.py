@@ -243,8 +243,11 @@ def gauss_quadrature(s: ShiftedSequence):
 def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float, float]:
     """Both sides of :func:`check_discrete_frac_ibp`, each one exactly rounded
     sum; ``alpha=None`` is :func:`check_discrete_ibp`, alpha = 1 and the
-    boundary term.  Refused, in this order, unless F and G share one grid
-    and one dimension, unless (alpha given) F or G is zero at both ends, and
+    boundary term.  ``alpha`` comes checked.  Each GL product is the scale
+    times the operator's product, as :func:`delta_alpha_minus` and
+    :func:`delta_alpha_plus` compute it, bit for bit, with no sequence
+    built.  Refused, in this order, unless F and G share one grid and one
+    dimension, unless (alpha given) F or G is zero at both ends, and
     unless both sides are finite: at a tiny h a term or a partial sum
     overflows."""
     if f.grid != g.grid:
@@ -254,9 +257,10 @@ def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float
     if alpha is not None and f.values[[0, -1]].any() and g.values[[0, -1]].any():
         raise DomainError("hypothesis violated: need F_0 = F_n = 0 or G_0 = G_n = 0")
     order = 1.0 if alpha is None else alpha
+    n, scale = f.grid.n, _scale(f.grid.h, order)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = (delta_alpha_minus(f, order).values * g.values[1:]).ravel()
-        rhs = [(f.values[:-1] * delta_alpha_plus(g, order).values).ravel()]
+        lhs = (scale * _operator(order, n, MINUS, False)(f.values) * g.values[1:]).ravel()
+        rhs = [(f.values[:-1] * (scale * _operator(order, n, PLUS, False)(g.values))).ravel()]
         if alpha is None:
             hinv = 1.0 / f.grid.h
             rhs.append([float(np.dot(f.values[-1], g.values[-1])) * hinv,

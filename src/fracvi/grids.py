@@ -222,12 +222,23 @@ class ResidualField(Sequence):
 
 
 def sample(f: Callable[[float], object], grid: Grid) -> Trajectory:
-    """Sample a curve at the grid nodes: Q_k = f(t_k)."""
-    rows = [np.atleast_1d(np.asarray(f(t), dtype=float)) for t in grid.nodes]
-    dims = {row.shape for row in rows}
-    if len(dims) != 1:
-        raise DomainError(f"curve returned inconsistent shapes: {sorted(dims)}")
-    return Trajectory(grid, np.vstack(rows))
+    """Sample a curve at the grid nodes: Q_k = f(t_k), one call per node in
+    node order, each with the node as a numpy float64.  Scalar values give
+    d = 1, (d,) vectors d.  The values are converted in one call when they
+    are all scalars or all (d,) vectors; otherwise each is taken as at
+    least a (1,) array, and differing shapes are refused, naming them."""
+    values = [f(t) for t in grid.nodes]
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError:  # ragged: the shapes below tell why
+        arr = None
+    if arr is None or arr.ndim > 2:
+        rows = [np.atleast_1d(np.asarray(value, dtype=float)) for value in values]
+        dims = {row.shape for row in rows}
+        if len(dims) != 1:
+            raise DomainError(f"curve returned inconsistent shapes: {sorted(dims)}")
+        arr = np.vstack(rows)
+    return Trajectory(grid, arr)
 
 
 def restrict(traj: Trajectory, side: int) -> ShiftedSequence:
@@ -257,8 +268,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``k,t,q0[,q1,...]`` rows at full double precision."""
     header = ["k", "t"] + [f"q{c}" for c in range(traj.dim)]
     rows = (
-        [str(k), _fmt(t)] + [_fmt(v) for v in traj.values[k]]
-        for k, t in enumerate(traj.grid.nodes.tolist())
+        [str(k), _fmt(t)] + [_fmt(v) for v in values]
+        for k, (t, values) in enumerate(zip(traj.grid.nodes.tolist(), traj.values.tolist()))
     )
     _write_csv(path, header, rows)
 

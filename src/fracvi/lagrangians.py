@@ -92,13 +92,22 @@ def mechanical(
 ) -> Lagrangian:
     """L(x, v, t) = |v|^2 / 2 - U(x), with Lv = v and Lx = -grad U exactly;
     U maps x of shape (..., d) to shape (...), grad U to shape (..., d).
-    Lv returns v itself; only ``_call`` converts, so grad U may return a list."""
-
-    def L(x: Vec, v: Vec, t: Vec) -> Vec:
-        return 0.5 * np.sum(v * v, axis=-1) - potential(x)
+    Lv returns v itself; only ``_call`` converts, so grad U may return a list.
+    The built-in harmonic and pendulum problems take this L and Lv and
+    evaluate the same force as one product, bit for bit this Lx on finite
+    input."""
 
     def Lx(x: Vec, v: Vec, t: Vec) -> Vec:
         return np.negative(grad_potential(x))
+
+    return _mechanical(potential, Lx, dim, name)
+
+
+def _mechanical(potential: Callable[[Vec], Vec], Lx: VectorFn, dim: int, name: str) -> Lagrangian:
+    """:func:`mechanical`'s L and Lv with the force ``Lx`` as given."""
+
+    def L(x: Vec, v: Vec, t: Vec) -> Vec:
+        return 0.5 * np.sum(v * v, axis=-1) - potential(x)
 
     def Lv(x: Vec, v: Vec, t: Vec) -> Vec:
         return v
@@ -117,24 +126,30 @@ def free_particle(dim: int = 1) -> Lagrangian:
 
 
 def harmonic_oscillator(omega: float = 1.0, dim: int = 1) -> Lagrangian:
-    """U(x) = omega^2 |x|^2 / 2."""
+    """U(x) = omega^2 |x|^2 / 2: :func:`mechanical` with grad U = omega^2 x,
+    its force Lx evaluated as the one product ``x * -omega^2``.  Rounding
+    is symmetric in sign, so on finite input that is -(omega^2 x) bit for
+    bit; only a NaN's sign bit may differ."""
     w2 = float(omega) ** 2
-    return mechanical(
+    return _mechanical(
         lambda x: 0.5 * w2 * np.sum(x * x, axis=-1),
-        lambda x: w2 * x,
-        dim=dim,
-        name="harmonic",
+        lambda x, v, t: np.multiply(x, -w2),
+        dim,
+        "harmonic",
     )
 
 
 def pendulum(omega: float = 1.0, dim: int = 1) -> Lagrangian:
-    """Smooth pendulum-type nonlinearity: U(x) = omega^2 sum_i (1 - cos x_i)."""
+    """Smooth pendulum-type nonlinearity: U(x) = omega^2 sum_i (1 - cos x_i),
+    :func:`mechanical` with grad U = omega^2 sin x, its force Lx evaluated
+    as ``sin(x) * -omega^2``: on finite input -(omega^2 sin x) bit for bit,
+    as for :func:`harmonic_oscillator`."""
     w2 = float(omega) ** 2
-    return mechanical(
+    return _mechanical(
         lambda x: w2 * np.sum(1.0 - np.cos(x), axis=-1),
-        lambda x: w2 * np.sin(x),
-        dim=dim,
-        name="pendulum",
+        lambda x, v, t: np.multiply(np.sin(x), -w2),
+        dim,
+        "pendulum",
     )
 
 

@@ -337,8 +337,9 @@ def _newton(
     x0: np.ndarray | float,
     cfg: NewtonConfig,
     jacobian,
+    diag: NewtonDiagnostics,
     held: np.ndarray | float | None = None,
-) -> tuple[np.ndarray | float, NewtonDiagnostics, np.ndarray | float | None]:
+) -> tuple[np.ndarray | float, np.ndarray | float | None]:
     """Damped Newton for fun(x) = 0 from x0, a float array or, in the
     scalar layout of a one-unknown system, a Python float; ``fun`` and
     ``jacobian`` then take and return floats too.
@@ -352,8 +353,10 @@ def _newton(
     builds ``jacobian(counted, x, r)`` at its iterate and counts the build;
     ``counted`` is ``fun`` counting the residual calls the build makes.
     The layout of ``x0`` picks the norm, and for a float the division,
-    once per call.  Returns the
-    solution, the diagnostics and the last Jacobian used, which a chord
+    once per call.  The solve adds its counts to the counters of the
+    caller's ``diag`` and sets its history and converged flag to its own:
+    a boundary-value solve hands a fresh one, a march one for all its
+    steps.  Returns the solution and the last Jacobian used, which a chord
     iteration hands to its next solve as ``held``.  Steps backtrack until
     the residual inf-norm decreases.  A rejected trial that rounds to ``x``
     bit for bit ends the search at once: every shorter step rounds to ``x``
@@ -361,10 +364,9 @@ def _newton(
     a successful solve is at the iterate it returns.  Each failure (a
     non-finite initial residual, ``max_iter`` passed, a stalled line
     search) names itself and leaves through one raise of
-    :class:`NewtonConvergenceError` with the last iterate and the history.
+    :class:`NewtonConvergenceError` with the last iterate and ``diag``.
     """
     x = x0  # never written: a step makes a new iterate
-    diag = NewtonDiagnostics()
     scalar = isinstance(x0, float)
     norm = abs if scalar else _inf_norm  # a float is its one entry
 
@@ -375,7 +377,7 @@ def _newton(
     r = fun(x)
     diag.residual_evals += 1
     rnorm = norm(r)
-    diag.records.append((0, rnorm, 0.0))
+    diag.records = records = [(0, rnorm, 0.0)]
     failure = None  # the message of the one raise below
     if not math.isfinite(rnorm):
         failure = f"non-finite residual ({rnorm}) at the initial iterate"
@@ -407,17 +409,17 @@ def _newton(
             if np.asarray(trial).tobytes() == np.asarray(x).tobytes():
                 break
         if not rn_trial < rnorm:
-            diag.records.append((it, rnorm, 0.0))
+            records.append((it, rnorm, 0.0))
             failure = f"line search stalled at iteration {it}"
             break
         x, r, rnorm = trial, r_trial, rn_trial
-        diag.records.append((it, rnorm, norm(step)))
+        records.append((it, rnorm, norm(step)))
+    diag.converged = failure is None
     if failure is not None:
         if it:  # a stop inside the loop reports the residual it reached
             failure += f" (residual {rnorm:.3e}, target {cfg.tol:.3e})"
         raise NewtonConvergenceError(failure, x, diag)
-    diag.converged = True
-    return x, diag, held
+    return x, held
 
 
 def _bvp_functions(problem: BVPProblem):
@@ -477,8 +479,9 @@ def solve_bvp_newton(
         raise DomainError("initial guess must satisfy the boundary values")
     _check_layout(kind, problem.lagrangian, init)
     residual, jacobian, trajectory = _bvp_functions(problem)
+    diag = NewtonDiagnostics()
     try:
-        x, diag, _ = _newton(residual, init.values[1:-1].ravel(), cfg, jacobian)
+        x, _ = _newton(residual, init.values[1:-1].ravel(), cfg, jacobian, diag)
     except NewtonConvergenceError as exc:
         exc.last = trajectory(exc.last)
         raise
@@ -527,8 +530,8 @@ def march(
     nodes = grid.nodes.tolist()
     back = 0 if kind.sigma == MINUS else 1  # step k reads node j = k - back
     own = kind.outer == MINUS  # the row's lx is node j's, else node j-1's
-    spent = NewtonDiagnostics(converged=True)
-    worst = math.nan  # spent.final_residual, as a float
+    spent = NewtonDiagnostics()  # every step's counters, each step's history
+    worst, history = math.nan, []  # the largest final residual so far, its history
     held = None  # the last Jacobian built during the march
     # the callback arguments: read-only views of one pair of (d,) arrays,
     # into which each call writes Q_j and v; each result is read off before
@@ -561,17 +564,16 @@ def march(
         prev, t_j, lx_prev, lv_prev = q[k - 1], nodes[k - back], lx_last, lv_last
         guess = 2.0 * prev - q[k - 2]
         try:
-            x, step, held = _newton(step_residual, guess, cfg, _fd_jacobian, held)
+            x, held = _newton(step_residual, guess, cfg, _fd_jacobian, spent, held)
         except (NewtonConvergenceError, SingularMatrixError) as exc:
             exc.args = (f"march step k={k}: {exc}",)
             if isinstance(exc, NewtonConvergenceError):
                 exc.last = np.reshape(exc.last, (d,))
-                exc.diagnostics.add_counts(spent)
             raise
         q.append(x)
-        spent.add_counts(step)
-        if not step.records[-1][1] <= worst:
-            spent.records, worst = step.records, step.records[-1][1]
+        if not spent.records[-1][1] <= worst:
+            history, worst = spent.records, spent.records[-1][1]
+    spent.records = history
     return Trajectory(grid, np.reshape(q, (grid.n + 1, d))), spent
 
 

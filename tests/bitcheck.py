@@ -68,7 +68,16 @@ the discrete functional and the velocity.  Groups:
   x d 1-3: the fractional, classical and asymmetric ``coherence_report``
   of one seeded trajectory (each one's gap and text) at n 17, 64, 200,
   513, and the fractional cases' outcomes above, both families at tol
-  1e-9, at n 17, 64, 160.
+  1e-9, at n 17, 64, 160;
+- cli: the commands that ``tests/golden/`` runs, in process, from
+  ``test_golden.CASES`` (ibp classical and fractional, glcheck,
+  coherence, the three convergence studies and solve): each one's exit
+  code, stdout and stderr, and the name and bytes of every file it
+  writes, with its temporary output directory written as ``{out}``.  The
+  goldens compare Newton-solved values to 1e-10 only; this group takes
+  every byte.  ``ibp`` prints only its largest gap, to four digits, so a
+  rounding change in its sums shows in the operators group, not here.  A
+  case's n is the largest its command reads.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.
@@ -77,8 +86,10 @@ may order its sums differently from run to run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -87,16 +98,20 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 
 import fracvi as fv
+from fracvi.cli import main as cli_main
 from fracvi.fracops import frac_seq_minus, frac_seq_plus
 from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError
 from fracvi.solver import march, march_direct_classical, solve_bvp_newton
 from oracles import LAYOUTS, coupled_lagrangian, relaid
+from test_golden import CASES as CLI_CASES
 
 SIGMAS = (fv.MINUS, fv.PLUS)
 PROBLEMS = ("free", "harmonic", "pendulum", "coupled")
@@ -110,10 +125,18 @@ CLASSICAL = (
 FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
 RELAID = [f"{problem}/{layout}" for problem in ("harmonic", "coupled") for layout in LAYOUTS]
 
-#: group -> the cases' tuples (family, "march", "operators" or "coherence",
-#: sigma, alpha, problem, d, n, tol), the failure groups' with max_iter last;
-#: a march case holds its family in the alpha slot, None for the direct
-#: classical one
+
+def _largest_n(argv) -> int:
+    """The largest n that the command ``argv`` reads from --n or --n-list."""
+    return max(int(n) for flag, value in zip(argv, argv[1:]) if flag in ("--n", "--n-list")
+               for n in value.split(","))
+
+
+#: group -> the cases' tuples (family, "march", "operators", "coherence"
+#: or "cli", sigma, alpha, problem, d, n, tol), the failure groups' with
+#: max_iter last; a march case holds its family in the alpha slot, None for
+#: the direct classical one, and a cli case its golden case's name in the
+#: problem slot
 GROUPS = {
     "classical": list(itertools.product(
         CLASSICAL, SIGMAS, [None], PROBLEMS, DIMS, (4, 5, 16, 64, 257, 1025), TOLS)),
@@ -157,6 +180,8 @@ GROUPS = {
         ["coherence"], SIGMAS, (0.3, 0.8), RELAID, (1, 2, 3), (17, 64, 200, 513), [None]))
     + list(itertools.product(FRACTIONAL, SIGMAS, (0.3, 0.8), RELAID, (1, 2, 3), (17, 64, 160),
                              [1e-9])),
+    "cli": [("cli", None, None, name, 1, _largest_n(argv), None)
+            for name, (argv, *_) in CLI_CASES.items()],
 }
 
 
@@ -233,9 +258,27 @@ def _operators(rng, sigma, alpha, d, n) -> list:
                                        np.array(sides)]
 
 
+def _cli(name: str) -> list:
+    """The exit code, stdout and stderr of the golden command ``name``, run
+    in process with its outputs in a temporary directory, and the name and
+    bytes of each file it writes there; the directory reads ``{out}``."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = [arg.replace("{out}", out) for arg in CLI_CASES[name][0]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+        parts = [str(code), stdout.getvalue().replace(out, "{out}"),
+                 stderr.getvalue().replace(out, "{out}")]
+        for path in sorted(Path(out).iterdir()):
+            parts += [path.name, path.read_bytes()]
+    return parts
+
+
 def outcome(case) -> list:
-    """The outcome of one case: a list of arrays and strings."""
+    """The outcome of one case: a list of arrays, strings and bytes."""
     family, sigma, alpha, problem, d, n, tol, *max_iter = case
+    if family == "cli":
+        return _cli(problem)
     rng = _rng(case)
     if family == "operators" and problem == "gradient":
         q = fv.Trajectory(fv.make_grid(0.0, 1.0, n), rng.uniform(-2.0, 2.0, (n + 1, d)))
@@ -288,6 +331,8 @@ def outcome(case) -> list:
 
 
 def _bytes(part) -> bytes:
+    if isinstance(part, bytes):
+        return part
     if isinstance(part, str):
         return part.encode()
     part = np.asarray(part)
@@ -333,7 +378,7 @@ def case_records(groups, max_n: int | None = None) -> dict[str, list]:
                 continue
             parts = outcome(case)
             digest = hashlib.sha256(b"".join(map(_bytes, parts))).hexdigest()
-            kind = None if case[0] in ("operators", "coherence") else _kind(parts[1])
+            kind = None if case[0] in ("operators", "coherence", "cli") else _kind(parts[1])
             records.append((_label(case), digest, kind, parts[0] if kind == "converged" else None))
     return out
 

@@ -88,3 +88,16 @@ def test_bitcheck_against_says_how_far_a_differing_group_moved(capsys, monkeypat
         f"{len(bitcheck.GROUPS) - 1} of {len(bitcheck.GROUPS)} groups agree with {ROOT}",
     ]
     assert out[-4].startswith(f"differs from {ROOT}: classical {len(cases)} cases sha256 ")
+
+
+def test_bitcheck_cli_group_hashes_every_golden_command_with_its_directory_masked():
+    # one case per command of tests/golden/; a case's outcome is its exit
+    # code, stdout, stderr and each written file, the same in any directory
+    cases = {case[3]: case for case in bitcheck.GROUPS["cli"]}
+    assert sorted(cases) == sorted(p.name for p in (ROOT / "tests" / "golden").iterdir())
+    parts = bitcheck.outcome(cases["solve"])
+    assert parts[0] == "0" and parts[2] == ""
+    assert "wrote {out}/solution.csv\nwrote {out}/solution_diag.csv\n" in parts[1]
+    assert parts[3::2] == ["solution.csv", "solution_diag.csv"]
+    assert all(isinstance(data, bytes) for data in parts[4::2])
+    assert bitcheck.outcome(cases["solve"]) == parts

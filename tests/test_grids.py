@@ -290,6 +290,50 @@ def test_sample_refuses_inconsistent_shapes():
         fv.sample(lambda t: [t] if t < 0.5 else [t, t], grid)
 
 
+@pytest.mark.parametrize("curve, dim", [
+    (lambda t: 2.0 * t, 1),
+    (lambda t: np.float64(t), 1),
+    (lambda t: t if t < 0.5 else [t], 1),  # a scalar and a (1,) vector agree
+    (lambda t: [t, -t, 3.0], 3),
+], ids=["float", "numpy-scalar", "scalar-and-vector", "vector"])
+def test_sample_contract(curve, dim):
+    # a scalar curve gives (n+1, 1) node values, a (d,) curve (n+1, d);
+    # the curve is called once per node, in node order, with the node as a
+    # numpy float64
+    grid = fv.make_grid(-1.0, 2.0, 7)
+    calls = []
+
+    def recorded(t):
+        calls.append(t)
+        return curve(t)
+
+    traj = fv.sample(recorded, grid)
+    assert traj.values.shape == (8, dim)
+    assert [type(t) for t in calls] == [np.float64] * 8
+    assert np.array(calls).tobytes() == grid.nodes.tobytes()
+    want = np.array([np.atleast_1d(np.asarray(curve(t), dtype=float)) for t in grid.nodes])
+    assert traj.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("curve, shapes", [
+    (lambda t: t if t < 0.5 else [t, t], "[(1,), (2,)]"),
+    (lambda t: [t, t] if t < 0.5 else np.zeros((1, 2)), "[(1, 2), (2,)]"),
+    (lambda t: [t] * (1 + int(4 * t) % 3), "[(1,), (2,), (3,)]"),
+], ids=["scalar-then-pair", "pair-then-matrix", "three"])
+def test_sample_names_every_shape_it_refuses(curve, shapes):
+    grid = fv.make_grid(0.0, 1.0, 4)
+    calls = []
+
+    def recorded(t):
+        calls.append(t)
+        return curve(t)
+
+    with pytest.raises(fv.DomainError) as err:
+        fv.sample(recorded, grid)
+    assert str(err.value) == f"curve returned inconsistent shapes: {shapes}"
+    assert len(calls) == 5  # every node, once, before the refusal
+
+
 def test_read_trajectory_csv_refuses_no_components(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("k,t\n0,0\n1,0.5\n2,1\n")

@@ -65,6 +65,46 @@ def test_builtin_partials_keep_their_bytes(name):
             assert lag.Lv(x, v, np.zeros(shape[0])) is v  # was np.array(v, dtype=float)
 
 
+#: name -> (U, grad U) of each built-in problem at omega^2 = w2, as
+#: :func:`fracvi.mechanical` takes them
+_POTENTIALS = {
+    "free": (lambda w2: lambda x: 0.0, lambda w2: np.zeros_like),
+    "harmonic": (lambda w2: lambda x: 0.5 * w2 * np.sum(x * x, axis=-1), lambda w2: lambda x: w2 * x),
+    "pendulum": (lambda w2: lambda x: w2 * np.sum(1.0 - np.cos(x), axis=-1),
+                 lambda w2: lambda x: w2 * np.sin(x)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_POTENTIALS))
+def test_builtin_forces_are_the_mechanical_form_bit_for_bit(name, dim):
+    # the harmonic and pendulum Lx are one product by -omega^2; rounding is
+    # symmetric in sign, so on finite input each is -(grad U) to the byte,
+    # signed zeros and subnormals included, and so is L; free's Lx is -0.0
+    rng = np.random.default_rng(dim)
+    tiny = np.finfo(float).smallest_normal
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 7, 1e300, -1e300]
+    x = np.concatenate([special, rng.standard_normal(24 * dim - len(special))]).reshape(-1, dim)
+    v, t = rng.standard_normal(x.shape), np.zeros(len(x))
+    for omega in (0.0, 0.3, 1.0, 1.7, 40.0, 1e150):
+        w2 = omega**2
+        U, grad = (make(w2) for make in _POTENTIALS[name])
+        lag, mech = fv.builtin_problem(name, omega, dim), fv.mechanical(U, grad, dim)
+        # w2 * 1e300 is inf both ways, and L may meet 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn in ("Lx", "L"):
+                got, want = getattr(lag, fn)(x, v, t), getattr(mech, fn)(x, v, t)
+                assert got.tobytes() == want.tobytes(), (fn, omega)
+        if name == "free":
+            assert lag.Lx(x, v, t).tobytes() == np.full(x.shape, -0.0).tobytes()
+        # a NaN gives NaN both ways, but its sign bit may differ: on x86-64
+        # the product keeps the input NaN's sign, while the mechanical form
+        # negates it; so NaN entries compare as values only
+        nan = np.array([[np.nan] * dim, [-np.nan] * dim])
+        got, want = lag.Lx(nan, nan, t[:2]), mech.Lx(nan, nan, t[:2])
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_mechanical_takes_a_gradient_that_returns_a_list(dim):
     # Lx negates the list, and the checked callback entry makes it floats

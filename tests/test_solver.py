@@ -318,13 +318,20 @@ def count_fd_jacobians(monkeypatch) -> list:
 def check_summed_counters(monkeypatch, sigma, lx_before):
     """A direct classical march on ``sigma`` reports counters summed over
     its steps, and makes ``lx_before`` Lx calls before its first step."""
-    steps = []
+    steps = []  # each step's own diagnostics
     newton = solver._newton
 
-    def recorded(*args, **kwargs):
-        x, diag, held = newton(*args, **kwargs)
-        steps.append(diag)
-        return x, diag, held
+    def counters(diag):
+        return diag.residual_evals, diag.jacobian_builds, diag.backtracks
+
+    def recorded(fun, x0, cfg, jacobian, diag, held=None):
+        # the march hands every step one diagnostics object, which sums the
+        # counters and holds the step's own history
+        before = counters(diag)
+        out = newton(fun, x0, cfg, jacobian, diag, held)
+        added = [now - then for now, then in zip(counters(diag), before)]
+        steps.append(solver.NewtonDiagnostics(diag.records, diag.converged, *added))
+        return out
 
     monkeypatch.setattr(solver, "_newton", recorded)
     builds = count_fd_jacobians(monkeypatch)
