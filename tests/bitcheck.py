@@ -71,7 +71,13 @@ the discrete functional and the velocity.  Groups:
   1e-9, at n 17, 64, 160;
 - cli: the commands that ``tests/golden/`` runs, in process, from
   ``test_golden.CASES`` (ibp classical and fractional, glcheck,
-  coherence, the three convergence studies and solve): each one's exit
+  coherence, the three convergence studies and solve), and the commands
+  of ``CLI_COMMANDS`` that reach the order studies' other branches:
+  exact reproduction, each window's FAIL and a fractional order below its
+  minimum, a self-referenced study, a ``--config`` run, refused n-lists
+  (exit 2) and a solver failure (exit 3).  No command is known to reach
+  convergence's "no observable order" (``test_cli`` patches
+  ``_observed_orders`` for it).  A case hashes its exit
   code, stdout and stderr, and the name and bytes of every file it
   writes, with its temporary output directory written as ``{out}``.  The
   goldens compare Newton-solved values to 1e-10 only; this group takes
@@ -126,6 +132,42 @@ FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONA
 RELAID = [f"{problem}/{layout}" for problem in ("harmonic", "coupled") for layout in LAYOUTS]
 
 
+#: the cli group's commands beyond the goldens': name -> argv; a command
+#: run with ``--config {out}/study.cfg`` reads ``CLI_CONFIG``
+CLI_COMMANDS = {name: argv for name, (argv, *_) in CLI_CASES.items()} | {
+    "convergence_free_exact": ["convergence", "--problem", "free", "--scheme", "vi",
+                               "--n-list", "16,32,64,128", "--out", "{out}/orders.csv"],
+    "convergence_self_reference": ["convergence", "--problem", "pendulum", "--scheme", "vi",
+                                   "--n-list", "16,32,64,128", "--out", "{out}/orders.csv"],
+    "convergence_self_reference_fail": ["convergence", "--problem", "pendulum", "--omega", "5",
+                                        "--n-list", "2,4"],
+    "convergence_window_fail": ["convergence", "--problem", "harmonic", "--omega", "20",
+                                "--n-list", "8,16,32,64"],
+    "convergence_direct_window_fail": ["convergence", "--problem", "harmonic", "--scheme",
+                                       "direct", "--omega", "20", "--n-list", "8,16,32,64"],
+    "convergence_fractional_fail": ["convergence", "--scheme", "vi", "--alpha", "0.3", "--sigma",
+                                    "+", "--n-list", "16,32,64,128", "--out", "{out}/orders.csv"],
+    "convergence_config": ["convergence", "--config", "{out}/study.cfg", "--sigma", "-",
+                           "--n-list", "8,16,32", "--out", "{out}/orders.csv"],
+    "convergence_repeated_n": ["convergence", "--scheme", "asymmetric", "--alpha", "0.5",
+                               "--n-list", "16,16"],
+    "convergence_solver_failure": ["convergence", "--problem", "free", "--scheme", "vi",
+                                   "--qa", "1e308", "--qb", "-1e308", "--n-list", "16,32"],
+    "glcheck_exact": ["glcheck", "--alpha", "1", "--beta", "1", "--n-list", "64,128,256,512",
+                      "--out", "{out}/glcheck.csv"],
+    "glcheck_exact_zero": ["glcheck", "--alpha", "1", "--beta", "0", "--n-list", "16,32"],
+    "glcheck_window_fail": ["glcheck", "--alpha", "0.5", "--beta", "0.5",
+                            "--n-list", "64,128,256,512", "--out", "{out}/glcheck.csv"],
+    "glcheck_repeated_n": ["glcheck", "--beta", "-1", "--n-list", "16,16"],
+}
+CLI_CONFIG = """# a fractional study from a file
+scheme = direct
+alpha = 0.5
+sigma = +
+seed = 3  # a key convergence does not take
+"""
+
+
 def _largest_n(argv) -> int:
     """The largest n that the command ``argv`` reads from --n or --n-list."""
     return max(int(n) for flag, value in zip(argv, argv[1:]) if flag in ("--n", "--n-list")
@@ -135,8 +177,8 @@ def _largest_n(argv) -> int:
 #: group -> the cases' tuples (family, "march", "operators", "coherence"
 #: or "cli", sigma, alpha, problem, d, n, tol), the failure groups' with
 #: max_iter last; a march case holds its family in the alpha slot, None for
-#: the direct classical one, and a cli case its golden case's name in the
-#: problem slot
+#: the direct classical one, and a cli case its name in ``CLI_COMMANDS`` in
+#: the problem slot
 GROUPS = {
     "classical": list(itertools.product(
         CLASSICAL, SIGMAS, [None], PROBLEMS, DIMS, (4, 5, 16, 64, 257, 1025), TOLS)),
@@ -181,7 +223,7 @@ GROUPS = {
     + list(itertools.product(FRACTIONAL, SIGMAS, (0.3, 0.8), RELAID, (1, 2, 3), (17, 64, 160),
                              [1e-9])),
     "cli": [("cli", None, None, name, 1, _largest_n(argv), None)
-            for name, (argv, *_) in CLI_CASES.items()],
+            for name, argv in CLI_COMMANDS.items()],
 }
 
 
@@ -259,11 +301,13 @@ def _operators(rng, sigma, alpha, d, n) -> list:
 
 
 def _cli(name: str) -> list:
-    """The exit code, stdout and stderr of the golden command ``name``, run
-    in process with its outputs in a temporary directory, and the name and
-    bytes of each file it writes there; the directory reads ``{out}``."""
+    """The exit code, stdout and stderr of the command ``name``, run in
+    process with its outputs in a temporary directory, and the name and
+    bytes of each file there after it ran; the directory reads ``{out}``."""
     with tempfile.TemporaryDirectory() as out:
-        argv = [arg.replace("{out}", out) for arg in CLI_CASES[name][0]]
+        argv = [arg.replace("{out}", out) for arg in CLI_COMMANDS[name]]
+        if "--config" in argv:
+            Path(out, "study.cfg").write_text(CLI_CONFIG)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli_main(argv)

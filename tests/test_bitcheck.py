@@ -94,10 +94,42 @@ def test_bitcheck_cli_group_hashes_every_golden_command_with_its_directory_maske
     # one case per command of tests/golden/; a case's outcome is its exit
     # code, stdout, stderr and each written file, the same in any directory
     cases = {case[3]: case for case in bitcheck.GROUPS["cli"]}
-    assert sorted(cases) == sorted(p.name for p in (ROOT / "tests" / "golden").iterdir())
+    assert {p.name for p in (ROOT / "tests" / "golden").iterdir()} <= cases.keys()
     parts = bitcheck.outcome(cases["solve"])
     assert parts[0] == "0" and parts[2] == ""
     assert "wrote {out}/solution.csv\nwrote {out}/solution_diag.csv\n" in parts[1]
     assert parts[3::2] == ["solution.csv", "solution_diag.csv"]
     assert all(isinstance(data, bytes) for data in parts[4::2])
     assert bitcheck.outcome(cases["solve"]) == parts
+
+
+#: bitcheck's own cli commands -> (exit code, the end of their last line)
+CLI_BRANCHES = {
+    "convergence_free_exact": (0, "free/vi sigma=-: exact reproduction -> PASS"),
+    "convergence_self_reference": (0, "pendulum/vi sigma=-: last order 2.07 in [1.8, 2.2] -> PASS"),
+    "convergence_self_reference_fail": (1, ": last order 1.05 in [1.8, 2.2] -> FAIL"),
+    "convergence_window_fail": (1, "harmonic/vi sigma=-: orders in [1.8, 2.2] -> FAIL"),
+    "convergence_direct_window_fail": (1, "harmonic/direct sigma=-: orders in [0.7, 1.3] -> FAIL"),
+    "convergence_fractional_fail": (1, "alpha=0.3 sigma=+: last order 0.44 >= 0.7 -> FAIL"),
+    "convergence_config": (1, "harmonic/direct alpha=0.5 sigma=-: last order 0.58 >= 0.7 -> FAIL"),
+    "convergence_repeated_n": (2, "error: n-list must be at least two strictly increasing values"),
+    "convergence_solver_failure": (3, "non-finite residual (nan) at the initial iterate"),
+    "glcheck_exact": (0, "alpha=1 beta=1: exact reproduction -> PASS"),
+    "glcheck_exact_zero": (0, "alpha=1 beta=0: exact reproduction -> PASS"),
+    "glcheck_window_fail": (1, "alpha=0.5 beta=0.5: orders in [0.7, 1.3] -> FAIL"),
+    "glcheck_repeated_n": (2, "error: n-list must be at least two strictly increasing values"),
+}
+
+
+def test_bitcheck_cli_group_reaches_each_order_study_branch():
+    # each command beyond the goldens' ends in the verdict or refusal it was
+    # added for: a line before "wrote ..." on stdout, else on stderr
+    cases = {case[3]: case for case in bitcheck.GROUPS["cli"]}
+    assert cases.keys() == bitcheck.CLI_COMMANDS.keys() == CLI_BRANCHES.keys() | {
+        p.name for p in (ROOT / "tests" / "golden").iterdir()}
+    for name, (code, end) in CLI_BRANCHES.items():
+        parts = bitcheck.outcome(cases[name])
+        lines = [line for line in (parts[1] + parts[2]).splitlines()
+                 if not line.startswith("wrote")]
+        assert (parts[0], lines[-1].endswith(end)) == (str(code), True), (name, lines[-1])
+    assert bitcheck.outcome(cases["convergence_config"])[3::2] == ["orders.csv", "study.cfg"]
