@@ -2,12 +2,14 @@
 
 Run it from a checkout:
 
-    PYTHONPATH=<checkout>/src python tests/bitcheck.py [max_n] [--against OTHER]
+    PYTHONPATH=<checkout>/src python tests/bitcheck.py [max_n] [--group G ...] [--against OTHER]
 
 It prints one line per group of cases: the group, its case count and one
 sha256 over the bytes of every outcome in it.  Two trees whose lines agree
 give the same bytes on every case of those groups.  ``max_n`` drops the
-cases with a larger n (the smallest, 4, is the tier-1 smoke test); pytest
+cases with a larger n (the smallest, 4, is the tier-1 smoke test), and
+``--group``, once per group, runs only the groups it names, in the order
+of the list below (``--group cli`` checks a CLI change in seconds); pytest
 does not collect this file.  ``--against OTHER`` also runs this same
 script, in a subprocess, on the package of the checkout OTHER
 (``PYTHONPATH=OTHER/src``), then prints each group whose line differs
@@ -383,13 +385,14 @@ def _bytes(part) -> bytes:
     return repr((part.dtype.str, part.shape)).encode() + part.tobytes()
 
 
-def digests(max_n: int | None = None) -> dict[str, tuple[int, str]]:
-    """group -> (case count, sha256 hex) over the cases with n <= max_n."""
+def digests(max_n: int | None = None, groups=GROUPS) -> dict[str, tuple[int, str]]:
+    """group -> (case count, sha256 hex) over the cases with n <= max_n, of
+    each group of ``groups`` (every group by default)."""
     out = {}
-    for group, cases in GROUPS.items():
+    for group in groups:
         digest = hashlib.sha256()
         count = 0
-        for case in cases:
+        for case in GROUPS[group]:
             if max_n is not None and case[5] > max_n:
                 continue
             count += 1
@@ -456,15 +459,18 @@ def _against(other: str, args: list[str]) -> tuple[list[str], dict[str, str]]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("max_n", type=int, nargs="?", help="drop the cases with a larger n")
+    parser.add_argument("--group", action="append", choices=GROUPS,
+                        help="run only this group (repeatable)")
     parser.add_argument("--against", metavar="OTHER", help="a checkout to compare with")
     args = parser.parse_args(argv)
+    selected = [group for group in GROUPS if args.group is None or group in args.group]
     if args.against is not None:
         # the other tree's run overlaps this one's
-        command, env = _against(args.against, [__file__] + ([] if args.max_n is None
-                                                            else [str(args.max_n)]))
+        command, env = _against(args.against, [__file__, *(f"--group={g}" for g in selected)]
+                                + ([] if args.max_n is None else [str(args.max_n)]))
         other = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env)
     lines = [f"{group} {count} cases sha256 {hexdigest}"
-             for group, (count, hexdigest) in digests(args.max_n).items()]
+             for group, (count, hexdigest) in digests(args.max_n, selected).items()]
     print("\n".join(lines))
     if args.against is None:
         return 0

@@ -7,6 +7,7 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bitcheck
 
@@ -35,13 +36,37 @@ def test_bitcheck_against_its_own_tree_agrees(capsys):
     assert not any(line.startswith("differs") for line in out)
 
 
+def test_bitcheck_runs_only_the_groups_it_is_given_in_their_order(capsys):
+    assert bitcheck.main(["4", "--group", "cli", "--group", "operators"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["operators", "20"], ["cli", "1"]]
+    assert lines == [f"{group} {count} cases sha256 {digest}" for group, (count, digest)
+                     in bitcheck.digests(4, ["operators", "cli"]).items()]
+
+
+def test_bitcheck_against_compares_only_the_groups_it_is_given(capsys):
+    # the other tree's run hashes the same groups: had it hashed all, its
+    # first line would be the classical group's and differ
+    assert bitcheck.main(["4", "--group", "cli", "--against", str(ROOT)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("cli 1 cases sha256 ")
+    assert out[1:] == [f"1 of 1 groups agree with {ROOT}"]
+
+
+def test_bitcheck_refuses_an_unknown_group(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bitcheck.main(["--group", "clii"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'clii'" in capsys.readouterr().err
+
+
 def test_bitcheck_against_names_each_differing_group(capsys, monkeypatch):
     # n <= 2 selects no case: both runs hash nothing, and one group's hash
     # is then changed on this side only
     digests = bitcheck.digests
 
-    def changed(max_n):
-        out = digests(max_n)
+    def changed(max_n, groups):
+        out = digests(max_n, groups)
         out["march"] = (0, "0" * 64)
         return out
 
