@@ -309,6 +309,25 @@ def _observed_orders(ns: list[int], errors: list[float]) -> list[float | None]:
     return orders
 
 
+def _order_study(n_list, errors, floor, verdict, cells, texts, header, out, label):
+    """The end of an order study over ``n_list``: exact reproduction if
+    every error is at most ``floor``, else ``verdict(defined orders)``, an
+    (ok, check) pair; a CSV row per n of n, its ``cells`` and its observed
+    order, a line per n of N, its ``texts`` and its order, and the line
+    ``label: check -> PASS|FAIL``."""
+    orders = _observed_orders(n_list, errors)
+    if all(err <= floor for err in errors):
+        ok, check = True, "exact reproduction"
+    else:
+        ok, check = verdict([o for o in orders if o is not None])
+    rows, lines = [], []
+    for n, row, text, order in zip(n_list, cells, texts, orders):
+        rows.append([str(n), *row, "" if order is None else _fmt(order)])
+        lines.append(f"N={n:5d} {text}" + ("" if order is None else f" order={order:.3f}"))
+    lines.append(f"{label}: {check} -> {'PASS' if ok else 'FAIL'}")
+    return _finish(ok, lines, out, header, rows)
+
+
 def run_convergence(
     problem: str,
     scheme: str,
@@ -364,7 +383,7 @@ def run_convergence(
         ref_problem = BVPProblem(make_grid(a, b, n_ref), lag, kind, qa, qb)
         ref_traj, _ = solve_bvp_newton(ref_problem, config=cfg)
 
-    errors = []
+    errors, cells, texts = [], [], []
     for n in n_list:
         grid = make_grid(a, b, n)
         if exact is not None:
@@ -375,47 +394,28 @@ def run_convergence(
             traj, _ = march_direct_classical(lag, grid, *ref_vals[:2], config=cfg, sigma=sigma)
         else:
             traj, _ = solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=cfg)
-        errors.append(float(np.max(np.abs(traj.values - ref_vals))))
-
-    orders = _observed_orders(n_list, errors)
-    scale = float(np.max(np.abs(qb - qa))) + 1.0
-    exact_repro = all(err <= EXACT_FLOOR * scale for err in errors)
-    if exact_repro:
-        ok = True
-        check = "exact reproduction"
-    else:
-        defined = [o for o in orders if o is not None]
-        if not defined:
-            ok = False
-            check = "no observable order"
-        elif alpha is not None:
-            ok = defined[-1] >= FRACTIONAL_MIN_ORDER
-            check = f"last order {defined[-1]:.2f} >= {FRACTIONAL_MIN_ORDER}"
-        elif exact is not None:  # marching always has one
-            lo, hi = DIRECT_ORDER_WINDOW if marching else VI_ORDER_WINDOW
-            ok = all(lo <= o <= hi for o in defined)
-            check = f"orders in [{lo}, {hi}]"
-        else:
-            lo, hi = VI_ORDER_WINDOW
-            ok = lo <= defined[-1] <= hi
-            check = f"last order {defined[-1]:.2f} in [{lo}, {hi}]"
-
-    rows = []
-    lines = []
-    for n, err, order in zip(n_list, errors, orders):
+        err = float(np.max(np.abs(traj.values - ref_vals)))
         h = (b - a) / n
-        order_text = "" if order is None else _fmt(order)
-        rows.append([str(n), _fmt(h), _fmt(err), order_text])
-        lines.append(
-            f"N={n:5d} h={h:.6g} error={err:.6e}"
-            + (f" order={order:.3f}" if order is not None else "")
-        )
-    lines.append(
-        f"convergence {problem}/{scheme}"
-        + (f" alpha={alpha:g}" if alpha is not None else "")
-        + f" sigma={sigma_label(sigma)}: {check} -> {'PASS' if ok else 'FAIL'}"
-    )
-    return _finish(ok, lines, out, CONVERGENCE_HEADER, rows)
+        errors.append(err)
+        cells.append([_fmt(h), _fmt(err)])
+        texts.append(f"h={h:.6g} error={err:.6e}")
+
+    def verdict(defined):
+        if not defined:
+            return False, "no observable order"
+        if alpha is not None:
+            last = defined[-1]
+            return last >= FRACTIONAL_MIN_ORDER, f"last order {last:.2f} >= {FRACTIONAL_MIN_ORDER}"
+        lo, hi = DIRECT_ORDER_WINDOW if marching else VI_ORDER_WINDOW
+        if exact is not None:  # marching always has one
+            return all(lo <= o <= hi for o in defined), f"orders in [{lo}, {hi}]"
+        return lo <= defined[-1] <= hi, f"last order {defined[-1]:.2f} in [{lo}, {hi}]"
+
+    floor = EXACT_FLOOR * (float(np.max(np.abs(qb - qa))) + 1.0)
+    label = (f"convergence {problem}/{scheme}" + (f" alpha={alpha:g}" if alpha is not None else "")
+             + f" sigma={sigma_label(sigma)}")
+    return _order_study(n_list, errors, floor, verdict, cells, texts, CONVERGENCE_HEADER, out,
+                        label)
 
 
 # --------------------------------------------------------------------------
@@ -482,38 +482,20 @@ def run_glcheck(
     if not beta >= 0:
         raise DomainError(f"beta must be >= 0: (t-a)^beta is sampled at t=a, got {beta}")
     exact = rl_monomial_derivative(beta, alpha, b - a)
-    errors = []
-    approxes = []
+    errors, cells, texts = [], [], []
     for n in n_list:
-        grid = make_grid(a, b, n)
-        traj = sample(lambda t: (t - a) ** beta, grid)
+        traj = sample(lambda t: (t - a) ** beta, make_grid(a, b, n))
         approx = float(delta_alpha_minus(traj, alpha).value_at(n)[0])
-        approxes.append(approx)
-        errors.append(abs(approx - exact))
-    orders = _observed_orders(n_list, errors)
-    floor = EXACT_FLOOR * (1.0 + abs(exact))
-    if all(err <= floor for err in errors):
-        ok = True
-        check = "exact reproduction"
-    else:
-        defined = [o for o in orders if o is not None]
-        lo, hi = GLCHECK_ORDER_WINDOW
-        ok = bool(defined) and all(lo <= o <= hi for o in defined)
-        check = f"orders in [{lo}, {hi}]"
-    rows = []
-    lines = []
-    for n, approx, err, order in zip(n_list, approxes, errors, orders):
-        h = (b - a) / n
-        order_text = "" if order is None else _fmt(order)
-        rows.append([str(n), _fmt(h), _fmt(approx), _fmt(exact), _fmt(err), order_text])
-        lines.append(
-            f"N={n:5d} approx={approx:.12g} exact={exact:.12g} error={err:.3e}"
-            + (f" order={order:.3f}" if order is not None else "")
-        )
-    lines.append(
-        f"glcheck alpha={alpha:g} beta={beta:g}: {check} -> {'PASS' if ok else 'FAIL'}"
-    )
-    return _finish(ok, lines, out, GLCHECK_HEADER, rows)
+        err = abs(approx - exact)
+        errors.append(err)
+        cells.append([_fmt((b - a) / n), _fmt(approx), _fmt(exact), _fmt(err)])
+        texts.append(f"approx={approx:.12g} exact={exact:.12g} error={err:.3e}")
+    lo, hi = GLCHECK_ORDER_WINDOW
+    return _order_study(
+        n_list, errors, EXACT_FLOOR * (1.0 + abs(exact)),
+        lambda defined: (bool(defined) and all(lo <= o <= hi for o in defined),
+                         f"orders in [{lo}, {hi}]"),
+        cells, texts, GLCHECK_HEADER, out, f"glcheck alpha={alpha:g} beta={beta:g}")
 
 
 # --------------------------------------------------------------------------
