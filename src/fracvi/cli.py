@@ -78,8 +78,9 @@ DIRECT_ORDER_WINDOW = (0.7, 1.3)
 FRACTIONAL_MIN_ORDER = 0.7
 GLCHECK_ORDER_WINDOW = (0.7, 1.3)
 
-#: Errors below this (relative) level count as exact reproduction and are
-#: exempt from order checks.
+#: Errors at most this level, relative to the closed form's size (glcheck)
+#: or to 1 + max |qb - qa| (convergence), count as exact reproduction and
+#: are exempt from order checks.
 EXACT_FLOOR = 1e-12
 
 
@@ -492,7 +493,7 @@ def run_glcheck(
         texts.append(f"approx={approx:.12g} exact={exact:.12g} error={err:.3e}")
     lo, hi = GLCHECK_ORDER_WINDOW
     return _order_study(
-        n_list, errors, EXACT_FLOOR * (1.0 + abs(exact)),
+        n_list, errors, EXACT_FLOOR * abs(exact),
         lambda defined: (bool(defined) and all(lo <= o <= hi for o in defined),
                          f"orders in [{lo}, {hi}]"),
         cells, texts, GLCHECK_HEADER, out, f"glcheck alpha={alpha:g} beta={beta:g}")

@@ -323,6 +323,47 @@ def test_glcheck_alpha_one_exact(capsys):
     assert "exact reproduction" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, relative", [
+    (["--b", "1e-300"], 2.4e-4),
+    (["--b", "1e-300", "--beta", "0.75"], 1.2e-4),
+])
+def test_glcheck_floor_is_relative_to_a_small_closed_form(capsys, argv, relative):
+    # at b = 1e-300 the closed form is tiny: errors of a relative 1e-4 and
+    # more are not exact reproduction, however small they are absolutely
+    assert main(["glcheck", *argv]) == EXIT_OK
+    *rows, verdict = capsys.readouterr().out.splitlines()
+    assert verdict.endswith(": orders in [0.7, 1.3] -> PASS")
+    for row in rows:
+        fields = dict(field.split("=") for field in row.split()[2:])
+        assert float(fields["error"]) >= relative * float(fields["exact"])
+
+
+def test_glcheck_exact_zero_is_reproduced(capsys):
+    # the derivative of (t-a)^0 at alpha 1 is exactly 0, and so is each error
+    assert main(["glcheck", "--alpha", "1", "--beta", "0", "--n-list", "16,32"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(": exact reproduction -> PASS\n")
+
+
+def test_glcheck_orders_outside_the_window_fail(tmp_path, capsys):
+    # D^0.5 of (t-a)^0.5 is a constant, which GL meets at order 1.5
+    out = tmp_path / "gl.csv"
+    argv = ["glcheck", "--alpha", "0.5", "--beta", "0.5", "--n-list", "64,128",
+            "--out", str(out)]
+    assert main(argv) == cli.EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "glcheck alpha=0.5 beta=0.5: orders in [0.7, 1.3] -> FAIL", f"wrote {out}"]
+    assert float(read_csv(out)[1][5]) == pytest.approx(1.506, abs=1e-3)
+
+
+def test_glcheck_without_an_observable_order_fails(monkeypatch, capsys):
+    # glcheck names its window where convergence says "no observable order"
+    monkeypatch.setattr(cli, "_observed_orders", lambda ns, errors: [None] * len(ns))
+    assert main(["glcheck", "--n-list", "8,16"]) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.endswith(
+        "glcheck alpha=0.5 beta=1: orders in [0.7, 1.3] -> FAIL\n")
+
+
 @pytest.mark.parametrize("beta, b", [("400", "1"), ("169", "1000")])
 def test_glcheck_refuses_an_overflowing_closed_form(capsys, beta, b):
     # Gamma(401) and 1000^168.5 lie past the float range
