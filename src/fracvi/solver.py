@@ -124,11 +124,6 @@ class NewtonDiagnostics:
     jacobian_builds: int = 0
     backtracks: int = 0
 
-    def add_counts(self, other: "NewtonDiagnostics") -> None:
-        self.residual_evals += other.residual_evals
-        self.jacobian_builds += other.jacobian_builds
-        self.backtracks += other.backtracks
-
     @property
     def iterations(self) -> int:
         return self.records[-1][0] if self.records else 0

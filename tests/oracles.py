@@ -312,6 +312,11 @@ def chord_march(lag, grid, q0, q1, tol, max_iter=50):
             jac[:, j] = (fun(xp) - r) / steps[j]
         return jac
 
+    def add_counts(into, other):
+        into.residual_evals += other.residual_evals
+        into.jacobian_builds += other.jacobian_builds
+        into.backtracks += other.backtracks
+
     def solve(a, b):
         if b.shape == (1,):
             pivot = float(a[0, 0])
@@ -398,9 +403,9 @@ def chord_march(lag, grid, q0, q1, tol, max_iter=50):
         try:
             vals[k], step, held = newton(step_residual, guess, held, f"march step k={k}: ")
         except NewtonConvergenceError as exc:
-            exc.diagnostics.add_counts(spent)
+            add_counts(exc.diagnostics, spent)
             raise
-        spent.add_counts(step)
+        add_counts(spent, step)
         if not step.final_residual <= spent.final_residual:
             spent.records = step.records
     return vals, spent
