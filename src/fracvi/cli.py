@@ -311,11 +311,11 @@ def _observed_orders(ns: list[int], errors: list[float]) -> list[float | None]:
 
 
 def _order_study(n_list, errors, floor, verdict, cells, texts, header, out, label):
-    """The end of an order study over ``n_list``: exact reproduction if
-    every error is at most ``floor``, else ``verdict(defined orders)``, an
-    (ok, check) pair; a CSV row per n of n, its ``cells`` and its observed
-    order, a line per n of N, its ``texts`` and its order, and the line
-    ``label: check -> PASS|FAIL``."""
+    """The end of an order study over ``n_list``.  If every error is at
+    most ``floor``, the check is exact reproduction; else ``verdict`` maps
+    the defined observed orders to (ok, check).  Each n gives a CSV row (n,
+    its ``cells``, its order) and a line (N, its ``texts``, its order);
+    the last line is ``label: check -> PASS|FAIL``."""
     orders = _observed_orders(n_list, errors)
     if all(err <= floor for err in errors):
         ok, check = True, "exact reproduction"
@@ -413,10 +413,9 @@ def run_convergence(
         return lo <= defined[-1] <= hi, f"last order {defined[-1]:.2f} in [{lo}, {hi}]"
 
     floor = EXACT_FLOOR * (float(np.max(np.abs(qb - qa))) + 1.0)
-    label = (f"convergence {problem}/{scheme}" + (f" alpha={alpha:g}" if alpha is not None else "")
-             + f" sigma={sigma_label(sigma)}")
+    label = f"convergence {problem}/{scheme}" + (f" alpha={alpha:g}" if alpha is not None else "")
     return _order_study(n_list, errors, floor, verdict, cells, texts, CONVERGENCE_HEADER, out,
-                        label)
+                        f"{label} sigma={sigma_label(sigma)}")
 
 
 # --------------------------------------------------------------------------

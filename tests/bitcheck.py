@@ -134,8 +134,9 @@ FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONA
 RELAID = [f"{problem}/{layout}" for problem in ("harmonic", "coupled") for layout in LAYOUTS]
 
 
-#: the cli group's commands beyond the goldens': name -> argv; a command
-#: run with ``--config {out}/study.cfg`` reads ``CLI_CONFIG``
+#: the cli group's commands, name -> argv: the goldens', then those that
+#: reach the order studies' other branches; a command run with ``--config
+#: {out}/study.cfg`` reads ``CLI_CONFIG``, whose sigma its flag overrides
 CLI_COMMANDS = {name: argv for name, (argv, *_) in CLI_CASES.items()} | {
     "convergence_free_exact": ["convergence", "--problem", "free", "--scheme", "vi",
                                "--n-list", "16,32,64,128", "--out", "{out}/orders.csv"],
