@@ -77,7 +77,8 @@ the discrete functional and the velocity.  Groups:
   of ``CLI_COMMANDS`` that reach the order studies' other branches:
   exact reproduction, each window's FAIL and a fractional order below its
   minimum, a self-referenced study, a ``--config`` run, refused n-lists
-  (exit 2) and a solver failure (exit 3).  No command is known to reach
+  (exit 2), a solver failure (exit 3) and end values of 1e-20, whose
+  error stays at 14% of the solution.  No command is known to reach
   convergence's "no observable order" (``test_cli`` patches
   ``_observed_orders`` for it).  A case hashes its exit
   code, stdout and stderr, and the name and bytes of every file it
@@ -156,6 +157,8 @@ CLI_COMMANDS = {name: argv for name, (argv, *_) in CLI_CASES.items()} | {
                                "--n-list", "16,16"],
     "convergence_solver_failure": ["convergence", "--problem", "free", "--scheme", "vi",
                                    "--qa", "1e308", "--qb", "-1e308", "--n-list", "16,32"],
+    "convergence_tiny_ends": ["convergence", "--problem", "harmonic", "--qa", "1e-20",
+                              "--qb", "1e-20", "--n-list", "16,32,64,128"],
     "glcheck_exact": ["glcheck", "--alpha", "1", "--beta", "1", "--n-list", "64,128,256,512",
                       "--out", "{out}/glcheck.csv"],
     "glcheck_exact_zero": ["glcheck", "--alpha", "1", "--beta", "0", "--n-list", "16,32"],
