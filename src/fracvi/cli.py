@@ -78,9 +78,8 @@ DIRECT_ORDER_WINDOW = (0.7, 1.3)
 FRACTIONAL_MIN_ORDER = 0.7
 GLCHECK_ORDER_WINDOW = (0.7, 1.3)
 
-#: Errors at most this level, relative to the closed form's size (glcheck)
-#: or to 1 + max |qb - qa| (convergence), count as exact reproduction and
-#: are exempt from order checks.
+#: An order study whose every error is at most this level times the size
+#: of its reference at that n is exact reproduction, exempt from order checks.
 EXACT_FLOOR = 1e-12
 
 
@@ -310,14 +309,17 @@ def _observed_orders(ns: list[int], errors: list[float]) -> list[float | None]:
     return orders
 
 
-def _order_study(n_list, errors, floor, verdict, cells, texts, header, out, label):
-    """The end of an order study over ``n_list``.  If every error is at
-    most ``floor``, the check is exact reproduction; else ``verdict`` maps
-    the defined observed orders to (ok, check).  Each n gives a CSV row (n,
-    its ``cells``, its order) and a line (N, its ``texts``, its order);
-    the last line is ``label: check -> PASS|FAIL``."""
+def _order_study(n_list, measure, verdict, header, out, label):
+    """An order study over ``n_list``: ``measure(n)`` gives n's error, the
+    size of n's reference, its CSV cells and its text.  If every error is
+    at most ``EXACT_FLOOR`` times its own reference's size, the check is
+    exact reproduction; else ``verdict`` maps the defined observed orders
+    to (ok, check).  Each n gives a CSV row (n, its cells, its order) and a
+    line (N, its text, its order); the last line is ``label: check ->
+    PASS|FAIL``."""
+    errors, sizes, cells, texts = zip(*map(measure, n_list))
     orders = _observed_orders(n_list, errors)
-    if all(err <= floor for err in errors):
+    if all(err <= EXACT_FLOOR * size for err, size in zip(errors, sizes)):
         ok, check = True, "exact reproduction"
     else:
         ok, check = verdict([o for o in orders if o is not None])
@@ -384,8 +386,7 @@ def run_convergence(
         ref_problem = BVPProblem(make_grid(a, b, n_ref), lag, kind, qa, qb)
         ref_traj, _ = solve_bvp_newton(ref_problem, config=cfg)
 
-    errors, cells, texts = [], [], []
-    for n in n_list:
+    def measure(n):
         grid = make_grid(a, b, n)
         if exact is not None:
             ref_vals = exact(grid.nodes)
@@ -397,9 +398,8 @@ def run_convergence(
             traj, _ = solve_bvp_newton(BVPProblem(grid, lag, kind, qa, qb), config=cfg)
         err = float(np.max(np.abs(traj.values - ref_vals)))
         h = (b - a) / n
-        errors.append(err)
-        cells.append([_fmt(h), _fmt(err)])
-        texts.append(f"h={h:.6g} error={err:.6e}")
+        return (err, float(np.max(np.abs(ref_vals))), [_fmt(h), _fmt(err)],
+                f"h={h:.6g} error={err:.6e}")
 
     def verdict(defined):
         if not defined:
@@ -412,9 +412,8 @@ def run_convergence(
             return all(lo <= o <= hi for o in defined), f"orders in [{lo}, {hi}]"
         return lo <= defined[-1] <= hi, f"last order {defined[-1]:.2f} in [{lo}, {hi}]"
 
-    floor = EXACT_FLOOR * (float(np.max(np.abs(qb - qa))) + 1.0)
     label = f"convergence {problem}/{scheme}" + (f" alpha={alpha:g}" if alpha is not None else "")
-    return _order_study(n_list, errors, floor, verdict, cells, texts, CONVERGENCE_HEADER, out,
+    return _order_study(n_list, measure, verdict, CONVERGENCE_HEADER, out,
                         f"{label} sigma={sigma_label(sigma)}")
 
 
@@ -482,20 +481,20 @@ def run_glcheck(
     if not beta >= 0:
         raise DomainError(f"beta must be >= 0: (t-a)^beta is sampled at t=a, got {beta}")
     exact = rl_monomial_derivative(beta, alpha, b - a)
-    errors, cells, texts = [], [], []
-    for n in n_list:
+
+    def measure(n):
         traj = sample(lambda t: (t - a) ** beta, make_grid(a, b, n))
         approx = float(delta_alpha_minus(traj, alpha).value_at(n)[0])
         err = abs(approx - exact)
-        errors.append(err)
-        cells.append([_fmt((b - a) / n), _fmt(approx), _fmt(exact), _fmt(err)])
-        texts.append(f"approx={approx:.12g} exact={exact:.12g} error={err:.3e}")
+        return (err, abs(exact), [_fmt((b - a) / n), _fmt(approx), _fmt(exact), _fmt(err)],
+                f"approx={approx:.12g} exact={exact:.12g} error={err:.3e}")
+
     lo, hi = GLCHECK_ORDER_WINDOW
     return _order_study(
-        n_list, errors, EXACT_FLOOR * abs(exact),
+        n_list, measure,
         lambda defined: (bool(defined) and all(lo <= o <= hi for o in defined),
                          f"orders in [{lo}, {hi}]"),
-        cells, texts, GLCHECK_HEADER, out, f"glcheck alpha={alpha:g} beta={beta:g}")
+        GLCHECK_HEADER, out, f"glcheck alpha={alpha:g} beta={beta:g}")
 
 
 # --------------------------------------------------------------------------

@@ -140,6 +140,22 @@ def test_convergence_free_exact(capsys):
     assert "exact reproduction" in capsys.readouterr().out
 
 
+def test_convergence_floor_is_relative_to_a_small_solution(capsys):
+    # at end values of 1e-20, Newton's absolute tol accepts the straight-line
+    # guess, whose error is 14% of the solution at every n: not exact
+    argv = ["convergence", "--problem", "harmonic", "--qa", "1e-20", "--qb", "1e-20"]
+    assert main(argv) == cli.EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "order=0.000" in out and "exact reproduction" not in out
+    assert out.endswith(": orders in [1.8, 2.2] -> FAIL\n")
+
+
+def test_convergence_zero_solution_is_reproduced(capsys):
+    # the reference is 0 at every node, and so is each error
+    assert main(["convergence", "--problem", "harmonic", "--qa", "0", "--qb", "0"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(": exact reproduction -> PASS\n")
+
+
 def test_convergence_fractional_self_reference(capsys):
     code = main(
         ["convergence", "--problem", "harmonic", "--scheme", "vi",
