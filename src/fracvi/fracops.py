@@ -13,9 +13,9 @@ d/dt.  Operators are dense O(n^2) Toeplitz arrays from one builder,
 ``_kernel(alpha, n, side, adjoint)``, which takes one C-order copy of a
 strided view over one zero-padded weight vector: the kernel K, where the
 left operator reads w_{k-j} and the right one w_{j-k}, or, for the
-variational gradient and its Jacobian, the adjoint K[:, 1:n]^T, whose
-weights it reads back from K.  Every kernel product goes through
-:func:`_operator`, which binds one of them; at alpha = 1 it binds
+variational gradient and its Jacobian, the adjoint K[:, 1:n]^T, over the
+same weights.  Every kernel product goes through :func:`_operator`, which
+binds one of them; at alpha = 1 it binds
 :func:`_difference`, the package's one one-sided difference: O(n), no
 kernel built.  Lifetime: a solve or an assembly binds the operators it
 reads when it starts and holds them until it ends, so nothing it reads is
@@ -76,12 +76,8 @@ def _kernel(alpha: float, n: int, side: int, adjoint: bool) -> np.ndarray:
     the contiguous K[:, 1:n].T, (n - 1, n), the velocity map's adjoint onto
     the interior nodes; read-only.  MINUS: rows k = 1..n, entry w_{k-j}.
     PLUS: rows k = 0..n-1, entry w_{j-k}.  Entries with a negative weight
-    index are zero.  The adjoint reads w_0..w_n from the K of its key: its
-    first row for PLUS, its last row reversed for MINUS."""
-    if adjoint:
-        w = _kernel(alpha, n, side, False)[0 if side == PLUS else -1, ::side]
-    else:
-        w = _weights(alpha, n)
+    index are zero.  Both take w_0..w_n from :func:`_weights`."""
+    w = _weights(alpha, n)
     # over [0]*n + w_0..w_n, PLUS row k starts at w_{-k} and steps forwards,
     # MINUS row k at w_k and steps backwards; adjoint row i, the kernel's
     # column i + 1, starts one step further and steps the other way

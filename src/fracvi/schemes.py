@@ -247,10 +247,10 @@ def _jacobian_core(kind: SchemeKind, grid: Grid):
     velocity's factor -sigma s, bound first, the velocity, the velocity
     kernel's interior columns K[:, 1:n] (a view of the kernel it holds,
     unscaled), the adjoint A = K[:, 1:n]^T of both families, bound (one
-    contiguous array, which the kernel builder makes from K's weights), the
-    window rows of the interior nodes and their columns, and ``gram()``,
-    the Gram matrix G = A K[:, 1:n], formed by one product at its first
-    call and kept.  A solve makes one core."""
+    contiguous array, which the kernel builder makes from the same GL
+    weights as K), the window rows of the interior nodes and their
+    columns, and ``gram()``, the Gram matrix G = A K[:, 1:n], formed by one
+    product at its first call and kept.  A solve makes one core."""
     if kind.alpha in (None, 1.0):
         return functools.partial(_classical_bands, kind, grid)
     sigma, alpha, n = kind.sigma, kind.alpha, grid.n

@@ -152,16 +152,17 @@ def test_kernel_builder_keeps_its_two_most_recent_kernels(fresh):
 
 def test_adjoint_builder_keeps_its_two_most_recent_adjoints(fresh):
     # kernels and adjoints share one memory of two; an adjoint is built from
-    # its own kernel, which it asks for first: a held adjoint asks for none
+    # the GL weights, as its kernel is, and asks for no kernel
     _check_builder([
-        (_minus(30, True), 2),  # the kernel, then the adjoint
-        (_minus(30, False), 0),  # its kernel stays held
-        (_minus(20, True), 2),  # both n = 30 go
+        (_minus(30, True), 1),  # the adjoint alone
+        (_minus(30, False), 1),  # its kernel, built on its own
+        (_minus(20, True), 1),  # the least recent, the adjoint of n = 30, goes
         (_minus(20, True), 0),  # a hit becomes the most recent
-        (_minus(30, False), 1),  # the least recent, the kernel of n = 20, goes
-        (_minus(30, True), 1),  # its kernel is held; the adjoint of n = 20 goes
-        (_minus(20, True), 2),
-        ((0.3, 60, fv.PLUS, True), 2),
+        (_minus(30, False), 0),
+        (_minus(30, True), 1),  # the adjoint of n = 20 goes
+        (_minus(20, True), 1),  # the kernel of n = 30 goes
+        ((0.3, 60, fv.PLUS, True), 1),
+        (_minus(20, True), 0),
     ])
 
 
@@ -169,14 +170,14 @@ def test_adjoint_builder_keeps_its_two_most_recent_adjoints(fresh):
 @given(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), st.integers(1, 600),
        st.sampled_from([fv.MINUS, fv.PLUS]))
 def test_adjoint_is_a_strided_copy_of_its_kernel(alpha, n, side):
-    # with the memory empty, one adjoint request builds the kernel of its
-    # key, then the adjoint from that kernel's row: both stay held
+    # with the memory empty, an adjoint request builds the adjoint alone,
+    # from the weights; its kernel is built after it, and both stay held
     clear_operators()
     try:
         adjoint = _kernel(alpha, n, side, True)
-        assert builds() == 2
+        assert builds() == 1
         kernel = _kernel(alpha, n, side, False)
-        assert builds() == 2
+        assert _kernel(alpha, n, side, True) is adjoint and builds() == 2
     finally:
         clear_operators()
     assert adjoint.shape == (n - 1, n)
