@@ -352,3 +352,22 @@ def test_scheme_kind_stores_the_canonical_sigma():
     for bad in [True, -1.0]:
         with pytest.raises(fv.DomainError, match="sigma must be"):
             SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, bad)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("problem", ["harmonic", "pendulum"])
+@pytest.mark.parametrize("family", list(SchemeFamily))
+def test_sigma_plus_residual_is_the_reflected_sigma_minus_residual(family, problem, n, d):
+    # reversing time, Q_k -> Q_{n-k}, maps each family's sigma + scheme onto
+    # its sigma - scheme: at alpha = 1, for a Lagrangian that is autonomous
+    # and even in v, row k of the one is row n - k of the other, bytes and all
+    alpha = 1.0 if family in FRACTIONAL else None
+    lag = fv.builtin_problem(problem, omega=1.5, dim=d)
+    grid = fv.make_grid(0.0, 1.0, n)
+    q = random_trajectory(np.random.default_rng(10 * n + d), grid, dim=d)
+    plus = assemble_residual(SchemeKind(family, fv.PLUS, alpha), lag, q)
+    minus = assemble_residual(SchemeKind(family, fv.MINUS, alpha), lag,
+                              fv.Trajectory(grid, q.values[::-1]))
+    assert list(plus.indices) == [n - k for k in reversed(minus.indices)]
+    assert plus.values.tobytes() == minus.values[::-1].tobytes()
