@@ -10,14 +10,17 @@ give the same bytes on every case of those groups.  ``max_n`` drops the
 cases with a larger n (the smallest, 4, is the tier-1 smoke test), and
 ``--group``, once per group, runs only the groups it names, in the order
 of the list below (``--group cli`` checks a CLI change in seconds); pytest
-does not collect this file.  ``--against OTHER`` also runs this same
-script, in a subprocess, on the package of the checkout OTHER
+does not collect this file.  ``--against OTHER`` refuses an OTHER
+without ``src/fracvi/__init__.py`` (exit 2).  Else it runs the same pass,
+in a subprocess, on the package of the checkout OTHER
 (``PYTHONPATH=OTHER/src``), then prints each group whose line differs
-there, and exits 1 if any group does.  For each differing group it then
-runs that group again on both trees and says how far it moved: how many
-of its cases differ, every case whose outcome kind flips (converged, or
-its failure message with the numbers masked), and the largest absolute
-and relative change of a solution that converged on both trees.
+there, and exits 1 if any group does.  Each tree computes each case once:
+its pass keeps a record per case, from which each differing group says
+how far it moved: how many of its cases differ, every case whose kind of
+outcome flips (converged, or its failure message; a cli command's exit
+code and last line of output; numbers masked), and the largest absolute
+change of a solution that converged on both trees, with its case, and
+the largest relative one.
 
 A boundary-value case hashes the solve (the trajectory, or the failure
 message and the last iterate; the history; the converged flag and the
@@ -389,75 +392,74 @@ def _bytes(part) -> bytes:
     return repr((part.dtype.str, part.shape)).encode() + part.tobytes()
 
 
-def digests(max_n: int | None = None, groups=GROUPS) -> dict[str, tuple[int, str]]:
-    """group -> (case count, sha256 hex) over the cases with n <= max_n, of
-    each group of ``groups`` (every group by default)."""
-    out = {}
-    for group in groups:
-        digest = hashlib.sha256()
-        count = 0
-        for case in GROUPS[group]:
-            if max_n is not None and case[5] > max_n:
-                continue
-            count += 1
-            digest.update(repr(case).encode())
-            for part in outcome(case):
-                digest.update(_bytes(part))
-        out[group] = (count, digest.hexdigest())
-    return out
+#: a number in a message, which a record's kind masks as "#"
+_NUMBER = re.compile(r"\d+(\.\d+)?(e[-+]?\d+)?")
 
 
-def _kind(message: str) -> str:
-    """A solve's kind of outcome: "converged", or its failure message with
-    every number masked as "#"."""
-    return re.sub(r"\d+(\.\d+)?(e[-+]?\d+)?", "#", message) if message else "converged"
+def _kind(case, parts) -> str | None:
+    """A case's kind of outcome, with every number masked as "#": a solve's
+    is "converged" or its failure message, a cli command's its exit code
+    and its last line of output but "wrote ..." (stdout, else stderr); any
+    other case has none."""
+    if case[0] == "cli":
+        code, stdout, stderr = parts[:3]
+        said = [line for line in (stdout or stderr).splitlines() if not line.startswith("wrote ")]
+        return f"exit {code}: " + _NUMBER.sub("#", said[-1] if said else "")
+    if case[0] in ("operators", "coherence"):
+        return None
+    return _NUMBER.sub("#", parts[1]) if parts[1] else "converged"
 
 
 def _label(case) -> str:
     return " ".join(getattr(field, "value", str(field)) for field in case)
 
 
-def case_records(groups, max_n: int | None = None) -> dict[str, list]:
-    """group -> one record per case with n <= max_n: its label, the sha256
-    of its outcome, its kind (None for a case that solves nothing) and its
+def case_records(groups, max_n: int | None = None) -> dict[str, tuple[str, list]]:
+    """group -> its line and its records, over the cases with n <= max_n,
+    for each group of ``groups`` in turn.  The line is the group, its case
+    count and one sha256 over each case's repr and its outcome's bytes; a
+    record is a case's label, the sha256 of its outcome, its kind and its
     solution (None unless it converged)."""
     out = {}
     for group in groups:
-        records = out[group] = []
+        digest, records = hashlib.sha256(), []
         for case in GROUPS[group]:
             if max_n is not None and case[5] > max_n:
                 continue
             parts = outcome(case)
-            digest = hashlib.sha256(b"".join(map(_bytes, parts))).hexdigest()
-            kind = None if case[0] in ("operators", "coherence", "cli") else _kind(parts[1])
-            records.append((_label(case), digest, kind, parts[0] if kind == "converged" else None))
+            data = b"".join(map(_bytes, parts))
+            digest.update(repr(case).encode() + data)
+            kind = _kind(case, parts)
+            records.append((_label(case), hashlib.sha256(data).hexdigest(), kind,
+                            parts[0] if kind == "converged" else None))
+        out[group] = (f"{group} {len(records)} cases sha256 {digest.hexdigest()}", records)
     return out
 
 
 def movement(group: str, mine: list, theirs: list) -> list[str]:
     """Lines on how the records ``theirs`` of one group moved to ``mine``:
     none if no case differs."""
-    differ, largest, relative, flips = 0, 0.0, 0.0, []
+    differ, largest, relative, flips, most = 0, 0.0, 0.0, [], ""
     for (label, digest, kind, x), (_, their_digest, their_kind, y) in zip(mine, theirs):
         differ += digest != their_digest
         if kind != their_kind:
             flips.append(f"  {group}: {label}: {their_kind} -> {kind}")
         elif x is not None and y is not None:
             change = float(np.max(np.abs(x - y)))
-            largest = max(largest, change)
+            if change > largest:
+                largest, most = change, f" at {label}"
             relative = max(relative, change / max(float(np.max(np.abs(y))), 1e-300))
     if not differ:
         return []
     return [f"  {group}: {differ} of {len(mine)} cases differ, {len(flips)} flip their kind; "
-            f"a solution converged on both moves by at most {largest:.2e} ({relative:.2e} relative)",
-            *flips]
+            f"a solution converged on both moves by at most {largest:.2e}{most} "
+            f"({relative:.2e} relative)", *flips]
 
 
-def _against(other: str, args: list[str]) -> tuple[list[str], dict[str, str]]:
-    """The command and environment that run ``python ARGS`` on the package
-    of the checkout ``other``, with this script importable."""
-    path = os.pathsep.join([os.path.join(other, "src"), os.path.dirname(os.path.abspath(__file__))])
-    return [sys.executable, *args], dict(os.environ, PYTHONPATH=path)
+#: the other tree's pass: this module's ``case_records`` of the groups
+#: ``sys.argv[2:]`` at the max_n ``sys.argv[1]`` (JSON), pickled to stdout
+_OTHER_PASS = ("import bitcheck, json, pickle, sys; pickle.dump(bitcheck.case_records("
+               "sys.argv[2:], json.loads(sys.argv[1])), sys.stdout.buffer)")
 
 
 def main(argv: list[str]) -> int:
@@ -469,38 +471,32 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     selected = [group for group in GROUPS if args.group is None or group in args.group]
     if args.against is not None:
-        # the other tree's run overlaps this one's
-        command, env = _against(args.against, [__file__, *(f"--group={g}" for g in selected)]
-                                + ([] if args.max_n is None else [str(args.max_n)]))
-        other = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env)
-    lines = [f"{group} {count} cases sha256 {hexdigest}"
-             for group, (count, hexdigest) in digests(args.max_n, selected).items()]
-    print("\n".join(lines))
+        src = os.path.abspath(os.path.join(args.against, "src"))
+        package = os.path.join(src, "fracvi", "__init__.py")
+        if not os.path.isfile(package):
+            parser.error(f"--against {args.against}: no fracvi package at {package}")
+        # the other tree's pass runs while this one's does, with this script
+        # importable after the other tree's package; it runs in OTHER/src,
+        # the directory that ``-c`` puts first on its path
+        path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
+        other = subprocess.Popen(
+            [sys.executable, "-c", _OTHER_PASS, json.dumps(args.max_n), *selected],
+            stdout=subprocess.PIPE, cwd=src, env=dict(os.environ, PYTHONPATH=path))
+    mine = case_records(selected, args.max_n)
+    print("\n".join(line for line, _ in mine.values()))
     if args.against is None:
         return 0
-    theirs = other.communicate()[0].splitlines()
+    theirs = other.communicate()[0]
     if other.returncode:
         print(f"bitcheck on {args.against} exited {other.returncode}")
         return 2
-    differing = [their for mine, their in zip(lines, theirs) if mine != their]
-    groups = [line.split()[0] for line in differing]
-    if groups:
-        command, env = _against(args.against, [
-            "-c", "import bitcheck, json, pickle, sys; pickle.dump(bitcheck.case_records("
-                  "sys.argv[2:], json.loads(sys.argv[1])), sys.stdout.buffer)",
-            json.dumps(args.max_n), *groups])
-        other = subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
-        my_records = case_records(groups, args.max_n)
-        their_records = other.communicate()[0]
-        if other.returncode:
-            print(f"bitcheck's case records on {args.against} exited {other.returncode}")
-            return 2
-        their_records = pickle.loads(their_records)
-    for group, line in zip(groups, differing):
-        print(f"differs from {args.against}: {line}")
-        for detail in movement(group, my_records[group], their_records[group]):
+    theirs = pickle.loads(theirs)
+    differing = [group for group in selected if mine[group][0] != theirs[group][0]]
+    for group in differing:
+        print(f"differs from {args.against}: {theirs[group][0]}")
+        for detail in movement(group, mine[group][1], theirs[group][1]):
             print(detail)
-    print(f"{len(lines) - len(differing)} of {len(lines)} groups agree with {args.against}")
+    print(f"{len(selected) - len(differing)} of {len(selected)} groups agree with {args.against}")
     return 1 if differing else 0
 
 

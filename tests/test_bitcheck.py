@@ -40,8 +40,14 @@ def test_bitcheck_runs_only_the_groups_it_is_given_in_their_order(capsys):
     assert bitcheck.main(["4", "--group", "cli", "--group", "operators"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [["operators", "20"], ["cli", "1"]]
-    assert lines == [f"{group} {count} cases sha256 {digest}" for group, (count, digest)
-                     in bitcheck.digests(4, ["operators", "cli"]).items()]
+    # a group's hash runs over each case's repr and then its outcome's parts
+    for line, group in zip(lines, ["operators", "cli"]):
+        digest = hashlib.sha256()
+        for case in (case for case in bitcheck.GROUPS[group] if case[5] <= 4):
+            digest.update(repr(case).encode())
+            for part in bitcheck.outcome(case):
+                digest.update(bitcheck._bytes(part))
+        assert line.split()[4] == digest.hexdigest()
 
 
 def test_bitcheck_against_compares_only_the_groups_it_is_given(capsys):
@@ -61,16 +67,16 @@ def test_bitcheck_refuses_an_unknown_group(capsys):
 
 
 def test_bitcheck_against_names_each_differing_group(capsys, monkeypatch):
-    # n <= 2 selects no case: both runs hash nothing, and one group's hash
+    # n <= 2 selects no case: both runs hash nothing, and one group's line
     # is then changed on this side only
-    digests = bitcheck.digests
+    case_records = bitcheck.case_records
 
-    def changed(max_n, groups):
-        out = digests(max_n, groups)
-        out["march"] = (0, "0" * 64)
+    def changed(groups, max_n):
+        out = case_records(groups, max_n)
+        out["march"] = ("march 0 cases sha256 " + "0" * 64, [])
         return out
 
-    monkeypatch.setattr(bitcheck, "digests", changed)
+    monkeypatch.setattr(bitcheck, "case_records", changed)
     assert bitcheck.main(["2", "--against", str(ROOT)]) == 1
     out = capsys.readouterr().out.splitlines()
     empty = hashlib.sha256().hexdigest()
@@ -107,12 +113,66 @@ def test_bitcheck_against_says_how_far_a_differing_group_moved(capsys, monkeypat
     assert out[-4:] == [
         out[-4],
         f"  classical: 3 of {len(cases)} cases differ, 1 flip their kind; a solution converged on"
-        f" both moves by at most {largest:.2e} ({relative:.2e} relative)",
+        f" both moves by at most {largest:.2e} at {bitcheck._label(moved)}"
+        f" ({relative:.2e} relative)",
         f"  classical: {bitcheck._label(failed)}: converged -> line search stalled at iteration #"
         " (residual #, target #)",
         f"{len(bitcheck.GROUPS) - 1} of {len(bitcheck.GROUPS)} groups agree with {ROOT}",
     ]
     assert out[-4].startswith(f"differs from {ROOT}: classical {len(cases)} cases sha256 ")
+
+
+def test_bitcheck_against_names_a_cli_case_whose_exit_or_verdict_flips(capsys, monkeypatch):
+    # on this side only, the one cli case at n <= 4 passes instead of failing
+    outcome = bitcheck.outcome
+    (case,) = [case for case in bitcheck.GROUPS["cli"] if case[5] <= 4]
+
+    def changed(case):
+        parts = outcome(case)
+        if case[0] == "cli":
+            parts[0] = "0"
+            parts[1] = parts[1].replace("FAIL", "PASS") + "wrote x.csv\n"
+        return parts
+
+    monkeypatch.setattr(bitcheck, "outcome", changed)
+    assert bitcheck.main(["4", "--group", "cli", "--against", str(ROOT)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    verdict = "convergence pendulum/vi sigma=-: last order # in [#, #] -> "
+    assert out[-3:-1] == [
+        "  cli: 1 of 1 cases differ, 1 flip their kind; a solution converged on both moves by"
+        " at most 0.00e+00 (0.00e+00 relative)",
+        f"  cli: {bitcheck._label(case)}: exit 1: {verdict}FAIL -> exit 0: {verdict}PASS",
+    ]
+    # a command that prints nothing on stdout is known by its stderr
+    refused = ["2", "", "usage: fracvi\nerror: n-list 16,16\n"]
+    assert bitcheck._kind(case, refused) == "exit 2: error: n-list #,#"
+
+
+def test_bitcheck_against_refuses_a_checkout_without_the_package(capsys, monkeypatch, tmp_path):
+    # the other pass would import whichever fracvi comes later on its path,
+    # maybe this very tree's, and find that every group agrees
+    (tmp_path / "src").mkdir()
+
+    def started(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(bitcheck.subprocess, "Popen", started)
+    with pytest.raises(SystemExit) as exc:
+        bitcheck.main(["2", "--against", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"no fracvi package at {tmp_path / 'src' / 'fracvi' / '__init__.py'}" in (
+        capsys.readouterr().err)
+
+
+def test_bitcheck_against_imports_the_other_package_from_any_directory(capsys, monkeypatch,
+                                                                       tmp_path):
+    # run from this tree's src, the other pass still imports OTHER's package,
+    # here one that exits 7 as it is imported
+    (tmp_path / "src" / "fracvi").mkdir(parents=True)
+    (tmp_path / "src" / "fracvi" / "__init__.py").write_text("raise SystemExit(7)\n")
+    monkeypatch.chdir(ROOT / "src")
+    assert bitcheck.main(["2", "--group", "cli", "--against", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == f"bitcheck on {tmp_path} exited 7"
 
 
 def test_bitcheck_cli_group_hashes_every_golden_command_with_its_directory_masked():

@@ -360,14 +360,29 @@ def test_scheme_kind_stores_the_canonical_sigma():
 @pytest.mark.parametrize("family", list(SchemeFamily))
 def test_sigma_plus_residual_is_the_reflected_sigma_minus_residual(family, problem, n, d):
     # reversing time, Q_k -> Q_{n-k}, maps each family's sigma + scheme onto
-    # its sigma - scheme: at alpha = 1, for a Lagrangian that is autonomous
-    # and even in v, row k of the one is row n - k of the other, bytes and all
-    alpha = 1.0 if family in FRACTIONAL else None
+    # its sigma - scheme for a Lagrangian that is autonomous and even in v:
+    # row k of the one is row n - k of the other.  At alpha = 1 this holds
+    # bytes and all, for the residual and the Jacobian's bands (reversed in
+    # band and in row).  Below it the two GL kernels sum in opposite orders:
+    # the residual agrees within n eps max|R|, and the dense Jacobian, its
+    # node blocks reversed in rows and columns, within 4 n eps max|J|
     lag = fv.builtin_problem(problem, omega=1.5, dim=d)
     grid = fv.make_grid(0.0, 1.0, n)
     q = random_trajectory(np.random.default_rng(10 * n + d), grid, dim=d)
-    plus = assemble_residual(SchemeKind(family, fv.PLUS, alpha), lag, q)
-    minus = assemble_residual(SchemeKind(family, fv.MINUS, alpha), lag,
-                              fv.Trajectory(grid, q.values[::-1]))
-    assert list(plus.indices) == [n - k for k in reversed(minus.indices)]
-    assert plus.values.tobytes() == minus.values[::-1].tobytes()
+    reflected = fv.Trajectory(grid, q.values[::-1])
+    eps = np.finfo(float).eps
+    for alpha in (0.3, 0.8, 1.0) if family in FRACTIONAL else (None,):
+        pairs = [(SchemeKind(family, fv.PLUS, alpha), q),
+                 (SchemeKind(family, fv.MINUS, alpha), reflected)]
+        plus, minus = (assemble_residual(kind, lag, traj) for kind, traj in pairs)
+        jplus, jminus = (jacobian(kind, lag, traj) for kind, traj in pairs)
+        assert list(plus.indices) == [n - k for k in reversed(minus.indices)]
+        assert jplus.shape == jminus.shape
+        if alpha in (None, 1.0):
+            assert plus.values.tobytes() == minus.values[::-1].tobytes()
+            assert jplus.tobytes() == jminus[::-1, ::-1].tobytes()
+            continue
+        np.testing.assert_allclose(plus.values, minus.values[::-1], rtol=0,
+                                   atol=n * eps * np.max(np.abs(plus.values)))
+        blocks = jminus.reshape(n - 1, d, n - 1, d)[::-1, :, ::-1].reshape(jminus.shape)
+        np.testing.assert_allclose(jplus, blocks, rtol=0, atol=4 * n * eps * np.max(np.abs(jplus)))
