@@ -145,8 +145,10 @@ class Sequence:
     with d >= 1, belongs to node ``k_start + i``; 1-d values mean d = 1.
 
     Built values are a frozen copy, and a window outside the nodes 0..n is
-    refused.  A subclass fixes the window at ``n + _extra`` entries.
-    Access outside the window is an error, never a silent wraparound.
+    refused.  A subclass fixes the window at ``n + _extra`` entries; one
+    that declares no field is no dataclass of its own and inherits the
+    generated methods.  Access outside the window is an error, never a
+    silent wraparound.
     """
 
     grid: Grid
@@ -196,7 +198,6 @@ class Trajectory(Sequence):
     _what, _extra = "trajectory", 1
 
 
-@dataclass(frozen=True, init=False)
 class ShiftedSequence(Sequence):
     """Values over the one-sided window I_side: ``side=PLUS`` covers node
     indices {0, .., n-1}, ``side=MINUS`` {1, .., n}."""
@@ -211,7 +212,6 @@ class ShiftedSequence(Sequence):
         return PLUS if self.k_start == 0 else MINUS
 
 
-@dataclass(frozen=True)
 class ResidualField(Sequence):
     """Per-node residual of a discrete Euler-Lagrange scheme.
 

@@ -463,11 +463,11 @@ def solve_bvp_newton(
     grid = problem.grid
     kind = problem.scheme
     d = problem.lagrangian.dim
-    if init is None:
+    if init is None:  # on the checked problem's grid, dim and end values
         init = linear_initial_guess(grid, problem.qa, problem.qb)
-    if init.grid != grid or init.dim != d:
+    elif init.grid != grid or init.dim != d:
         raise DomainError("initial guess does not match the problem layout")
-    if not (
+    elif not (
         np.array_equal(init.values[0], problem.qa)
         and np.array_equal(init.values[-1], problem.qb)
     ):

@@ -13,7 +13,8 @@ from fracvi.schemes import (
     assemble_residual,
     jacobian,
 )
-from oracles import random_trajectory
+from fracvi.lagrangians import FD_NOISE
+from oracles import coupled_lagrangian, dense_from_bands, random_trajectory
 
 
 FRACTIONAL = (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL)
@@ -354,35 +355,96 @@ def test_scheme_kind_stores_the_canonical_sigma():
             SchemeKind(SchemeFamily.VARIATIONAL_CLASSICAL, bad)
 
 
+def reflected_lagrangian(lag, grid):
+    """L~(x, v, t) = L(x, -v, t~), with t~ = t_{n-k} the reflected grid's
+    own node at t = t_k (a + b - t_k need not round to it): the Lagrangian
+    whose sigma - scheme on the reversed trajectory reflects lag's sigma +."""
+    def mirror(t):
+        return grid.nodes[grid.n - np.rint((t - grid.a) / grid.h).astype(int)]
+
+    return fv.Lagrangian(L=lambda x, v, t: lag.L(x, -v, mirror(t)),
+                         Lx=lambda x, v, t: lag.Lx(x, -v, mirror(t)),
+                         Lv=lambda x, v, t: -lag.Lv(x, -v, mirror(t)), dim=lag.dim)
+
+
+def reflection_pair(problem, grid, d):
+    """The problem's Lagrangian and the one its reflection solves: itself
+    for the built-ins, autonomous and even in v, else L~."""
+    if problem == "coupled":
+        lag = coupled_lagrangian(d)
+        return lag, reflected_lagrangian(lag, grid)
+    lag = fv.builtin_problem(problem, omega=1.5, dim=d)
+    return lag, lag
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [4, 16, 64])
-@pytest.mark.parametrize("problem", ["harmonic", "pendulum"])
+@pytest.mark.parametrize("problem", ["harmonic", "pendulum", "coupled"])
 @pytest.mark.parametrize("family", list(SchemeFamily))
 def test_sigma_plus_residual_is_the_reflected_sigma_minus_residual(family, problem, n, d):
-    # reversing time, Q_k -> Q_{n-k}, maps each family's sigma + scheme onto
-    # its sigma - scheme for a Lagrangian that is autonomous and even in v:
-    # row k of the one is row n - k of the other.  At alpha = 1 this holds
-    # bytes and all, for the residual and the Jacobian's bands (reversed in
-    # band and in row).  Below it the two GL kernels sum in opposite orders:
-    # the residual agrees within n eps max|R|, and the dense Jacobian, its
-    # node blocks reversed in rows and columns, within 4 n eps max|J|
-    lag = fv.builtin_problem(problem, omega=1.5, dim=d)
+    # reversing time, Q_k -> Q_{n-k}, maps each family's sigma + scheme of L
+    # onto its sigma - scheme of L~ (L itself when L is autonomous and even
+    # in v): row k of the one is row n - k of the other.  At alpha = 1 the
+    # residual holds bytes and all, and so do the Jacobian's bands (reversed
+    # in band and in row) for L~ = L.  Below it the two GL kernels sum in
+    # opposite orders: the residual agrees within n eps max|R|, and the
+    # dense Jacobian, its node blocks reversed in rows and columns, within
+    # 4 n eps max|J|.  L~'s v-derivatives are backward quotients where L's
+    # are forward ones, so with L~ the Jacobians agree within 4 FD_NOISE
+    # max|J|, the noise of one forward quotient
     grid = fv.make_grid(0.0, 1.0, n)
+    lag, mirrored = reflection_pair(problem, grid, d)
     q = random_trajectory(np.random.default_rng(10 * n + d), grid, dim=d)
     reflected = fv.Trajectory(grid, q.values[::-1])
     eps = np.finfo(float).eps
+    jac_rtol = 4 * n * eps if lag is mirrored else 4 * FD_NOISE
     for alpha in (0.3, 0.8, 1.0) if family in FRACTIONAL else (None,):
-        pairs = [(SchemeKind(family, fv.PLUS, alpha), q),
-                 (SchemeKind(family, fv.MINUS, alpha), reflected)]
-        plus, minus = (assemble_residual(kind, lag, traj) for kind, traj in pairs)
-        jplus, jminus = (jacobian(kind, lag, traj) for kind, traj in pairs)
+        pairs = [(SchemeKind(family, fv.PLUS, alpha), lag, q),
+                 (SchemeKind(family, fv.MINUS, alpha), mirrored, reflected)]
+        plus, minus = (assemble_residual(*pair) for pair in pairs)
+        jplus, jminus = (jacobian(*pair) for pair in pairs)
         assert list(plus.indices) == [n - k for k in reversed(minus.indices)]
         assert jplus.shape == jminus.shape
         if alpha in (None, 1.0):
             assert plus.values.tobytes() == minus.values[::-1].tobytes()
-            assert jplus.tobytes() == jminus[::-1, ::-1].tobytes()
-            continue
-        np.testing.assert_allclose(plus.values, minus.values[::-1], rtol=0,
-                                   atol=n * eps * np.max(np.abs(plus.values)))
+            if lag is mirrored:
+                assert jplus.tobytes() == jminus[::-1, ::-1].tobytes()
+                continue
+            jplus, jminus = dense_from_bands(jplus), dense_from_bands(jminus)
+        else:
+            np.testing.assert_allclose(plus.values, minus.values[::-1], rtol=0,
+                                       atol=n * eps * np.max(np.abs(plus.values)))
         blocks = jminus.reshape(n - 1, d, n - 1, d)[::-1, :, ::-1].reshape(jminus.shape)
-        np.testing.assert_allclose(jplus, blocks, rtol=0, atol=4 * n * eps * np.max(np.abs(jplus)))
+        np.testing.assert_allclose(jplus, blocks, rtol=0, atol=jac_rtol * np.max(np.abs(jplus)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("problem", ["harmonic", "pendulum", "coupled"])
+@pytest.mark.parametrize("family", list(SchemeFamily))
+def test_sigma_plus_solve_is_the_reflected_sigma_minus_solve(family, problem, n, d):
+    # the sigma - problem of L~ with swapped boundary values solves for the
+    # reversed sigma + solution.  Each solve stops with its residual within
+    # tol, and the reflected sigma - residual is the sigma + one (up to
+    # rounding far below tol), so to first order the two solutions differ
+    # by at most |J^-1| (tol + tol), with J the sigma + Jacobian at its
+    # solution.  Where one solve fails, the other fails too
+    grid = fv.make_grid(0.0, 1.0, n)
+    lag, mirrored = reflection_pair(problem, grid, d)
+    qa, qb = np.linspace(0.3, 0.5, d), np.linspace(-0.7, 0.2, d)
+    config = fv.NewtonConfig(tol=1e-9)
+    for alpha in (0.3, 0.8, 1.0) if family in FRACTIONAL else (None,):
+        plus, minus = (fv.BVPProblem(grid, lag, SchemeKind(family, fv.PLUS, alpha), qa, qb),
+                       fv.BVPProblem(grid, mirrored, SchemeKind(family, fv.MINUS, alpha), qb, qa))
+        try:
+            qplus, _ = fv.solve_bvp_newton(plus, config=config)
+        except fv.NewtonConvergenceError:
+            with pytest.raises(fv.NewtonConvergenceError):
+                fv.solve_bvp_newton(minus, config=config)
+            continue
+        qminus, _ = fv.solve_bvp_newton(minus, config=config)
+        jac = jacobian(plus.scheme, lag, qplus)
+        if jac.ndim == 4:
+            jac = dense_from_bands(jac)
+        bound = 2 * config.tol * np.max(np.sum(np.abs(np.linalg.inv(jac)), axis=1))
+        assert np.max(np.abs(qplus.values - qminus.values[::-1])) <= bound

@@ -167,7 +167,7 @@ def test_init_must_respect_boundaries():
     grid = fv.make_grid(0.0, 1.0, 8)
     problem = BVPProblem(grid, fv.free_particle(), vi_classical(), [0.0], [1.0])
     bad = fv.Trajectory(grid, np.linspace(0.5, 1.0, 9))
-    with pytest.raises(fv.DomainError):
+    with pytest.raises(fv.DomainError, match="initial guess must satisfy the boundary values"):
         solve_bvp_newton(problem, init=bad)
 
 
@@ -177,6 +177,29 @@ def test_init_must_lie_on_the_problem_grid():
     other = linear_initial_guess(fv.make_grid(0.0, 2.0, 8), [0.0], [1.0])
     with pytest.raises(fv.DomainError, match="initial guess does not match the problem layout"):
         solve_bvp_newton(problem, init=other)
+
+
+@pytest.mark.parametrize("n,dim,ends,message", [
+    (8, 2, (0.0, 1.0), "initial guess does not match the problem layout"),
+    (8, 1, (0.0, 0.5), "initial guess must satisfy the boundary values"),
+    (2, 1, (0.5, 1.0), "initial guess must satisfy the boundary values"),
+], ids=["dim-before-ends", "qb", "ends-before-n"])
+def test_a_callers_guess_is_refused_in_order(n, dim, ends, message):
+    # the grid or dim, then the end values, then the kind's layout: the
+    # first refusal a guess meets is the one it gets
+    grid = fv.make_grid(0.0, 1.0, n)
+    kind = SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS)
+    problem = BVPProblem(grid, fv.free_particle(), kind, [0.0], [1.0])
+    guess = linear_initial_guess(grid, [ends[0]] * dim, [ends[1]] * dim)
+    with pytest.raises(fv.DomainError, match=message):
+        solve_bvp_newton(problem, init=guess)
+
+
+def test_the_default_guess_meets_the_layout_check():
+    kind = SchemeKind(SchemeFamily.DIRECT_CLASSICAL, fv.MINUS)
+    problem = BVPProblem(fv.make_grid(0.0, 1.0, 2), fv.free_particle(), kind, [0.0], [1.0])
+    with pytest.raises(fv.DomainError, match="direct classical residual needs n >= 3"):
+        solve_bvp_newton(problem)
 
 
 def test_harmonic_second_order_convergence():
