@@ -167,7 +167,8 @@ def run_ibp(
     check_size(n, dim)
     rng = np.random.default_rng(seed)
     grid = make_grid(a, b, n)
-    rtol = CLASSICAL_IBP_RTOL if alpha is None else FRACTIONAL_IBP_RTOL
+    rtol, identity = (CLASSICAL_IBP_RTOL, check_discrete_ibp) if alpha is None else (
+        FRACTIONAL_IBP_RTOL, lambda f, g: check_discrete_frac_ibp(f, g, alpha))
     worst = 0.0
     failures = 0
     for _ in range(trials):
@@ -175,11 +176,7 @@ def run_ibp(
         g_vals = rng.standard_normal((n + 1, dim))
         if alpha is not None:
             f_vals[[0, -1]] = 0.0  # the fractional identity has no boundary term
-        f, g = Trajectory(grid, f_vals), Trajectory(grid, g_vals)
-        if alpha is None:
-            lhs, rhs = check_discrete_ibp(f, g)
-        else:
-            lhs, rhs = check_discrete_frac_ibp(f, g, alpha)
+        lhs, rhs = identity(Trajectory(grid, f_vals), Trajectory(grid, g_vals))
         gap = abs(lhs - rhs) / (1.0 + abs(lhs))
         worst = max(worst, gap)
         if gap > rtol:

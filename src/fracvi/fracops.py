@@ -17,7 +17,13 @@ variational gradient and its Jacobian, the adjoint K[:, 1:n]^T, over the
 same weights.  Every kernel product goes through :func:`_operator`, which
 binds one of them; at alpha = 1 it binds
 :func:`_difference`, the package's one one-sided difference: O(n), no
-kernel built.  Lifetime: a solve or an assembly binds the operators it
+kernel built.  On a grid, :func:`_velocity` is the one place a side's
+product meets its signed scale: v = -sigma h^-alpha K Q.  So
+delta^alpha_minus is the MINUS velocity and delta^alpha_plus minus the
+PLUS one (negation rounds symmetrically, so only a NaN's sign bit can
+differ from scaling the product), and both sides of the integration by
+parts read it; :func:`_windowed` scales its own product over a
+sequence's window.  Lifetime: a solve or an assembly binds the operators it
 reads when it starts and holds them until it ends, so nothing it reads is
 rebuilt while it runs; past that, the builder keeps only its two most
 recently built arrays, kernels and adjoints alike.  So retained memory is
@@ -145,17 +151,17 @@ def _scale(h: float, alpha: float) -> float:
 
 
 def delta_alpha_minus(q: Trajectory, alpha: float) -> ShiftedSequence:
-    """Left GL operator: h^-alpha sum_{r=0..k} w_r Q_{k-r}, k in {1, .., n}."""
-    alpha = _check_alpha(alpha)
-    vals = _scale(q.grid.h, alpha) * _operator(alpha, q.grid.n, MINUS, False)(q.values)
-    return ShiftedSequence(q.grid, MINUS, vals)
+    """Left GL operator: h^-alpha sum_{r=0..k} w_r Q_{k-r}, k in {1, .., n};
+    the side-MINUS velocity, as v = +delta^alpha_minus Q there."""
+    return discrete_velocity_alpha(q, MINUS, alpha)
 
 
 def delta_alpha_plus(q: Trajectory, alpha: float) -> ShiftedSequence:
-    """Right GL operator: h^-alpha sum_{r=0..n-k} w_r Q_{k+r}, k in {0, .., n-1}."""
+    """Right GL operator: h^-alpha sum_{r=0..n-k} w_r Q_{k+r}, k in {0, .., n-1};
+    minus the side-PLUS velocity, as v = -delta^alpha_plus Q there.  Only a
+    NaN's sign bit can differ from the scale times the product."""
     alpha = _check_alpha(alpha)
-    vals = _scale(q.grid.h, alpha) * _operator(alpha, q.grid.n, PLUS, False)(q.values)
-    return ShiftedSequence(q.grid, PLUS, vals)
+    return ShiftedSequence(q.grid, PLUS, -_velocity(alpha, PLUS, q.grid)(q.values))
 
 
 def delta_minus(q: Trajectory) -> ShiftedSequence:
@@ -239,10 +245,10 @@ def gauss_quadrature(s: ShiftedSequence):
 def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float, float]:
     """Both sides of :func:`check_discrete_frac_ibp`, each one exactly rounded
     sum; ``alpha=None`` is :func:`check_discrete_ibp`, alpha = 1 and the
-    boundary term.  ``alpha`` comes checked.  Each GL product is the scale
-    times the operator's product, as :func:`delta_alpha_minus` and
-    :func:`delta_alpha_plus` compute it, bit for bit, with no sequence
-    built.  Refused, in this order, unless F and G share one grid and one
+    boundary term.  ``alpha`` comes checked.  Each GL product is a side's
+    velocity, negated for PLUS, as :func:`delta_alpha_minus` and
+    :func:`delta_alpha_plus` compute it, with no sequence built.  Refused,
+    in this order, unless F and G share one grid and one
     dimension, unless (alpha given) F or G is zero at both ends, and
     unless both sides are finite: at a tiny h a term or a partial sum
     overflows."""
@@ -253,10 +259,9 @@ def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float
     if alpha is not None and f.values[[0, -1]].any() and g.values[[0, -1]].any():
         raise DomainError("hypothesis violated: need F_0 = F_n = 0 or G_0 = G_n = 0")
     order = 1.0 if alpha is None else alpha
-    n, scale = f.grid.n, _scale(f.grid.h, order)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = (scale * _operator(order, n, MINUS, False)(f.values) * g.values[1:]).ravel()
-        rhs = [(f.values[:-1] * (scale * _operator(order, n, PLUS, False)(g.values))).ravel()]
+        lhs = (_velocity(order, MINUS, f.grid)(f.values) * g.values[1:]).ravel()
+        rhs = [(f.values[:-1] * -_velocity(order, PLUS, f.grid)(g.values)).ravel()]
         if alpha is None:
             hinv = 1.0 / f.grid.h
             rhs.append([float(np.dot(f.values[-1], g.values[-1])) * hinv,

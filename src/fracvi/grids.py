@@ -6,7 +6,8 @@ node indices inside ``{0, .., n}``.  A :class:`Trajectory` covers them all,
 a :class:`ShiftedSequence` the one-sided window I_sigma (``{0, .., n-1}``
 for plus, ``{1, .., n}`` for minus; :func:`_rows` is that rule's one home)
 and a :class:`ResidualField` the window its scheme states.  Values are
-immutable after construction and safe for concurrent reads.
+immutable after construction, and after a pickle or copy, and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -89,8 +90,23 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Frozen:
+    """Base of the frozen dataclasses.  Their generated ``__setattr__``
+    refuses every name only on the decorated class itself, and passes a
+    subclass's new names here, to be refused as well.  A pickle or copy
+    restores the fields as they were stored, so it runs ``__post_init__``
+    again, which checks them and freezes their arrays."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
+
+
 @dataclass(frozen=True)
-class Grid:
+class Grid(_Frozen):
     """Uniform partition of [a, b] into ``n`` subintervals (``n + 1`` nodes).
 
     The span ``b - a``, the step ``h`` and their reciprocals must be finite
@@ -140,15 +156,15 @@ def make_grid(a: float, b: float, n: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class Sequence:
+class Sequence(_Frozen):
     """Values over a window of grid node indices: entry i, a (d,) vector
     with d >= 1, belongs to node ``k_start + i``; 1-d values mean d = 1.
 
     Built values are a frozen copy, and a window outside the nodes 0..n is
     refused.  A subclass fixes the window at ``n + _extra`` entries; one
     that declares no field is no dataclass of its own and inherits the
-    generated methods.  Access outside the window is an error, never a
-    silent wraparound.
+    generated methods, and :class:`_Frozen` refuses its new attributes.
+    Access outside the window is an error, never a silent wraparound.
     """
 
     grid: Grid

@@ -41,3 +41,23 @@ def test_codelines_prints_each_module_and_the_total(tmp_path, capsys):
         f"    10 {tmp_path / 'b.py'}",
         "    11 total",
     ]
+
+
+def test_codelines_against_another_tree(tmp_path, capsys):
+    # two checkouts: a module changed, one only in each tree, one the same
+    other, this = tmp_path / "other", tmp_path / "this"
+    for root, files in ((other, {"a.py": "X = 1\nY = 2\n", "gone.py": "Z = 3\n", "same.py": "W = 4\n"}),
+                        (this, {"a.py": "X = 1\n", "new.py": SOURCE, "same.py": "W = 4\n"})):
+        package = root / "src" / "fracvi"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text, encoding="utf-8")
+    assert codelines.main([str(this), "--against", str(other)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        " other   this change module",
+        "     2      1     -1 a.py",
+        "     1      -     -1 gone.py",
+        "     -     10    +10 new.py",
+        "     1      1     +0 same.py",
+        "     4     12     +8 total",
+    ]

@@ -8,7 +8,8 @@ decorated class must declare a field, or declare an inherited one again
 leaves out).  The check parses the modules, as ``test_unused_imports.py``
 does.  The two field-less window types, ``ShiftedSequence`` and
 ``ResidualField``, inherit ``Sequence``'s methods; the rest of the module
-pins what a caller sees of them.
+pins what a caller sees of them, and that a pickle or copy of any frozen
+grid or sequence keeps its arrays read-only.
 """
 
 import ast
@@ -138,6 +139,38 @@ def test_window_type_pickle_and_copy_round_trip(which):
         assert twin.grid == seq.grid and twin.k_start == seq.k_start
         assert twin.values.tobytes() == seq.values.tobytes()
         assert list(twin.indices) == list(seq.indices)
+
+
+@pytest.mark.parametrize("which", range(2), ids=WINDOW_IDS)
+def test_window_type_refuses_a_new_attribute(which):
+    # as the decorated Trajectory does
+    seq = _windows()[which]
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'foo'"):
+        seq.foo = 1
+    assert not hasattr(seq, "foo")
+
+
+def _frozen_objects():
+    grid = fv.make_grid(0.0, 1.0, 2)
+    traj = fv.Trajectory(grid, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    return [grid, traj, fv.grids.Sequence(grid, 1, [7.0])] + _windows()
+
+
+def _arrays(obj):
+    """The frozen arrays of a grid or a sequence."""
+    return [obj.nodes] if isinstance(obj, fv.Grid) else [obj.grid.nodes, obj.values]
+
+
+@pytest.mark.parametrize("which", range(5), ids=["grid", "trajectory", "sequence"] + WINDOW_IDS)
+def test_round_trips_keep_the_arrays_read_only(which):
+    obj = _frozen_objects()[which]
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is type(obj)
+        for arr, original in zip(_arrays(twin), _arrays(obj)):
+            assert arr.tobytes() == original.tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 9.0
 
 
 @pytest.mark.parametrize("which", range(2), ids=WINDOW_IDS)
