@@ -83,7 +83,11 @@ the discrete functional and the velocity.  Groups:
   (exit 2), a solver failure (exit 3) and end values of 1e-20, whose
   error stays at 14% of the solution.  No command is known to reach
   convergence's "no observable order" (``test_cli`` patches
-  ``_observed_orders`` for it).  A case hashes its exit
+  ``_observed_orders`` for it).  And ``ibp``'s refusals, in the order
+  they are met: a non-finite and a zero order, a GL scale that overflows
+  (alpha 2 at b = 1e-300), and sums that are not finite, classical, at
+  alpha = 1 and at alpha 0.999; and a fractional d = 3 run at odd n.  A
+  case hashes its exit
   code, stdout and stderr, and the name and bytes of every file it
   writes, with its temporary output directory written as ``{out}``.  The
   goldens compare Newton-solved values to 1e-10 only; this group takes
@@ -168,6 +172,13 @@ CLI_COMMANDS = {name: argv for name, (argv, *_) in CLI_CASES.items()} | {
     "glcheck_window_fail": ["glcheck", "--alpha", "0.5", "--beta", "0.5",
                             "--n-list", "64,128,256,512", "--out", "{out}/glcheck.csv"],
     "glcheck_repeated_n": ["glcheck", "--beta", "-1", "--n-list", "16,16"],
+    "ibp_alpha_nan": ["ibp", "--alpha", "nan", "--n", "64"],
+    "ibp_alpha_zero": ["ibp", "--alpha", "0", "--n", "64"],
+    "ibp_scale_overflow": ["ibp", "--alpha", "2", "--b", "1e-300", "--n", "64"],
+    "ibp_classical_sums_overflow": ["ibp", "--b", "1e-305", "--n", "64"],
+    "ibp_unit_alpha_sums_overflow": ["ibp", "--alpha", "1", "--b", "1e-306", "--n", "64"],
+    "ibp_fractional_sums_overflow": ["ibp", "--alpha", "0.999", "--n", "16", "--b", "1e-307"],
+    "ibp_fractional_dim3": ["ibp", "--alpha", "0.3", "--n", "33", "--dim", "3", "--seed", "5"],
 }
 CLI_CONFIG = """# a fractional study from a file
 scheme = direct

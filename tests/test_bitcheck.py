@@ -204,6 +204,13 @@ CLI_BRANCHES = {
     "glcheck_exact_zero": (0, "alpha=1 beta=0: exact reproduction -> PASS"),
     "glcheck_window_fail": (1, "alpha=0.5 beta=0.5: orders in [0.7, 1.3] -> FAIL"),
     "glcheck_repeated_n": (2, "error: n-list must be at least two strictly increasing values"),
+    "ibp_alpha_nan": (2, "error: fractional order must be finite and positive, got nan"),
+    "ibp_alpha_zero": (2, "error: fractional order must be finite and positive, got 0.0"),
+    "ibp_scale_overflow": (2, "GL scale h^-alpha leaves the float range at h = 1.5625e-302, alpha = 2.0"),
+    "ibp_classical_sums_overflow": (2, "sums are not finite floats at h = 1.5625e-307"),
+    "ibp_unit_alpha_sums_overflow": (2, "sums are not finite floats at h = 1.5625e-308, alpha = 1.0"),
+    "ibp_fractional_sums_overflow": (2, "sums are not finite floats at h = 6.25e-309, alpha = 0.999"),
+    "ibp_fractional_dim3": (0, "alpha=0.3: n=33 trials=100 max gap 5.235e-15 (tol 1.0e-10) -> PASS"),
 }
 
 
