@@ -31,7 +31,9 @@ import sys
 
 import numpy as np
 
-from .fracops import check_discrete_frac_ibp, check_discrete_ibp, delta_alpha_minus
+from .fracops import _check_alpha, _ibp_sides, delta_alpha_minus
+# run_ibp calls neither pair check; perfbench/tracer.py patches both here
+from .fracops import check_discrete_frac_ibp, check_discrete_ibp  # noqa: F401
 from .fracops import rl_monomial_derivative
 from .grids import (
     MINUS,
@@ -70,6 +72,7 @@ EXIT_CLOSED_STDOUT = 141
 
 CLASSICAL_IBP_RTOL = 1e-12
 FRACTIONAL_IBP_RTOL = 1e-10
+IBP_BLOCK_BYTES = 1 << 16  # the draws of one block of ibp trials, so memory is flat in --trials
 _FRACTIONAL_SOLVE_TOL = 1e-10  # solve's default --tol; a classical solve takes NewtonConfig.tol
 
 #: Observed-order acceptance windows per scheme.
@@ -163,24 +166,29 @@ def run_ibp(
     b: float,
     dim: int,
 ) -> tuple[int, list[str]]:
-    """Randomized two-sided evaluation of the integration-by-parts identity."""
+    """Randomized two-sided evaluation of the integration-by-parts identity.
+
+    The trials are drawn and checked in blocks of ``IBP_BLOCK_BYTES`` of
+    draws, each block one call of the batch core the pair checks share."""
     check_size(n, dim)
     rng = np.random.default_rng(seed)
     grid = make_grid(a, b, n)
-    rtol, identity = (CLASSICAL_IBP_RTOL, check_discrete_ibp) if alpha is None else (
-        FRACTIONAL_IBP_RTOL, lambda f, g: check_discrete_frac_ibp(f, g, alpha))
+    alpha = None if alpha is None else _check_alpha(alpha)  # before the GL scale is taken
+    rtol = CLASSICAL_IBP_RTOL if alpha is None else FRACTIONAL_IBP_RTOL
+    sides = _ibp_sides(grid, alpha)
+    block = max(1, IBP_BLOCK_BYTES // (2 * (n + 1) * dim * 8))  # F and G of a trial
     worst = 0.0
     failures = 0
-    for _ in range(trials):
-        f_vals = rng.standard_normal((n + 1, dim))
-        g_vals = rng.standard_normal((n + 1, dim))
+    for done in range(0, trials, block):
+        # trial by trial, F then G: the stream one draw per array would take
+        fg = rng.standard_normal((min(block, trials - done), 2, n + 1, dim))
         if alpha is not None:
-            f_vals[[0, -1]] = 0.0  # the fractional identity has no boundary term
-        lhs, rhs = identity(Trajectory(grid, f_vals), Trajectory(grid, g_vals))
-        gap = abs(lhs - rhs) / (1.0 + abs(lhs))
-        worst = max(worst, gap)
-        if gap > rtol:
-            failures += 1
+            fg[:, 0, [0, -1]] = 0.0  # the fractional identity has no boundary term
+        for lhs, rhs in sides(fg[:, 0], fg[:, 1]):
+            gap = abs(lhs - rhs) / (1.0 + abs(lhs))
+            worst = max(worst, gap)
+            if gap > rtol:
+                failures += 1
     label = "classical" if alpha is None else f"fractional alpha={alpha:g}"
     status = "PASS" if failures == 0 else f"FAIL ({failures}/{trials})"
     lines = [

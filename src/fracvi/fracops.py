@@ -22,11 +22,16 @@ product meets its signed scale: v = -sigma h^-alpha K Q.  So
 delta^alpha_minus is the MINUS velocity and delta^alpha_plus minus the
 PLUS one (negation rounds symmetrically, so only a NaN's sign bit can
 differ from scaling the product), and both sides of the integration by
-parts read it; :func:`_windowed` scales its own product over a
-sequence's window.  Lifetime: a solve or an assembly binds the operators it
-reads when it starts and holds them until it ends, so nothing it reads is
-rebuilt while it runs; past that, the builder keeps only its two most
-recently built arrays, kernels and adjoints alike.  So retained memory is
+parts read it.  The two integration-by-parts checks share one batch
+core, :func:`_ibp_sides`, bound once per grid: ``fracvi ibp`` hands it
+stacks of trials, and a pair check is a batch of one.  A stack keeps its
+trial axis outermost, so ``K @ stack`` makes the one BLAS call per trial
+that a single pair makes and rounds as it does.  :func:`_windowed` scales
+its own product over a sequence's window.  Lifetime: a solve or an
+assembly binds the operators it reads when it starts and holds them
+until it ends, so nothing it reads is rebuilt while it runs; past that,
+the builder keeps only its two most recently built arrays, kernels and
+adjoints alike.  So retained memory is
 at most two arrays, and an array of any size is built once per assembly.
 No fast convolution is attempted at desk scale.  Fractional orders must
 be finite and positive, their weights finite, and the scale h^-alpha a
@@ -242,38 +247,56 @@ def gauss_quadrature(s: ShiftedSequence):
     return float(out[0]) if s.dim == 1 else out
 
 
-def _ibp_sides(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float, float]:
-    """Both sides of :func:`check_discrete_frac_ibp`, each one exactly rounded
-    sum; ``alpha=None`` is :func:`check_discrete_ibp`, alpha = 1 and the
-    boundary term.  ``alpha`` comes checked.  Each GL product is a side's
-    velocity, negated for PLUS, as :func:`delta_alpha_minus` and
-    :func:`delta_alpha_plus` compute it, with no sequence built.  Refused,
-    in this order, unless F and G share one grid and one
-    dimension, unless (alpha given) F or G is zero at both ends, and
-    unless both sides are finite: at a tiny h a term or a partial sum
-    overflows."""
+def _ibp_sides(grid: Grid, alpha: float | None):
+    """The batch core of both integration-by-parts checks on ``grid``: binds
+    each side's velocity once, its scale first, and returns ``sides(f, g)``,
+    which takes F and G stacked as (trials, n + 1, d) arrays and returns
+    each trial's (lhs, rhs), each one exactly rounded sum; ``alpha=None``
+    is :func:`check_discrete_ibp`, alpha = 1 and the boundary term.
+    ``alpha`` comes checked.  Each GL product is a side's velocity, negated
+    for PLUS, as :func:`delta_alpha_minus` and :func:`delta_alpha_plus`
+    compute it.  The trial axis stays outermost: ``K @ stack`` makes the
+    BLAS call a single trial makes, where one wide (n + 1, trials * d)
+    product would round differently; the two-point difference at alpha = 1
+    runs down its input's first axis, so it is handed the nodes there.
+    Refused unless every trial's sides are finite: at a tiny h a term or a
+    partial sum overflows."""
+    order = 1.0 if alpha is None else alpha
+    minus, plus = _velocity(order, MINUS, grid), _velocity(order, PLUS, grid)
+    if order == 1:
+        minus, plus = (lambda s, v=v: v(s.swapaxes(0, 1)).swapaxes(0, 1) for v in (minus, plus))
+    at = f"h = {grid.h!r}" + ("" if alpha is None else f", alpha = {alpha!r}")
+
+    def sides(f: np.ndarray, g: np.ndarray) -> list[tuple[float, float]]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = (minus(f) * g[:, 1:]).reshape(len(f), -1)
+            rhs = (f[:, :-1] * -plus(g)).reshape(len(f), -1)
+            if alpha is None:  # F_n.G_n / h and -F_0.G_0 / h, each dot one BLAS call
+                ends = (f[:, [-1, 0], None] @ g[:, [-1, 0], :, None]).reshape(len(f), 2)
+                rhs = np.hstack([rhs, ends * (np.array([1.0, -1.0]) / grid.h)])
+        try:
+            # a memoryview hands fsum one float at a time, with no list of them
+            out = [(math.fsum(memoryview(l)), math.fsum(memoryview(r))) for l, r in zip(lhs, rhs)]
+            if all(math.isfinite(x) for pair in out for x in pair):
+                return out
+        except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
+            pass
+        raise DomainError(f"integration-by-parts sums are not finite floats at {at}")
+
+    return sides
+
+
+def _ibp_pair(f: Trajectory, g: Trajectory, alpha: float | None) -> tuple[float, float]:
+    """:func:`_ibp_sides` on one (F, G) pair, a batch of one.  Refused, in
+    this order, unless F and G share one grid and one dimension, and unless
+    (alpha given) F or G is zero at both ends; then as the core refuses."""
     if f.grid != g.grid:
         raise DomainError("integration by parts requires a common grid")
     if f.dim != g.dim:
         raise DomainError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if alpha is not None and f.values[[0, -1]].any() and g.values[[0, -1]].any():
         raise DomainError("hypothesis violated: need F_0 = F_n = 0 or G_0 = G_n = 0")
-    order = 1.0 if alpha is None else alpha
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = (_velocity(order, MINUS, f.grid)(f.values) * g.values[1:]).ravel()
-        rhs = [(f.values[:-1] * -_velocity(order, PLUS, f.grid)(g.values)).ravel()]
-        if alpha is None:
-            hinv = 1.0 / f.grid.h
-            rhs.append([float(np.dot(f.values[-1], g.values[-1])) * hinv,
-                        -float(np.dot(f.values[0], g.values[0])) * hinv])
-    try:
-        sides = math.fsum(lhs), math.fsum(np.concatenate(rhs))
-        if all(map(math.isfinite, sides)):
-            return sides
-    except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
-        pass
-    at = f"h = {f.grid.h!r}" + ("" if alpha is None else f", alpha = {alpha!r}")
-    raise DomainError(f"integration-by-parts sums are not finite floats at {at}")
+    return _ibp_sides(f.grid, alpha)(f.values[None], g.values[None])[0]
 
 
 def check_discrete_ibp(f: Trajectory, g: Trajectory) -> tuple[float, float]:
@@ -282,9 +305,11 @@ def check_discrete_ibp(f: Trajectory, g: Trajectory) -> tuple[float, float]:
     lhs = sum_{k=1..n} (delta_minus F)_k . G_k
     rhs = sum_{k=0..n-1} F_k . (delta_plus G)_k + (F_n.G_n - F_0.G_0)/h
 
-    Both sides are returned so callers can report the gap magnitude.
+    Both sides are returned so callers can report the gap magnitude.  The
+    pair is a batch of one trial of the core ``fracvi ibp`` runs, so the
+    command and this check share one arithmetic path.
     """
-    return _ibp_sides(f, g, None)
+    return _ibp_pair(f, g, None)
 
 
 def check_discrete_frac_ibp(f: Trajectory, g: Trajectory, alpha: float) -> tuple[float, float]:
@@ -293,9 +318,11 @@ def check_discrete_frac_ibp(f: Trajectory, g: Trajectory, alpha: float) -> tuple
     lhs = sum_{k=1..n} (delta^alpha_minus F)_k . G_k
     rhs = sum_{k=0..n-1} F_k . (delta^alpha_plus G)_k
 
-    Requires F_0 = F_n = 0 or G_0 = G_n = 0 (no boundary term exists).
+    Requires F_0 = F_n = 0 or G_0 = G_n = 0 (no boundary term exists).  The
+    order is refused first, before any other check; the pair is then a
+    batch of one trial of the core ``fracvi ibp`` runs.
     """
-    return _ibp_sides(f, g, _check_alpha(alpha))
+    return _ibp_pair(f, g, _check_alpha(alpha))
 
 
 def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:

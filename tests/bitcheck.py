@@ -92,8 +92,13 @@ the discrete functional and the velocity.  Groups:
   writes, with its temporary output directory written as ``{out}``.  The
   goldens compare Newton-solved values to 1e-10 only; this group takes
   every byte.  ``ibp`` prints only its largest gap, to four digits, so a
-  rounding change in its sums shows in the operators group, not here.  A
-  case's n is the largest its command reads.
+  rounding change in its sums shows in the operators group, not here:
+  the command checks its trials in stacks through the batch core that
+  ``check_discrete_ibp`` and ``check_discrete_frac_ibp`` run as a batch
+  of one.  A change that moves only stacks of more than one trial shows
+  in neither group; ``test_fracops`` compares each trial of a stack with
+  its pair check, byte for byte.  A case's n is the largest its command
+  reads.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
 may order its sums differently from run to run.

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -58,9 +59,28 @@ def test_ibp_rejects_non_finite_alpha(capsys):
 
 
 def test_ibp_failing_check_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "check_discrete_ibp", lambda f, g: (1.0, 2.0))  # gap 0.5
+    # every trial's sides come back (1.0, 2.0), a gap of 0.5
+    monkeypatch.setattr(cli, "_ibp_sides", lambda grid, alpha: lambda f, g: [(1.0, 2.0)] * len(f))
     assert main(["ibp", "--n", "8", "--trials", "3"]) == cli.EXIT_CHECK_FAILED
     assert capsys.readouterr().out.endswith("-> FAIL (3/3)\n")
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5], ids=["classical", "fractional"])
+def test_ibp_memory_does_not_grow_with_trials(alpha):
+    # the trials are drawn and checked in blocks of IBP_BLOCK_BYTES of draws:
+    # a block's products and terms take a few times its draws, so 100 times
+    # the trials may peak at most 4 blocks higher.  All 5000 drawn at once
+    # would take 1.4 MB of draws alone, and about 3.5 MB with the rest
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert run_ibp(16, trials, 1, alpha, 0.0, 1.0, 1)[0] == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_ibp(16, 50, 1, alpha, 0.0, 1.0, 1)  # first-call imports and caches are not the trials'
+    assert peak(5000) <= peak(50) + 4 * cli.IBP_BLOCK_BYTES
 
 
 def test_ibp_deterministic(capsys):

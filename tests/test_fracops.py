@@ -468,6 +468,43 @@ def test_ibp_pair_refusals_come_in_order(alpha):
     assert abs(lhs - rhs) <= 1e-12
 
 
+def _operator_sums(f, g, alpha):
+    """Both ibp sides from the public operators, trial by trial."""
+    order = 1.0 if alpha is None else alpha
+    lhs = fv.delta_alpha_minus(f, order).values * g.values[1:]
+    rhs = [(f.values[:-1] * fv.delta_alpha_plus(g, order).values).ravel()]
+    if alpha is None:  # the boundary term, times 1/h as the check takes it
+        hinv = 1.0 / f.grid.h
+        rhs.append([float(np.dot(f.values[-1], g.values[-1])) * hinv,
+                    -float(np.dot(f.values[0], g.values[0])) * hinv])
+    return math.fsum(lhs.ravel()), math.fsum(np.concatenate(rhs))
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3, 0.5, 0.8, 0.999, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ibp_batch_is_the_pair_check_trial_by_trial(alpha, d):
+    # `fracvi ibp` checks its trials in stacks; each trial's sides must be
+    # the bytes of the pair check on that trial's trajectories, and those of
+    # the public operators' sums.  One wide (n + 1, trials * d) product in
+    # place of one per trial rounds differently and fails this
+    rng = np.random.default_rng(53 + d)
+    for n in (2, 3, 5, 8, 17, 32, 63, 100, 128, 200):
+        grid = fv.make_grid(0.0, 1.0, n)
+        sides = fracops._ibp_sides(grid, alpha)
+        for trials in (1, 2, 5, 12):
+            fg = rng.standard_normal((trials, 2, n + 1, d))
+            if alpha is not None:
+                fg[:, 0, [0, -1]] = 0.0
+            batch = sides(fg[:, 0], fg[:, 1])
+            assert len(batch) == trials
+            for (f, g), got in zip(fg, batch):
+                f, g = fv.Trajectory(grid, f), fv.Trajectory(grid, g)
+                pair = (fv.check_discrete_ibp(f, g) if alpha is None
+                        else fv.check_discrete_frac_ibp(f, g, alpha))
+                want = np.array(_operator_sums(f, g, alpha)).tobytes()
+                assert np.array(got).tobytes() == np.array(pair).tobytes() == want, (n, trials)
+
+
 def test_rl_monomial_hand_values():
     assert math.isclose(fv.rl_monomial_derivative(1.0, 1.0, 1.0), 1.0, rel_tol=1e-13)
     assert math.isclose(
