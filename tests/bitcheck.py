@@ -54,7 +54,10 @@ the discrete functional and the velocity.  Groups:
   ``check_discrete_ibp``; else ``delta_alpha_plus``, ``delta_alpha_minus``,
   ``discrete_velocity_alpha``, ``frac_seq_minus`` (plus window) or
   ``frac_seq_plus`` (minus window), ``gauss_quadrature`` and
-  ``check_discrete_frac_ibp``.  And, to reach the adjoint at large n,
+  ``check_discrete_frac_ibp``; and either way the batch core
+  ``fracops._ibp_sides`` on a stack of three more trials, (3, n + 1, d)
+  each for F and G (F zero at the ends but classically).  And, to reach
+  the adjoint at large n,
   ``functional_gradient`` of the harmonic problem on a seeded trajectory
   ("gradient") x sigma x alpha 0.3 and 0.8 x d 1 x n 1025 and 2049;
 - bvp-failures: boundary-value solves of the five families (the
@@ -96,8 +99,9 @@ the discrete functional and the velocity.  Groups:
   the command checks its trials in stacks through the batch core that
   ``check_discrete_ibp`` and ``check_discrete_frac_ibp`` run as a batch
   of one.  A change that moves only stacks of more than one trial shows
-  in neither group; ``test_fracops`` compares each trial of a stack with
-  its pair check, byte for byte.  A case's n is the largest its command
+  in the operators group, whose three-trial stacks reach that core at
+  every order; ``test_fracops`` compares each trial of a stack with its
+  pair check, byte for byte.  A case's n is the largest its command
   reads.
 
 One BLAS thread is assumed (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS
@@ -127,7 +131,7 @@ import numpy as np
 
 import fracvi as fv
 from fracvi.cli import main as cli_main
-from fracvi.fracops import frac_seq_minus, frac_seq_plus
+from fracvi.fracops import _ibp_sides, frac_seq_minus, frac_seq_plus
 from fracvi.schemes import SchemeFamily, SchemeKind, assemble_residual, jacobian
 from fracvi.solver import BVPProblem, NewtonConfig, NewtonConvergenceError
 from fracvi.solver import march, march_direct_classical, solve_bvp_newton
@@ -304,11 +308,14 @@ def _evicting(lag: fv.Lagrangian, n: int):
 def _operators(rng, sigma, alpha, d, n) -> list:
     """The operators' values and window starts on one seeded trajectory,
     the rectangle rule of its velocity, and both sides of the integration
-    by parts on two more (F zero at the ends if alpha)."""
+    by parts on two more (F zero at the ends if alpha), then on a stack of
+    three trials more through the batch core ``fracvi ibp`` runs."""
     grid = fv.make_grid(0.0, 1.0, n)
     values = rng.uniform(-2.0, 2.0, (3, n + 1, d))
+    stack = rng.uniform(-2.0, 2.0, (2, 3, n + 1, d))  # F and G of three trials
     if alpha is not None:
         values[1, [0, -1]] = 0.0  # the fractional identity has no boundary term
+        stack[0, :, [0, -1]] = 0.0
     q, f, g = (fv.Trajectory(grid, v) for v in values)
     window = fv.restrict(q, sigma)
     if alpha is None:
@@ -322,7 +329,7 @@ def _operators(rng, sigma, alpha, d, n) -> list:
         sides = fv.check_discrete_frac_ibp(f, g, alpha)
     starts = np.array([s.k_start for s in seqs])
     return [s.values for s in seqs] + [starts, np.asarray(fv.gauss_quadrature(seqs[2])),
-                                       np.array(sides)]
+                                       np.array(sides), np.array(_ibp_sides(grid, alpha)(*stack))]
 
 
 def _cli(name: str) -> list:
