@@ -485,6 +485,7 @@ def run_glcheck(
     _check_n_list(n_list)
     if not beta >= 0:
         raise DomainError(f"beta must be >= 0: (t-a)^beta is sampled at t=a, got {beta}")
+    make_grid(a, b, n_list[0])  # the grid names ends or a span past the float range
     exact = rl_monomial_derivative(beta, alpha, b - a)
 
     def measure(n):

@@ -15,14 +15,15 @@ strided view over one zero-padded weight vector: the kernel K, where the
 left operator reads w_{k-j} and the right one w_{j-k}, or, for the
 variational gradient and its Jacobian, the adjoint K[:, 1:n]^T, over the
 same weights.  Every kernel product goes through :func:`_operator`, which
-binds one of them; at alpha = 1 it binds
-:func:`_difference`, the package's one one-sided difference: O(n), no
-kernel built.  On a grid, :func:`_velocity` is the one place a side's
-product meets its signed scale: v = -sigma h^-alpha K Q.  So
-delta^alpha_minus is the MINUS velocity and delta^alpha_plus minus the
-PLUS one (negation rounds symmetrically, so only a NaN's sign bit can
-differ from scaling the product), and both sides of the integration by
-parts read it.  The two integration-by-parts checks share one batch
+binds one of them; at alpha = 1 it binds :func:`_difference`, the
+package's one one-sided difference: O(n), no kernel built.  Both act
+along the node axis, the next to last, so one shape contract holds at
+every order: (..., n + 1, d) in, (..., n, d) out.  On a grid,
+:func:`_velocity` is the one place a side's product meets its signed
+scale: v = -sigma h^-alpha K Q.  So delta^alpha_minus is the MINUS
+velocity and delta^alpha_plus minus the PLUS one (negation rounds
+symmetrically, so only a NaN's sign bit can differ from scaling the
+product), and both sides of the integration by parts read it.  The two integration-by-parts checks share one batch
 core, :func:`_ibp_sides`, bound once per grid: ``fracvi ibp`` hands it
 stacks of trials, and a pair check is a batch of one.  A stack keeps its
 trial axis outermost, so ``K @ stack`` makes the one BLAS call per trial
@@ -72,10 +73,9 @@ def gl_coefficients(alpha: float, n: int) -> np.ndarray:
 
 def _weights(alpha: float, n: int) -> np.ndarray:
     w = np.ones(n + 1)
-    if n >= 1:
-        r = np.arange(1, n + 1, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w[1:] = np.cumprod((r - 1.0 - alpha) / r)
+    r = np.arange(1, n + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w[1:] = np.cumprod((r - 1.0 - alpha) / r)
     if not np.isfinite(w).all():
         raise DomainError(f"GL weights overflow a float at alpha = {alpha!r}, n = {n}")
     return _freeze(w)
@@ -101,20 +101,22 @@ def _kernel(alpha: float, n: int, side: int, adjoint: bool) -> np.ndarray:
 
 
 def _difference(v: np.ndarray, side: int) -> np.ndarray:
-    """The unscaled one-sided difference: v_k - v_{k+1} for ``side=PLUS``,
-    v_k - v_{k-1} for MINUS, one row fewer than ``v``."""
+    """The unscaled one-sided difference along the node axis, the next to
+    last: v_k - v_{k+1} for ``side=PLUS``, v_k - v_{k-1} for MINUS, one
+    node fewer than ``v``."""
     if side == PLUS:
-        return v[:-1] - v[1:]
-    return v[1:] - v[:-1]
+        return v[..., :-1, :] - v[..., 1:, :]
+    return v[..., 1:, :] - v[..., :-1, :]
 
 
 def _operator(alpha: float, n: int, side: int, adjoint: bool):
     """The unscaled GL product of ``side`` over positions 0..n with its
-    array bound: ``y -> K @ y`` (n + 1 rows in, n out), or with ``adjoint``
-    ``y -> K[:, 1:n].T @ y`` (n rows in, n - 1 out) by the contiguous
-    adjoint, for the variational gradient and its dense Jacobian alike.  At
-    alpha = 1 it is the two-point difference of ``side`` (adjoint: of
-    ``-side``), and builds nothing."""
+    array bound: ``y -> K @ y``, (..., n + 1, d) in and (..., n, d) out, or
+    with ``adjoint`` ``y -> K[:, 1:n].T @ y``, (..., n, d) in and
+    (..., n - 1, d) out, by the contiguous adjoint, for the variational
+    gradient and its dense Jacobian alike.  At every order a stack of
+    trials keeps its leading axes.  At alpha = 1 it is the two-point
+    difference of ``side`` (adjoint: of ``-side``), and builds nothing."""
     if alpha == 1:
         return functools.partial(_difference, side=-side if adjoint else side)
     return _kernel(alpha, n, side, adjoint).__matmul__
@@ -127,17 +129,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_unit_alpha(alpha: float) -> float:
-    """Orders of the fractional functionals and the closed form: (0, 1]."""
-    alpha = float(alpha)
+def _unit_order(alpha: float | None) -> float:
+    """Orders of the fractional functionals, the scheme kinds and the
+    closed form, checked to lie in (0, 1]; ``None`` (classical) is 1."""
+    alpha = 1.0 if alpha is None else float(alpha)
     if not 0 < alpha <= 1:
         raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
     return alpha
-
-
-def _unit_order(alpha: float | None) -> float:
-    """An order checked to lie in (0, 1]; ``None`` (classical) is 1."""
-    return 1.0 if alpha is None else _check_unit_alpha(alpha)
 
 
 def _scale(h: float, alpha: float) -> float:
@@ -193,8 +191,8 @@ def discrete_velocity(q: Trajectory, sigma: int) -> ShiftedSequence:
 
 def _velocity(alpha: float, sigma: int, grid: Grid):
     """Array core of :func:`discrete_velocity_alpha` on ``grid``, its
-    signed scale -sigma h^-alpha and its kernel bound: (n+1, d) in, (n, d)
-    out."""
+    signed scale -sigma h^-alpha and its kernel bound: (..., n+1, d) in,
+    (..., n, d) out, at every order."""
     factor, apply = -sigma * _scale(grid.h, alpha), _operator(alpha, grid.n, sigma, False)
     return lambda values: apply(values) * factor
 
@@ -257,14 +255,10 @@ def _ibp_sides(grid: Grid, alpha: float | None):
     for PLUS, as :func:`delta_alpha_minus` and :func:`delta_alpha_plus`
     compute it.  The trial axis stays outermost: ``K @ stack`` makes the
     BLAS call a single trial makes, where one wide (n + 1, trials * d)
-    product would round differently; the two-point difference at alpha = 1
-    runs down its input's first axis, so it is handed the nodes there.
-    Refused unless every trial's sides are finite: at a tiny h a term or a
-    partial sum overflows."""
+    product would round differently.  Refused unless every trial's sides
+    are finite: at a tiny h a term or a partial sum overflows."""
     order = 1.0 if alpha is None else alpha
     minus, plus = _velocity(order, MINUS, grid), _velocity(order, PLUS, grid)
-    if order == 1:
-        minus, plus = (lambda s, v=v: v(s.swapaxes(0, 1)).swapaxes(0, 1) for v in (minus, plus))
     at = f"h = {grid.h!r}" + ("" if alpha is None else f", alpha = {alpha!r}")
 
     def sides(f: np.ndarray, g: np.ndarray) -> list[tuple[float, float]]:
@@ -325,21 +319,25 @@ def check_discrete_frac_ibp(f: Trajectory, g: Trajectory, alpha: float) -> tuple
     return _ibp_pair(f, g, _check_alpha(alpha))
 
 
-def rl_monomial_derivative(beta: float, alpha: float, s: float) -> float:
+def rl_monomial_derivative(beta: float, alpha: float | None, s: float) -> float:
     """Left fractional derivative of (t - a)^beta at offset s = t - a.
 
     Closed form Gamma(beta+1)/Gamma(beta+1-alpha) * s^(beta-alpha), valid
-    for beta > -1 and 0 < alpha <= 1 (alpha = 1 is the classical case).
+    for finite beta > -1, finite s > 0 and 0 < alpha <= 1 (alpha = 1, or
+    None, is the classical case).  Refused in this order: the order, beta
+    <= -1, s <= 0, a non-finite beta or s, and beta + 1 - alpha < 0.
     When beta + 1 - alpha = 0 the reciprocal Gamma vanishes at the pole and
     the derivative is 0.
     """
     beta = float(beta)
-    alpha = _check_unit_alpha(alpha)
+    alpha = _unit_order(alpha)
     s = float(s)
     if beta <= -1:
         raise DomainError(f"monomial exponent must exceed -1, got {beta}")
     if s <= 0:
         raise DomainError(f"offset s = t - a must be positive, got {s}")
+    if not (math.isfinite(beta) and math.isfinite(s)):
+        raise DomainError(f"beta and s must be finite, got beta = {beta}, s = {s}")
     tail = beta + 1.0 - alpha
     if tail == 0.0:
         return 0.0

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import _check_unit_alpha, _kernel, _operator, _scale, _unit_order, _velocity
+from .fracops import _kernel, _operator, _scale, _unit_order, _velocity
 from .grids import MINUS, DomainError, Grid, ResidualField, Trajectory, check_sigma
 from .grids import _fmt, _outer_rows, _rows, sigma_label
 from .lagrangians import FD_NOISE, Lagrangian, Vec, functional_gradient, _check_dims
@@ -107,7 +107,7 @@ class SchemeKind:
         if self.family in (SchemeFamily.DIRECT_FRACTIONAL, SchemeFamily.VARIATIONAL_FRACTIONAL):
             if self.alpha is None:
                 raise DomainError(f"{self.family.value} requires alpha")
-            object.__setattr__(self, "alpha", _check_unit_alpha(self.alpha))
+            object.__setattr__(self, "alpha", _unit_order(self.alpha))
         elif self.alpha is not None:
             raise DomainError(f"{self.family.value} does not take alpha")
 
@@ -180,15 +180,12 @@ def _residual_core(kind: SchemeKind, grid: Grid):
     return _direct(grid, kind.sigma, alpha, kind.outer)
 
 
-# perfbench/workloads.py imports these three per-family wrappers for its
-# untimed checks, and nothing else calls them; the benchmark change of
-# ROADMAP.md item 1 deletes them.  Every other caller assembles a residual
-# by assemble_residual(SchemeKind(family, sigma, alpha), lag, q).
-def residual_vi_classical(
-    lag: Lagrangian, q: Trajectory, sigma: int
-) -> ResidualField:
-    """The vi-classical residual (:class:`SchemeFamily`)."""
-    return functional_gradient(lag, q, sigma)
+# perfbench/workloads.py imports these three per-family residuals, an
+# alias and two wrappers, for its untimed checks, and nothing else calls
+# them; the benchmark change of ROADMAP.md item 1 deletes them.  Every
+# other caller assembles a residual by
+# assemble_residual(SchemeKind(family, sigma, alpha), lag, q).
+residual_vi_classical = functional_gradient  # the vi-classical residual
 
 
 def residual_asymmetric_direct(

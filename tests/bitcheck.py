@@ -56,8 +56,8 @@ the discrete functional and the velocity.  Groups:
   ``frac_seq_plus`` (minus window), ``gauss_quadrature`` and
   ``check_discrete_frac_ibp``; and either way the batch core
   ``fracops._ibp_sides`` on a stack of three more trials, (3, n + 1, d)
-  each for F and G (F zero at the ends but classically).  And, to reach
-  the adjoint at large n,
+  each for F and G (F zero at the ends at a fractional order).  And, to
+  reach the adjoint at large n,
   ``functional_gradient`` of the harmonic problem on a seeded trajectory
   ("gradient") x sigma x alpha 0.3 and 0.8 x d 1 x n 1025 and 2049;
 - bvp-failures: boundary-value solves of the five families (the

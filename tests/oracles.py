@@ -21,6 +21,16 @@ def random_trajectory(rng, grid, dim=1, scale=1.0):
     return fv.Trajectory(grid, scale * rng.standard_normal((grid.n + 1, dim)))
 
 
+def gl_kernel(w, n, side):
+    """The GL kernel of ``side`` over positions 0..n from the weights
+    w_0..w_n, entry by entry: MINUS rows k = 1..n read w_{k-j}, PLUS rows
+    k = 0..n-1 read w_{j-k}, zero where the index is negative."""
+    rows = range(1, n + 1) if side == fv.MINUS else range(n)
+    offset = (lambda k, j: k - j) if side == fv.MINUS else (lambda k, j: j - k)
+    return np.array([[w[offset(k, j)] if offset(k, j) >= 0 else 0.0 for j in range(n + 1)]
+                     for k in rows])
+
+
 def gl_sum(q, alpha, side):
     """The GL operator of ``side`` written out term by term, with
     w = gl_coefficients(alpha, n): h^-alpha sum_r w_r Q_{k-r} at

@@ -418,6 +418,14 @@ def test_glcheck_refuses_negative_beta(capsys, beta):
     assert "beta must be >= 0" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["--beta", "inf"], ["--beta", "inf", "--b", "2"]])
+def test_glcheck_refuses_an_infinite_beta_by_name(capsys, argv):
+    # the closed form refuses beta before any monomial is sampled
+    assert main(["glcheck", "--alpha", "0.5", *argv, "--n-list", "8,16"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "beta and s must be finite, got beta = inf" in captured.err and captured.out == ""
+
+
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 728. TiB")

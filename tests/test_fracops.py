@@ -11,7 +11,7 @@ import fracvi as fv
 from fracvi import fracops
 from fracvi.fracops import _kernel
 from fracvi.solver import BVPProblem, NewtonConfig, solve_bvp_newton
-from oracles import gl_sum
+from oracles import gl_kernel, gl_sum
 
 
 def test_weights_alpha_one_truncate():
@@ -90,10 +90,7 @@ def test_kernel_entries_follow_the_definition(alpha, side):
 
 def _fresh_kernel(alpha, n, side):
     # the kernel by its definition, entry by entry
-    w = fv.gl_coefficients(alpha, n)
-    rows = range(1, n + 1) if side == fv.MINUS else range(n)
-    offset = lambda k, j: k - j if side == fv.MINUS else j - k
-    return np.array([[w[offset(k, j)] if offset(k, j) >= 0 else 0.0 for j in range(n + 1)] for k in rows])
+    return gl_kernel(fv.gl_coefficients(alpha, n), n, side)
 
 
 def clear_operators():
@@ -246,6 +243,25 @@ def test_alpha_one_is_the_two_point_difference(side, fresh):
             assert builds() == 0
             assert np.array_equal(applied, _kernel(1.0, n, side, False) @ y)
             assert np.array_equal(adjoint, _kernel(1.0, n, side, True) @ y[1:])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.7])
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("side", [fv.MINUS, fv.PLUS])
+def test_a_stack_of_trials_is_its_per_trial_products(side, adjoint, alpha):
+    # one shape contract at every order: a (trials, m, d) stack maps along
+    # its node axis, each trial as it maps alone; at alpha = 1 the two-point
+    # difference is also the dense kernel's product
+    rng = np.random.default_rng(71)
+    for d in (1, 2, 3):
+        for n in (2, 3, 17, 64):
+            apply = fracops._operator(alpha, n, side, adjoint)
+            for trials in (1, 2, 5):
+                stack = rng.uniform(-2.0, 2.0, (trials, n if adjoint else n + 1, d))
+                got = apply(stack)
+                assert got.tobytes() == np.array([apply(y) for y in stack]).tobytes()
+                if alpha == 1:
+                    assert got.tobytes() == (_kernel(1.0, n, side, adjoint) @ stack).tobytes()
 
 
 def test_classical_and_alpha_one_solves_leave_no_cache_entry(fresh):
@@ -507,6 +523,9 @@ def test_ibp_batch_is_the_pair_check_trial_by_trial(alpha, d):
 
 def test_rl_monomial_hand_values():
     assert math.isclose(fv.rl_monomial_derivative(1.0, 1.0, 1.0), 1.0, rel_tol=1e-13)
+    # no order is the classical one, alpha = 1
+    assert fv.rl_monomial_derivative(1.0, None, 1.0) == fv.rl_monomial_derivative(1.0, 1.0, 1.0)
+    assert fv.rl_monomial_derivative(2.5, None, 0.7) == fv.rl_monomial_derivative(2.5, 1.0, 0.7)
     assert math.isclose(
         fv.rl_monomial_derivative(1.0, 0.5, 1.0), 1.1283791670955126, rel_tol=1e-12
     )
@@ -529,6 +548,16 @@ def test_rl_monomial_rejects_bad_input():
         fv.rl_monomial_derivative(1.0, 0.5, 0.0)
     with pytest.raises(fv.DomainError, match="beta \\+ 1 - alpha = .* < 0"):
         fv.rl_monomial_derivative(-0.9, 0.5, 1.0)  # a tail beta + 1 - alpha of -0.4
+    # a non-finite beta or s is refused by name, after the earlier refusals
+    for beta, s in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(fv.DomainError, match=f"^beta and s must be finite, got beta = {beta}, s = {s}$"):
+            fv.rl_monomial_derivative(beta, 0.5, s)
+    with pytest.raises(fv.DomainError, match="^monomial exponent must exceed -1, got -inf$"):
+        fv.rl_monomial_derivative(-math.inf, 0.5, 1.0)
+    with pytest.raises(fv.DomainError, match="^offset s = t - a must be positive, got -inf$"):
+        fv.rl_monomial_derivative(math.nan, 0.5, -math.inf)
+    with pytest.raises(fv.DomainError, match=r"^fractional order must lie in \(0, 1\]"):
+        fv.rl_monomial_derivative(math.nan, 1.5, math.nan)  # the order comes first
 
 
 @pytest.mark.parametrize("apply, side, message", [
